@@ -13,23 +13,15 @@ from typing import Any, Callable
 
 from .errors import ParseDiagnostic, ParseError, SchemaViolation
 from .model import (
-    AnnotationAssertion,
+    AXIOM_TYPES,
     AnnotationValue,
     Axiom,
-    ClassAssertion,
     Declaration,
-    DisjointClasses,
     EntityKind,
-    EquivalentClasses,
-    EquivalentObjectProperties,
+    Field,
     Iri,
-    ObjectPropertyAssertion,
-    ObjectPropertyDomain,
-    ObjectPropertyRange,
     OntologyStore,
-    SameIndividual,
-    SubClassOf,
-    SubObjectPropertyOf,
+    axiom_type,
     sorted_axioms,
 )
 from .pipeline import (
@@ -99,118 +91,92 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
 _ENTITY_KIND_VALUES = {k.value: k for k in EntityKind}
 
 
+def _literal_to_obj(value: AnnotationValue) -> dict:
+    obj = {"text": value.text}
+    if value.language_tag:
+        obj["languageTag"] = value.language_tag
+    return obj
+
+
+_TO_JSON: dict[type, Callable[[Any], Any]] = {
+    Iri: str,
+    frozenset: lambda iris: sorted(map(str, iris)),
+    EntityKind: lambda kind: kind.value,
+    AnnotationValue: _literal_to_obj,
+}
+
+
 def axiom_to_obj(ax: Axiom) -> dict:
-    if isinstance(ax, Declaration):
-        return {"kind": "Declaration", "iri": str(ax.iri), "entityKind": ax.kind.value}
-    if isinstance(ax, SubClassOf):
-        return {"kind": "SubClassOf", "sub": str(ax.sub), "sup": str(ax.sup)}
-    if isinstance(ax, EquivalentClasses):
-        return {"kind": "EquivalentClasses", "classes": sorted(map(str, ax.classes))}
-    if isinstance(ax, DisjointClasses):
-        return {"kind": "DisjointClasses", "a": str(ax.a), "b": str(ax.b)}
-    if isinstance(ax, SubObjectPropertyOf):
-        return {"kind": "SubObjectPropertyOf", "sub": str(ax.sub), "sup": str(ax.sup)}
-    if isinstance(ax, EquivalentObjectProperties):
-        return {
-            "kind": "EquivalentObjectProperties",
-            "properties": sorted(map(str, ax.properties)),
-        }
-    if isinstance(ax, ObjectPropertyRange):
-        return {"kind": "ObjectPropertyRange", "prop": str(ax.prop), "cls": str(ax.cls)}
-    if isinstance(ax, ObjectPropertyDomain):
-        return {"kind": "ObjectPropertyDomain", "prop": str(ax.prop), "cls": str(ax.cls)}
-    if isinstance(ax, ClassAssertion):
-        return {"kind": "ClassAssertion", "cls": str(ax.cls), "ind": str(ax.ind)}
-    if isinstance(ax, ObjectPropertyAssertion):
-        return {
-            "kind": "ObjectPropertyAssertion",
-            "subject": str(ax.subject),
-            "prop": str(ax.prop),
-            "object": str(ax.object),
-        }
-    if isinstance(ax, SameIndividual):
-        return {"kind": "SameIndividual", "a": str(ax.a), "b": str(ax.b)}
-    if isinstance(ax, AnnotationAssertion):
-        value: dict = {"text": ax.value.text}
-        if ax.value.language_tag:
-            value["languageTag"] = ax.value.language_tag
-        return {
-            "kind": "AnnotationAssertion",
-            "subject": str(ax.subject),
-            "annProp": str(ax.prop),
-            "value": value,
-        }
-    raise TypeError(f"unknown axiom type {type(ax).__name__}")
+    row = axiom_type(ax)
+    obj = {"kind": row.tag}
+    for f in row.fields:
+        obj[f.json] = _TO_JSON[f.shape](getattr(ax, f.name))
+    return obj
+
+
+def _iri_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> Iri:
+    return resolve(_field(obj, f.json, str, path), f"{path}.{f.json}")
+
+
+def _iris_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> frozenset[Iri]:
+    raw = _field(obj, f.json, list, path)
+    return frozenset(resolve(item, f"{path}.{f.json}[{i}]") for i, item in enumerate(raw))
+
+
+def _kind_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> EntityKind:
+    value = _field(obj, f.json, str, path)
+    if value not in _ENTITY_KIND_VALUES:
+        raise SchemaViolation(
+            f"{path}.{f.json}", f"expected one of {sorted(_ENTITY_KIND_VALUES)}"
+        )
+    return _ENTITY_KIND_VALUES[value]
+
+
+def _literal_object(obj: dict, f: Field, path: str) -> dict:
+    value = _expect_obj(_field(obj, f.json, dict, path), f"{path}.{f.json}")
+    _reject_unknown(value, {"text", "languageTag"}, f"{path}.{f.json}")
+    return value
+
+
+def _literal_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> AnnotationValue:
+    vpath = f"{path}.{f.json}"
+    value = _literal_object(obj, f, path)
+    return AnnotationValue(
+        _field(value, "text", str, vpath), _field(value, "languageTag", str, vpath, None)
+    )
+
+
+_FROM_JSON: dict[type, Callable[[dict, Field, Callable, str], Any]] = {
+    Iri: _iri_from_obj,
+    frozenset: _iris_from_obj,
+    EntityKind: _kind_from_obj,
+    AnnotationValue: _literal_from_obj,
+}
+
+
+_TYPE_OF_TAG = {row.tag: row for row in AXIOM_TYPES.values()}
 
 
 def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> Axiom:
     _expect_obj(obj, path)
-    kind = _field(obj, "kind", str, path)
-
-    def iri(name: str) -> Iri:
-        return resolve(_field(obj, name, str, path), f"{path}.{name}")
-
-    def iri_list(name: str) -> frozenset[Iri]:
-        raw = _field(obj, name, list, path)
-        return frozenset(
-            resolve(item, f"{path}.{name}[{i}]") for i, item in enumerate(raw)
-        )
-
+    tag = _field(obj, "kind", str, path)
+    row = _TYPE_OF_TAG.get(tag)
+    if row is None:
+        raise SchemaViolation(f"{path}.kind", f"unknown axiom kind {tag!r}")
+    # For an object with several faults, the one reported is the first in
+    # this order: an entity kind, unknown fields, a literal's object, then
+    # the fields in order.
     try:
-        if kind == "Declaration":
-            entity_kind = _field(obj, "entityKind", str, path)
-            if entity_kind not in _ENTITY_KIND_VALUES:
-                raise SchemaViolation(
-                    f"{path}.entityKind",
-                    f"expected one of {sorted(_ENTITY_KIND_VALUES)}",
-                )
-            _reject_unknown(obj, {"kind", "iri", "entityKind"}, path)
-            return Declaration(iri("iri"), _ENTITY_KIND_VALUES[entity_kind])
-        if kind == "SubClassOf":
-            _reject_unknown(obj, {"kind", "sub", "sup"}, path)
-            return SubClassOf(iri("sub"), iri("sup"))
-        if kind == "EquivalentClasses":
-            _reject_unknown(obj, {"kind", "classes"}, path)
-            return EquivalentClasses(iri_list("classes"))
-        if kind == "DisjointClasses":
-            _reject_unknown(obj, {"kind", "a", "b"}, path)
-            return DisjointClasses(iri("a"), iri("b"))
-        if kind == "SubObjectPropertyOf":
-            _reject_unknown(obj, {"kind", "sub", "sup"}, path)
-            return SubObjectPropertyOf(iri("sub"), iri("sup"))
-        if kind == "EquivalentObjectProperties":
-            _reject_unknown(obj, {"kind", "properties"}, path)
-            return EquivalentObjectProperties(iri_list("properties"))
-        if kind == "ObjectPropertyRange":
-            _reject_unknown(obj, {"kind", "prop", "cls"}, path)
-            return ObjectPropertyRange(iri("prop"), iri("cls"))
-        if kind == "ObjectPropertyDomain":
-            _reject_unknown(obj, {"kind", "prop", "cls"}, path)
-            return ObjectPropertyDomain(iri("prop"), iri("cls"))
-        if kind == "ClassAssertion":
-            _reject_unknown(obj, {"kind", "cls", "ind"}, path)
-            return ClassAssertion(iri("cls"), iri("ind"))
-        if kind == "ObjectPropertyAssertion":
-            _reject_unknown(obj, {"kind", "subject", "prop", "object"}, path)
-            return ObjectPropertyAssertion(iri("subject"), iri("prop"), iri("object"))
-        if kind == "SameIndividual":
-            _reject_unknown(obj, {"kind", "a", "b"}, path)
-            return SameIndividual(iri("a"), iri("b"))
-        if kind == "AnnotationAssertion":
-            _reject_unknown(obj, {"kind", "subject", "annProp", "value"}, path)
-            value = _expect_obj(_field(obj, "value", dict, path), f"{path}.value")
-            _reject_unknown(value, {"text", "languageTag"}, f"{path}.value")
-            return AnnotationAssertion(
-                iri("subject"),
-                resolve(_field(obj, "annProp", str, path), f"{path}.annProp"),
-                AnnotationValue(
-                    _field(value, "text", str, f"{path}.value"),
-                    _field(value, "languageTag", str, f"{path}.value", None),
-                ),
-            )
+        for f in row.fields:
+            if f.shape is EntityKind:
+                _kind_from_obj(obj, f, resolve, path)
+        _reject_unknown(obj, {"kind", *(f.json for f in row.fields)}, path)
+        for f in row.fields:
+            if f.shape is AnnotationValue:
+                _literal_object(obj, f, path)
+        return row.cls(*[_FROM_JSON[f.shape](obj, f, resolve, path) for f in row.fields])
     except ValueError as exc:
         raise SchemaViolation(path, str(exc)) from None
-    raise SchemaViolation(f"{path}.kind", f"unknown axiom kind {kind!r}")
 
 
 def store_to_json(store: OntologyStore) -> str:

@@ -1,16 +1,20 @@
-"""Entity and axiom data model, the axiom store, and ontology metrics.
+"""Entity and axiom data model, the axiom-type table, the axiom store, and
+ontology metrics.
 
 The store keeps a duplicate-free set of axioms over declared entities.
 Entities are plain absolute IRIs; CURIE resolution happens at the parsing
-boundaries (see :mod:`aieo.turtle` and :mod:`aieo.jsonio`).
+boundaries (see :mod:`aieo.turtle` and :mod:`aieo.jsonio`). What each axiom
+type looks like (its fields, triples, JSON form and sort order) is described
+once, in :data:`AXIOM_TYPES`; every other module reads it from there.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, fields
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from .errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
 
@@ -52,6 +56,58 @@ class AnnotationValue:
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("annotation text must be non-empty")
+
+
+_LITERAL_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
+def render_literal(value: AnnotationValue) -> str:
+    """The literal in Turtle syntax: quoted, escaped, then any language tag."""
+    out = f'"{value.text.translate(_LITERAL_ESCAPES)}"'
+    return f"{out}@{value.language_tag}" if value.language_tag else out
+
+
+def term_key(term: "Iri | AnnotationValue") -> tuple:
+    """Total order over triple objects and query values: IRIs first."""
+    if isinstance(term, AnnotationValue):
+        return (1, term.text, term.language_tag or "")
+    return (0, str(term))
+
+
+# ---------------------------------------------------------------------------
+# RDF vocabulary
+# ---------------------------------------------------------------------------
+
+RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
+OWL_NS = "http://www.w3.org/2002/07/owl#"
+
+RDF_TYPE = Iri(RDF_NS + "type")
+RDFS_SUBCLASSOF = Iri(RDFS_NS + "subClassOf")
+RDFS_SUBPROPERTYOF = Iri(RDFS_NS + "subPropertyOf")
+RDFS_RANGE = Iri(RDFS_NS + "range")
+RDFS_DOMAIN = Iri(RDFS_NS + "domain")
+OWL_CLASS = Iri(OWL_NS + "Class")
+OWL_OBJECT_PROPERTY = Iri(OWL_NS + "ObjectProperty")
+OWL_DATATYPE_PROPERTY = Iri(OWL_NS + "DatatypeProperty")
+OWL_ANNOTATION_PROPERTY = Iri(OWL_NS + "AnnotationProperty")
+OWL_NAMED_INDIVIDUAL = Iri(OWL_NS + "NamedIndividual")
+OWL_EQUIVALENT_CLASS = Iri(OWL_NS + "equivalentClass")
+OWL_EQUIVALENT_PROPERTY = Iri(OWL_NS + "equivalentProperty")
+OWL_DISJOINT_WITH = Iri(OWL_NS + "disjointWith")
+OWL_SAME_AS = Iri(OWL_NS + "sameAs")
+
+# A declaration is written as an rdf:type triple whose object is a meta-class.
+META_CLASS_KINDS = {
+    OWL_CLASS: EntityKind.OWL_CLASS,
+    OWL_OBJECT_PROPERTY: EntityKind.OBJECT_PROPERTY,
+    OWL_DATATYPE_PROPERTY: EntityKind.DATA_PROPERTY,
+    OWL_ANNOTATION_PROPERTY: EntityKind.ANNOTATION_PROPERTY,
+    OWL_NAMED_INDIVIDUAL: EntityKind.NAMED_INDIVIDUAL,
+}
+_META_CLASS_OF_KIND = {kind: iri for iri, kind in META_CLASS_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -166,105 +222,215 @@ class AnnotationAssertion(Axiom):
     value: AnnotationValue
 
 
-LOGICAL_AXIOM_TYPES = (
-    SubClassOf,
-    EquivalentClasses,
-    DisjointClasses,
-    SubObjectPropertyOf,
-    EquivalentObjectProperties,
-    ObjectPropertyRange,
-    ObjectPropertyDomain,
-    ClassAssertion,
-    ObjectPropertyAssertion,
-    SameIndividual,
-)
+# ---------------------------------------------------------------------------
+# Axiom-type table
+# ---------------------------------------------------------------------------
 
-# (attribute, required kind) per axiom type; None means "any declared kind".
-_REFERENCE_KINDS: dict[type, tuple[tuple[str, EntityKind | None], ...]] = {
-    SubClassOf: (("sub", EntityKind.OWL_CLASS), ("sup", EntityKind.OWL_CLASS)),
-    DisjointClasses: (("a", EntityKind.OWL_CLASS), ("b", EntityKind.OWL_CLASS)),
-    SubObjectPropertyOf: (
-        ("sub", EntityKind.OBJECT_PROPERTY),
-        ("sup", EntityKind.OBJECT_PROPERTY),
-    ),
-    ObjectPropertyRange: (
-        ("prop", EntityKind.OBJECT_PROPERTY),
-        ("cls", EntityKind.OWL_CLASS),
-    ),
-    ObjectPropertyDomain: (
-        ("prop", EntityKind.OBJECT_PROPERTY),
-        ("cls", EntityKind.OWL_CLASS),
-    ),
-    ClassAssertion: (
-        ("cls", EntityKind.OWL_CLASS),
-        ("ind", EntityKind.NAMED_INDIVIDUAL),
-    ),
-    ObjectPropertyAssertion: (
-        ("subject", EntityKind.NAMED_INDIVIDUAL),
-        ("prop", EntityKind.OBJECT_PROPERTY),
-        ("object", EntityKind.NAMED_INDIVIDUAL),
-    ),
-    SameIndividual: (
-        ("a", EntityKind.NAMED_INDIVIDUAL),
-        ("b", EntityKind.NAMED_INDIVIDUAL),
-    ),
-    AnnotationAssertion: (
-        ("subject", None),
-        ("prop", EntityKind.ANNOTATION_PROPERTY),
-    ),
+@dataclass(frozen=True, slots=True)
+class Field:
+    """One field of an axiom type, in dataclass order.
+
+    ``shape`` is the type of its value: ``Iri``, ``frozenset`` (of IRIs),
+    ``EntityKind`` or ``AnnotationValue``. An IRI here must be declared with
+    ``kind``, or with any kind when ``kind`` is None. ``json`` is its key in
+    the JSON interchange form (the field name unless given).
+    """
+
+    name: str
+    shape: type = Iri
+    kind: EntityKind | None = None
+    json: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.json:
+            object.__setattr__(self, "json", self.name)
+
+
+# How a field value enters the sort key; IRIs enter as they are.
+_SORT_PART: dict[type, Callable] = {
+    frozenset: lambda v: tuple(sorted(v)),
+    EntityKind: attrgetter("value"),
+    AnnotationValue: lambda v: (v.text, v.language_tag or ""),
 }
+
+
+@dataclass(frozen=True, slots=True)
+class AxiomType:
+    """Everything the library knows about one axiom type.
+
+    In RDF the axiom is the triple ``subject predicate obj``, where
+    ``subject`` and ``obj`` name fields and a None ``predicate`` means the
+    axiom's own ``prop`` field. A declaration's object is the meta-class of
+    its kind. A ``symmetric`` axiom is one triple per ordered pair of its
+    members; a set-valued field (equivalence) is both subject and object.
+    ``order`` places the predicate inside a Turtle subject block. Logical
+    axioms are the ones counted by ``logicalAxiomCount``.
+
+    The callables below are built once per type, so no per-axiom code
+    inspects the dataclass fields.
+    """
+
+    cls: type
+    fields: tuple[Field, ...]
+    subject: str
+    obj: str
+    predicate: Iri | None
+    symmetric: bool = False
+    order: int = 0
+    logical: bool = True
+    # Derived from the above in __post_init__.
+    tag: str = field(init=False)  # the type's name, also its JSON "kind"
+    members: str | None = field(init=False)  # the set-valued field, if any
+    refs: tuple[Field, ...] = field(init=False)  # fields naming other entities
+    subject_of: Callable[[Axiom], Iri] = field(init=False)
+    triple: Callable[[Axiom], tuple] | None = field(init=False)  # if not symmetric
+    pair: Callable[[Axiom], Iterable[Iri]] | None = field(init=False)  # if symmetric
+    sort_key: Callable[[Axiom], tuple] = field(init=False)
+
+    def __post_init__(self) -> None:
+        members = next((f.name for f in self.fields if f.shape is frozenset), None)
+        # A declaration introduces its IRI rather than referencing it.
+        declares = any(f.shape is EntityKind for f in self.fields)
+        refs = () if declares else tuple(
+            f for f in self.fields if f.shape is Iri or f.shape is frozenset
+        )
+        subject_of: Callable = attrgetter(self.subject)
+        if self.subject == members:
+            subject_of = lambda ax, get=subject_of: min(get(ax))  # noqa: E731
+        set_ = object.__setattr__
+        set_(self, "tag", self.cls.__name__)
+        set_(self, "members", members)
+        set_(self, "refs", refs)
+        set_(self, "subject_of", subject_of)
+        if self.symmetric:
+            set_(self, "triple", None)
+            set_(self, "pair", attrgetter(self.subject) if self.subject == self.obj
+                 else attrgetter(self.subject, self.obj))
+        else:
+            set_(self, "triple", self._make_triple(declares))
+            set_(self, "pair", None)
+        set_(self, "sort_key", self._make_sort_key())
+
+    def _make_triple(self, declares: bool) -> Callable[[Axiom], tuple]:
+        if self.predicate is None:
+            return attrgetter(self.subject, "prop", self.obj)
+        s, p, o = attrgetter(self.subject), self.predicate, attrgetter(self.obj)
+        if declares:
+            return lambda ax: (s(ax), p, _META_CLASS_OF_KIND[o(ax)])
+        return lambda ax: (s(ax), p, o(ax))
+
+    def _make_sort_key(self) -> Callable[[Axiom], tuple]:
+        tag = self.tag
+        names = tuple(f.name for f in self.fields)
+        parts = tuple(_SORT_PART.get(f.shape) for f in self.fields)
+        if len(names) > 1 and not any(parts):  # IRIs only: the values are the key
+            values = attrgetter(*names)
+            return lambda ax: (tag, values(ax))
+        pairs = tuple(zip(names, parts))
+        return lambda ax: (tag, tuple(
+            getattr(ax, n) if part is None else part(getattr(ax, n)) for n, part in pairs
+        ))
+
+    def from_pair(self, subject: Iri, obj: Iri) -> Axiom:
+        """The axiom of this type whose triple is ``subject predicate obj``."""
+        if self.members is not None:
+            return self.cls(frozenset((subject, obj)))
+        return self.cls(**{self.subject: subject, self.obj: obj})
+
+
+_CLASS = EntityKind.OWL_CLASS
+_PROPERTY = EntityKind.OBJECT_PROPERTY
+_INDIVIDUAL = EntityKind.NAMED_INDIVIDUAL
+
+AXIOM_TYPES: dict[type, AxiomType] = {row.cls: row for row in (
+    AxiomType(
+        Declaration, (Field("iri"), Field("kind", EntityKind, json="entityKind")),
+        "iri", "kind", RDF_TYPE, order=0, logical=False,
+    ),
+    AxiomType(
+        SubClassOf, (Field("sub", kind=_CLASS), Field("sup", kind=_CLASS)),
+        "sub", "sup", RDFS_SUBCLASSOF, order=1,
+    ),
+    AxiomType(
+        EquivalentClasses, (Field("classes", frozenset, _CLASS),),
+        "classes", "classes", OWL_EQUIVALENT_CLASS, symmetric=True, order=2,
+    ),
+    AxiomType(
+        DisjointClasses, (Field("a", kind=_CLASS), Field("b", kind=_CLASS)),
+        "a", "b", OWL_DISJOINT_WITH, symmetric=True, order=3,
+    ),
+    AxiomType(
+        SubObjectPropertyOf, (Field("sub", kind=_PROPERTY), Field("sup", kind=_PROPERTY)),
+        "sub", "sup", RDFS_SUBPROPERTYOF, order=6,
+    ),
+    AxiomType(
+        EquivalentObjectProperties, (Field("properties", frozenset, _PROPERTY),),
+        "properties", "properties", OWL_EQUIVALENT_PROPERTY, symmetric=True, order=2,
+    ),
+    AxiomType(
+        ObjectPropertyRange, (Field("prop", kind=_PROPERTY), Field("cls", kind=_CLASS)),
+        "prop", "cls", RDFS_RANGE, order=4,
+    ),
+    AxiomType(
+        ObjectPropertyDomain, (Field("prop", kind=_PROPERTY), Field("cls", kind=_CLASS)),
+        "prop", "cls", RDFS_DOMAIN, order=5,
+    ),
+    AxiomType(
+        ClassAssertion, (Field("cls", kind=_CLASS), Field("ind", kind=_INDIVIDUAL)),
+        "ind", "cls", RDF_TYPE, order=0,
+    ),
+    AxiomType(
+        ObjectPropertyAssertion,
+        (Field("subject", kind=_INDIVIDUAL), Field("prop", kind=_PROPERTY),
+         Field("object", kind=_INDIVIDUAL)),
+        "subject", "object", None, order=7,
+    ),
+    AxiomType(
+        SameIndividual, (Field("a", kind=_INDIVIDUAL), Field("b", kind=_INDIVIDUAL)),
+        "a", "b", OWL_SAME_AS, symmetric=True, order=7,
+    ),
+    AxiomType(
+        AnnotationAssertion,
+        (Field("subject"), Field("prop", kind=EntityKind.ANNOTATION_PROPERTY, json="annProp"),
+         Field("value", AnnotationValue)),
+        "subject", "value", None, order=8, logical=False,
+    ),
+)}
+
+
+def axiom_type(ax: Axiom) -> AxiomType:
+    """The table row of the axiom's type."""
+    try:
+        return AXIOM_TYPES[type(ax)]
+    except KeyError:
+        raise TypeError(f"unknown axiom type {type(ax).__name__}") from None
 
 
 def referenced_entities(ax: Axiom) -> list[tuple[Iri, EntityKind | None]]:
     """Every IRI a non-declaration axiom references, with its required kind."""
-    if isinstance(ax, Declaration):
-        return []
-    if isinstance(ax, EquivalentClasses):
-        return [(c, EntityKind.OWL_CLASS) for c in sorted(ax.classes)]
-    if isinstance(ax, EquivalentObjectProperties):
-        return [(p, EntityKind.OBJECT_PROPERTY) for p in sorted(ax.properties)]
-    return [(getattr(ax, attr), kind) for attr, kind in _REFERENCE_KINDS[type(ax)]]
+    out: list[tuple[Iri, EntityKind | None]] = []
+    for f in AXIOM_TYPES[type(ax)].refs:
+        value = getattr(ax, f.name)
+        if f.shape is frozenset:
+            out.extend((iri, f.kind) for iri in sorted(value))
+        else:
+            out.append((value, f.kind))
+    return out
 
 
 def axiom_subject(ax: Axiom) -> Iri:
     """The IRI an axiom is grouped under when serialized or indexed."""
-    if isinstance(ax, Declaration):
-        return ax.iri
-    if isinstance(ax, (SubClassOf, SubObjectPropertyOf)):
-        return ax.sub
-    if isinstance(ax, EquivalentClasses):
-        return min(ax.classes)
-    if isinstance(ax, EquivalentObjectProperties):
-        return min(ax.properties)
-    if isinstance(ax, (DisjointClasses, SameIndividual)):
-        return ax.a
-    if isinstance(ax, (ObjectPropertyRange, ObjectPropertyDomain)):
-        return ax.prop
-    if isinstance(ax, ClassAssertion):
-        return ax.ind
-    if isinstance(ax, (ObjectPropertyAssertion, AnnotationAssertion)):
-        return ax.subject
-    raise TypeError(f"unknown axiom type {type(ax).__name__}")
+    return axiom_type(ax).subject_of(ax)
 
 
-def _axiom_sort_key(ax: Axiom) -> tuple:
-    vals = []
-    for f in fields(ax):
-        v = getattr(ax, f.name)
-        if isinstance(v, frozenset):
-            vals.append(tuple(sorted(v)))
-        elif isinstance(v, EntityKind):
-            vals.append(v.value)
-        elif isinstance(v, AnnotationValue):
-            vals.append((v.text, v.language_tag or ""))
-        else:
-            vals.append(v)
-    return (type(ax).__name__, tuple(vals))
+def axiom_sort_key(ax: Axiom) -> tuple:
+    """Key of the deterministic total order: type name, then field values."""
+    return axiom_type(ax).sort_key(ax)
 
 
 def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:
     """Deterministic total order over axioms, for output and diffing."""
-    return sorted(axioms, key=_axiom_sort_key)
+    return sorted(axioms, key=axiom_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +438,7 @@ def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:
 # ---------------------------------------------------------------------------
 
 class OntologyStore:
-    """Declared entities plus a normalized axiom set with derived indexes.
+    """Declared entities plus a normalized axiom set, indexed by subject.
 
     Mutations are single-writer; hand a ``copy()`` to other threads of
     control for concurrent reads. Normalization folds overlapping
@@ -285,8 +451,6 @@ class OntologyStore:
         self.axioms: set[Axiom] = set()
         self._kinds: dict[Iri, EntityKind] = {}
         self.by_subject: dict[Iri, set[Axiom]] = defaultdict(set)
-        self.by_property: dict[Iri, set[Axiom]] = defaultdict(set)
-        self.by_class: dict[Iri, set[Axiom]] = defaultdict(set)
 
     # -- mutation ----------------------------------------------------------
 
@@ -317,68 +481,36 @@ class OntologyStore:
                     f"{iri} is declared as {actual.value}; "
                     f"{type(ax).__name__} requires {required.value}"
                 )
-        if isinstance(ax, EquivalentClasses):
-            ax = self._merge_equivalence(ax, EquivalentClasses, "classes")
-        elif isinstance(ax, EquivalentObjectProperties):
-            ax = self._merge_equivalence(ax, EquivalentObjectProperties, "properties")
+        row = AXIOM_TYPES[type(ax)]
+        if row.members is not None:
+            ax = self._merge_equivalence(ax, row)
         self._insert(ax)
         return self
 
-    def _merge_equivalence(self, ax: Axiom, typ: type, attr: str) -> Axiom:
+    def _merge_equivalence(self, ax: Axiom, row: AxiomType) -> Axiom:
         # Keep equivalence axioms maximal: union with any overlapping set.
+        attr = row.members
         members = set(getattr(ax, attr))
         overlapping = [
             old for old in self.axioms
-            if isinstance(old, typ) and getattr(old, attr) & members
+            if type(old) is row.cls and getattr(old, attr) & members
         ]
         if not overlapping:
             return ax
         for old in overlapping:
             members |= getattr(old, attr)
             self._remove(old)
-        return typ(frozenset(members))
+        return row.cls(frozenset(members))
 
     def _insert(self, ax: Axiom) -> None:
         if ax in self.axioms:
             return
         self.axioms.add(ax)
-        self._index(ax, add=True)
+        self.by_subject[axiom_subject(ax)].add(ax)
 
     def _remove(self, ax: Axiom) -> None:
         self.axioms.discard(ax)
-        self._index(ax, add=False)
-
-    def _index(self, ax: Axiom, add: bool) -> None:
-        def touch(index: dict[Iri, set[Axiom]], key: Iri) -> None:
-            if add:
-                index[key].add(ax)
-            else:
-                index[key].discard(ax)
-
-        touch(self.by_subject, axiom_subject(ax))
-        if isinstance(ax, (ObjectPropertyAssertion, AnnotationAssertion)):
-            touch(self.by_property, ax.prop)
-        elif isinstance(ax, (ObjectPropertyRange, ObjectPropertyDomain)):
-            touch(self.by_property, ax.prop)
-        elif isinstance(ax, SubObjectPropertyOf):
-            touch(self.by_property, ax.sub)
-            touch(self.by_property, ax.sup)
-        elif isinstance(ax, EquivalentObjectProperties):
-            for p in ax.properties:
-                touch(self.by_property, p)
-        if isinstance(ax, ClassAssertion):
-            touch(self.by_class, ax.cls)
-        elif isinstance(ax, SubClassOf):
-            touch(self.by_class, ax.sub)
-            touch(self.by_class, ax.sup)
-        elif isinstance(ax, DisjointClasses):
-            touch(self.by_class, ax.a)
-            touch(self.by_class, ax.b)
-        elif isinstance(ax, EquivalentClasses):
-            for c in ax.classes:
-                touch(self.by_class, c)
-        elif isinstance(ax, (ObjectPropertyRange, ObjectPropertyDomain)):
-            touch(self.by_class, ax.cls)
+        self.by_subject[axiom_subject(ax)].discard(ax)
 
     # -- lookup ------------------------------------------------------------
 
@@ -422,19 +554,7 @@ class OntologyStore:
         dup.axioms = set(self.axioms)
         dup._kinds = dict(self._kinds)
         dup.by_subject = defaultdict(set, {k: set(v) for k, v in self.by_subject.items()})
-        dup.by_property = defaultdict(set, {k: set(v) for k, v in self.by_property.items()})
-        dup.by_class = defaultdict(set, {k: set(v) for k, v in self.by_class.items()})
         return dup
-
-    def rebuild_indexes(self) -> None:
-        self.by_subject = defaultdict(set)
-        self.by_property = defaultdict(set)
-        self.by_class = defaultdict(set)
-        self._kinds = {
-            ax.iri: ax.kind for ax in self.axioms if isinstance(ax, Declaration)
-        }
-        for ax in self.axioms:
-            self._index(ax, add=True)
 
     def validate(self) -> list[str]:
         """Full structural scan; returns human-readable problems (empty = ok)."""
@@ -461,14 +581,6 @@ class OntologyStore:
         problems = self.validate()
         if problems:
             raise ValidationError("; ".join(problems))
-
-
-def declare_entity(store: OntologyStore, iri: Iri, kind: EntityKind) -> OntologyStore:
-    return store.declare(iri, kind)
-
-
-def add_axiom(store: OntologyStore, ax: Axiom) -> OntologyStore:
-    return store.add(ax)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +639,14 @@ class MetricsReport:
 
 
 def compute_metrics(store: OntologyStore) -> MetricsReport:
-    declarations = sum(1 for _ in store.axioms_of(Declaration))
-    annotations = sum(1 for _ in store.axioms_of(AnnotationAssertion))
-    logical = sum(1 for _ in store.axioms_of(*LOGICAL_AXIOM_TYPES))
+    per_type = Counter(map(type, store.axioms))
     return MetricsReport(
         axiom_count=len(store.axioms),
-        logical_axiom_count=logical,
-        declaration_axiom_count=declarations,
-        annotation_assertion_count=annotations,
+        logical_axiom_count=sum(
+            per_type[row.cls] for row in AXIOM_TYPES.values() if row.logical
+        ),
+        declaration_axiom_count=per_type[Declaration],
+        annotation_assertion_count=per_type[AnnotationAssertion],
         class_count=len(store.declared(EntityKind.OWL_CLASS)),
         object_property_count=len(store.declared(EntityKind.OBJECT_PROPERTY)),
         data_property_count=len(store.declared(EntityKind.DATA_PROPERTY)),

@@ -22,36 +22,22 @@ from .errors import (
     UnsupportedFeature,
 )
 from .model import (
+    AXIOM_TYPES,
+    RDF_TYPE,
     AnnotationAssertion,
     AnnotationValue,
     ClassAssertion,
-    Declaration,
-    DisjointClasses,
     EntityKind,
-    EquivalentClasses,
-    EquivalentObjectProperties,
     Iri,
     ObjectPropertyAssertion,
-    ObjectPropertyDomain,
-    ObjectPropertyRange,
     SameIndividual,
-    SubClassOf,
-    SubObjectPropertyOf,
+    render_literal,
+    term_key,
 )
 from .reasoner import Materialization
 from .schema import (
     CONCEPT_LINK_PROPERTIES,
     DEFAULT_PREFIXES,
-    META_CLASS_KINDS,
-    OWL_DISJOINT_WITH,
-    OWL_EQUIVALENT_CLASS,
-    OWL_EQUIVALENT_PROPERTY,
-    OWL_SAME_AS,
-    RDF_TYPE,
-    RDFS_DOMAIN,
-    RDFS_RANGE,
-    RDFS_SUBCLASSOF,
-    RDFS_SUBPROPERTYOF,
     REFERENCE,
     SHORT_DESCRIPTION,
     aieo,
@@ -144,19 +130,8 @@ class ResultSet:
 
 def _render_term(term: "Iri | AnnotationValue") -> str:
     if isinstance(term, AnnotationValue):
-        text = term.text.replace("\\", "\\\\").replace('"', '\\"')
-        text = text.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        rendered = f'"{text}"'
-        if term.language_tag:
-            rendered += f"@{term.language_tag}"
-        return rendered
+        return render_literal(term)
     return str(term)
-
-
-def _term_key(term: "Iri | AnnotationValue") -> tuple:
-    if isinstance(term, AnnotationValue):
-        return (1, term.text, term.language_tag or "")
-    return (0, str(term))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +357,6 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
 # Triples view and evaluation
 # ---------------------------------------------------------------------------
 
-_META_CLASS_OF_KIND = {kind: iri for iri, kind in META_CLASS_KINDS.items()}
-
 Triple = tuple
 
 
@@ -394,39 +367,14 @@ def triples_view(mat: Materialization) -> list[Triple]:
     both directions so patterns match regardless of argument order.
     """
     out: list[Triple] = []
+    append = out.append
     for ax in mat.facts():
-        if isinstance(ax, Declaration):
-            out.append((ax.iri, RDF_TYPE, _META_CLASS_OF_KIND[ax.kind]))
-        elif isinstance(ax, ClassAssertion):
-            out.append((ax.ind, RDF_TYPE, ax.cls))
-        elif isinstance(ax, SubClassOf):
-            out.append((ax.sub, RDFS_SUBCLASSOF, ax.sup))
-        elif isinstance(ax, EquivalentClasses):
-            for a in ax.classes:
-                for b in ax.classes:
-                    if a != b:
-                        out.append((a, OWL_EQUIVALENT_CLASS, b))
-        elif isinstance(ax, EquivalentObjectProperties):
-            for a in ax.properties:
-                for b in ax.properties:
-                    if a != b:
-                        out.append((a, OWL_EQUIVALENT_PROPERTY, b))
-        elif isinstance(ax, DisjointClasses):
-            out.append((ax.a, OWL_DISJOINT_WITH, ax.b))
-            out.append((ax.b, OWL_DISJOINT_WITH, ax.a))
-        elif isinstance(ax, SubObjectPropertyOf):
-            out.append((ax.sub, RDFS_SUBPROPERTYOF, ax.sup))
-        elif isinstance(ax, ObjectPropertyRange):
-            out.append((ax.prop, RDFS_RANGE, ax.cls))
-        elif isinstance(ax, ObjectPropertyDomain):
-            out.append((ax.prop, RDFS_DOMAIN, ax.cls))
-        elif isinstance(ax, SameIndividual):
-            out.append((ax.a, OWL_SAME_AS, ax.b))
-            out.append((ax.b, OWL_SAME_AS, ax.a))
-        elif isinstance(ax, ObjectPropertyAssertion):
-            out.append((ax.subject, ax.prop, ax.object))
-        elif isinstance(ax, AnnotationAssertion):
-            out.append((ax.subject, ax.prop, ax.value))
+        row = AXIOM_TYPES[type(ax)]
+        if row.symmetric:
+            members, pred = row.pair(ax), row.predicate
+            out.extend((a, pred, b) for a in members for b in members if a != b)
+        else:
+            append(row.triple(ax))
     return out
 
 
@@ -499,9 +447,9 @@ def evaluate(query: Query, mat: Materialization) -> ResultSet:
         for b in bindings
     ]
     if query.distinct:
-        unique = {tuple(_term_key(r[v]) for v in query.projected_variables): r for r in rows}
+        unique = {tuple(term_key(r[v]) for v in query.projected_variables): r for r in rows}
         rows = list(unique.values())
-    rows.sort(key=lambda r: tuple(_term_key(r[v]) for v in query.projected_variables))
+    rows.sort(key=lambda r: tuple(term_key(r[v]) for v in query.projected_variables))
     return ResultSet(query.projected_variables, tuple(rows))
 
 
@@ -606,7 +554,7 @@ def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
                         variables[3]: ax.value,
                     }
                 )
-    rows.sort(key=lambda r: tuple(_term_key(r[v]) for v in variables))
+    rows.sort(key=lambda r: tuple(term_key(r[v]) for v in variables))
     return ResultSet(variables, tuple(rows))
 
 

@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .errors import IterationLimitExceeded, UnknownFact
 from .model import (
+    AXIOM_TYPES,
     Axiom,
     ClassAssertion,
     DisjointClasses,
@@ -31,7 +32,7 @@ from .model import (
     SameIndividual,
     SubClassOf,
     SubObjectPropertyOf,
-    _axiom_sort_key,
+    axiom_sort_key,
     sorted_axioms,
 )
 
@@ -198,7 +199,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     # found regardless of order; only the discovery order varies. Sort so
     # equal stores always yield identical trace tuples.
     def trace_key(t: InferenceTrace) -> tuple:
-        return (t.rule.value, tuple(_axiom_sort_key(p) for p in t.premises))
+        return (t.rule.value, tuple(axiom_sort_key(p) for p in t.premises))
 
     mat = Materialization(
         base=store,
@@ -250,8 +251,12 @@ def _sameas_free_facts(mat: Materialization) -> set[Axiom]:
     return free
 
 
-def _sameas_blocks(store: OntologyStore, individuals: Iterable[Iri]) -> list[list[Iri]]:
-    parent: dict[Iri, Iri] = {ind: ind for ind in individuals}
+def _partition(
+    members: Iterable[Iri], links: Iterable[tuple[Iri, Iri]]
+) -> dict[Iri, list[Iri]]:
+    """Union-find over ``members`` joined by ``links``: each block, in member
+    order, under its least member."""
+    parent: dict[Iri, Iri] = {m: m for m in members}
 
     def find(x: Iri) -> Iri:
         while parent[x] != x:
@@ -259,14 +264,23 @@ def _sameas_blocks(store: OntologyStore, individuals: Iterable[Iri]) -> list[lis
             x = parent[x]
         return x
 
-    for ax in store.axioms_of(SameIndividual):
-        if ax.a in parent and ax.b in parent:
-            ra, rb = find(ax.a), find(ax.b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
     blocks: dict[Iri, list[Iri]] = defaultdict(list)
-    for ind in parent:
-        blocks[find(ind)].append(ind)
+    for m in parent:
+        blocks[find(m)].append(m)
+    return blocks
+
+
+def _sameas_blocks(store: OntologyStore, individuals: Iterable[Iri]) -> list[list[Iri]]:
+    individuals = set(individuals)
+    blocks = _partition(individuals, (
+        (ax.a, ax.b)
+        for ax in store.axioms_of(SameIndividual)
+        if ax.a in individuals and ax.b in individuals
+    ))
     return [sorted(blocks[root]) for root in sorted(blocks)]
 
 
@@ -347,28 +361,9 @@ def equivalence_classes(
     if kind not in _AXIOM_BY_KIND:
         raise ValueError(f"no equivalence axioms exist for kind {kind.value}")
 
-    members = store.declared(kind)
-    parent: dict[Iri, Iri] = {m: m for m in members}
-
-    def find(x: Iri) -> Iri:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: Iri, b: Iri) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    links: list[tuple[Iri, Iri]] = []
     for ax in store.axioms_of(_AXIOM_BY_KIND[kind]):
-        if isinstance(ax, SameIndividual):
-            union(ax.a, ax.b)
-        else:
-            group = sorted(ax.classes if isinstance(ax, EquivalentClasses) else ax.properties)
-            for other in group[1:]:
-                union(group[0], other)
-    blocks: dict[Iri, set[Iri]] = defaultdict(set)
-    for m in members:
-        blocks[find(m)].add(m)
+        first, *rest = sorted(AXIOM_TYPES[type(ax)].pair(ax))
+        links.extend((first, other) for other in rest)
+    blocks = _partition(store.declared(kind), links)
     return [frozenset(blocks[root]) for root in sorted(blocks)]

@@ -6,7 +6,25 @@ no domains), 4 annotation properties, no data properties, no individuals.
 
 from __future__ import annotations
 
-from .model import (
+from .model import (  # noqa: F401  (the vocabulary is re-exported from here)
+    META_CLASS_KINDS,
+    OWL_ANNOTATION_PROPERTY,
+    OWL_CLASS,
+    OWL_DATATYPE_PROPERTY,
+    OWL_DISJOINT_WITH,
+    OWL_EQUIVALENT_CLASS,
+    OWL_EQUIVALENT_PROPERTY,
+    OWL_NAMED_INDIVIDUAL,
+    OWL_NS,
+    OWL_OBJECT_PROPERTY,
+    OWL_SAME_AS,
+    RDF_NS,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_NS,
+    RDFS_RANGE,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
     AnnotationAssertion,
     AnnotationValue,
     DisjointClasses,
@@ -21,9 +39,6 @@ from .model import (
 )
 
 AIEO_NS = "https://w3id.org/aieo#"
-RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
-OWL_NS = "http://www.w3.org/2002/07/owl#"
 
 DEFAULT_PREFIXES = {
     "aieo": AIEO_NS,
@@ -32,29 +47,7 @@ DEFAULT_PREFIXES = {
     "rdfs": RDFS_NS,
 }
 
-RDF_TYPE = Iri(RDF_NS + "type")
-RDFS_SUBCLASSOF = Iri(RDFS_NS + "subClassOf")
-RDFS_SUBPROPERTYOF = Iri(RDFS_NS + "subPropertyOf")
-RDFS_RANGE = Iri(RDFS_NS + "range")
-RDFS_DOMAIN = Iri(RDFS_NS + "domain")
 RDFS_LABEL = Iri(RDFS_NS + "label")
-OWL_CLASS = Iri(OWL_NS + "Class")
-OWL_OBJECT_PROPERTY = Iri(OWL_NS + "ObjectProperty")
-OWL_DATATYPE_PROPERTY = Iri(OWL_NS + "DatatypeProperty")
-OWL_ANNOTATION_PROPERTY = Iri(OWL_NS + "AnnotationProperty")
-OWL_NAMED_INDIVIDUAL = Iri(OWL_NS + "NamedIndividual")
-OWL_EQUIVALENT_CLASS = Iri(OWL_NS + "equivalentClass")
-OWL_EQUIVALENT_PROPERTY = Iri(OWL_NS + "equivalentProperty")
-OWL_DISJOINT_WITH = Iri(OWL_NS + "disjointWith")
-OWL_SAME_AS = Iri(OWL_NS + "sameAs")
-
-META_CLASS_KINDS = {
-    OWL_CLASS: EntityKind.OWL_CLASS,
-    OWL_OBJECT_PROPERTY: EntityKind.OBJECT_PROPERTY,
-    OWL_DATATYPE_PROPERTY: EntityKind.DATA_PROPERTY,
-    OWL_ANNOTATION_PROPERTY: EntityKind.ANNOTATION_PROPERTY,
-    OWL_NAMED_INDIVIDUAL: EntityKind.NAMED_INDIVIDUAL,
-}
 
 
 def aieo(local: str) -> Iri:
@@ -163,7 +156,3 @@ def seed_schema() -> OntologyStore:
         AnnotationAssertion(aieo("Requirement"), RDFS_LABEL, AnnotationValue("Requirements"))
     )
     return store
-
-
-# Alias under the ontology's own name.
-seed_aieo_schema = seed_schema

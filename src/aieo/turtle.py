@@ -23,40 +23,24 @@ from .errors import (
     UnsupportedFeature,
 )
 from .model import (
+    AXIOM_TYPES,
+    META_CLASS_KINDS,
+    RDF_TYPE,
     AnnotationAssertion,
     AnnotationValue,
     Axiom,
-    ClassAssertion,
     Declaration,
-    DisjointClasses,
     EntityKind,
-    EquivalentClasses,
-    EquivalentObjectProperties,
     Iri,
     ObjectPropertyAssertion,
-    ObjectPropertyDomain,
-    ObjectPropertyRange,
     OntologyStore,
-    SameIndividual,
-    SubClassOf,
-    SubObjectPropertyOf,
     axiom_subject,
-)
-from .schema import (
-    META_CLASS_KINDS,
-    OWL_DISJOINT_WITH,
-    OWL_EQUIVALENT_CLASS,
-    OWL_EQUIVALENT_PROPERTY,
-    OWL_SAME_AS,
-    RDF_TYPE,
-    RDFS_DOMAIN,
-    RDFS_RANGE,
-    RDFS_SUBCLASSOF,
-    RDFS_SUBPROPERTYOF,
+    axiom_type,
+    render_literal,
+    term_key,
 )
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
 def _name_start(c: str) -> bool:
@@ -321,6 +305,15 @@ def parse_turtle(text: str) -> OntologyStore:
     return store
 
 
+# Axiom types by their fixed predicate. An rdf:type triple is a class
+# assertion here: typings with a meta-class were taken as declarations first.
+_TYPE_OF_PREDICATE = {
+    row.predicate: row
+    for row in AXIOM_TYPES.values()
+    if row.predicate is not None and row.cls is not Declaration
+}
+
+
 def _map_triple(store: OntologyStore, s: Iri, p: Iri, o: Iri | AnnotationValue) -> Axiom:
     if isinstance(o, AnnotationValue):
         if store.kind_of(p) is EntityKind.ANNOTATION_PROPERTY:
@@ -328,24 +321,9 @@ def _map_triple(store: OntologyStore, s: Iri, p: Iri, o: Iri | AnnotationValue) 
         if store.kind_of(p) is None:
             raise UndeclaredEntity(f"{p} is not declared")
         raise KindMismatch(f"literal object requires {p} to be an annotation property")
-    if p == RDF_TYPE:
-        return ClassAssertion(o, s)
-    if p == RDFS_SUBCLASSOF:
-        return SubClassOf(s, o)
-    if p == OWL_EQUIVALENT_CLASS:
-        return EquivalentClasses(frozenset((s, o)))
-    if p == OWL_DISJOINT_WITH:
-        return DisjointClasses(s, o)
-    if p == RDFS_SUBPROPERTYOF:
-        return SubObjectPropertyOf(s, o)
-    if p == OWL_EQUIVALENT_PROPERTY:
-        return EquivalentObjectProperties(frozenset((s, o)))
-    if p == RDFS_RANGE:
-        return ObjectPropertyRange(s, o)
-    if p == RDFS_DOMAIN:
-        return ObjectPropertyDomain(s, o)
-    if p == OWL_SAME_AS:
-        return SameIndividual(s, o)
+    row = _TYPE_OF_PREDICATE.get(p)
+    if row is not None:
+        return row.from_pair(s, o)
     kind = store.kind_of(p)
     if kind is None:
         raise UndeclaredEntity(f"{p} is not declared")
@@ -360,49 +338,15 @@ def _map_triple(store: OntologyStore, s: Iri, p: Iri, o: Iri | AnnotationValue) 
 # Serialization
 # ---------------------------------------------------------------------------
 
-# Fixed predicate ordering inside a subject block.
-_ORDER_TYPE = 0
-_ORDER_SUBCLASS = 1
-_ORDER_EQUIV = 2
-_ORDER_DISJOINT = 3
-_ORDER_RANGE = 4
-_ORDER_DOMAIN = 5
-_ORDER_SUBPROP = 6
-_ORDER_ASSERTION = 7
-_ORDER_ANNOTATION = 8
-
-_META_CLASS_OF_KIND = {kind: iri for iri, kind in META_CLASS_KINDS.items()}
-
-
 def _entries(ax: Axiom) -> list[tuple[int, Iri, "Iri | AnnotationValue"]]:
-    """(order, predicate, object) rows contributed by one axiom."""
-    if isinstance(ax, Declaration):
-        return [(_ORDER_TYPE, RDF_TYPE, _META_CLASS_OF_KIND[ax.kind])]
-    if isinstance(ax, ClassAssertion):
-        return [(_ORDER_TYPE, RDF_TYPE, ax.cls)]
-    if isinstance(ax, SubClassOf):
-        return [(_ORDER_SUBCLASS, RDFS_SUBCLASSOF, ax.sup)]
-    if isinstance(ax, EquivalentClasses):
-        rest = sorted(ax.classes)[1:]
-        return [(_ORDER_EQUIV, OWL_EQUIVALENT_CLASS, o) for o in rest]
-    if isinstance(ax, EquivalentObjectProperties):
-        rest = sorted(ax.properties)[1:]
-        return [(_ORDER_EQUIV, OWL_EQUIVALENT_PROPERTY, o) for o in rest]
-    if isinstance(ax, DisjointClasses):
-        return [(_ORDER_DISJOINT, OWL_DISJOINT_WITH, ax.b)]
-    if isinstance(ax, ObjectPropertyRange):
-        return [(_ORDER_RANGE, RDFS_RANGE, ax.cls)]
-    if isinstance(ax, ObjectPropertyDomain):
-        return [(_ORDER_DOMAIN, RDFS_DOMAIN, ax.cls)]
-    if isinstance(ax, SubObjectPropertyOf):
-        return [(_ORDER_SUBPROP, RDFS_SUBPROPERTYOF, ax.sup)]
-    if isinstance(ax, SameIndividual):
-        return [(_ORDER_ASSERTION, OWL_SAME_AS, ax.b)]
-    if isinstance(ax, ObjectPropertyAssertion):
-        return [(_ORDER_ASSERTION, ax.prop, ax.object)]
-    if isinstance(ax, AnnotationAssertion):
-        return [(_ORDER_ANNOTATION, ax.prop, ax.value)]
-    raise TypeError(f"unknown axiom type {type(ax).__name__}")
+    """(order, predicate, object) rows contributed by one axiom. A symmetric
+    axiom is written once, from its least member to each of the others."""
+    row = axiom_type(ax)
+    if row.symmetric:
+        rest = sorted(row.pair(ax))[1:]
+        return [(row.order, row.predicate, o) for o in rest]
+    _, pred, obj = row.triple(ax)
+    return [(row.order, pred, obj)]
 
 
 _LOCAL_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -410,11 +354,7 @@ _LOCAL_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 
 def _term(store: OntologyStore, term: "Iri | AnnotationValue") -> str:
     if isinstance(term, AnnotationValue):
-        text = "".join(_UNESCAPES.get(c, c) for c in term.text)
-        out = f'"{text}"'
-        if term.language_tag:
-            out += f"@{term.language_tag}"
-        return out
+        return render_literal(term)
     compact = store.compact(term)
     if compact != str(term):
         prefix, local = compact.split(":", 1)
@@ -446,20 +386,11 @@ def serialize_turtle(store: OntologyStore) -> str:
         for (order, pred), objects in sorted(
             groups.items(), key=lambda kv: (kv[0][0], kv[0][1])
         ):
-            rendered = ", ".join(_term(store, o) for o in _sorted_terms(objects))
+            rendered = ", ".join(_term(store, o) for o in sorted(objects, key=term_key))
             parts.append(f"{_predicate(store, pred)} {rendered}")
         body = " ;\n    ".join(parts)
         lines.append(f"{_term(store, subject)} {body} .")
     return "\n".join(lines) + "\n"
-
-
-def _sorted_terms(terms: list["Iri | AnnotationValue"]) -> list["Iri | AnnotationValue"]:
-    def key(t: "Iri | AnnotationValue") -> tuple:
-        if isinstance(t, AnnotationValue):
-            return (1, t.text, t.language_tag or "")
-        return (0, str(t))
-
-    return sorted(terms, key=key)
 
 
 def axiom_line(store: OntologyStore, ax: Axiom) -> str:

@@ -273,6 +273,37 @@ def brute_force_evaluate(
 
 
 # ---------------------------------------------------------------------------
+# Canonical axiom order
+# ---------------------------------------------------------------------------
+
+def reference_sort_key(ax: Axiom) -> tuple:
+    """The canonical axiom order, restated type by type: the type's name,
+    then its fields in declaration order, with sets as sorted tuples, entity
+    kinds by value and literals as (text, language tag or "")."""
+    if isinstance(ax, Declaration):
+        values = (ax.iri, ax.kind.value)
+    elif isinstance(ax, (SubClassOf, SubObjectPropertyOf)):
+        values = (ax.sub, ax.sup)
+    elif isinstance(ax, EquivalentClasses):
+        values = (tuple(sorted(ax.classes)),)
+    elif isinstance(ax, EquivalentObjectProperties):
+        values = (tuple(sorted(ax.properties)),)
+    elif isinstance(ax, (DisjointClasses, SameIndividual)):
+        values = (ax.a, ax.b)
+    elif isinstance(ax, (ObjectPropertyRange, ObjectPropertyDomain)):
+        values = (ax.prop, ax.cls)
+    elif isinstance(ax, ClassAssertion):
+        values = (ax.cls, ax.ind)
+    elif isinstance(ax, ObjectPropertyAssertion):
+        values = (ax.subject, ax.prop, ax.object)
+    elif isinstance(ax, AnnotationAssertion):
+        values = (ax.subject, ax.prop, (ax.value.text, ax.value.language_tag or ""))
+    else:
+        raise TypeError(f"no reference order for {type(ax).__name__}")
+    return (type(ax).__name__, values)
+
+
+# ---------------------------------------------------------------------------
 # Metrics tally
 # ---------------------------------------------------------------------------
 

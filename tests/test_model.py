@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
 
 import pytest
 
 from aieo.errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
 from aieo.model import (
+    AXIOM_TYPES,
     AnnotationAssertion,
     AnnotationValue,
+    Axiom,
     ClassAssertion,
     Declaration,
     DisjointClasses,
@@ -22,9 +26,10 @@ from aieo.model import (
     compute_metrics,
     sorted_axioms,
 )
+from aieo.reasoner import materialize
 from aieo.schema import aieo, seed_schema
 
-from oracles import random_small_store, random_store, tally_metrics
+from oracles import random_small_store, random_store, reference_sort_key, tally_metrics
 
 
 def _store() -> OntologyStore:
@@ -116,9 +121,15 @@ def test_indexes_track_mutation():
     ca = ClassAssertion(ex("A"), ex("x"))
     opa = ObjectPropertyAssertion(ex("x"), ex("p"), ex("y"))
     store.add(ca).add(opa)
-    assert ca in store.by_class[ex("A")]
-    assert opa in store.by_property[ex("p")]
     assert opa in store.by_subject[ex("x")]
+    # An equivalence merge replaces the old axiom under its subject.
+    old = EquivalentClasses(frozenset({ex("B"), ex("C")}))
+    store.add(old).add(EquivalentClasses(frozenset({ex("A"), ex("B")})))
+    assert old not in store.by_subject[ex("B")]
+    assert store.by_subject[ex("A")] == {
+        Declaration(ex("A"), EntityKind.OWL_CLASS),
+        EquivalentClasses(frozenset({ex("A"), ex("B"), ex("C")})),
+    }
 
 
 def test_sorted_axioms_is_insertion_order_free():
@@ -137,6 +148,53 @@ def test_sorted_axioms_is_insertion_order_free():
                 store.add(ax)
         orders.append(sorted_axioms(store.axioms))
     assert orders[0] == orders[1] == orders[2]
+
+
+# Annotations that differ only in their literal's language tag.
+_TAGGED = {
+    AnnotationAssertion(ex("x"), ex("note"), AnnotationValue("v", tag))
+    for tag in (None, "de", "en")
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sorted_axioms_matches_reference_order(seed):
+    for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
+        facts = store.axioms | materialize(store).inferred | _TAGGED
+        assert sorted_axioms(facts) == sorted(facts, key=reference_sort_key)
+
+
+def _concrete_axiom_types() -> set[type]:
+    # dataclass(slots=True) replaces each class, so keep only the classes
+    # their modules actually bind.
+    found, todo = set(), [Axiom]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if getattr(sys.modules[sub.__module__], sub.__qualname__, None) is sub:
+                found.add(sub)
+    return found
+
+
+def test_every_axiom_type_has_a_table_row():
+    types = _concrete_axiom_types()
+    assert len(types) == 12
+    assert set(AXIOM_TYPES) == types
+    for cls, row in AXIOM_TYPES.items():
+        assert row.cls is cls and row.tag == cls.__name__
+        assert [f.name for f in row.fields] == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_random_generators_cover_every_axiom_type():
+    # The round-trip and ordering tests draw from both generators, so
+    # together they exercise every row of the table.
+    seen = {
+        type(ax)
+        for seed in range(12)
+        for store in (random_store(seed, schema_mutations=True), random_small_store(seed))
+        for ax in store.axioms
+    }
+    assert seen == set(AXIOM_TYPES)
 
 
 def test_validation_catches_corrupted_store():

@@ -37,7 +37,13 @@ from aieo.schema import (
     seed_schema,
 )
 
-from oracles import brute_force_evaluate, flatten_triples, random_query, random_store
+from oracles import (
+    brute_force_evaluate,
+    flatten_triples,
+    random_query,
+    random_small_store,
+    random_store,
+)
 
 import random
 import warnings
@@ -305,10 +311,15 @@ def test_evaluation_is_monotone_under_growth():
 
 
 def test_triples_view_has_no_duplicate_blowup():
-    store = random_store(3)
-    mat = materialize(store)
-    triples = triples_view(mat)
-    assert len(triples) == len(flatten_triples(store, _assertion_facts(mat)))
+    # The two generators together produce every axiom type, so this also
+    # pins each type's triples to the oracle's.
+    for seed in range(6):
+        for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
+            mat = materialize(store)
+            triples = triples_view(mat)
+            want = flatten_triples(store, _assertion_facts(mat))
+            assert len(triples) == len(want)
+            assert set(triples) == want
 
 
 # ---------------------------------------------------------------------------
