@@ -66,22 +66,21 @@ class GraphDoc:
 
 
 def _transitive_supers(edges: dict[Iri, set[Iri]]) -> dict[Iri, set[Iri]]:
+    """Everything reachable from each key through one or more edges, the key
+    itself excluded, so a cyclic hierarchy does not make a class its own
+    strict super. One iterative walk per key: deep chains cannot overflow
+    the stack."""
     closure: dict[Iri, set[Iri]] = {}
-
-    def supers(c: Iri, seen: frozenset[Iri]) -> set[Iri]:
-        if c in closure:
-            return closure[c]
-        out: set[Iri] = set()
-        for parent in edges.get(c, ()):
-            if parent in seen:  # defensive against cyclic hierarchies
-                continue
-            out.add(parent)
-            out |= supers(parent, seen | {parent})
-        closure[c] = out
-        return out
-
-    for c in list(edges):
-        supers(c, frozenset((c,)))
+    for start, parents in edges.items():
+        reached: set[Iri] = set()
+        stack = list(parents)
+        while stack:
+            node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                stack.extend(edges.get(node, ()))
+        reached.discard(start)
+        closure[start] = reached
     return closure
 
 

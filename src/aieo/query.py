@@ -34,7 +34,7 @@ from .model import (
     render_literal,
     term_key,
 )
-from .reasoner import Materialization
+from .reasoner import Materialization, _sameas_blocks
 from .schema import (
     CONCEPT_LINK_PROPERTIES,
     DEFAULT_PREFIXES,
@@ -75,7 +75,6 @@ class TriplePattern:
 class Query:
     projected_variables: tuple[Variable, ...]
     patterns: tuple[TriplePattern, ...]
-    type_filters: tuple[tuple[Variable, Iri], ...] = ()
     distinct: bool = False
 
     def __post_init__(self) -> None:
@@ -348,7 +347,7 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     if not patterns:
         _fail(1, 1, "WHERE group has no patterns")
     try:
-        return Query(tuple(projected), tuple(patterns), (), distinct)
+        return Query(tuple(projected), tuple(patterns), distinct=distinct)
     except ValueError as exc:
         raise ParseError([ParseDiagnostic(1, 1, str(exc))]) from None
 
@@ -379,29 +378,44 @@ def triples_view(mat: Materialization) -> list[Triple]:
 
 
 class _TripleIndex:
+    """One posting list per triple position: subject, predicate, object."""
+
     def __init__(self, triples: list[Triple]):
         self.all = triples
-        self.by_pred: dict[Iri, list[Triple]] = defaultdict(list)
-        self.by_subj: dict[Iri, list[Triple]] = defaultdict(list)
+        by_subj, by_pred, by_obj = defaultdict(list), defaultdict(list), defaultdict(list)
         for t in triples:
-            self.by_pred[t[1]].append(t)
-            self.by_subj[t[0]].append(t)
+            by_subj[t[0]].append(t)
+            by_pred[t[1]].append(t)
+            by_obj[t[2]].append(t)
+        self.by_position = (by_subj, by_pred, by_obj)
 
     def candidates(self, pattern: TriplePattern, binding: Binding) -> list[Triple]:
-        def value(term):
+        """The shortest posting list among the positions the pattern or the
+        binding fixes; every triple when none is fixed."""
+        best = self.all
+        for postings, term in zip(
+            self.by_position, (pattern.subject, pattern.predicate, pattern.object)
+        ):
             if isinstance(term, Variable):
-                return binding.get(term)
-            return term
-
-        s, p = value(pattern.subject), value(pattern.predicate)
-        if p is not None and isinstance(p, Iri):
-            return self.by_pred.get(p, [])
-        if s is not None and isinstance(s, Iri):
-            return self.by_subj.get(s, [])
-        return self.all
+                term = binding.get(term)
+                if term is None:
+                    continue
+            found = postings.get(term, ())
+            if len(found) < len(best):
+                best = found
+        return best
 
     def count(self, pattern: TriplePattern) -> int:
         return len(self.candidates(pattern, {}))
+
+
+def _index_of(mat: Materialization) -> _TripleIndex:
+    """The materialization's triple index, built on first use. Everything
+    it derives from is immutable except ``mat.base``, which must not be
+    mutated once the materialization has been queried."""
+    if mat._triple_index is None:
+        object.__setattr__(mat, "_triple_index", _TripleIndex(triples_view(mat)))
+    return mat._triple_index
 
 
 def _match(pattern: TriplePattern, triple: Triple, binding: Binding) -> Binding | None:
@@ -425,12 +439,9 @@ def _match(pattern: TriplePattern, triple: Triple, binding: Binding) -> Binding 
 def evaluate(query: Query, mat: Materialization) -> ResultSet:
     """All pattern homomorphisms into the materialization's triples view,
     projected, optionally deduplicated, and sorted for determinism."""
-    index = _TripleIndex(triples_view(mat))
-    patterns = list(query.patterns) + [
-        TriplePattern(var, RDF_TYPE, cls) for var, cls in query.type_filters
-    ]
+    index = _index_of(mat)
     # Most-selective-first: joins are commutative, so any order is sound.
-    patterns.sort(key=index.count)
+    patterns = sorted(query.patterns, key=index.count)
     bindings: list[Binding] = [{}]
     for pattern in patterns:
         next_bindings: list[Binding] = []
@@ -500,20 +511,18 @@ def _require_individual(mat: Materialization, concept: Iri) -> None:
         raise UnknownConcept(f"{concept} is not a declared individual")
 
 
-def _peers(mat: Materialization, concept: Iri) -> list[Iri]:
-    """The sameAs closure of the concept, concept included, sorted."""
-    block = {concept}
-    grew = True
-    while grew:
-        grew = False
-        for ax in mat.base.axioms_of(SameIndividual):
-            if ax.a in block and ax.b not in block:
-                block.add(ax.b)
-                grew = True
-            elif ax.b in block and ax.a not in block:
-                block.add(ax.a)
-                grew = True
-    return sorted(block)
+def _peers(mat: Materialization, concept: Iri) -> tuple[Iri, ...]:
+    """The sameAs closure of the concept, concept included, sorted. The
+    partition of all sameAs-linked individuals is built on first use."""
+    if mat._sameas_peers is None:
+        linked = {x for ax in mat.base.axioms_of(SameIndividual) for x in (ax.a, ax.b)}
+        peers = {
+            member: tuple(block)
+            for block in _sameas_blocks(mat.base, linked)
+            for member in block
+        }
+        object.__setattr__(mat, "_sameas_peers", peers)
+    return mat._sameas_peers.get(concept, (concept,))
 
 
 def _asserted_framework_links(mat: Materialization) -> dict[Iri, set[Iri]]:

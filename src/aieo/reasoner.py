@@ -11,7 +11,7 @@ every inferred fact.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -82,6 +82,9 @@ class Materialization:
     traces: dict[Axiom, tuple[InferenceTrace, ...]]
     consistent: bool
     violations: tuple[ConsistencyViolation, ...]
+    # Built by the query layer on first use and kept for later queries.
+    _triple_index: object = field(default=None, init=False, compare=False, repr=False)
+    _sameas_peers: object = field(default=None, init=False, compare=False, repr=False)
 
     def has(self, fact: Axiom) -> bool:
         return fact in self.base.axioms or fact in self.inferred

@@ -273,6 +273,38 @@ def brute_force_evaluate(
 
 
 # ---------------------------------------------------------------------------
+# Reachability
+# ---------------------------------------------------------------------------
+
+def naive_peers(store: OntologyStore, ind: Iri) -> set[Iri]:
+    """The individual and everything sameAs-linked to it, directly or through
+    others, by rescanning every sameAs pair until the set stops growing."""
+    pairs = [(ax.a, ax.b) for ax in store.axioms_of(SameIndividual)]
+    block = {ind}
+    while True:
+        grown = block | {x for a, b in pairs if a in block or b in block for x in (a, b)}
+        if grown == block:
+            return block
+        block = grown
+
+
+def naive_strict_supers(edges: dict[Iri, set[Iri]]) -> dict[Iri, set[Iri]]:
+    """Per key, every node reachable through one or more edges, the key
+    itself excluded, by widening each set one step at a time until it stops
+    changing."""
+    out: dict[Iri, set[Iri]] = {}
+    for start, parents in edges.items():
+        reached = set(parents)
+        while True:
+            grown = reached | {p for node in reached for p in edges.get(node, ())}
+            if grown == reached:
+                break
+            reached = grown
+        out[start] = reached - {start}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Canonical axiom order
 # ---------------------------------------------------------------------------
 

@@ -170,7 +170,7 @@ def test_criterion_6_query_correctness(capsys):
                 patterns, projected, distinct = random_query(rng)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    query = Query(projected, patterns, (), distinct)
+                    query = Query(projected, patterns, distinct=distinct)
                 got = Counter(
                     frozenset(row.items()) for row in evaluate(query, mat).rows
                 )

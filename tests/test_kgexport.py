@@ -1,6 +1,8 @@
 """Tests for knowledge-graph export at the three detail levels."""
 
 import json
+import random
+from collections import defaultdict
 
 import pytest
 
@@ -9,6 +11,7 @@ from aieo.kgexport import (
     GraphDoc,
     GraphEdge,
     GraphNode,
+    _transitive_supers,
     export_graph,
     render_dot,
     render_json,
@@ -21,12 +24,18 @@ from aieo.model import (
     EquivalentObjectProperties,
     ObjectPropertyAssertion,
     OntologyStore,
+    SubClassOf,
     SubObjectPropertyOf,
 )
 from aieo.reasoner import materialize
 from aieo.schema import RDFS_LABEL, aieo, seed_schema
 
-from oracles import assert_valid_dot, random_small_store, random_store
+from oracles import (
+    assert_valid_dot,
+    naive_strict_supers,
+    random_small_store,
+    random_store,
+)
 
 
 def _export(store, level):
@@ -234,6 +243,74 @@ def test_level3_matches_oracle_on_random_stores():
 # ---------------------------------------------------------------------------
 # Level nesting and determinism
 # ---------------------------------------------------------------------------
+
+
+def test_deep_hierarchies_export_without_recursion_limit():
+    depth = 1500
+    store = _with_individuals(OntologyStore({"aieo": aieo("")}), "x", "y")
+    classes = [aieo(f"C{i}") for i in range(depth)]
+    props = [aieo(f"p{i}") for i in range(depth)]
+    for c in classes:
+        store.declare(c, EntityKind.OWL_CLASS)
+    for p in props:
+        store.declare(p, EntityKind.OBJECT_PROPERTY)
+    for sub, sup in zip(classes, classes[1:]):
+        store.add(SubClassOf(sub, sup))
+    for sub, sup in zip(props, props[1:]):
+        store.add(SubObjectPropertyOf(sub, sup))
+    store.add(ClassAssertion(classes[0], aieo("x")))
+    store.add(ClassAssertion(classes[depth // 2], aieo("y")))
+    store.add(ObjectPropertyAssertion(aieo("x"), props[0], aieo("y")))
+    store.add(ObjectPropertyAssertion(aieo("x"), props[-1], aieo("y")))
+    g = _export(store, 3)  # L3 runs both the class and the property closure
+    membership = {(e.src, e.dst) for e in g.edges if e.kind == "membership"}
+    assert membership == {("aieo:x", "aieo:C0"), ("aieo:y", f"aieo:C{depth // 2}")}
+    # the finest of the two chained properties subsumes the coarsest
+    assert [(e.src, e.label, e.dst) for e in g.edges if e.kind == "assertion"] == [
+        ("aieo:x", "p0", "aieo:y")
+    ]
+
+
+def test_transitive_supers_on_cyclic_hierarchies_match_reachability():
+    for seed in range(30):
+        rng = random.Random(seed)
+        nodes = [aieo(f"C{i}") for i in range(rng.randint(2, 7))]
+        edges = defaultdict(set)
+        for _ in range(rng.randint(1, 12)):
+            sub, sup = rng.choice(nodes), rng.choice(nodes)
+            edges[sub].add(sup)
+        assert _transitive_supers(edges) == naive_strict_supers(edges), seed
+
+
+def test_cyclic_hierarchy_membership_matches_reachability():
+    # A -> B -> C -> A is a cycle; D sits below A, E stands apart
+    store = _with_individuals(seed_schema(), "x", "y")
+    names = ("A", "B", "C", "D", "E")
+    for name in names:
+        store.declare(aieo(name), EntityKind.OWL_CLASS)
+    for sub, sup in (("A", "B"), ("B", "C"), ("C", "A"), ("D", "A")):
+        store.add(SubClassOf(aieo(sub), aieo(sup)))
+    store.add(ClassAssertion(aieo("D"), aieo("x")))
+    store.add(ClassAssertion(aieo("E"), aieo("x")))
+    store.add(ClassAssertion(aieo("B"), aieo("y")))
+    mat = materialize(store)
+    graph = export_graph(mat, DetailLevel(2))
+    edges = defaultdict(set)
+    for ax in store.axioms_of(SubClassOf):
+        edges[ax.sub].add(ax.sup)
+    supers = naive_strict_supers(edges)
+    got = defaultdict(set)
+    for e in graph.edges:
+        if e.kind == "membership":
+            got[e.src].add(e.dst)
+    for ind in ("x", "y"):
+        types = {
+            f.cls for f in mat.facts()
+            if isinstance(f, ClassAssertion) and f.ind == aieo(ind)
+        }
+        want = {c for c in types if not any(d != c and c in supers.get(d, ()) for d in types)}
+        assert got[f"aieo:{ind}"] == {store.compact(c) for c in want}, ind
+    assert got["aieo:x"] == {"aieo:D", "aieo:E"}
 
 
 def test_levels_nest():

@@ -29,6 +29,7 @@ from aieo.query import (
 )
 from aieo.reasoner import materialize
 from aieo.schema import (
+    CONCEPT_LINK_PROPERTIES,
     OWL_SAME_AS,
     RDF_TYPE,
     REFERENCE,
@@ -40,6 +41,7 @@ from aieo.schema import (
 from oracles import (
     brute_force_evaluate,
     flatten_triples,
+    naive_peers,
     random_query,
     random_small_store,
     random_store,
@@ -47,6 +49,8 @@ from oracles import (
 
 import random
 import warnings
+
+import aieo.query as query_module
 
 
 def _individuals(store, *names):
@@ -291,12 +295,87 @@ def test_evaluation_matches_brute_force():
             patterns, projected, distinct = random_query(rng)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # random patterns may be disconnected
-                query = Query(projected, patterns, (), distinct)
+                query = Query(projected, patterns, distinct=distinct)
             got = evaluate(query, mat)
             want = brute_force_evaluate(patterns, projected, triples, distinct)
             got_keys = Counter(frozenset(row.items()) for row in got.rows)
             want_keys = Counter(frozenset(row) for row in want)
             assert got_keys == want_keys, (seed, query)
+
+
+def _index_path_queries(rng, triples):
+    """Patterns that reach each index path, with constants drawn from the
+    triples so most of them match: a constant subject, a variable
+    predicate, a constant IRI object, a literal object and a variable
+    repeated within one pattern."""
+    x, y, z, p = (Variable(v) for v in ("x", "y", "z", "p"))
+    s0, p0, o0 = rng.choice(sorted(triples, key=repr))
+    iri_objects = sorted({t[2] for t in triples if isinstance(t[2], Iri)})
+    literals = sorted({t[2] for t in triples if isinstance(t[2], AnnotationValue)}, key=repr)
+    queries = [
+        ((x, p), [TriplePattern(s0, p, x)]),
+        ((p, y), [TriplePattern(x, p, y), TriplePattern(y, RDF_TYPE, z)]),
+        ((x,), [TriplePattern(x, p0, o0), TriplePattern(x, RDF_TYPE, y)]),
+        ((x, p), [TriplePattern(x, p, rng.choice(iri_objects))]),
+        ((x, y), [TriplePattern(x, p, x), TriplePattern(x, y, z)]),
+        ((p,), [TriplePattern(x, p, x)]),
+        ((x, y), [TriplePattern(x, p, y), TriplePattern(y, p, x)]),
+    ]
+    if literals:
+        lit = rng.choice(literals)
+        queries.append(((x, p), [TriplePattern(x, p, lit)]))
+        queries.append(((x, y), [TriplePattern(x, p, lit), TriplePattern(x, p, y)]))
+    return queries
+
+
+def test_index_paths_match_brute_force():
+    matched = set()
+    for seed in range(8):
+        for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
+            mat = materialize(store)
+            triples = flatten_triples(store, _assertion_facts(mat))
+            rng = random.Random(seed + 9100)
+            for n, (projected, patterns) in enumerate(_index_path_queries(rng, triples)):
+                distinct = (seed + n) % 2 == 0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    query = Query(projected, tuple(patterns), distinct=distinct)
+                got = evaluate(query, mat)
+                want = brute_force_evaluate(patterns, projected, triples, distinct)
+                assert Counter(frozenset(r.items()) for r in got.rows) == Counter(
+                    frozenset(r) for r in want
+                ), (seed, query)
+                if want:
+                    matched.add(n)
+    assert matched == set(range(9))  # every query shape matched somewhere
+
+
+def test_index_is_built_once_per_materialization(monkeypatch):
+    calls = []
+    original = query_module.triples_view
+
+    def counting(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(query_module, "triples_view", counting)
+    store = _individuals(seed_schema(), "fw", "fair")
+    store.add(ClassAssertion(aieo("Framework"), aieo("fw")))
+    store.add(ObjectPropertyAssertion(aieo("fw"), aieo("principle"), aieo("fair")))
+    query = parse_query(PRINCIPLES_BY_FRAMEWORK_QUERY)
+    mat = _mat(store)
+    first, second = evaluate(query, mat), evaluate(query, mat)
+    assert first == second
+    assert first.rows == ({Variable("framework"): aieo("fw"), Variable("principle"): aieo("fair")},)
+    assert calls == [mat]
+
+    # a new materialization of the grown store sees the new facts
+    store.declare(aieo("fw2"), EntityKind.NAMED_INDIVIDUAL)
+    store.add(ClassAssertion(aieo("Framework"), aieo("fw2")))
+    store.add(ObjectPropertyAssertion(aieo("fw2"), aieo("principle"), aieo("fair")))
+    grown = _mat(store)
+    assert evaluate(query, grown).values("framework") == [aieo("fw"), aieo("fw2")]
+    assert len(calls) == 2 and calls[1] is grown
 
 
 def test_evaluation_is_monotone_under_growth():
@@ -448,6 +527,93 @@ def test_unique_concepts_keeps_unshared_merges():
     store.add(SameIndividual(aieo("fair1"), aieo("fair2")))
     rs = canned_query("unique_concepts", _mat(store), aieo("fw1"))
     assert rs.values("concept") == [aieo("fair1")]
+
+
+def _sameas_chain_store(n):
+    """Concepts c0..c(n-1) joined by a sameAs chain (added in shuffled
+    order), two frameworks linking its two ends, annotations and scenario
+    links along it, and a concept outside the chain."""
+    store = _individuals(
+        seed_schema(), "fw1", "fw2", "lone", "s1", "s2", "s3",
+        *(f"c{i}" for i in range(n)),
+    )
+    links = [(aieo(f"c{i}"), aieo(f"c{i + 1}")) for i in range(n - 1)]
+    random.Random(n).shuffle(links)
+    for a, b in links:
+        store.add(SameIndividual(a, b))
+    last = aieo(f"c{n - 1}")
+    for fw in ("fw1", "fw2"):
+        store.add(ClassAssertion(aieo("Framework"), aieo(fw)))
+    store.add(ObjectPropertyAssertion(aieo("fw1"), aieo("principle"), aieo("c0")))
+    store.add(ObjectPropertyAssertion(aieo("fw1"), aieo("principle"), aieo("lone")))
+    store.add(ObjectPropertyAssertion(aieo("fw2"), aieo("requirement"), last))
+    store.add(AnnotationAssertion(aieo("c0"), SHORT_DESCRIPTION, AnnotationValue("first")))
+    store.add(AnnotationAssertion(last, REFERENCE, AnnotationValue("last")))
+    store.add(AnnotationAssertion(aieo(f"c{n // 2}"), SHORT_DESCRIPTION, AnnotationValue("mid")))
+    store.add(AnnotationAssertion(aieo("lone"), REFERENCE, AnnotationValue("alone")))
+    store.add(ObjectPropertyAssertion(aieo(f"c{n // 3}"), aieo("scenario"), aieo("s1")))
+    store.add(ObjectPropertyAssertion(last, aieo("example"), aieo("s2")))
+    store.add(ObjectPropertyAssertion(aieo("lone"), aieo("scenario"), aieo("s3")))
+    return store
+
+
+def _oracle_framework_links(store):
+    frameworks = {
+        ax.ind for ax in store.axioms_of(ClassAssertion) if ax.cls == aieo("Framework")
+    }
+    props = {aieo(p) for p in CONCEPT_LINK_PROPERTIES.values()}
+    return {
+        (ax.subject, ax.object)
+        for ax in store.axioms_of(ObjectPropertyAssertion)
+        if ax.subject in frameworks and ax.prop in props
+    }
+
+
+def test_canned_queries_on_a_long_sameas_chain_match_naive_peers():
+    store = _sameas_chain_store(1600)
+    mat = _mat(store)
+    links = _oracle_framework_links(store)
+    chain = naive_peers(store, aieo("c0"))  # one slow oracle call per block
+    assert len(chain) == 1600
+    peers = {c: chain for c in (aieo("c0"), aieo("c800"), aieo("c1599"))}
+    peers[aieo("lone")] = naive_peers(store, aieo("lone"))
+
+    for concept, block in peers.items():
+        rs = canned_query("describe_concept", mat, concept)
+        want = {
+            (fw, ax.subject, ax.prop, ax.value)
+            for ax in store.axioms_of(AnnotationAssertion)
+            if ax.subject in block and ax.prop in (SHORT_DESCRIPTION, REFERENCE)
+            for fw, linked in links
+            if linked == ax.subject
+        }
+        got = [tuple(r[v] for v in rs.variables) for r in rs.rows]
+        assert len(got) == len(want) and set(got) == want, concept
+
+        rs = canned_query("scenarios_for", mat, concept)
+        want = {
+            fact.object
+            for fact in mat.facts()
+            if isinstance(fact, ObjectPropertyAssertion)
+            and fact.subject in block
+            and fact.prop in (aieo("application"), aieo("example"),
+                              aieo("scenario"), aieo("useCase"))
+        }
+        assert rs.values("scenario") == sorted(want), concept
+
+    for fw in (aieo("fw1"), aieo("fw2")):
+        own = sorted(concept for linker, concept in links if linker == fw)
+        want = [
+            concept for concept in own
+            if not any(
+                linker != fw
+                for peer in peers[concept] - {concept}
+                for linker, linked in links
+                if linked == peer
+            )
+        ]
+        assert canned_query("unique_concepts", mat, fw).values("concept") == want, fw
+    assert canned_query("unique_concepts", mat, aieo("fw1")).values("concept") == [aieo("lone")]
 
 
 @pytest.mark.parametrize("name", ["describe_concept", "scenarios_for", "unique_concepts"])
