@@ -13,14 +13,10 @@ import json
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import (
-    MissingArgument,
-    ParseDiagnostic,
-    ParseError,
-    UnknownConcept,
-    UnsupportedFeature,
-)
+from .errors import MissingArgument, ParseDiagnostic, ParseError, UnknownConcept
+from .lexer import Token, fail, scan, token_errors_first
 from .model import (
     AXIOM_TYPES,
     RDF_TYPE,
@@ -143,124 +139,26 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
-def _fail(line: int, col: int, message: str, *, unsupported: bool = False) -> None:
-    diag = ParseDiagnostic(line, col, message)
-    raise (UnsupportedFeature if unsupported else ParseError)([diag])
-
-
-@dataclass
-class _QTok:
-    typ: str  # keyword | var | pname | iriref | string | lbrace | rbrace | dot | eof
-    value: object
-    line: int
-    col: int
-
-
-def _tokenize_query(text: str) -> list[_QTok]:
-    toks: list[_QTok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            advance(1)
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        tline, tcol = line, col
-        if c == "{":
-            toks.append(_QTok("lbrace", c, tline, tcol))
-            advance(1)
-            continue
-        if c == "}":
-            toks.append(_QTok("rbrace", c, tline, tcol))
-            advance(1)
-            continue
-        if c == ".":
-            toks.append(_QTok("dot", c, tline, tcol))
-            advance(1)
-            continue
-        if c == "?":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                _fail(tline, tcol, "empty variable name")
-            toks.append(_QTok("var", text[i + 1 : j], tline, tcol))
-            advance(j - i)
-            continue
-        if c == "<":
-            j = i + 1
-            while j < n and text[j] not in ">\n":
-                j += 1
-            if j >= n or text[j] != ">":
-                _fail(tline, tcol, "unterminated IRI reference")
-            toks.append(_QTok("iriref", text[i + 1 : j], tline, tcol))
-            advance(j + 1 - i)
-            continue
-        if c == '"':
-            j = i + 1
-            out: list[str] = []
-            escapes = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-            while j < n and text[j] not in '"\n':
-                if text[j] == "\\":
-                    if j + 1 >= n or text[j + 1] not in escapes:
-                        _fail(tline, tcol, "unknown escape sequence in string")
-                    out.append(escapes[text[j + 1]])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n or text[j] != '"':
-                _fail(tline, tcol, "unterminated string literal")
-            j += 1
-            lang = None
-            if j < n and text[j] == "@":
-                k = j + 1
-                while k < n and (text[k].isalnum() or text[k] == "-"):
-                    k += 1
-                lang = text[j + 1 : k]
-                j = k
-            toks.append(_QTok("string", ("".join(out), lang), tline, tcol))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_" or c == ":":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            word = text[i:j]
-            if j < n and text[j] == ":":
-                j += 1
-                k = j
-                while k < n and (text[k].isalnum() or text[k] in "_-"):
-                    k += 1
-                toks.append(_QTok("pname", (word, text[j:k]), tline, tcol))
-                advance(k - i)
-                continue
-            upper = word.upper()
+def _tokens(text: str) -> Iterator[Token]:
+    """The scanner's tokens, with the query language's reading of bare
+    words; tokens only Turtle has are rejected."""
+    for tok in scan(text):
+        kind, value, off = tok
+        if kind == "word":
+            upper = value.upper()
             if upper in _UNSUPPORTED_KEYWORDS:
-                _fail(tline, tcol, f"{upper} is outside the query subset", unsupported=True)
-            if upper in ("SELECT", "DISTINCT", "WHERE") or word == "a":
-                toks.append(_QTok("keyword", word, tline, tcol))
-                advance(j - i)
-                continue
-            _fail(tline, tcol, f"unexpected token '{word}'")
-        _fail(tline, tcol, f"unexpected character {c!r}")
-    toks.append(_QTok("eof", None, line, col))
-    return toks
+                fail(text, off, f"{upper} is outside the query subset", unsupported=True)
+            if upper not in ("SELECT", "DISTINCT", "WHERE") and value != "a":
+                fail(text, off, f"unexpected token '{value}'")
+        elif kind == "?" and not value:
+            fail(text, off, "empty variable name")
+        elif kind in ("@", ";", ","):
+            fail(text, off, f"unexpected character {kind!r}")
+        yield tok
+
+
+def _is_word(tok: Token, keyword: str) -> bool:
+    return tok[0] == "word" and tok[1].upper() == keyword
 
 
 def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
@@ -270,82 +168,87 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     standard prefix map); the query language itself has no PREFIX form.
     """
     prefix_map = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-    toks = _tokenize_query(text)
-    pos = 0
+    tokens = _tokens(text)
+    with token_errors_first(tokens):
+        return _parse(text, tokens, prefix_map)
 
-    def peek() -> _QTok:
-        return toks[pos]
 
-    def take() -> _QTok:
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
+def _parse(text: str, tokens: Iterator[Token], prefix_map: dict[str, str]) -> Query:
+    lookahead = next(tokens)
+
+    def peek() -> Token:
+        return lookahead
+
+    def take() -> Token:
+        nonlocal lookahead
+        tok = lookahead
+        lookahead = next(tokens, tok)  # eof repeats
         return tok
 
-    def resolve(tok: _QTok) -> Iri:
-        if tok.typ == "iriref":
-            return Iri(tok.value)
-        prefix, local = tok.value
+    def resolve(tok: Token) -> Iri:
+        kind, value, off = tok
+        if kind == "iri":
+            return Iri(value)
+        prefix, local = value
         base = prefix_map.get(prefix)
         if base is None:
-            _fail(tok.line, tok.col, f"unknown prefix '{prefix}:'")
+            fail(text, off, f"unknown prefix '{prefix}:'")
         return Iri(base + local)
 
     tok = take()
-    if not (tok.typ == "keyword" and tok.value.upper() == "SELECT"):
-        _fail(tok.line, tok.col, "query must start with SELECT")
-    distinct = False
-    if peek().typ == "keyword" and str(peek().value).upper() == "DISTINCT":
+    if not _is_word(tok, "SELECT"):
+        fail(text, tok[2], "query must start with SELECT")
+    distinct = _is_word(peek(), "DISTINCT")
+    if distinct:
         take()
-        distinct = True
     projected: list[Variable] = []
-    while peek().typ == "var":
-        projected.append(Variable(take().value))
+    while peek()[0] == "?":
+        projected.append(Variable(take()[1]))
     if not projected:
-        _fail(peek().line, peek().col, "SELECT needs at least one ?variable")
+        fail(text, peek()[2], "SELECT needs at least one ?variable")
     tok = take()
-    if not (tok.typ == "keyword" and str(tok.value).upper() == "WHERE"):
-        _fail(tok.line, tok.col, "expected WHERE")
+    if not _is_word(tok, "WHERE"):
+        fail(text, tok[2], "expected WHERE")
     tok = take()
-    if tok.typ != "lbrace":
-        _fail(tok.line, tok.col, "expected '{'")
+    if tok[0] != "{":
+        fail(text, tok[2], "expected '{'")
 
     def term(position: str, allow_literal: bool) -> "Iri | AnnotationValue | Variable":
         tok = take()
-        if tok.typ == "var":
-            return Variable(tok.value)
-        if tok.typ in ("iriref", "pname"):
+        kind, value, off = tok
+        if kind == "?":
+            return Variable(value)
+        if kind in ("iri", "pname"):
             return resolve(tok)
-        if tok.typ == "keyword" and tok.value == "a" and position == "predicate":
+        if kind == "word" and value == "a" and position == "predicate":
             return RDF_TYPE
-        if tok.typ == "string":
+        if kind == "string":
             if not allow_literal:
-                _fail(tok.line, tok.col, f"a literal cannot be a {position}")
-            text_, lang = tok.value
+                fail(text, off, f"a literal cannot be a {position}")
+            text_, lang = value
             if not text_:
-                _fail(tok.line, tok.col, "empty literal")
+                fail(text, off, "empty literal")
             return AnnotationValue(text_, lang)
-        if tok.typ == "lbrace":
-            _fail(tok.line, tok.col, "nested groups are outside the query subset",
-                  unsupported=True)
-        _fail(tok.line, tok.col, f"expected a {position}")
+        if kind == "{":
+            fail(text, off, "nested groups are outside the query subset", unsupported=True)
+        fail(text, off, f"expected a {position}")
 
     patterns: list[TriplePattern] = []
-    while peek().typ != "rbrace":
-        if peek().typ == "eof":
-            _fail(peek().line, peek().col, "unterminated WHERE group")
+    while peek()[0] != "}":
+        if peek()[0] == "eof":
+            fail(text, peek()[2], "unterminated WHERE group")
         s = term("subject", allow_literal=False)
         p = term("predicate", allow_literal=False)
         o = term("object", allow_literal=True)
         patterns.append(TriplePattern(s, p, o))
-        if peek().typ == "dot":
+        if peek()[0] == ".":
             take()
-    take()  # rbrace
+    take()  # '}'
     tok = take()
-    if tok.typ != "eof":
-        _fail(tok.line, tok.col, "trailing content after '}'")
+    if tok[0] != "eof":
+        fail(text, tok[2], "trailing content after '}'")
     if not patterns:
-        _fail(1, 1, "WHERE group has no patterns")
+        fail(text, 0, "WHERE group has no patterns")
     try:
         return Query(tuple(projected), tuple(patterns), distinct=distinct)
     except ValueError as exc:
@@ -478,10 +381,6 @@ CANNED_QUERY_NAMES = (
 PRINCIPLES_BY_FRAMEWORK_QUERY = (
     "SELECT DISTINCT ?framework ?principle WHERE { "
     "?framework a aieo:Framework . ?framework aieo:principle ?principle }"
-)
-
-SCENARIOS_FOR_QUERY_TEMPLATE = (
-    "SELECT DISTINCT ?scenario WHERE { <{concept}> aieo:scenario ?scenario }"
 )
 
 _SCENARIO_PROPERTIES = (aieo("application"), aieo("example"), aieo("scenario"), aieo("useCase"))

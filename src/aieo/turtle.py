@@ -13,15 +13,10 @@ of equal stores are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterator, NoReturn
 
-from .errors import (
-    KindMismatch,
-    ParseDiagnostic,
-    ParseError,
-    UndeclaredEntity,
-    UnsupportedFeature,
-)
+from .errors import KindMismatch, UndeclaredEntity
+from .lexer import Token, fail, scan, token_errors_first
 from .model import (
     AXIOM_TYPES,
     META_CLASS_KINDS,
@@ -40,193 +35,75 @@ from .model import (
     term_key,
 )
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
-
-def _name_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _name_char(c: str) -> bool:
-    return c.isalnum() or c in "_-"
-
-
-@dataclass
-class _Token:
-    typ: str  # prefix_kw | iriref | pname | string | a | dot | semi | comma | eof
-    value: object
-    line: int
-    col: int
-
-
-def _fail(line: int, col: int, message: str, *, unsupported: bool = False) -> None:
-    diag = ParseDiagnostic(line, col, message)
-    raise (UnsupportedFeature if unsupported else ParseError)([diag])
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            advance()
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        tline, tcol = line, col
-        if c in ".;,":
-            tokens.append(_Token({".": "dot", ";": "semi", ",": "comma"}[c], c, tline, tcol))
-            advance()
-            continue
-        if c in "[]":
-            _fail(tline, tcol, "blank nodes are not supported", unsupported=True)
-        if c in "()":
-            _fail(tline, tcol, "collections are not supported", unsupported=True)
-        if c == "^" and text[i : i + 2] == "^^":
-            _fail(tline, tcol, "datatyped literals are not supported", unsupported=True)
-        if c == "@":
-            j = i + 1
-            word = ""
-            while j < n and text[j].isalpha():
-                word += text[j]
-                j += 1
-            if word == "prefix":
-                tokens.append(_Token("prefix_kw", "@prefix", tline, tcol))
-                advance(1 + len(word))
-                continue
-            if word == "base":
-                _fail(tline, tcol, "@base is not supported", unsupported=True)
-            _fail(tline, tcol, f"unexpected directive '@{word}'")
-        if c == "<":
-            j = i + 1
-            while j < n and text[j] not in ">\n":
-                j += 1
-            if j >= n or text[j] != ">":
-                _fail(tline, tcol, "unterminated IRI reference")
-            value = text[i + 1 : j]
-            if not value:
-                _fail(tline, tcol, "empty IRI reference")
-            tokens.append(_Token("iriref", value, tline, tcol))
-            advance(j + 1 - i)
-            continue
-        if c == '"':
-            if text[i : i + 3] == '"""':
-                _fail(tline, tcol, "long string literals are not supported", unsupported=True)
-            j = i + 1
-            out: list[str] = []
-            while j < n and text[j] not in '"\n':
-                if text[j] == "\\":
-                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        _fail(tline, tcol, "unknown escape sequence in string")
-                    out.append(_ESCAPES[text[j + 1]])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n or text[j] != '"':
-                _fail(tline, tcol, "unterminated string literal")
-            j += 1
-            lang = None
-            if j < n and text[j] == "@":
-                j += 1
-                k = j
-                while k < n and (text[k].isalnum() or text[k] == "-"):
-                    k += 1
-                if k == j:
-                    _fail(tline, tcol, "empty language tag")
-                lang = text[j:k]
-                j = k
-            tokens.append(_Token("string", ("".join(out), lang), tline, tcol))
-            advance(j - i)
-            continue
-        if c == "_" and text[i : i + 2] == "_:":
-            _fail(tline, tcol, "blank node labels are not supported", unsupported=True)
-        if c.isdigit() or (c in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            _fail(tline, tcol, "numeric literals are not supported", unsupported=True)
-        if _name_start(c) or c == ":":
-            j = i
-            while j < n and _name_char(text[j]):
-                j += 1
-            prefix = text[i:j]
-            if j < n and text[j] == ":":
-                j += 1
-                k = j
-                while k < n and _name_char(text[k]):
-                    k += 1
-                local = text[j:k]
-                tokens.append(_Token("pname", (prefix, local), tline, tcol))
-                advance(k - i)
-                continue
-            if prefix == "a":
-                tokens.append(_Token("a", "a", tline, tcol))
-                advance(1)
-                continue
-            if prefix.lower() in ("true", "false"):
-                _fail(tline, tcol, "boolean literals are not supported", unsupported=True)
-            if prefix.upper() in ("PREFIX", "BASE"):
-                _fail(tline, tcol, "SPARQL-style directives are not supported", unsupported=True)
-            _fail(tline, tcol, f"expected a prefixed name, found '{prefix}'")
-        _fail(tline, tcol, f"unexpected character {c!r}")
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
+def _tokens(text: str) -> Iterator[Token]:
+    """The scanner's tokens, with Turtle's reading of bare words and
+    directives; tokens only the query language has are rejected."""
+    for tok in scan(text):
+        kind, value, off = tok
+        if kind == "word" and value != "a":
+            if value.lower() in ("true", "false"):
+                fail(text, off, "boolean literals are not supported", unsupported=True)
+            if value.upper() in ("PREFIX", "BASE"):
+                fail(text, off, "SPARQL-style directives are not supported", unsupported=True)
+            fail(text, off, f"expected a prefixed name, found '{value}'")
+        elif kind == "@" and value != "prefix":
+            if value == "base":
+                fail(text, off, "@base is not supported", unsupported=True)
+            fail(text, off, f"unexpected directive '@{value}'")
+        elif kind in ("?", "{", "}"):
+            fail(text, off, f"unexpected character {kind!r}")
+        yield tok
 
 
 # A parsed triple: subject, predicate, object (Iri or AnnotationValue),
-# plus the object token position for error reporting.
-_Triple = tuple[Iri, Iri, "Iri | AnnotationValue", int, int]
+# plus the object token's offset for error reporting.
+_Triple = tuple[Iri, Iri, "Iri | AnnotationValue", int]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Pulls one token at a time from _tokens, keeping one of lookahead."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokens(text)
+        self.tok = next(self.tokens)
         self.prefixes: dict[str, str] = {}
         self.triples: list[_Triple] = []
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tok[0]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def next(self) -> Token:
+        tok = self.tok
+        self.tok = next(self.tokens, tok)  # eof repeats
         return tok
 
-    def expect(self, typ: str, what: str) -> _Token:
+    def fail(self, tok: Token, message: str) -> NoReturn:
+        fail(self.text, tok[2], message)
+
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
-        if tok.typ != typ:
-            _fail(tok.line, tok.col, f"expected {what}")
+        if tok[0] != kind:
+            self.fail(tok, f"expected {what}")
         return tok
 
-    def resolve(self, tok: _Token) -> Iri:
-        if tok.typ == "iriref":
-            return Iri(tok.value)
-        prefix, local = tok.value
+    def resolve(self, tok: Token) -> Iri:
+        kind, value, _ = tok
+        if kind == "iri":
+            return Iri(value)
+        prefix, local = value
         base = self.prefixes.get(prefix)
         if base is None:
-            _fail(tok.line, tok.col, f"prefix '{prefix}:' used before declaration")
+            self.fail(tok, f"prefix '{prefix}:' used before declaration")
         return Iri(base + local)
 
     def document(self) -> None:
         while True:
-            tok = self.peek()
-            if tok.typ == "eof":
+            kind = self.peek()
+            if kind == "eof":
                 return
-            if tok.typ == "prefix_kw":
+            if kind == "@":  # @prefix, the one directive _tokens lets through
                 self.directive()
             else:
                 self.statement()
@@ -234,74 +111,76 @@ class _Parser:
     def directive(self) -> None:
         self.next()
         name = self.expect("pname", "a prefix name ending in ':'")
-        prefix, local = name.value
+        prefix, local = name[1]
         if local:
-            _fail(name.line, name.col, "prefix declaration must end in ':'")
-        base = self.expect("iriref", "an IRI reference")
-        self.expect("dot", "'.' after prefix directive")
-        self.prefixes[prefix] = base.value
+            self.fail(name, "prefix declaration must end in ':'")
+        base = self.expect("iri", "an IRI reference")
+        self.expect(".", "'.' after prefix directive")
+        self.prefixes[prefix] = base[1]
 
     def statement(self) -> None:
         subj_tok = self.next()
-        if subj_tok.typ == "string":
-            _fail(subj_tok.line, subj_tok.col, "a literal cannot be a subject")
-        if subj_tok.typ not in ("iriref", "pname"):
-            _fail(subj_tok.line, subj_tok.col, "expected a subject IRI")
+        if subj_tok[0] == "string":
+            self.fail(subj_tok, "a literal cannot be a subject")
+        if subj_tok[0] not in ("iri", "pname"):
+            self.fail(subj_tok, "expected a subject IRI")
         subject = self.resolve(subj_tok)
         while True:
             pred_tok = self.next()
-            if pred_tok.typ == "a":
+            if pred_tok[0] == "word":  # 'a', the one word _tokens lets through
                 predicate = RDF_TYPE
-            elif pred_tok.typ in ("iriref", "pname"):
+            elif pred_tok[0] in ("iri", "pname"):
                 predicate = self.resolve(pred_tok)
             else:
-                _fail(pred_tok.line, pred_tok.col, "expected a predicate")
+                self.fail(pred_tok, "expected a predicate")
             while True:
                 obj_tok = self.next()
+                kind, value, off = obj_tok
                 obj: Iri | AnnotationValue
-                if obj_tok.typ in ("iriref", "pname"):
+                if kind in ("iri", "pname"):
                     obj = self.resolve(obj_tok)
-                elif obj_tok.typ == "string":
-                    text, lang = obj_tok.value
+                elif kind == "string":
+                    text, lang = value
                     if not text:
-                        _fail(obj_tok.line, obj_tok.col, "empty literal")
+                        self.fail(obj_tok, "empty literal")
                     obj = AnnotationValue(text, lang)
                 else:
-                    _fail(obj_tok.line, obj_tok.col, "expected an object")
-                self.triples.append((subject, predicate, obj, obj_tok.line, obj_tok.col))
-                if self.peek().typ == "comma":
+                    self.fail(obj_tok, "expected an object")
+                self.triples.append((subject, predicate, obj, off))
+                if self.peek() == ",":
                     self.next()
                     continue
                 break
             sep = self.next()
-            if sep.typ == "semi":
-                if self.peek().typ == "dot":  # tolerate trailing ';'
+            if sep[0] == ";":
+                if self.peek() == ".":  # tolerate trailing ';'
                     self.next()
                     return
                 continue
-            if sep.typ == "dot":
+            if sep[0] == ".":
                 return
-            _fail(sep.line, sep.col, "expected ';', ',' or '.'")
+            self.fail(sep, "expected ';', ',' or '.'")
 
 
 def parse_turtle(text: str) -> OntologyStore:
     """Parse a document in the subset into a validated store."""
-    parser = _Parser(_tokenize(text))
-    parser.document()
+    parser = _Parser(text)
+    with token_errors_first(parser.tokens):
+        parser.document()
     store = OntologyStore(parser.prefixes)
     # Declarations first so statement order inside the file never matters.
     rest: list[_Triple] = []
     for triple in parser.triples:
-        s, p, o, line, col = triple
+        s, p, o, _ = triple
         if p == RDF_TYPE and isinstance(o, Iri) and o in META_CLASS_KINDS:
             store.declare(s, META_CLASS_KINDS[o])
         else:
             rest.append(triple)
-    for s, p, o, line, col in rest:
+    for s, p, o, off in rest:
         try:
             store.add(_map_triple(store, s, p, o))
         except ValueError as exc:  # degenerate pair/set axioms
-            _fail(line, col, str(exc))
+            fail(text, off, str(exc))
     return store
 
 

@@ -17,7 +17,6 @@ from aieo.model import (
 from aieo.query import (
     CANNED_QUERY_NAMES,
     PRINCIPLES_BY_FRAMEWORK_QUERY,
-    SCENARIOS_FOR_QUERY_TEMPLATE,
     Query,
     ResultSet,
     TriplePattern,
@@ -37,6 +36,7 @@ from aieo.schema import (
     aieo,
     seed_schema,
 )
+from aieo.turtle import parse_turtle
 
 from oracles import (
     brute_force_evaluate,
@@ -51,6 +51,11 @@ import random
 import warnings
 
 import aieo.query as query_module
+
+# The reference text of the scenarios_for canned query (docs/query.md).
+SCENARIOS_FOR_QUERY_TEMPLATE = (
+    "SELECT DISTINCT ?scenario WHERE { <{concept}> aieo:scenario ?scenario }"
+)
 
 
 def _individuals(store, *names):
@@ -158,6 +163,36 @@ def test_parse_rejects_unprojectable_variable():
 def test_parse_malformed_queries(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_query(text)
+
+
+def _diagnostic(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    [diag] = err.value.diagnostics
+    return type(err.value), diag.message, diag.line, diag.column
+
+
+@pytest.mark.parametrize(
+    "construct,exc,message,column",
+    [
+        ('"fair"@', ParseError, "empty language tag", 14),
+        ("_:b", UnsupportedFeature, "blank node labels are not supported", 14),
+        ("[ ]", UnsupportedFeature, "blank nodes are not supported", 14),
+        ("( )", UnsupportedFeature, "collections are not supported", 14),
+        ('"a"^^x:y', UnsupportedFeature, "datatyped literals are not supported", 17),
+        ("42", UnsupportedFeature, "numeric literals are not supported", 14),
+        ('"""a"""', UnsupportedFeature, "long string literals are not supported", 14),
+        ("<>", ParseError, "empty IRI reference", 14),
+    ],
+)
+def test_constructs_outside_both_languages_get_turtle_diagnostics(
+    construct, exc, message, column
+):
+    # The construct starts at line 2, column 14 of both texts.
+    query = f"SELECT ?s WHERE {{\n?s aieo:note {construct} }}"
+    turtle = f"@prefix ex: <https://example.org/> .\nex:s ex:note {construct} ."
+    assert _diagnostic(parse_query, query) == (exc, message, 2, column)
+    assert _diagnostic(parse_turtle, turtle) == (exc, message, 2, column)
 
 
 def test_disconnected_pattern_warns():
