@@ -214,25 +214,23 @@ def store_from_json(text: str) -> OntologyStore:
 # Framework documents
 # ---------------------------------------------------------------------------
 
-def framework_document_from_obj(obj: dict, path: str = "$") -> FrameworkDocument:
-    _expect_obj(obj, path)
-    _reject_unknown(
-        obj, {"id", "title", "sections", "conceptDeclarations"}, path
-    )
+def parse_framework_document(text: str) -> FrameworkDocument:
+    obj = _expect_obj(_loads(text), "$")
+    _reject_unknown(obj, {"id", "title", "sections", "conceptDeclarations"}, "$")
     resolve = _resolver({})
-    doc_id = resolve(_field(obj, "id", str, path), f"{path}.id")
-    title = _field(obj, "title", str, path)
+    doc_id = resolve(_field(obj, "id", str, "$"), "$.id")
+    title = _field(obj, "title", str, "$")
     sections = []
-    for i, raw in enumerate(_field(obj, "sections", list, path, [])):
-        spath = f"{path}.sections[{i}]"
+    for i, raw in enumerate(_field(obj, "sections", list, "$", [])):
+        spath = f"$.sections[{i}]"
         _expect_obj(raw, spath)
         _reject_unknown(raw, {"heading", "body"}, spath)
         sections.append(
             Section(_field(raw, "heading", str, spath), _field(raw, "body", str, spath))
         )
     concepts = []
-    for i, raw in enumerate(_field(obj, "conceptDeclarations", list, path, [])):
-        cpath = f"{path}.conceptDeclarations[{i}]"
+    for i, raw in enumerate(_field(obj, "conceptDeclarations", list, "$", [])):
+        cpath = f"$.conceptDeclarations[{i}]"
         _expect_obj(raw, cpath)
         _reject_unknown(
             raw, {"name", "kind", "shortDescription", "reference"}, cpath
@@ -251,11 +249,7 @@ def framework_document_from_obj(obj: dict, path: str = "$") -> FrameworkDocument
     try:
         return FrameworkDocument(doc_id, title, tuple(sections), tuple(concepts))
     except ValueError as exc:
-        raise SchemaViolation(f"{path}.conceptDeclarations", str(exc)) from None
-
-
-def parse_framework_document(text: str) -> FrameworkDocument:
-    return framework_document_from_obj(_loads(text))
+        raise SchemaViolation("$.conceptDeclarations", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +260,7 @@ def parse_config(text: str) -> PipelineConfig:
     """Parse a pipeline config; every field is optional and defaulted."""
     obj = _expect_obj(_loads(text), "$")
     _reject_unknown(
-        obj,
-        {"extraction", "classificationMap", "confirmations", "threshold", "framework"},
-        "$",
+        obj, {"extraction", "classificationMap", "confirmations", "threshold"}, "$"
     )
     resolve = _resolver({})
 
@@ -324,17 +316,12 @@ def parse_config(text: str) -> PipelineConfig:
     if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
         raise SchemaViolation("$.threshold", "expected a number")
 
-    framework = None
-    if "framework" in obj:
-        framework = framework_document_from_obj(obj["framework"], "$.framework")
-
     try:
         return PipelineConfig(
             extraction=extraction,
             classification=classification,
             confirmations=tuple(confirmations),
             threshold=float(threshold),
-            framework=framework,
         )
     except ValueError as exc:
         raise SchemaViolation("$.threshold", str(exc)) from None

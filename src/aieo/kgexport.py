@@ -17,14 +17,14 @@ from .model import (
     ClassAssertion,
     EntityKind,
     EquivalentClasses,
-    EquivalentObjectProperties,
     Iri,
     ObjectPropertyAssertion,
+    OntologyStore,
     SubClassOf,
     SubObjectPropertyOf,
     sorted_axioms,
 )
-from .reasoner import Materialization
+from .reasoner import Materialization, equivalence_classes
 from .schema import RDFS_LABEL
 
 
@@ -65,23 +65,24 @@ class GraphDoc:
                 raise ValueError(f"edge endpoint not among nodes: {e.src} -> {e.dst}")
 
 
-def _transitive_supers(edges: dict[Iri, set[Iri]]) -> dict[Iri, set[Iri]]:
-    """Everything reachable from each key through one or more edges, the key
-    itself excluded, so a cyclic hierarchy does not make a class its own
-    strict super. One iterative walk per key: deep chains cannot overflow
-    the stack."""
-    closure: dict[Iri, set[Iri]] = {}
-    for start, parents in edges.items():
-        reached: set[Iri] = set()
-        stack = list(parents)
-        while stack:
-            node = stack.pop()
-            if node not in reached:
-                reached.add(node)
-                stack.extend(edges.get(node, ()))
-        reached.discard(start)
-        closure[start] = reached
-    return closure
+def _strict_supers(edges: dict[Iri, set[Iri]], start: Iri) -> set[Iri]:
+    """Everything reachable from ``start`` through one or more edges, ``start``
+    itself excluded, so a cyclic hierarchy does not make a node its own
+    strict super. Iterative: deep chains cannot overflow the stack."""
+    reached: set[Iri] = set()
+    stack = list(edges.get(start, ()))
+    while stack:
+        node = stack.pop()
+        if node not in reached:
+            reached.add(node)
+            stack.extend(edges.get(node, ()))
+    reached.discard(start)
+    return reached
+
+
+def _representatives(store: OntologyStore, kind: EntityKind) -> dict[Iri, Iri]:
+    """Each declared IRI of the kind -> the least member of its equivalence block."""
+    return {m: min(block) for block in equivalence_classes(store, kind) for m in block}
 
 
 def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
@@ -101,16 +102,6 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
         if isinstance(fact, ClassAssertion):
             memberships[fact.ind].add(fact.cls)
             members_per_class[fact.cls].add(fact.ind)
-
-    # Representative (minimum) per class-equivalence block.
-    class_rep: dict[Iri, Iri] = {}
-    for ax in store.axioms_of(EquivalentClasses):
-        rep = min(ax.classes)
-        for c in ax.classes:
-            class_rep[c] = min(rep, class_rep.get(c, rep))
-
-    def rep(c: Iri) -> Iri:
-        return class_rep.get(c, c)
 
     nodes: list[GraphNode] = []
     edges: list[GraphEdge] = []
@@ -139,10 +130,12 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
                 )
 
     if level >= DetailLevel.L2_PLUS_INDIVIDUALS:
-        raw_supers: dict[Iri, set[Iri]] = defaultdict(set)
+        # Memberships are closed under R2/R3, so a type is implied by a more
+        # specific one exactly when another type has a direct edge to it.
+        rep = _representatives(store, EntityKind.OWL_CLASS)
+        rep_supers: dict[Iri, set[Iri]] = defaultdict(set)
         for ax in subclass_axioms:
-            raw_supers[rep(ax.sub)].add(rep(ax.sup))
-        strict_supers = _transitive_supers(raw_supers)
+            rep_supers[rep[ax.sub]].add(rep[ax.sup])
         for ind in individuals:
             nodes.append(
                 GraphNode(
@@ -152,26 +145,18 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
                     annotation=labels.get(ind, ""),
                 )
             )
-            reps = {rep(c) for c in memberships.get(ind, ())}
-            direct = sorted(
-                c for c in reps
-                if not any(d != c and c in strict_supers.get(d, ()) for d in reps)
-            )
-            for cls in direct:
+            reps = {rep[c] for c in memberships.get(ind, ())}
+            implied = {c for d in reps for c in rep_supers.get(d, ()) if c != d}
+            for cls in sorted(reps - implied):
                 edges.append(
                     GraphEdge(store.compact(ind), store.compact(cls), "type", "membership")
                 )
 
     if level >= DetailLevel.L3_PLUS_INSTANCE_RELATIONSHIPS:
-        prop_rep: dict[Iri, Iri] = {}
-        for ax in store.axioms_of(EquivalentObjectProperties):
-            prep = min(ax.properties)
-            for p in ax.properties:
-                prop_rep[p] = min(prep, prop_rep.get(p, prep))
-        raw_prop_supers: dict[Iri, set[Iri]] = defaultdict(set)
+        prop_rep = _representatives(store, EntityKind.OBJECT_PROPERTY)
+        prop_supers: dict[Iri, set[Iri]] = defaultdict(set)
         for ax in store.axioms_of(SubObjectPropertyOf):
-            raw_prop_supers[ax.sub].add(ax.sup)
-        strict_prop_supers = _transitive_supers(raw_prop_supers)
+            prop_supers[ax.sub].add(ax.sup)
 
         asserted = [
             ax for ax in store.axioms_of(ObjectPropertyAssertion)
@@ -184,12 +169,12 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
         for (subj, obj), props in by_pair.items():
             # Drop a property when one of its strict sub-properties is also
             # asserted for the same pair; the finer edge subsumes it.
-            kept = {
-                p for p in props
-                if not any(q != p and p in strict_prop_supers.get(q, ()) for q in props)
-            }
+            kept = set(props)
+            if len(props) > 1:
+                for q in props:
+                    kept -= _strict_supers(prop_supers, q)
             for p in kept:
-                rendered.add((subj, prop_rep.get(p, p), obj))
+                rendered.add((subj, prop_rep[p], obj))
         for subj, prop, obj in sorted(rendered):
             edges.append(
                 GraphEdge(store.compact(subj), store.compact(obj), prop.local, "assertion")

@@ -171,7 +171,6 @@ class PipelineConfig:
     classification: ClassificationMap = field(default_factory=ClassificationMap)
     confirmations: tuple[frozenset[Iri], ...] = ()
     threshold: float = 0.5
-    framework: FrameworkDocument | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import MissingArgument, ParseDiagnostic, ParseError, UnknownConcept
+from .errors import MissingArgument, UnknownConcept
 from .lexer import Token, fail, scan, token_errors_first
 from .model import (
     AXIOM_TYPES,
@@ -26,11 +26,12 @@ from .model import (
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
+    OWL_SAME_AS,
     SameIndividual,
     render_literal,
     term_key,
 )
-from .reasoner import Materialization, _sameas_blocks
+from .reasoner import Materialization
 from .schema import (
     CONCEPT_LINK_PROPERTIES,
     DEFAULT_PREFIXES,
@@ -201,9 +202,10 @@ def _parse(text: str, tokens: Iterator[Token], prefix_map: dict[str, str]) -> Qu
     distinct = _is_word(peek(), "DISTINCT")
     if distinct:
         take()
-    projected: list[Variable] = []
+    projected: list[tuple[Variable, int]] = []
     while peek()[0] == "?":
-        projected.append(Variable(take()[1]))
+        _, name, off = take()
+        projected.append((Variable(name), off))
     if not projected:
         fail(text, peek()[2], "SELECT needs at least one ?variable")
     tok = take()
@@ -243,16 +245,19 @@ def _parse(text: str, tokens: Iterator[Token], prefix_map: dict[str, str]) -> Qu
         patterns.append(TriplePattern(s, p, o))
         if peek()[0] == ".":
             take()
-    take()  # '}'
+    close = take()
     tok = take()
     if tok[0] != "eof":
         fail(text, tok[2], "trailing content after '}'")
     if not patterns:
-        fail(text, 0, "WHERE group has no patterns")
+        fail(text, close[2], "WHERE group has no patterns")
     try:
-        return Query(tuple(projected), tuple(patterns), distinct=distinct)
+        return Query(tuple(v for v, _ in projected), tuple(patterns), distinct=distinct)
     except ValueError as exc:
-        raise ParseError([ParseDiagnostic(1, 1, str(exc))]) from None
+        message = str(exc)
+    # The one invalid query left: a projected variable that no pattern binds.
+    bound = {v for p in patterns for v in p.variables()}
+    fail(text, next(off for v, off in projected if v not in bound), message)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +389,8 @@ PRINCIPLES_BY_FRAMEWORK_QUERY = (
 )
 
 _SCENARIO_PROPERTIES = (aieo("application"), aieo("example"), aieo("scenario"), aieo("useCase"))
+_CONCEPT_LINK_PROPERTIES = frozenset(aieo(p) for p in CONCEPT_LINK_PROPERTIES.values())
+_FRAMEWORK = aieo("Framework")
 
 
 def canned_query(name: str, mat: Materialization, arg: Iri | None = None) -> ResultSet:
@@ -410,39 +417,35 @@ def _require_individual(mat: Materialization, concept: Iri) -> None:
         raise UnknownConcept(f"{concept} is not a declared individual")
 
 
-def _peers(mat: Materialization, concept: Iri) -> tuple[Iri, ...]:
-    """The sameAs closure of the concept, concept included, sorted. The
-    partition of all sameAs-linked individuals is built on first use."""
-    if mat._sameas_peers is None:
-        linked = {x for ax in mat.base.axioms_of(SameIndividual) for x in (ax.a, ax.b)}
-        peers = {
-            member: tuple(block)
-            for block in _sameas_blocks(mat.base, linked)
-            for member in block
-        }
-        object.__setattr__(mat, "_sameas_peers", peers)
-    return mat._sameas_peers.get(concept, (concept,))
+def _peers(mat: Materialization, concept: Iri) -> list[Iri]:
+    """The sameAs closure of the concept, concept included, sorted. Only
+    SameIndividual axioms link: an object property declared under the
+    ``owl:sameAs`` IRI renders the same triples but merges nothing."""
+    by_subject, base = _index_of(mat).by_position[0], mat.base.axioms
+    block, todo = {concept}, [concept]
+    while todo:
+        s = todo.pop()
+        for _, p, o in by_subject.get(s, ()):
+            if p == OWL_SAME_AS and o not in block and SameIndividual(s, o) in base:
+                block.add(o)
+                todo.append(o)
+    return sorted(block)
 
 
-def _asserted_framework_links(mat: Materialization) -> dict[Iri, set[Iri]]:
-    """concept -> frameworks that assert a concept link to it (base only,
-    so sameAs propagation does not blur which framework said what)."""
-    links: dict[Iri, set[Iri]] = defaultdict(set)
-    concept_props = {aieo(p) for p in CONCEPT_LINK_PROPERTIES.values()}
-    frameworks = {
-        ax.ind
-        for ax in mat.base.axioms_of(ClassAssertion)
-        if ax.cls == aieo("Framework")
+def _framework_links(mat: Materialization, concept: Iri) -> set[Iri]:
+    """The frameworks whose base assertions link to the concept (asserted
+    only, so sameAs propagation does not blur which framework said what)."""
+    base = mat.base.axioms
+    return {
+        s for s, p, _ in _index_of(mat).by_position[2].get(concept, ())
+        if p in _CONCEPT_LINK_PROPERTIES
+        and ObjectPropertyAssertion(s, p, concept) in base
+        and ClassAssertion(_FRAMEWORK, s) in base
     }
-    for ax in mat.base.axioms_of(ObjectPropertyAssertion):
-        if ax.prop in concept_props and ax.subject in frameworks:
-            links[ax.object].add(ax.subject)
-    return links
 
 
 def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
     _require_individual(mat, concept)
-    links = _asserted_framework_links(mat)
     variables = tuple(Variable(v) for v in ("framework", "concept", "property", "value"))
     rows: list[Binding] = []
     for peer in _peers(mat, concept):
@@ -452,8 +455,9 @@ def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
             if isinstance(ax, AnnotationAssertion)
             and ax.prop in (SHORT_DESCRIPTION, REFERENCE)
         ]
+        frameworks = sorted(_framework_links(mat, peer))
         for ax in annotations:
-            for fw in sorted(links.get(peer, ())):
+            for fw in frameworks:
                 rows.append(
                     {
                         variables[0]: fw,
@@ -467,14 +471,11 @@ def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
 
 
 def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:
+    # R6 copies every sameAs peer's assertions onto the concept itself.
     _require_individual(mat, concept)
-    peers = set(_peers(mat, concept))
     objects = {
-        fact.object
-        for fact in mat.facts()
-        if isinstance(fact, ObjectPropertyAssertion)
-        and fact.prop in _SCENARIO_PROPERTIES
-        and fact.subject in peers
+        o for _, p, o in _index_of(mat).by_position[0].get(concept, ())
+        if p in _SCENARIO_PROPERTIES
     }
     var = Variable("scenario")
     rows = tuple({var: o} for o in sorted(objects))
@@ -482,13 +483,11 @@ def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:
 
 
 def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
-    links = _asserted_framework_links(mat)
-    if mat.base.kind_of(framework) is not EntityKind.NAMED_INDIVIDUAL:
-        raise UnknownConcept(f"{framework} is not a declared individual")
+    _require_individual(mat, framework)
     own = {
         ax.object
-        for ax in mat.base.axioms_of(ObjectPropertyAssertion)
-        if ax.subject == framework
+        for ax in mat.base.by_subject.get(framework, ())
+        if isinstance(ax, ObjectPropertyAssertion)
         and ax.prop in (aieo("principle"), aieo("requirement"))
     }
     var = Variable("concept")
@@ -498,7 +497,7 @@ def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
             fw
             for peer in _peers(mat, concept)
             if peer != concept
-            for fw in links.get(peer, ())
+            for fw in _framework_links(mat, peer)
         }
         if not (foreign - {framework}):
             rows.append({var: concept})

@@ -11,7 +11,7 @@ every inferred fact.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
 
@@ -80,11 +80,13 @@ class Materialization:
     base: OntologyStore
     inferred: frozenset[Axiom]
     traces: dict[Axiom, tuple[InferenceTrace, ...]]
-    consistent: bool
     violations: tuple[ConsistencyViolation, ...]
     # Built by the query layer on first use and kept for later queries.
     _triple_index: object = field(default=None, init=False, compare=False, repr=False)
-    _sameas_peers: object = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def consistent(self) -> bool:
+        return not self.violations
 
     def has(self, fact: Axiom) -> bool:
         return fact in self.base.axioms or fact in self.inferred
@@ -208,17 +210,9 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
         base=store,
         inferred=frozenset(inferred),
         traces={fact: tuple(sorted(ts, key=trace_key)) for fact, ts in traces.items()},
-        consistent=True,
         violations=(),
     )
-    violations = tuple(check_consistency(mat))
-    return Materialization(
-        base=store,
-        inferred=mat.inferred,
-        traces=mat.traces,
-        consistent=not violations,
-        violations=violations,
-    )
+    return replace(mat, violations=tuple(check_consistency(mat)))
 
 
 def explain(mat: Materialization, fact: Axiom) -> list[InferenceTrace]:
@@ -254,39 +248,6 @@ def _sameas_free_facts(mat: Materialization) -> set[Axiom]:
     return free
 
 
-def _partition(
-    members: Iterable[Iri], links: Iterable[tuple[Iri, Iri]]
-) -> dict[Iri, list[Iri]]:
-    """Union-find over ``members`` joined by ``links``: each block, in member
-    order, under its least member."""
-    parent: dict[Iri, Iri] = {m: m for m in members}
-
-    def find(x: Iri) -> Iri:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    blocks: dict[Iri, list[Iri]] = defaultdict(list)
-    for m in parent:
-        blocks[find(m)].append(m)
-    return blocks
-
-
-def _sameas_blocks(store: OntologyStore, individuals: Iterable[Iri]) -> list[list[Iri]]:
-    individuals = set(individuals)
-    blocks = _partition(individuals, (
-        (ax.a, ax.b)
-        for ax in store.axioms_of(SameIndividual)
-        if ax.a in individuals and ax.b in individuals
-    ))
-    return [sorted(blocks[root]) for root in sorted(blocks)]
-
-
 def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     """One violation per (sameAs-merged individual, asserted disjoint pair)
     whose merged membership covers both classes."""
@@ -305,7 +266,10 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
 
     violations: list[ConsistencyViolation] = []
     disjoints = sorted(mat.base.axioms_of(DisjointClasses), key=lambda d: (d.a, d.b))
-    for block in _sameas_blocks(mat.base, memberships):
+    for members in equivalence_classes(mat.base, EntityKind.NAMED_INDIVIDUAL):
+        block = sorted(m for m in members if m in memberships)
+        if not block:
+            continue
         merged: set[Iri] = set()
         for ind in block:
             merged |= memberships[ind]
@@ -364,9 +328,22 @@ def equivalence_classes(
     if kind not in _AXIOM_BY_KIND:
         raise ValueError(f"no equivalence axioms exist for kind {kind.value}")
 
-    links: list[tuple[Iri, Iri]] = []
+    # Union-find; each root is the least member of its block.
+    parent: dict[Iri, Iri] = {m: m for m in store.declared(kind)}
+
+    def find(x: Iri) -> Iri:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for ax in store.axioms_of(_AXIOM_BY_KIND[kind]):
-        first, *rest = sorted(AXIOM_TYPES[type(ax)].pair(ax))
-        links.extend((first, other) for other in rest)
-    blocks = _partition(store.declared(kind), links)
+        first, *rest = AXIOM_TYPES[type(ax)].pair(ax)
+        for other in rest:
+            ra, rb = find(first), find(other)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    blocks: dict[Iri, set[Iri]] = defaultdict(set)
+    for m in parent:
+        blocks[find(m)].add(m)
     return [frozenset(blocks[root]) for root in sorted(blocks)]

@@ -471,6 +471,48 @@ def random_store(
     return store
 
 
+_CONCEPT_LINKS = tuple(aieo(p) for p in ("principle", "requirement", "fundamentalRight", "dimension"))
+_SCENARIO_LINKS = tuple(aieo(p) for p in ("application", "example", "scenario", "useCase"))
+
+
+def random_linked_store(seed: int) -> OntologyStore:
+    """``random_store(seed, schema_mutations=True)`` plus subclass and
+    sub-property edges (one subclass cycle always), one EquivalentClasses
+    axiom, Framework typings, framework-to-concept and scenario links, and
+    concept descriptions."""
+    rng = random.Random(seed + 10_000)
+    store = random_store(seed, schema_mutations=True)
+    individuals = store.declared(EntityKind.NAMED_INDIVIDUAL)
+    for _ in range(rng.randint(0, 5)):
+        store.add(SubClassOf(*rng.sample(CLASS_POOL, 2)))
+    cycle = rng.sample(CLASS_POOL, rng.randint(2, 4))
+    for sub, sup in zip(cycle, cycle[1:] + cycle[:1]):
+        store.add(SubClassOf(sub, sup))
+    for _ in range(rng.randint(0, 3)):
+        store.add(SubObjectPropertyOf(*rng.sample(PROPERTY_POOL, 2)))
+    store.add(EquivalentClasses(frozenset(rng.sample(CLASS_POOL, 2))))
+    for fw in rng.sample(individuals, min(len(individuals), rng.randint(1, 3))):
+        store.add(ClassAssertion(aieo("Framework"), fw))
+        for _ in range(rng.randint(1, 4)):
+            store.add(
+                ObjectPropertyAssertion(fw, rng.choice(_CONCEPT_LINKS), rng.choice(individuals))
+            )
+    for _ in range(rng.randint(0, 4)):
+        store.add(
+            ObjectPropertyAssertion(
+                rng.choice(individuals), rng.choice(_SCENARIO_LINKS), rng.choice(individuals)
+            )
+        )
+    for _ in range(rng.randint(0, 4)):
+        store.add(
+            AnnotationAssertion(
+                rng.choice(individuals), rng.choice(ANNOTATION_POOL[:2]),
+                AnnotationValue(f"text {rng.randint(0, 9)}"),
+            )
+        )
+    return store
+
+
 def random_small_store(seed: int, *, max_axioms: int = 60) -> OntologyStore:
     """A from-scratch store (no bundled schema) of at most ``max_axioms``
     axioms with an arbitrary mix of every axiom type."""

@@ -227,7 +227,6 @@ def test_parse_config_defaults():
     assert cfg.classification.entries == {}
     assert cfg.confirmations == ()
     assert cfg.threshold == 0.5
-    assert cfg.framework is None
 
 
 def test_parse_config_full():
@@ -237,14 +236,12 @@ def test_parse_config_full():
         "classificationMap": {"risk": "Risk_keyword"},
         "confirmations": [{"left": "aieo:a", "right": "aieo:b"}],
         "threshold": 0.7,
-        "framework": {"id": "aieo:X", "title": "t"},
     }))
     assert cfg.extraction.stopwords == frozenset({"the", "and"})
     assert cfg.extraction.top_k == 5
     assert cfg.classification.entries == {"risk": aieo("Risk_keyword")}
     assert cfg.confirmations == (frozenset((aieo("a"), aieo("b"))),)
     assert cfg.threshold == 0.7
-    assert cfg.framework.id == aieo("X")
 
 
 @pytest.mark.parametrize(
@@ -258,6 +255,7 @@ def test_parse_config_full():
         ('{"confirmations": [{"left": "a", "right": "a"}]}', "$.confirmations[0]"),
         ('{"confirmations": [{"left": "a"}]}', "$.confirmations[0].right"),
         ('{"unknown": 1}', "$.unknown"),
+        ('{"framework": {"id": "aieo:X", "title": "t"}}', "$.framework"),
     ],
 )
 def test_parse_config_violations_carry_paths(doc, path):

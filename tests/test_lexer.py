@@ -108,6 +108,9 @@ QUERY_DIAGNOSTICS = [
     ("SELECT ?x WHERE { ?x a aieo:Framework", ParseError, "unterminated WHERE group", 1, 38),
     ("SELECT ?x WHERE {\n  ?x a foaf:Person\n}", ParseError, "unknown prefix 'foaf:'", 2, 8),
     ("SELECT ?x WHERE { ?x a aieo:Framework }\r\n}", ParseError, "trailing content after '}'", 2, 1),
+    ("SELECT ?x WHERE {\n  # nothing\n}", ParseError, "WHERE group has no patterns", 3, 1),
+    ("SELECT ?x\n  ?missing WHERE { ?x a aieo:Framework }", ParseError,
+     "projected variable ?missing occurs in no pattern", 2, 3),
 ]
 
 

@@ -42,6 +42,7 @@ from oracles import (
     brute_force_evaluate,
     flatten_triples,
     naive_peers,
+    random_linked_store,
     random_query,
     random_small_store,
     random_store,
@@ -524,16 +525,28 @@ def test_describe_concept_without_merge_stays_local():
     )
     rs = canned_query("describe_concept", _mat(unmerged), aieo("fair1"))
     assert [r[Variable("framework")] for r in rs.rows] == [aieo("fw1")]
+    # an object property that reuses the owl:sameAs IRI merges nothing
+    _individuals(unmerged, "fw2", "fair2")
+    unmerged.declare(OWL_SAME_AS, EntityKind.OBJECT_PROPERTY)
+    unmerged.add(ObjectPropertyAssertion(aieo("fair1"), OWL_SAME_AS, aieo("fair2")))
+    unmerged.add(ClassAssertion(aieo("Framework"), aieo("fw2")))
+    unmerged.add(ObjectPropertyAssertion(aieo("fw2"), aieo("principle"), aieo("fair2")))
+    unmerged.add(AnnotationAssertion(aieo("fair2"), REFERENCE, AnnotationValue("ch. 2")))
+    assert canned_query("describe_concept", _mat(unmerged), aieo("fair1")) == rs
 
 
 def test_scenarios_for_equals_its_query_text_on_plain_stores():
     store = _individuals(seed_schema(), "fair", "hiring")
     store.add(ObjectPropertyAssertion(aieo("fair"), aieo("scenario"), aieo("hiring")))
-    mat = _mat(store)
+    merged = _individuals(store.copy(), "fair2", "loans")
+    merged.add(SameIndividual(aieo("fair"), aieo("fair2")))
+    merged.add(ObjectPropertyAssertion(aieo("fair2"), aieo("useCase"), aieo("loans")))
     text = SCENARIOS_FOR_QUERY_TEMPLATE.replace("{concept}", str(aieo("fair")))
-    assert canned_query("scenarios_for", mat, aieo("fair")) == evaluate(
-        parse_query(text), mat
-    )
+    for st, want in ((store, ["hiring"]), (merged, ["hiring", "loans"])):
+        mat = _mat(st)
+        rs = canned_query("scenarios_for", mat, aieo("fair"))
+        assert rs == evaluate(parse_query(text), mat)
+        assert rs.values("scenario") == [aieo(n) for n in want]
 
 
 def test_scenarios_for_reaches_peers_and_equivalent_properties():
@@ -604,51 +617,87 @@ def _oracle_framework_links(store):
     }
 
 
+def _oracle_describe(store, links, block):
+    """describe_concept rows: every description of a block member, paired
+    with each framework asserting a link to that member."""
+    return {
+        (fw, ax.subject, ax.prop, ax.value)
+        for ax in store.axioms_of(AnnotationAssertion)
+        if ax.subject in block and ax.prop in (SHORT_DESCRIPTION, REFERENCE)
+        for fw, linked in links
+        if linked == ax.subject
+    }
+
+
+def _oracle_scenarios(mat, block):
+    """scenarios_for values: scenario-like objects of any block member."""
+    return sorted({
+        fact.object
+        for fact in mat.facts()
+        if isinstance(fact, ObjectPropertyAssertion)
+        and fact.subject in block
+        and fact.prop in (aieo("application"), aieo("example"),
+                          aieo("scenario"), aieo("useCase"))
+    })
+
+
+def _oracle_unique(store, links, framework, peers_of):
+    """unique_concepts values: the framework's asserted principles and
+    requirements whose other block members no other framework links to."""
+    own = sorted({
+        ax.object
+        for ax in store.axioms_of(ObjectPropertyAssertion)
+        if ax.subject == framework and ax.prop in (aieo("principle"), aieo("requirement"))
+    })
+    return [
+        concept for concept in own
+        if not any(
+            linker != framework
+            for peer in peers_of(concept) - {concept}
+            for linker, linked in links
+            if linked == peer
+        )
+    ]
+
+
+def _assert_canned_match_oracles(store, mat, concepts, frameworks, peers_of):
+    links = _oracle_framework_links(store)
+    for concept in concepts:
+        block = peers_of(concept)
+        rs = canned_query("describe_concept", mat, concept)
+        want = _oracle_describe(store, links, block)
+        got = [tuple(r[v] for v in rs.variables) for r in rs.rows]
+        assert len(got) == len(want) and set(got) == want, concept
+        assert canned_query("scenarios_for", mat, concept).values("scenario") == (
+            _oracle_scenarios(mat, block)
+        ), concept
+    for fw in frameworks:
+        assert canned_query("unique_concepts", mat, fw).values("concept") == (
+            _oracle_unique(store, links, fw, peers_of)
+        ), fw
+
+
 def test_canned_queries_on_a_long_sameas_chain_match_naive_peers():
     store = _sameas_chain_store(1600)
     mat = _mat(store)
-    links = _oracle_framework_links(store)
     chain = naive_peers(store, aieo("c0"))  # one slow oracle call per block
     assert len(chain) == 1600
     peers = {c: chain for c in (aieo("c0"), aieo("c800"), aieo("c1599"))}
     peers[aieo("lone")] = naive_peers(store, aieo("lone"))
-
-    for concept, block in peers.items():
-        rs = canned_query("describe_concept", mat, concept)
-        want = {
-            (fw, ax.subject, ax.prop, ax.value)
-            for ax in store.axioms_of(AnnotationAssertion)
-            if ax.subject in block and ax.prop in (SHORT_DESCRIPTION, REFERENCE)
-            for fw, linked in links
-            if linked == ax.subject
-        }
-        got = [tuple(r[v] for v in rs.variables) for r in rs.rows]
-        assert len(got) == len(want) and set(got) == want, concept
-
-        rs = canned_query("scenarios_for", mat, concept)
-        want = {
-            fact.object
-            for fact in mat.facts()
-            if isinstance(fact, ObjectPropertyAssertion)
-            and fact.subject in block
-            and fact.prop in (aieo("application"), aieo("example"),
-                              aieo("scenario"), aieo("useCase"))
-        }
-        assert rs.values("scenario") == sorted(want), concept
-
-    for fw in (aieo("fw1"), aieo("fw2")):
-        own = sorted(concept for linker, concept in links if linker == fw)
-        want = [
-            concept for concept in own
-            if not any(
-                linker != fw
-                for peer in peers[concept] - {concept}
-                for linker, linked in links
-                if linked == peer
-            )
-        ]
-        assert canned_query("unique_concepts", mat, fw).values("concept") == want, fw
+    _assert_canned_match_oracles(
+        store, mat, peers, (aieo("fw1"), aieo("fw2")), peers.__getitem__
+    )
     assert canned_query("unique_concepts", mat, aieo("fw1")).values("concept") == [aieo("lone")]
+
+
+def test_canned_queries_on_random_stores_match_oracles():
+    for seed in range(30):
+        store = random_linked_store(seed)
+        individuals = store.declared(EntityKind.NAMED_INDIVIDUAL)
+        _assert_canned_match_oracles(
+            store, _mat(store), individuals, individuals,
+            lambda ind: naive_peers(store, ind),
+        )
 
 
 @pytest.mark.parametrize("name", ["describe_concept", "scenarios_for", "unique_concepts"])
