@@ -41,6 +41,8 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError([ParseDiagnostic(exc.lineno, exc.colno, exc.msg)]) from None
+    except RecursionError:  # the decoder recurses once per nested array/object
+        raise ParseError([ParseDiagnostic(1, 1, "document nested too deeply")]) from None
 
 
 def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:

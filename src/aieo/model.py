@@ -398,6 +398,13 @@ AXIOM_TYPES: dict[type, AxiomType] = {row.cls: row for row in (
 )}
 
 
+# The fixed predicates of the triples view. Declaring one as an entity would
+# let its assertions render the same triples as a structural axiom.
+_RESERVED_PREDICATES = frozenset(
+    row.predicate for row in AXIOM_TYPES.values() if row.predicate is not None
+)
+
+
 def axiom_type(ax: Axiom) -> AxiomType:
     """The table row of the axiom's type."""
     try:
@@ -455,8 +462,11 @@ class OntologyStore:
     # -- mutation ----------------------------------------------------------
 
     def declare(self, iri: Iri, kind: EntityKind) -> "OntologyStore":
-        """Add a Declaration axiom. Idempotent; punning is rejected."""
+        """Add a Declaration axiom. Idempotent; punning is rejected, and so
+        are the predicates that axioms render to, which no entity may reuse."""
         iri = Iri(iri)
+        if iri in _RESERVED_PREDICATES:
+            raise ValidationError(f"{iri} is a reserved predicate and cannot be declared")
         existing = self._kinds.get(iri)
         if existing is not None and existing is not kind:
             raise KindConflict(

@@ -8,7 +8,9 @@ feeds the saturation measurement across a run of iterations.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -163,6 +165,11 @@ class IterationRecord:
         }
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:  # also rejects NaN
+        raise ValueError("threshold must be in (0, 1]")
+
+
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
     """Everything an ingestion run needs beyond the document itself."""
@@ -173,8 +180,7 @@ class PipelineConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
+        _check_threshold(self.threshold)
 
 
 def _slug(text: str) -> str:
@@ -332,6 +338,12 @@ def _concept_label(store: OntologyStore, ind: Iri) -> str:
     return labels[0] if labels else ind.local.replace("_", " ")
 
 
+def _label_tokens(label: str) -> frozenset[str]:
+    """The label's normalized token set; a label without tokens gets the
+    sentinel "" (never a token), since two such labels score 1.0."""
+    return frozenset(_normalize_label(label)) or frozenset(("",))
+
+
 def _alignable_concepts(store: OntologyStore) -> dict[Iri, list[Iri]]:
     """framework -> its asserted Principle/Requirement/FundamentalRight
     individuals, in assertion (link) terms."""
@@ -346,11 +358,21 @@ def _alignable_concepts(store: OntologyStore) -> dict[Iri, list[Iri]]:
 def propose_equivalences(
     store: OntologyStore, new_framework: Iri, threshold: float = 0.5
 ) -> list[EquivalenceProposal]:
-    """Candidate cross-framework concept equivalences by label similarity.
+    """Candidate cross-framework concept equivalences by label similarity:
+    every pair of a new concept and a concept linked from another framework
+    that scores at least ``threshold``, once per linking framework.
+
+    A score at or above a threshold > 0 needs a shared token, so only peers
+    that share one are scored: an inverted index from token to peer yields
+    each candidate with its shared-token count, and a candidate whose
+    Jaccard bound ``shared / (n + m - shared)`` falls below the threshold is
+    skipped. For non-empty token sets that bound is the score itself, so
+    the result equals scoring every pair.
 
     Proposals never mutate the store; confirmation is a human decision
     applied separately via apply_equivalences.
     """
+    _check_threshold(threshold)
     by_framework = _alignable_concepts(store)
     if len(by_framework) < 2:
         raise InsufficientFrameworks(
@@ -358,16 +380,34 @@ def propose_equivalences(
         )
     if new_framework not in by_framework:
         raise UnknownFramework(f"framework not ingested: {new_framework}")
+    labels: dict[Iri, tuple[str, frozenset[str]]] = {}
+    for concepts in by_framework.values():
+        for concept in concepts:
+            if concept not in labels:
+                label = _concept_label(store, concept)
+                labels[concept] = label, _label_tokens(label)
+    # One entry per (framework, peer) link, so a peer linked from two other
+    # frameworks is proposed twice, as scoring every pair does.
+    entries: list[Iri] = []
+    by_token: dict[str, list[int]] = {}
+    for other_fw, peers in by_framework.items():
+        if other_fw == new_framework:
+            continue
+        for peer in peers:
+            for token in labels[peer][1]:
+                by_token.setdefault(token, []).append(len(entries))
+            entries.append(peer)
     proposals = []
     for concept in by_framework[new_framework]:
-        label = _concept_label(store, concept)
-        for other_fw, peers in sorted(by_framework.items()):
-            if other_fw == new_framework:
-                continue
-            for peer in peers:
-                score = label_similarity(label, _concept_label(store, peer))
-                if score >= threshold:
-                    proposals.append(EquivalenceProposal(concept, peer, score))
+        label, tokens = labels[concept]
+        n = len(tokens)
+        shared = Counter(chain.from_iterable(by_token.get(t, ()) for t in tokens))
+        for entry, k in shared.items():
+            peer = entries[entry]
+            peer_label, peer_tokens = labels[peer]
+            if k / (n + len(peer_tokens) - k) >= threshold:
+                score = label_similarity(label, peer_label)
+                proposals.append(EquivalenceProposal(concept, peer, score))
     proposals.sort(key=lambda p: (-p.score, p.left, p.right))
     return proposals
 
@@ -403,6 +443,7 @@ def run_iteration(
     The input store is never mutated; the returned store carries the
     iteration's additions, and the record carries before/after metrics.
     """
+    _check_threshold(threshold)
     cfg = cfg or ExtractionConfig()
     confirmed_pairs = set(confirmations)
     before = compute_metrics(store)

@@ -27,7 +27,6 @@ from .model import (
     Iri,
     ObjectPropertyAssertion,
     OWL_SAME_AS,
-    SameIndividual,
     render_literal,
     term_key,
 )
@@ -418,15 +417,15 @@ def _require_individual(mat: Materialization, concept: Iri) -> None:
 
 
 def _peers(mat: Materialization, concept: Iri) -> list[Iri]:
-    """The sameAs closure of the concept, concept included, sorted. Only
-    SameIndividual axioms link: an object property declared under the
-    ``owl:sameAs`` IRI renders the same triples but merges nothing."""
-    by_subject, base = _index_of(mat).by_position[0], mat.base.axioms
+    """The sameAs closure of the concept, concept included, sorted. Every
+    ``owl:sameAs`` triple is a SameIndividual axiom: the store rejects
+    declaring that IRI, and the closure infers no sameAs facts."""
+    by_subject = _index_of(mat).by_position[0]
     block, todo = {concept}, [concept]
     while todo:
         s = todo.pop()
         for _, p, o in by_subject.get(s, ()):
-            if p == OWL_SAME_AS and o not in block and SameIndividual(s, o) in base:
+            if p == OWL_SAME_AS and o not in block:
                 block.add(o)
                 todo.append(o)
     return sorted(block)

@@ -10,6 +10,7 @@ library modules (only data types and vocabulary constants are imported).
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations
 
 import pyparsing as pp
@@ -33,8 +34,10 @@ from aieo.model import (
     SubClassOf,
     SubObjectPropertyOf,
 )
+from aieo.pipeline import EquivalenceProposal
 from aieo.query import TriplePattern, Variable
 from aieo.schema import (
+    CONCEPT_LINK_PROPERTIES,
     DISJOINT_PAIRS,
     META_CLASS_KINDS,
     OWL_DISJOINT_WITH,
@@ -302,6 +305,67 @@ def naive_strict_supers(edges: dict[Iri, set[Iri]]) -> dict[Iri, set[Iri]]:
             reached = grown
         out[start] = reached - {start}
     return out
+
+
+# ---------------------------------------------------------------------------
+# All-pairs consolidation
+# ---------------------------------------------------------------------------
+
+_NAIVE_LINK_PROPERTIES = tuple(
+    aieo(CONCEPT_LINK_PROPERTIES[kind])
+    for kind in ("Principle", "Requirement", "FundamentalRight")
+)
+
+
+def naive_label_similarity(a: str, b: str) -> float:
+    ta = re.findall(r"[a-z0-9]+", a.casefold())
+    tb = re.findall(r"[a-z0-9]+", b.casefold())
+    if ta == tb:
+        return 1.0
+    sa, sb = set(ta), set(tb)
+    if not sa or not sb:
+        return 0.0
+    return len(sa & sb) / len(sa | sb)
+
+
+def _naive_concept_label(store: OntologyStore, ind: Iri) -> str:
+    labels = sorted(
+        ax.value.text
+        for ax in store.by_subject.get(ind, ())
+        if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL
+    )
+    return labels[0] if labels else ind.local.replace("_", " ")
+
+
+def naive_proposals(
+    store: OntologyStore, new_framework: Iri, threshold: float
+) -> list[EquivalenceProposal]:
+    """Every new concept scored against every concept linked from every
+    other framework: the nested loop consolidation ran before its index."""
+    frameworks = {
+        ax.ind for ax in store.axioms
+        if isinstance(ax, ClassAssertion) and ax.cls == aieo("Framework")
+    }
+    by_framework: dict[Iri, list[Iri]] = {
+        fw: sorted({
+            ax.object for ax in store.axioms
+            if isinstance(ax, ObjectPropertyAssertion) and ax.subject == fw
+            and ax.prop in _NAIVE_LINK_PROPERTIES
+        })
+        for fw in frameworks
+    }
+    proposals = []
+    for concept in by_framework[new_framework]:
+        label = _naive_concept_label(store, concept)
+        for other_fw, peers in sorted(by_framework.items()):
+            if other_fw == new_framework:
+                continue
+            for peer in peers:
+                score = naive_label_similarity(label, _naive_concept_label(store, peer))
+                if score >= threshold:
+                    proposals.append(EquivalenceProposal(concept, peer, score))
+    proposals.sort(key=lambda p: (-p.score, p.left, p.right))
+    return proposals
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,30 @@ def test_parse_bad_json_exits_parse_error(run, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_deeply_nested_json_exits_parse_error(run, tmp_path, opener):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 200_000)
+    code, out, err = run("metrics", str(path))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == "" and err == "1:1: error: document nested too deeply\n"
+
+
+@pytest.mark.parametrize("name,text", [
+    ("sameas.ttl", "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+                   "owl:sameAs a owl:ObjectProperty .\n"),
+    ("type.json", '{"axioms": [{"kind": "Declaration", "iri": "rdf:type", '
+                  '"entityKind": "AnnotationProperty"}]}'),
+])
+def test_declaring_a_structural_predicate_exits_validation_error(run, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run("parse", str(path))
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert out == "" and err.startswith("error: ") and "reserved predicate" in err
+    assert "Traceback" not in err
+
+
 def test_parse_schema_violation_exits_validation_error(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"axioms": [{"kind": "Nope"}]}')

@@ -215,7 +215,7 @@ _SNIPPETS = [
 def _mutate(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 3)):
         i = rng.randint(0, len(text))
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op == 0:
             text = text[:i] + text[i + rng.randint(1, 3):]
         elif op == 1:
@@ -225,6 +225,9 @@ def _mutate(rng: random.Random, text: str) -> str:
         elif op == 3:
             j = min(len(text), i + rng.randint(1, 20))
             text = text[:j] + text[i:j] + text[j:]
+        elif op == 4:  # nesting, also past the JSON decoder's recursion limit
+            depth = rng.choice((2, 50, sys.getrecursionlimit()))
+            text = text[:i] + rng.choice(("[", '{"a":')) * depth + text[i:]
         else:
             text = text[:i]
     return text
@@ -250,6 +253,7 @@ def test_mutated_inputs_fail_only_with_positioned_package_errors():
     ]
     rng = random.Random(20261018)
     failures = 0
+    messages = set()
     for parse, base, count in cases:
         for _ in range(count):
             text = _mutate(rng, base)
@@ -259,4 +263,6 @@ def test_mutated_inputs_fail_only_with_positioned_package_errors():
                 failures += 1
                 for diag in getattr(exc, "diagnostics", ()):
                     assert _inside(text, diag.line, diag.column), (text, diag)
+                    messages.add(diag.message)
     assert failures > 2000
+    assert "document nested too deeply" in messages

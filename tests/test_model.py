@@ -78,6 +78,37 @@ def test_declare_rejects_punning():
     assert len(store.axioms) == before
 
 
+_STRUCTURAL_PREDICATES = [
+    "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+    "http://www.w3.org/2000/01/rdf-schema#subClassOf",
+    "http://www.w3.org/2000/01/rdf-schema#subPropertyOf",
+    "http://www.w3.org/2000/01/rdf-schema#domain",
+    "http://www.w3.org/2000/01/rdf-schema#range",
+    "http://www.w3.org/2002/07/owl#equivalentClass",
+    "http://www.w3.org/2002/07/owl#equivalentProperty",
+    "http://www.w3.org/2002/07/owl#disjointWith",
+    "http://www.w3.org/2002/07/owl#sameAs",
+]
+
+
+@pytest.mark.parametrize("iri", _STRUCTURAL_PREDICATES)
+def test_declare_rejects_structural_predicates(iri):
+    store = _store()
+    before = set(store.axioms)
+    for kind in EntityKind:
+        with pytest.raises(ValidationError, match="reserved predicate"):
+            store.declare(Iri(iri), kind)
+    assert store.axioms == before and store.kind_of(Iri(iri)) is None
+
+
+def test_only_structural_predicates_are_reserved():
+    store = _store()
+    for iri in ("http://www.w3.org/2000/01/rdf-schema#label",
+                "http://www.w3.org/2002/07/owl#Class",
+                "http://www.w3.org/1999/02/22-rdf-syntax-ns#typo"):
+        store.declare(Iri(iri), EntityKind.ANNOTATION_PROPERTY)
+
+
 def test_add_requires_declared_entities_of_right_kind():
     store = _store()
     with pytest.raises(UndeclaredEntity):

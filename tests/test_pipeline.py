@@ -1,7 +1,14 @@
 """Tests for the four-stage framework ingestion pipeline."""
 
+import math
+import random
+import re
+
 import pytest
 
+import oracles
+
+from aieo import pipeline
 from aieo.errors import (
     DuplicateFramework,
     InsufficientFrameworks,
@@ -14,6 +21,7 @@ from aieo.model import (
     AnnotationAssertion,
     AnnotationValue,
     ClassAssertion,
+    EntityKind,
     MetricsReport,
     ObjectPropertyAssertion,
     SameIndividual,
@@ -116,7 +124,7 @@ def test_proposal_pair_is_unordered():
     assert p.pair() == q.pair()
 
 
-@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.01])
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.01, math.nan])
 def test_pipeline_config_threshold_bounds(threshold):
     with pytest.raises(ValueError, match="threshold"):
         PipelineConfig(threshold=threshold)
@@ -371,6 +379,113 @@ def test_propose_crosses_concept_kinds():
 def test_propose_threshold_excludes_weak_matches():
     proposals = propose_equivalences(_aligned_pair_store(), aieo("FW2"), threshold=0.6)
     assert [p.left.local for p in proposals] == ["FW2_Fairness"]
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, math.nan])
+def test_propose_and_run_iteration_reject_bad_thresholds(threshold):
+    message = re.escape("threshold must be in (0, 1]")
+    with pytest.raises(ValueError, match=message):
+        propose_equivalences(_aligned_pair_store(), aieo("FW2"), threshold=threshold)
+    with pytest.raises(ValueError, match=message):
+        run_iteration(seed_schema(), _FULL_DOC, threshold=threshold)
+
+
+# Labels that stress normalization: no tokens at all (whitespace,
+# punctuation), case variants, tokens out of order or repeated, and
+# non-ASCII letters, which split tokens ("Équité" -> "quit") or casefold
+# into ASCII ("Straße" -> "strasse", "ﬁne" -> "fine").
+_EDGE_LABELS = (
+    " ", "--", "Fairness", "FAIRNESS", "fairness", "Fair-ness", "Équité", "quit",
+    "Straße", "strasse", "ﬁne", "fine", "公平", "human values", "values human",
+    "human human values", "Human-Values!", "a1 9",
+)
+_LABEL_WORDS = ("fair", "ness", "human", "values", "privacy", "data", "a1", "9")
+_ALIGNABLE = ("principle", "requirement", "fundamentalRight")
+
+
+def _random_label(rng):
+    if rng.random() < 0.4:
+        return rng.choice(_EDGE_LABELS)
+    words = [rng.choice(_LABEL_WORDS) for _ in range(rng.randint(1, 4))]
+    words = [w.upper() if rng.random() < 0.2 else w for w in words]
+    return rng.choice((" ", "-", "_", ", ")).join(words)
+
+
+def _random_framework_store(seed):
+    """2-5 frameworks linking concepts with random labels. Concepts 0 and 1
+    are linked from two frameworks; aieo("") and aieo("__") carry no label,
+    so they fall back to the empty and an all-blank local name."""
+    rng = random.Random(seed)
+    store = seed_schema()
+    frameworks = [aieo(f"fw{i}") for i in range(rng.randint(2, 5))]
+    for fw in frameworks:
+        store.declare(fw, EntityKind.NAMED_INDIVIDUAL)
+        store.add(ClassAssertion(aieo("Framework"), fw))
+    concepts = [aieo(f"c{i}") for i in range(rng.randint(3, 14))]
+    concepts += [aieo(""), aieo("__"), aieo("Human_values")]
+    for i, concept in enumerate(concepts):
+        store.declare(concept, EntityKind.NAMED_INDIVIDUAL)
+        n_labels = 0 if concept.local[:1] != "c" else rng.choice((0, 1, 1, 1, 2))
+        for _ in range(n_labels):
+            store.add(AnnotationAssertion(concept, RDFS_LABEL, AnnotationValue(_random_label(rng))))
+        linkers = rng.sample(frameworks, 2 if i < 2 else rng.choice((0, 1, 1, 1, 2)))
+        for fw in linkers:
+            prop = rng.choice(_ALIGNABLE) if rng.random() < 0.9 else "dimension"
+            store.add(ObjectPropertyAssertion(fw, aieo(prop), concept))
+    return store, frameworks
+
+
+_THRESHOLDS = (1.0, 1e-9, 1 / 3, 0.5, 2 / 3)
+
+
+def test_propose_matches_the_all_pairs_oracle():
+    seen = {"duplicate": 0, "self": 0, "blank": 0, "fractional": 0}
+    for seed in range(200):
+        store, frameworks = _random_framework_store(seed)
+        for fw in frameworks:
+            for threshold in _THRESHOLDS:
+                got = propose_equivalences(store, fw, threshold)
+                want = oracles.naive_proposals(store, fw, threshold)
+                assert got == want, (seed, fw, threshold)
+                assert [p.score.hex() for p in got] == [p.score.hex() for p in want]
+                pairs = [(p.left, p.right) for p in got]
+                seen["duplicate"] += len(pairs) - len(set(pairs))
+                seen["self"] += sum(p.left == p.right for p in got)
+                seen["blank"] += sum({p.left, p.right} == {aieo(""), aieo("__")} for p in got)
+                seen["fractional"] += sum(0 < p.score < 1 for p in got)
+    assert all(seen.values()), seen
+
+
+def test_propose_scores_only_peers_that_share_a_token(monkeypatch):
+    rng = random.Random(6)
+    words = [f"w{i}" for i in range(40)]
+    store = seed_schema()
+    for f in range(4):
+        fw = aieo(f"fw{f}")
+        store.declare(fw, EntityKind.NAMED_INDIVIDUAL)
+        store.add(ClassAssertion(aieo("Framework"), fw))
+        for c in range(60):
+            concept = aieo(f"fw{f}_c{c}")
+            label = " ".join(rng.sample(words, rng.randint(2, 3)))
+            store.declare(concept, EntityKind.NAMED_INDIVIDUAL)
+            store.add(AnnotationAssertion(concept, RDFS_LABEL, AnnotationValue(label)))
+            store.add(ObjectPropertyAssertion(fw, aieo("principle"), concept))
+    calls = {"index": 0, "oracle": 0}
+
+    def counting(name, score):
+        def wrapped(a, b):
+            calls[name] += 1
+            return score(a, b)
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "label_similarity",
+                        counting("index", pipeline.label_similarity))
+    monkeypatch.setattr(oracles, "naive_label_similarity",
+                        counting("oracle", oracles.naive_label_similarity))
+    got = propose_equivalences(store, aieo("fw3"))
+    assert got and got == oracles.naive_proposals(store, aieo("fw3"), 0.5)
+    assert calls["oracle"] == 60 * 180
+    assert 0 < calls["index"] * 10 <= calls["oracle"], calls
 
 
 def test_propose_does_not_mutate_store():
