@@ -331,6 +331,14 @@ class AxiomType:
             getattr(ax, n) if part is None else part(getattr(ax, n)) for n, part in pairs
         ))
 
+    def triples(self, ax: Axiom) -> list[tuple]:
+        """Every triple the axiom renders to: one per ordered pair of
+        distinct members when symmetric, else its one triple."""
+        if self.triple is not None:
+            return [self.triple(ax)]
+        members, pred = self.pair(ax), self.predicate
+        return [(a, pred, b) for a in members for b in members if a != b]
+
     def from_pair(self, subject: Iri, obj: Iri) -> Axiom:
         """The axiom of this type whose triple is ``subject predicate obj``."""
         if self.members is not None:

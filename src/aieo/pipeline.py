@@ -87,10 +87,16 @@ class FrameworkDocument:
     concept_declarations: tuple[ConceptDeclaration, ...] = ()
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.concept_declarations]
-        if len(names) != len(set(names)):
-            dupe = next(n for n in names if names.count(n) > 1)
-            raise ValueError(f"duplicate concept name in document: {dupe!r}")
+        # Two names with one IRI would silently merge into one individual.
+        seen: dict[Iri, str] = {}
+        for concept in self.concept_declarations:
+            iri = concept_iri(self.id, concept.name)
+            if iri in seen:
+                raise ValueError(
+                    f"duplicate concept name in document: {seen[iri]!r} and "
+                    f"{concept.name!r} both map to {iri}"
+                )
+            seen[iri] = concept.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,8 +189,13 @@ class PipelineConfig:
         _check_threshold(self.threshold)
 
 
+def _tokens(text: str) -> list[str]:
+    """The runs of letters and digits (``str.isalnum``) in the text."""
+    return re.findall(r"[^\W_]+", text)
+
+
 def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_")
+    return "_".join(_tokens(text))
 
 
 def concept_iri(framework_id: Iri, name: str) -> Iri:
@@ -315,7 +326,7 @@ _PROPOSAL_LINK_PROPERTIES = tuple(
 
 
 def _normalize_label(text: str) -> list[str]:
-    return re.findall(r"[a-z0-9]+", text.casefold())
+    return _tokens(text.casefold())
 
 
 def label_similarity(a: str, b: str) -> float:

@@ -273,14 +273,8 @@ def triples_view(mat: Materialization) -> list[Triple]:
     both directions so patterns match regardless of argument order.
     """
     out: list[Triple] = []
-    append = out.append
     for ax in mat.facts():
-        row = AXIOM_TYPES[type(ax)]
-        if row.symmetric:
-            members, pred = row.pair(ax), row.predicate
-            out.extend((a, pred, b) for a in members for b in members if a != b)
-        else:
-            append(row.triple(ax))
+        out.extend(AXIOM_TYPES[type(ax)].triples(ax))
     return out
 
 

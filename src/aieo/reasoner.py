@@ -1,11 +1,12 @@
 """Forward-chaining materialization, explanation traces, consistency checks.
 
-Evaluation is semi-naive: a worklist holds facts not yet used as a rule
-premise. Every rule joins exactly one fact (class or property assertion)
-with one schema axiom, and no rule derives schema axioms, so processing
-each fact once against the static schema enumerates every one-step
-derivation exactly once. Traces therefore record all one-step proofs of
-every inferred fact.
+Every inference rule joins one fact (a class or property assertion) on one
+of its fields with the triples of one type of schema axiom, and no rule
+derives schema axioms; :data:`_RULES` lists them. Evaluation is semi-naive:
+a worklist holds facts not yet used as a rule premise, so each fact meets
+each rule once against the static schema and every one-step derivation is
+found exactly once. Traces therefore record all one-step proofs of every
+inferred fact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import IterationLimitExceeded, UnknownFact
 from .model import (
@@ -50,6 +52,38 @@ class RuleId(Enum):
 
 
 @dataclass(frozen=True, slots=True)
+class _Rule:
+    """From a ``fact`` whose field ``on`` is the subject of a triple of a
+    ``schema`` axiom, ``conclude(fact, object of that triple)`` follows."""
+
+    fact: type
+    on: str
+    schema: type
+    rule: RuleId
+    conclude: Callable[[Axiom, Iri], Axiom]
+
+
+_CA, _OPA = ClassAssertion, ObjectPropertyAssertion
+_R6 = RuleId.R6_SAME_INDIVIDUAL
+# The R6 rows come last: materialize runs them in a second pass.
+_RULES: tuple[_Rule, ...] = (
+    _Rule(_OPA, "prop", ObjectPropertyRange, RuleId.R1_RANGE_TYPING,
+          lambda f, cls: _CA(cls, f.object)),
+    _Rule(_OPA, "prop", ObjectPropertyDomain, RuleId.R1_DOMAIN_TYPING,
+          lambda f, cls: _CA(cls, f.subject)),
+    _Rule(_CA, "cls", SubClassOf, RuleId.R2_SUBCLASS, lambda f, cls: _CA(cls, f.ind)),
+    _Rule(_CA, "cls", EquivalentClasses, RuleId.R3_CLASS_EQUIV, lambda f, cls: _CA(cls, f.ind)),
+    _Rule(_OPA, "prop", EquivalentObjectProperties, RuleId.R4_PROP_EQUIV,
+          lambda f, prop: _OPA(f.subject, prop, f.object)),
+    _Rule(_OPA, "prop", SubObjectPropertyOf, RuleId.R5_SUBPROP,
+          lambda f, prop: _OPA(f.subject, prop, f.object)),
+    _Rule(_CA, "ind", SameIndividual, _R6, lambda f, ind: _CA(f.cls, ind)),
+    _Rule(_OPA, "subject", SameIndividual, _R6, lambda f, ind: _OPA(ind, f.prop, f.object)),
+    _Rule(_OPA, "object", SameIndividual, _R6, lambda f, ind: _OPA(f.subject, f.prop, ind)),
+)
+
+
+@dataclass(frozen=True, slots=True)
 class InferenceTrace:
     """One-step derivation: the conclusion follows from the premises by rule."""
 
@@ -80,6 +114,8 @@ class Materialization:
     base: OntologyStore
     inferred: frozenset[Axiom]
     traces: dict[Axiom, tuple[InferenceTrace, ...]]
+    # The inferred facts that some derivation without R6 reaches.
+    sameas_free: frozenset[Axiom]
     violations: tuple[ConsistencyViolation, ...]
     # Built by the query layer on first use and kept for later queries.
     _triple_index: object = field(default=None, init=False, compare=False, repr=False)
@@ -103,106 +139,60 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     """
     store.require_valid()
 
-    ranges: dict[Iri, list[ObjectPropertyRange]] = defaultdict(list)
-    domains: dict[Iri, list[ObjectPropertyDomain]] = defaultdict(list)
-    supers: dict[Iri, list[SubClassOf]] = defaultdict(list)
-    class_equiv: dict[Iri, list[EquivalentClasses]] = defaultdict(list)
-    prop_equiv: dict[Iri, list[EquivalentObjectProperties]] = defaultdict(list)
-    prop_supers: dict[Iri, list[SubObjectPropertyOf]] = defaultdict(list)
-    same_edges: dict[Iri, list[SameIndividual]] = defaultdict(list)
+    by_type: dict[type, list[Axiom]] = defaultdict(list)
     for ax in store.axioms:
-        if isinstance(ax, ObjectPropertyRange):
-            ranges[ax.prop].append(ax)
-        elif isinstance(ax, ObjectPropertyDomain):
-            domains[ax.prop].append(ax)
-        elif isinstance(ax, SubClassOf):
-            supers[ax.sub].append(ax)
-        elif isinstance(ax, EquivalentClasses):
-            for c in ax.classes:
-                class_equiv[c].append(ax)
-        elif isinstance(ax, EquivalentObjectProperties):
-            for p in ax.properties:
-                prop_equiv[p].append(ax)
-        elif isinstance(ax, SubObjectPropertyOf):
-            prop_supers[ax.sub].append(ax)
-        elif isinstance(ax, SameIndividual):
-            same_edges[ax.a].append(ax)
-            same_edges[ax.b].append(ax)
+        by_type[type(ax)].append(ax)
+    # Per schema type, each axiom triple's subject -> [(its object, axiom)].
+    joins: dict[type, dict[Iri, list[tuple[Iri, Axiom]]]] = {}
+    for schema in {row.schema for row in _RULES}:
+        join = joins[schema] = defaultdict(list)
+        for ax in by_type[schema]:
+            for subject, _, obj in AXIOM_TYPES[schema].triples(ax):
+                join[subject].append((obj, ax))
 
+    def plan(rows: Iterable[_Rule]) -> dict[type, list[tuple]]:
+        out: dict[type, list[tuple]] = {ClassAssertion: [], ObjectPropertyAssertion: []}
+        for row in rows:
+            out[row.fact].append((row, attrgetter(row.on), joins[row.schema]))
+        return out
+
+    free_rows = plan(row for row in _RULES if row.rule is not _R6)
+    r6_rows, every_row = plan(row for row in _RULES if row.rule is _R6), plan(_RULES)
+    asserted = sorted_axioms(by_type[ClassAssertion] + by_type[ObjectPropertyAssertion])
     inferred: set[Axiom] = set()
     traces: dict[Axiom, list[InferenceTrace]] = {}
-    queue: deque[Axiom] = deque(
-        sorted_axioms(
-            ax
-            for ax in store.axioms
-            if isinstance(ax, (ClassAssertion, ObjectPropertyAssertion))
-        )
-    )
-
-    def emit(conclusion: Axiom, rule: RuleId, *premises: Axiom) -> None:
-        if conclusion in store.axioms:  # asserted facts carry no traces
-            return
-        if conclusion not in inferred:
-            if len(inferred) >= fact_limit:
-                raise IterationLimitExceeded(
-                    f"materialization exceeded {fact_limit} derived facts"
-                )
-            inferred.add(conclusion)
-            traces[conclusion] = []
-            queue.append(conclusion)
-        traces[conclusion].append(InferenceTrace(conclusion, rule, premises))
-
-    while queue:
-        fact = queue.popleft()
-        if isinstance(fact, ClassAssertion):
-            for sub_ax in supers[fact.cls]:
-                emit(ClassAssertion(sub_ax.sup, fact.ind), RuleId.R2_SUBCLASS, fact, sub_ax)
-            for eq_ax in class_equiv[fact.cls]:
-                for peer in eq_ax.classes:
-                    if peer != fact.cls:
-                        emit(ClassAssertion(peer, fact.ind), RuleId.R3_CLASS_EQUIV, fact, eq_ax)
-            for same_ax in same_edges[fact.ind]:
-                other = same_ax.b if same_ax.a == fact.ind else same_ax.a
-                emit(ClassAssertion(fact.cls, other), RuleId.R6_SAME_INDIVIDUAL, fact, same_ax)
-        else:
-            for rng_ax in ranges[fact.prop]:
-                emit(
-                    ClassAssertion(rng_ax.cls, fact.object),
-                    RuleId.R1_RANGE_TYPING, fact, rng_ax,
-                )
-            for dom_ax in domains[fact.prop]:
-                emit(
-                    ClassAssertion(dom_ax.cls, fact.subject),
-                    RuleId.R1_DOMAIN_TYPING, fact, dom_ax,
-                )
-            for eq_ax in prop_equiv[fact.prop]:
-                for peer in eq_ax.properties:
-                    if peer != fact.prop:
-                        emit(
-                            ObjectPropertyAssertion(fact.subject, peer, fact.object),
-                            RuleId.R4_PROP_EQUIV, fact, eq_ax,
+    sameas_free: frozenset[Axiom] | None = None
+    # Each entry is a fact and the rows it has still to meet; what it
+    # derives meets the rows of the current pass.
+    queue: deque[tuple[Axiom, dict]] = deque((fact, free_rows) for fact in asserted)
+    derived_rows = free_rows
+    while queue or sameas_free is None:
+        if not queue:
+            # The first pass closed the asserted facts under R1-R5. The
+            # second runs R6 on every fact known so far, and every rule on
+            # each fact that R6 derives, so each fact meets each row once.
+            sameas_free = frozenset(inferred)
+            derived_rows = every_row
+            queue.extend((fact, r6_rows) for fact in (*asserted, *sameas_free))
+            continue
+        fact, rows = queue.popleft()
+        for row, key, join in rows[type(fact)]:
+            for joined, schema_ax in join.get(key(fact), ()):
+                conclusion = row.conclude(fact, joined)
+                if conclusion in store.axioms:  # asserted facts carry no traces
+                    continue
+                if conclusion not in inferred:
+                    if len(inferred) >= fact_limit:
+                        raise IterationLimitExceeded(
+                            f"materialization exceeded {fact_limit} derived facts"
                         )
-            for sub_ax in prop_supers[fact.prop]:
-                emit(
-                    ObjectPropertyAssertion(fact.subject, sub_ax.sup, fact.object),
-                    RuleId.R5_SUBPROP, fact, sub_ax,
-                )
-            for same_ax in same_edges[fact.subject]:
-                other = same_ax.b if same_ax.a == fact.subject else same_ax.a
-                emit(
-                    ObjectPropertyAssertion(other, fact.prop, fact.object),
-                    RuleId.R6_SAME_INDIVIDUAL, fact, same_ax,
-                )
-            for same_ax in same_edges[fact.object]:
-                other = same_ax.b if same_ax.a == fact.object else same_ax.a
-                emit(
-                    ObjectPropertyAssertion(fact.subject, fact.prop, other),
-                    RuleId.R6_SAME_INDIVIDUAL, fact, same_ax,
-                )
+                    inferred.add(conclusion)
+                    traces[conclusion] = []
+                    queue.append((conclusion, derived_rows))
+                traces[conclusion].append(InferenceTrace(conclusion, row.rule, (fact, schema_ax)))
 
-    # The worklist visits each fact once, so every one-step derivation is
-    # found regardless of order; only the discovery order varies. Sort so
-    # equal stores always yield identical trace tuples.
+    # Every one-step derivation is found whatever the order; only the
+    # discovery order varies. Sort so equal stores yield identical tuples.
     def trace_key(t: InferenceTrace) -> tuple:
         return (t.rule.value, tuple(axiom_sort_key(p) for p in t.premises))
 
@@ -210,6 +200,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
         base=store,
         inferred=frozenset(inferred),
         traces={fact: tuple(sorted(ts, key=trace_key)) for fact, ts in traces.items()},
+        sameas_free=sameas_free,
         violations=(),
     )
     return replace(mat, violations=tuple(check_consistency(mat)))
@@ -224,30 +215,6 @@ def explain(mat: Materialization, fact: Axiom) -> list[InferenceTrace]:
     raise UnknownFact(f"fact is not part of the materialization: {fact}")
 
 
-def _sameas_free_facts(mat: Materialization) -> set[Axiom]:
-    """Inferred facts derivable without any R6 step (asserted facts qualify
-    implicitly). Computed as a least fixpoint over the recorded traces."""
-    free: set[Axiom] = set()
-
-    def grounded(premise: Axiom) -> bool:
-        return premise in mat.base.axioms or premise in free
-
-    changed = True
-    while changed:
-        changed = False
-        for fact, fact_traces in mat.traces.items():
-            if fact in free:
-                continue
-            for trace in fact_traces:
-                if trace.rule is RuleId.R6_SAME_INDIVIDUAL:
-                    continue
-                if all(grounded(p) for p in trace.premises):
-                    free.add(fact)
-                    changed = True
-                    break
-    return free
-
-
 def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     """One violation per (sameAs-merged individual, asserted disjoint pair)
     whose merged membership covers both classes."""
@@ -258,11 +225,9 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     if not memberships:
         return []
 
-    sameas_free = _sameas_free_facts(mat)
-
     def free_membership(cls: Iri, ind: Iri) -> bool:
         fact = ClassAssertion(cls, ind)
-        return fact in mat.base.axioms or fact in sameas_free
+        return fact in mat.base.axioms or fact in mat.sameas_free
 
     violations: list[ConsistencyViolation] = []
     disjoints = sorted(mat.base.axioms_of(DisjointClasses), key=lambda d: (d.a, d.b))
@@ -303,11 +268,6 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     return violations
 
 
-_KIND_BY_NAME = {
-    "class": EntityKind.OWL_CLASS,
-    "property": EntityKind.OBJECT_PROPERTY,
-    "individual": EntityKind.NAMED_INDIVIDUAL,
-}
 _AXIOM_BY_KIND: dict[EntityKind, type] = {
     EntityKind.OWL_CLASS: EquivalentClasses,
     EntityKind.OBJECT_PROPERTY: EquivalentObjectProperties,
@@ -315,16 +275,9 @@ _AXIOM_BY_KIND: dict[EntityKind, type] = {
 }
 
 
-def equivalence_classes(
-    store: OntologyStore, kind: "EntityKind | str"
-) -> list[frozenset[Iri]]:
+def equivalence_classes(store: OntologyStore, kind: EntityKind) -> list[frozenset[Iri]]:
     """Partition of the declared IRIs of one kind under its equivalence
     axioms; entities without any equivalence axiom form singleton blocks."""
-    if isinstance(kind, str):
-        try:
-            kind = _KIND_BY_NAME[kind]
-        except KeyError:
-            raise ValueError(f"kind must be one of {sorted(_KIND_BY_NAME)}") from None
     if kind not in _AXIOM_BY_KIND:
         raise ValueError(f"no equivalence axioms exist for kind {kind.value}")
 

@@ -1,8 +1,8 @@
 """Reference implementations the suite checks the library against.
 
 Everything here is written the slow, obvious way on purpose: repeat-until-
-no-change loops over full cross products, recount-from-scratch tallies, and
-a standalone grammar. Agreement between these and the library is the main
+no-change loops, scans over full cross products, recount-from-scratch
+tallies, and a standalone grammar. Agreement between these and the library is the main
 correctness evidence, so nothing in this file may share logic with the
 library modules (only data types and vocabulary constants are imported).
 """
@@ -10,7 +10,6 @@ library modules (only data types and vocabulary constants are imported).
 from __future__ import annotations
 
 import random
-import re
 from itertools import permutations
 
 import pyparsing as pp
@@ -62,73 +61,141 @@ Fact = Axiom  # ClassAssertion or ObjectPropertyAssertion
 # ---------------------------------------------------------------------------
 
 def naive_closure(store: OntologyStore, *, use_sameas: bool = True) -> set[Fact]:
-    """All base and derivable assertion facts, by rule application until
-    nothing new appears. ``use_sameas=False`` drops the individual-merge
-    rule, giving the merge-free closure."""
-    ranges = [(ax.prop, ax.cls) for ax in store.axioms_of(ObjectPropertyRange)]
-    domains = [(ax.prop, ax.cls) for ax in store.axioms_of(ObjectPropertyDomain)]
-    subclass = [(ax.sub, ax.sup) for ax in store.axioms_of(SubClassOf)]
-    subprop = [(ax.sub, ax.sup) for ax in store.axioms_of(SubObjectPropertyOf)]
-    class_equiv = [
-        (a, b)
+    """All base and derivable assertion facts, by rounds of rule application
+    until a round adds nothing. A round applies every rule to the facts the
+    round before added: rules have one fact premise and the schema never
+    grows, so older facts would only derive again what is already known.
+    ``use_sameas=False`` drops the individual-merge rule, giving the
+    merge-free closure."""
+    def lookup(pairs) -> dict:
+        table: dict = {}
+        for key, value in pairs:
+            table.setdefault(key, []).append(value)
+        return table
+
+    ranges = lookup((ax.prop, ax.cls) for ax in store.axioms_of(ObjectPropertyRange))
+    domains = lookup((ax.prop, ax.cls) for ax in store.axioms_of(ObjectPropertyDomain))
+    subclass = lookup((ax.sub, ax.sup) for ax in store.axioms_of(SubClassOf))
+    subprop = lookup((ax.sub, ax.sup) for ax in store.axioms_of(SubObjectPropertyOf))
+    class_equiv = lookup(
+        pair
         for ax in store.axioms_of(EquivalentClasses)
-        for a, b in permutations(ax.classes, 2)
-    ]
-    prop_equiv = [
-        (a, b)
+        for pair in permutations(ax.classes, 2)
+    )
+    prop_equiv = lookup(
+        pair
         for ax in store.axioms_of(EquivalentObjectProperties)
-        for a, b in permutations(ax.properties, 2)
-    ]
-    same = [
+        for pair in permutations(ax.properties, 2)
+    )
+    same = lookup(
         pair
         for ax in store.axioms_of(SameIndividual)
         for pair in ((ax.a, ax.b), (ax.b, ax.a))
-    ]
+    ) if use_sameas else {}
 
     facts: set[Fact] = set(
         store.axioms_of(ClassAssertion, ObjectPropertyAssertion)
     )
-    while True:
+    added = set(facts)
+    while added:
         fresh: set[Fact] = set()
-        for fact in facts:
+        for fact in added:
             if isinstance(fact, ClassAssertion):
-                for sub, sup in subclass:
-                    if fact.cls == sub:
-                        fresh.add(ClassAssertion(sup, fact.ind))
-                for a, b in class_equiv:
-                    if fact.cls == a:
-                        fresh.add(ClassAssertion(b, fact.ind))
-                if use_sameas:
-                    for x, y in same:
-                        if fact.ind == x:
-                            fresh.add(ClassAssertion(fact.cls, y))
+                for sup in subclass.get(fact.cls, ()):
+                    fresh.add(ClassAssertion(sup, fact.ind))
+                for peer in class_equiv.get(fact.cls, ()):
+                    fresh.add(ClassAssertion(peer, fact.ind))
+                for other in same.get(fact.ind, ()):
+                    fresh.add(ClassAssertion(fact.cls, other))
             else:
-                for prop, cls in ranges:
-                    if fact.prop == prop:
-                        fresh.add(ClassAssertion(cls, fact.object))
-                for prop, cls in domains:
-                    if fact.prop == prop:
-                        fresh.add(ClassAssertion(cls, fact.subject))
-                for a, b in prop_equiv:
-                    if fact.prop == a:
-                        fresh.add(ObjectPropertyAssertion(fact.subject, b, fact.object))
-                for sub, sup in subprop:
-                    if fact.prop == sub:
-                        fresh.add(ObjectPropertyAssertion(fact.subject, sup, fact.object))
-                if use_sameas:
-                    for x, y in same:
-                        if fact.subject == x:
-                            fresh.add(ObjectPropertyAssertion(y, fact.prop, fact.object))
-                        if fact.object == x:
-                            fresh.add(ObjectPropertyAssertion(fact.subject, fact.prop, y))
-        if fresh <= facts:
-            return facts
-        facts |= fresh
+                for cls in ranges.get(fact.prop, ()):
+                    fresh.add(ClassAssertion(cls, fact.object))
+                for cls in domains.get(fact.prop, ()):
+                    fresh.add(ClassAssertion(cls, fact.subject))
+                for peer in prop_equiv.get(fact.prop, ()):
+                    fresh.add(ObjectPropertyAssertion(fact.subject, peer, fact.object))
+                for sup in subprop.get(fact.prop, ()):
+                    fresh.add(ObjectPropertyAssertion(fact.subject, sup, fact.object))
+                for other in same.get(fact.subject, ()):
+                    fresh.add(ObjectPropertyAssertion(other, fact.prop, fact.object))
+                for other in same.get(fact.object, ()):
+                    fresh.add(ObjectPropertyAssertion(fact.subject, fact.prop, other))
+        added = fresh - facts
+        facts |= added
+    return facts
 
 
 def naive_inferred(store: OntologyStore) -> set[Fact]:
     base = set(store.axioms_of(ClassAssertion, ObjectPropertyAssertion))
     return naive_closure(store) - base
+
+
+def naive_traces(store: OntologyStore) -> dict[Fact, list[tuple[str, tuple[Axiom, ...]]]]:
+    """Per inferred fact, every one-step derivation of it from a fact of the
+    closure and one schema axiom, as (rule name, premises), sorted by rule
+    name and then by the premises in the reference order."""
+    closure = naive_closure(store)
+    schema = {
+        kind: list(store.axioms_of(kind))
+        for kind in (
+            ObjectPropertyRange, ObjectPropertyDomain, SubClassOf, EquivalentClasses,
+            EquivalentObjectProperties, SubObjectPropertyOf, SameIndividual,
+        )
+    }
+    found: dict[Fact, list[tuple[str, tuple[Axiom, ...]]]] = {}
+
+    def record(conclusion: Fact, rule: str, fact: Fact, ax: Axiom) -> None:
+        if conclusion not in store.axioms:
+            found.setdefault(conclusion, []).append((rule, (fact, ax)))
+
+    for fact in closure:
+        if isinstance(fact, ClassAssertion):
+            for ax in schema[SubClassOf]:
+                if ax.sub == fact.cls:
+                    record(ClassAssertion(ax.sup, fact.ind), "R2_SubClass", fact, ax)
+            for ax in schema[EquivalentClasses]:
+                for peer in ax.classes:
+                    if fact.cls in ax.classes and peer != fact.cls:
+                        record(ClassAssertion(peer, fact.ind), "R3_ClassEquiv", fact, ax)
+            for ax in schema[SameIndividual]:
+                for x, y in ((ax.a, ax.b), (ax.b, ax.a)):
+                    if fact.ind == x:
+                        record(ClassAssertion(fact.cls, y), "R6_SameIndividual", fact, ax)
+            continue
+        for ax in schema[ObjectPropertyRange]:
+            if ax.prop == fact.prop:
+                record(ClassAssertion(ax.cls, fact.object), "R1_RangeTyping", fact, ax)
+        for ax in schema[ObjectPropertyDomain]:
+            if ax.prop == fact.prop:
+                record(ClassAssertion(ax.cls, fact.subject), "R1_DomainTyping", fact, ax)
+        for ax in schema[EquivalentObjectProperties]:
+            for peer in ax.properties:
+                if fact.prop in ax.properties and peer != fact.prop:
+                    record(
+                        ObjectPropertyAssertion(fact.subject, peer, fact.object),
+                        "R4_PropEquiv", fact, ax,
+                    )
+        for ax in schema[SubObjectPropertyOf]:
+            if ax.sub == fact.prop:
+                record(
+                    ObjectPropertyAssertion(fact.subject, ax.sup, fact.object),
+                    "R5_SubProp", fact, ax,
+                )
+        for ax in schema[SameIndividual]:
+            for x, y in ((ax.a, ax.b), (ax.b, ax.a)):
+                if fact.subject == x:
+                    record(
+                        ObjectPropertyAssertion(y, fact.prop, fact.object),
+                        "R6_SameIndividual", fact, ax,
+                    )
+                if fact.object == x:
+                    record(
+                        ObjectPropertyAssertion(fact.subject, fact.prop, y),
+                        "R6_SameIndividual", fact, ax,
+                    )
+    for derivations in found.values():
+        derivations.sort(key=lambda d: (d[0], [reference_sort_key(p) for p in d[1]]))
+    return found
 
 
 def naive_violations(store: OntologyStore) -> list[tuple[Iri, Iri, Iri, str]]:
@@ -317,9 +384,20 @@ _NAIVE_LINK_PROPERTIES = tuple(
 )
 
 
+def _naive_tokens(text: str) -> list[str]:
+    """The casefolded text cut at every character that is not alphanumeric."""
+    tokens, run = [], ""
+    for ch in text.casefold() + " ":
+        if ch.isalnum():
+            run += ch
+        elif run:
+            tokens.append(run)
+            run = ""
+    return tokens
+
+
 def naive_label_similarity(a: str, b: str) -> float:
-    ta = re.findall(r"[a-z0-9]+", a.casefold())
-    tb = re.findall(r"[a-z0-9]+", b.casefold())
+    ta, tb = _naive_tokens(a), _naive_tokens(b)
     if ta == tb:
         return 1.0
     sa, sb = set(ta), set(tb)

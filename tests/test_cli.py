@@ -355,6 +355,26 @@ def test_ingest_duplicate_fails_atomically(run, seed_file, tmp_path):
     assert not list(tmp_path.glob(".aieo-tmp-*"))  # no temp litter either
 
 
+def test_ingest_rejects_concept_names_with_one_iri(run, seed_file, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "id": "aieo:ZH",
+        "title": "zh",
+        "conceptDeclarations": [
+            {"name": "a b", "kind": "Principle"},
+            {"name": "a-b", "kind": "Requirement"},
+        ],
+    }))
+    out = tmp_path / "zh.ttl"
+    code, _, err = run(
+        "ingest", seed_file, str(doc),
+        "--config", str(DATA / "pipeline_config.json"), "--out", str(out),
+    )
+    assert code == 2
+    assert "both map to https://w3id.org/aieo#ZH_a_b" in err
+    assert not out.exists()
+
+
 def test_ingest_requires_config(run, seed_file, tmp_path):
     code, _, _ = run("ingest", seed_file, str(DATA / "au_framework.json"))
     assert code == 1

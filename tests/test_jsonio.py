@@ -204,16 +204,18 @@ def test_framework_document_violations_carry_paths(doc, path):
     assert exc.value.field_name == path
 
 
-def test_framework_document_duplicate_concepts_rejected():
-    with pytest.raises(SchemaViolation, match="duplicate concept name"):
+@pytest.mark.parametrize("a,b", [("Fairness", "Fairness"), ("a b", "a-b")])
+def test_framework_document_duplicate_concepts_rejected(a, b):
+    with pytest.raises(SchemaViolation, match="duplicate concept name") as exc:
         parse_framework_document(json.dumps({
             "id": "aieo:X",
             "title": "x",
             "conceptDeclarations": [
-                {"name": "Fairness", "kind": "Principle"},
-                {"name": "Fairness", "kind": "Requirement"},
+                {"name": a, "kind": "Principle"},
+                {"name": b, "kind": "Requirement"},
             ],
         }))
+    assert exc.value.field_name == "$.conceptDeclarations"
 
 
 # ---------------------------------------------------------------------------

@@ -72,12 +72,21 @@ def test_concept_declaration_needs_a_name():
         ConceptDeclaration("", "Principle")
 
 
-def test_document_rejects_duplicate_concept_names():
+@pytest.mark.parametrize("a,b", [("Fairness", "Fairness"), ("a b", "a-b"), ("!", "?")])
+def test_document_rejects_concept_names_with_one_iri(a, b):
     with pytest.raises(ValueError, match="duplicate concept name"):
         _doc(concepts=[
-            ConceptDeclaration("Fairness", "Principle"),
-            ConceptDeclaration("Fairness", "Requirement"),
+            ConceptDeclaration(a, "Principle"),
+            ConceptDeclaration(b, "Requirement"),
         ])
+
+
+def test_document_keeps_non_ascii_concept_names_apart():
+    doc = _doc(concepts=[
+        ConceptDeclaration("公平", "Principle"),
+        ConceptDeclaration("透明", "Requirement"),
+    ])
+    assert len({concept_iri(doc.id, c.name) for c in doc.concept_declarations}) == 2
 
 
 @pytest.mark.parametrize(
@@ -171,6 +180,7 @@ def test_concept_and_keyword_iris_are_slugged():
         "AU_Privacy_protection_security"
     )
     assert keyword_iri("fairness").local == "kw_fairness"
+    assert concept_iri(aieo("AU"), "公平 (équité)").local == "AU_公平_équité"
 
 
 def test_ingested_frameworks_sorted():
@@ -327,6 +337,9 @@ def test_enrich_rejects_unknown_annotation_property():
         ("Accountability", "Transparency", 0.0),
         ("", "Fairness", 0.0),
         ("Wellbeing of society", "Societal wellbeing of people", 0.4),
+        ("公平", "透明", 0.0),
+        ("Équité", "équité", 1.0),
+        ("公平 透明", "透明", 0.5),
     ],
 )
 def test_label_similarity_cases(a, b, score):
@@ -392,11 +405,12 @@ def test_propose_and_run_iteration_reject_bad_thresholds(threshold):
 
 # Labels that stress normalization: no tokens at all (whitespace,
 # punctuation), case variants, tokens out of order or repeated, and
-# non-ASCII letters, which split tokens ("Équité" -> "quit") or casefold
-# into ASCII ("Straße" -> "strasse", "ﬁne" -> "fine").
+# non-ASCII letters, which are token characters ("Équité" -> "équité",
+# "公平" and "透明" differ) or casefold into ASCII ("Straße" -> "strasse",
+# "ﬁne" -> "fine").
 _EDGE_LABELS = (
-    " ", "--", "Fairness", "FAIRNESS", "fairness", "Fair-ness", "Équité", "quit",
-    "Straße", "strasse", "ﬁne", "fine", "公平", "human values", "values human",
+    " ", "--", "Fairness", "FAIRNESS", "fairness", "Fair-ness", "Équité", "équité",
+    "quit", "Straße", "strasse", "ﬁne", "fine", "公平", "透明", "human values", "values human",
     "human human values", "Human-Values!", "a1 9",
 )
 _LABEL_WORDS = ("fair", "ness", "human", "values", "privacy", "data", "a1", "9")

@@ -5,11 +5,13 @@ import pytest
 from aieo.errors import IterationLimitExceeded, UnknownFact
 from aieo.model import (
     ClassAssertion,
+    DisjointClasses,
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
     OntologyStore,
     SameIndividual,
+    SubClassOf,
 )
 from aieo.reasoner import (
     RuleId,
@@ -20,7 +22,15 @@ from aieo.reasoner import (
 )
 from aieo.schema import aieo, seed_schema
 
-from oracles import naive_closure, naive_inferred, naive_violations, random_store
+from oracles import (
+    naive_closure,
+    naive_inferred,
+    naive_traces,
+    naive_violations,
+    random_linked_store,
+    random_small_store,
+    random_store,
+)
 
 
 def _with_individuals(*names: str) -> OntologyStore:
@@ -143,6 +153,22 @@ def test_matches_naive_fixpoint(seed):
     assert set(mat.inferred) == naive_inferred(store)
 
 
+@pytest.mark.parametrize("make", [random_store, random_linked_store, random_small_store])
+@pytest.mark.parametrize("seed", range(15))
+def test_traces_match_naive_derivations(make, seed):
+    store = make(seed)
+    mat = materialize(store)
+    got = {
+        fact: [(t.rule.value, t.premises) for t in traces]
+        for fact, traces in mat.traces.items()
+    }
+    want = naive_traces(store)
+    assert {f: set(d) for f, d in got.items()} == {f: set(d) for f, d in want.items()}
+    assert got == want
+    asserted = set(store.axioms_of(ClassAssertion, ObjectPropertyAssertion))
+    assert mat.sameas_free == naive_closure(store, use_sameas=False) - asserted
+
+
 def test_materializing_a_closed_store_adds_nothing():
     store = random_store(11)
     mat = materialize(store)
@@ -229,6 +255,62 @@ def test_violations_match_naive_scan(seed):
     assert got == naive_violations(store)
 
 
+def _ex(name: str) -> Iri:
+    return Iri(f"https://example.org/{name}")
+
+
+def _chain_store(classes: list[str], individuals: list[str]) -> OntologyStore:
+    """Classes declared and each a subclass of the next; individuals declared."""
+    store = OntologyStore({"ex": "https://example.org/"})
+    for name in classes:
+        store.declare(_ex(name), EntityKind.OWL_CLASS)
+    for name in individuals:
+        store.declare(_ex(name), EntityKind.NAMED_INDIVIDUAL)
+    for sub, sup in zip(classes, classes[1:]):
+        store.add(SubClassOf(_ex(sub), _ex(sup)))
+    return store
+
+
+def test_d1_found_although_its_sameas_free_derivation_comes_late():
+    # j reaches X on its own through a five-step subclass chain, and in two
+    # steps through i. The shorter sameAs path must not hide the D1 witness.
+    store = _chain_store(["E0", "E1", "E2", "E3", "D0", "X"], ["i", "j"])
+    store.declare(_ex("Y"), EntityKind.OWL_CLASS)
+    store.add(DisjointClasses(_ex("X"), _ex("Y")))
+    store.add(SameIndividual(_ex("i"), _ex("j")))
+    store.add(ClassAssertion(_ex("D0"), _ex("i")))
+    store.add(ClassAssertion(_ex("E0"), _ex("j")))
+    store.add(ClassAssertion(_ex("Y"), _ex("j")))
+    mat = materialize(store)
+    got = [(v.individual, v.class_a, v.class_b, v.rule.value) for v in mat.violations]
+    assert got == [(_ex("j"), _ex("X"), _ex("Y"), "D1_DisjointTyping")]
+    assert got == naive_violations(store)
+
+
+def test_long_sameas_chain_beside_a_deep_subclass_chain():
+    # A 2,000-long sameAs chain whose ends carry Y and C499, hence C500 (a
+    # D2 clash), and one individual outside it that climbs a 500-deep
+    # subclass chain to C500 while asserted Y (a D1 clash).
+    classes = [f"C{k:03d}" for k in range(501)]
+    chain = [f"x{k:04d}" for k in range(2000)]
+    store = _chain_store(classes, chain + ["w"])
+    store.declare(_ex("Y"), EntityKind.OWL_CLASS)
+    store.add(DisjointClasses(_ex("C500"), _ex("Y")))
+    for a, b in zip(chain, chain[1:]):
+        store.add(SameIndividual(_ex(a), _ex(b)))
+    store.add(ClassAssertion(_ex("Y"), _ex("x0000")))
+    store.add(ClassAssertion(_ex("C499"), _ex("x1999")))
+    store.add(ClassAssertion(_ex("C000"), _ex("w")))
+    store.add(ClassAssertion(_ex("Y"), _ex("w")))
+    mat = materialize(store)
+    got = [(v.individual, v.class_a, v.class_b, v.rule.value) for v in mat.violations]
+    assert got == [
+        (_ex("w"), _ex("C500"), _ex("Y"), "D1_DisjointTyping"),
+        (_ex("x0000"), _ex("C500"), _ex("Y"), "D2_SameAsDisjoint"),
+    ]
+    assert got == naive_violations(store)
+
+
 def test_check_consistency_matches_materialize():
     store = _with_individuals("x")
     store.add(ClassAssertion(aieo("Framework"), aieo("x")))
@@ -246,6 +328,11 @@ def test_equivalence_classes_partitions_individuals():
         frozenset({aieo("a"), aieo("b"), aieo("c")}),
         frozenset({aieo("d")}),
     ]
+
+
+def test_equivalence_classes_rejects_a_kind_without_equivalence_axioms():
+    with pytest.raises(ValueError, match="no equivalence axioms"):
+        equivalence_classes(seed_schema(), EntityKind.DATA_PROPERTY)
 
 
 def test_equivalence_classes_for_classes_uses_equivalence_axioms():
