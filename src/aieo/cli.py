@@ -34,7 +34,7 @@ from .pipeline import detect_saturation, run_iteration
 from .query import CANNED_QUERY_NAMES, canned_query, evaluate, parse_query
 from .reasoner import materialize
 from .schema import seed_schema
-from .turtle import axiom_line, parse_turtle, serialize_turtle
+from .turtle import TermText, axiom_line, parse_turtle, serialize_turtle
 
 
 class ExitStatus(IntEnum):
@@ -204,10 +204,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     after = _load_store(args.after)
     added = sorted_axioms(after.axioms - before.axioms)
     removed = sorted_axioms(before.axioms - after.axioms)
+    text = TermText(before)
     for ax in removed:
-        sys.stdout.write(f"- {axiom_line(before, ax)}\n")
+        sys.stdout.write(f"- {axiom_line(before, ax, text)}\n")
+    text = TermText(after)
     for ax in added:
-        sys.stdout.write(f"+ {axiom_line(after, ax)}\n")
+        sys.stdout.write(f"+ {axiom_line(after, ax, text)}\n")
     mb, ma = compute_metrics(before).as_dict(), compute_metrics(after).as_dict()
     for key in sorted(mb):
         delta = ma[key] - mb[key]

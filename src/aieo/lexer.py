@@ -6,7 +6,9 @@ rejects what neither language accepts; each parser then rejects the tokens
 its own language lacks and reads bare words its own way. Line and column
 are worked out from the offset only when a diagnostic is raised.
 
-The parsers pull tokens one at a time, inside :func:`token_errors_first`.
+Each parser passes :func:`scan` checks for the token kinds its language
+reads its own way, and pulls tokens one at a time, inside
+:func:`token_errors_first`.
 
 Token kinds and values:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import Iterator, NoReturn
+from typing import Callable, Iterator, Mapping, NoReturn
 
 from .errors import ParseDiagnostic, ParseError, UnsupportedFeature
 
@@ -32,22 +34,27 @@ from .errors import ParseDiagnostic, ParseError, UnsupportedFeature
 # [^\W_] is str.isalnum over every code point. Letters have no exact class:
 # [^\W\d_] also holds numerals such as '²' and '½', so the two places that
 # need str.isalpha (a name's first character, the word after '@') check it
-# on the matched text.
+# on the matched text. Whitespace and comments before a token are part of
+# its match, and the scan ends on the empty match at the end of the text.
 _TOKEN = re.compile(
     r"""
-      (?P<skip>(?:\s+|\#[^\n]*)+)
-    | (?P<label>_:)
-    | (?P<name>[^\W\d][\w-]*(?::[\w-]*)?|:[\w-]*)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      (?P<label>_:)
+    | (?P<pname>(?P<prefix>(?:[^\W\d][\w-]*)?):(?P<local>[\w-]*))
+    | (?P<word>[^\W\d][\w-]*)
     | (?P<punct>[.;,{}])
     | (?P<long>"{3})
-    | (?P<string>"(?P<body>(?:[^"\\\n]|\\["\\nrt])*)(?P<close>"(?:@(?P<lang>(?:[^\W_]|-)*))?)?)
+    | (?P<string>"(?P<body>[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*)(?P<close>"(?:@(?P<lang>(?:[^\W_]|-)*))?)?)
     | (?P<iri><(?P<ref>[^>\n]*)(?P<iri_close>>)?)
     | (?P<var>\?\w*)
     | (?P<at>@[^\W\d_]*)
     | (?P<blank>[][])
     | (?P<collection>[()])
     | (?P<datatype>\^\^)
+    | (?P<eof>\Z)
     | (?P<other>.)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -64,6 +71,8 @@ _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 Token = tuple[str, object, int]
+# A language's reading of one token: returns, or raises its diagnostic.
+Check = Callable[[str, Token], None]
 
 
 def fail(text: str, offset: int, message: str, unsupported: bool = False) -> NoReturn:
@@ -89,6 +98,11 @@ def token_errors_first(tokens: Iterator[Token]) -> Iterator[None]:
         raise
 
 
+def unexpected(text: str, tok: Token) -> NoReturn:
+    """The check that rejects a token of a kind the language lacks."""
+    fail(text, tok[2], f"unexpected character {tok[0]!r}")
+
+
 def _reject_character(text: str, offset: int) -> NoReturn:
     c = text[offset]
     if c.isdigit() or (c in "+-" and text[offset + 1 : offset + 2].isdigit()):
@@ -104,55 +118,56 @@ def _letters(word: str) -> str:
     return word
 
 
-def scan(text: str) -> Iterator[Token]:
-    """Yield the tokens of ``text`` in order, ending with ``eof``."""
+def scan(text: str, checks: Mapping[str, Check] = {}) -> Iterator[Token]:
+    """Yield the tokens of ``text`` in order, ending with ``eof``. A
+    language passes in ``checks`` its reading of the token kinds it treats
+    differently: each token of such a kind goes through its check."""
     match = _TOKEN.match
-    pos, end = 0, len(text)
-    while pos < end:
+    pos = 0
+    while True:
         m = match(text, pos)
-        kind, pos = m.lastgroup, m.end()
-        if kind == "skip":
-            continue
-        start = m.start()
-        if kind == "name":
-            word = m.group()
-            if not (word[0].isalpha() or word[0] in "_:"):
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "pname":
+            if not (text[start].isalpha() or text[start] in "_:"):
                 _reject_character(text, start)
-            prefix, colon, local = word.partition(":")
-            if colon:
-                yield "pname", (prefix, local), start
-            else:
-                yield "word", word, start
+            value = m.group("prefix", "local")
         elif kind == "punct":
-            c = m.group()
-            yield c, c, start
+            kind = value = text[start]
         elif kind == "string":
             if m.group("close") is None:
                 if text.startswith("\\", pos):
                     fail(text, start, "unknown escape sequence in string")
                 fail(text, start, "unterminated string literal")
-            lang = m.group("lang")
+            body, lang = m.group("body", "lang")
             if lang == "":
                 fail(text, start, "empty language tag")
-            body = m.group("body")
             if "\\" in body:
                 body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
-            yield "string", (body, lang), start
+            value = body, lang
+        elif kind == "word":
+            if not (text[start].isalpha() or text[start] == "_"):
+                _reject_character(text, start)
+            value = m.group(kind)
         elif kind == "iri":
             if m.group("iri_close") is None:
                 fail(text, start, "unterminated IRI reference")
-            ref = m.group("ref")
-            if not ref:
+            value = m.group("ref")
+            if not value:
                 fail(text, start, "empty IRI reference")
-            yield "iri", ref, start
         elif kind == "var":
-            yield "?", m.group()[1:], start
+            kind, value = "?", m.group(kind)[1:]
         elif kind == "at":
-            word = _letters(m.group()[1:])
-            pos = start + 1 + len(word)
-            yield "@", word, start
+            value = _letters(m.group(kind)[1:])
+            kind, pos = "@", start + 1 + len(value)
+        elif kind == "eof":
+            yield kind, None, start
+            return
         elif kind == "other":
             _reject_character(text, start)
         else:
             fail(text, start, _UNSUPPORTED[kind], unsupported=True)
-    yield "eof", None, end
+        tok = kind, value, start
+        if kind in checks:
+            checks[kind](text, tok)
+        yield tok

@@ -406,6 +406,8 @@ AXIOM_TYPES: dict[type, AxiomType] = {row.cls: row for row in (
 )}
 
 
+_DECLARATION = AXIOM_TYPES[Declaration]
+
 # The fixed predicates of the triples view. Declaring one as an entity would
 # let its assertions render the same triples as a structural axiom.
 _RESERVED_PREDICATES = frozenset(
@@ -466,6 +468,8 @@ class OntologyStore:
         self.axioms: set[Axiom] = set()
         self._kinds: dict[Iri, EntityKind] = {}
         self.by_subject: dict[Iri, set[Axiom]] = defaultdict(set)
+        # Each member of a stored equivalence axiom, mapped to that axiom.
+        self._equivalence: dict[Iri, Axiom] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -482,53 +486,62 @@ class OntologyStore:
             )
         if existing is None:
             self._kinds[iri] = kind
-            self._insert(Declaration(iri, kind))
+            self._insert(Declaration(iri, kind), _DECLARATION)
         return self
 
     def add(self, ax: Axiom) -> "OntologyStore":
         """Add an axiom, checking that every referenced entity is declared
         with the kind its position requires."""
-        if isinstance(ax, Declaration):
+        row = axiom_type(ax)
+        if row.cls is Declaration:
             return self.declare(ax.iri, ax.kind)
-        for iri, required in referenced_entities(ax):
-            actual = self._kinds.get(iri)
-            if actual is None:
-                raise UndeclaredEntity(f"{iri} is not declared")
-            if required is not None and actual is not required:
-                raise KindMismatch(
-                    f"{iri} is declared as {actual.value}; "
-                    f"{type(ax).__name__} requires {required.value}"
-                )
-        row = AXIOM_TYPES[type(ax)]
+        kinds = self._kinds
+        for f in row.refs:
+            value = getattr(ax, f.name)
+            for iri in sorted(value) if f.shape is frozenset else (value,):
+                actual = kinds.get(iri)
+                if actual is None:
+                    raise UndeclaredEntity(f"{iri} is not declared")
+                if f.kind is not None and actual is not f.kind:
+                    raise KindMismatch(
+                        f"{iri} is declared as {actual.value}; "
+                        f"{row.tag} requires {f.kind.value}"
+                    )
         if row.members is not None:
             ax = self._merge_equivalence(ax, row)
-        self._insert(ax)
+        self._insert(ax, row)
         return self
 
     def _merge_equivalence(self, ax: Axiom, row: AxiomType) -> Axiom:
         # Keep equivalence axioms maximal: union with any overlapping set.
-        attr = row.members
-        members = set(getattr(ax, attr))
-        overlapping = [
-            old for old in self.axioms
-            if type(old) is row.cls and getattr(old, attr) & members
-        ]
+        members = getattr(ax, row.members)
+        overlapping = {
+            self._equivalence[iri] for iri in members if iri in self._equivalence
+        }
         if not overlapping:
             return ax
+        merged = set(members)
         for old in overlapping:
-            members |= getattr(old, attr)
-            self._remove(old)
-        return row.cls(frozenset(members))
+            merged |= getattr(old, row.members)
+            self._remove(old, row)
+        return row.cls(frozenset(merged))
 
-    def _insert(self, ax: Axiom) -> None:
-        if ax in self.axioms:
+    def _insert(self, ax: Axiom, row: AxiomType) -> None:
+        axioms = self.axioms
+        size = len(axioms)
+        axioms.add(ax)
+        if len(axioms) == size:
             return
-        self.axioms.add(ax)
-        self.by_subject[axiom_subject(ax)].add(ax)
+        self.by_subject[row.subject_of(ax)].add(ax)
+        if row.members is not None:
+            for iri in getattr(ax, row.members):
+                self._equivalence[iri] = ax
 
-    def _remove(self, ax: Axiom) -> None:
+    def _remove(self, ax: Axiom, row: AxiomType) -> None:
         self.axioms.discard(ax)
-        self.by_subject[axiom_subject(ax)].discard(ax)
+        self.by_subject[row.subject_of(ax)].discard(ax)
+        for iri in getattr(ax, row.members):
+            del self._equivalence[iri]
 
     # -- lookup ------------------------------------------------------------
 
@@ -556,10 +569,15 @@ class OntologyStore:
         return Iri(name)
 
     def compact(self, iri: Iri) -> str:
-        """Shorten an IRI to a CURIE when a declared prefix covers it."""
+        """Shorten an IRI to a CURIE when a declared prefix covers it: the
+        prefix with the longest base, of equal bases the least name."""
         best: tuple[str, str] | None = None
         for prefix, base in self.prefixes.items():
-            if iri.startswith(base) and (best is None or len(base) > len(best[1])):
+            if iri.startswith(base) and (
+                best is None
+                or len(base) > len(best[1])
+                or (len(base) == len(best[1]) and prefix < best[0])
+            ):
                 best = (prefix, base)
         if best is None:
             return str(iri)
@@ -571,6 +589,7 @@ class OntologyStore:
         dup = OntologyStore(self.prefixes)
         dup.axioms = set(self.axioms)
         dup._kinds = dict(self._kinds)
+        dup._equivalence = dict(self._equivalence)
         dup.by_subject = defaultdict(set, {k: set(v) for k, v in self.by_subject.items()})
         return dup
 

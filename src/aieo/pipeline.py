@@ -254,12 +254,13 @@ def structure_framework(store: OntologyStore, doc: FrameworkDocument) -> Ontolog
 def extract_keywords(
     doc: FrameworkDocument, cfg: ExtractionConfig
 ) -> list[tuple[str, int]]:
-    """Term-frequency keywords over all section bodies: lowercased,
-    punctuation-stripped, stopwords and short tokens removed, the topK by
-    descending frequency (ties lexicographic ascending)."""
+    """Term-frequency keywords over all section bodies: the runs of
+    letters and digits (``str.isalnum``) of the lowercased text, stopwords
+    and short tokens removed, the topK by descending frequency (ties
+    lexicographic ascending)."""
     counts: dict[str, int] = {}
     for section in doc.sections:
-        for token in re.findall(r"[a-z0-9]+", section.body.lower()):
+        for token in _tokens(section.body.lower()):
             if len(token) < cfg.min_token_length or token in cfg.stopwords:
                 continue
             counts[token] = counts.get(token, 0) + 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import MissingArgument, UnknownConcept
-from .lexer import Token, fail, scan, token_errors_first
+from .lexer import Token, fail, scan, token_errors_first, unexpected
 from .model import (
     AXIOM_TYPES,
     RDF_TYPE,
@@ -139,22 +139,23 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
-def _tokens(text: str) -> Iterator[Token]:
-    """The scanner's tokens, with the query language's reading of bare
-    words; tokens only Turtle has are rejected."""
-    for tok in scan(text):
-        kind, value, off = tok
-        if kind == "word":
-            upper = value.upper()
-            if upper in _UNSUPPORTED_KEYWORDS:
-                fail(text, off, f"{upper} is outside the query subset", unsupported=True)
-            if upper not in ("SELECT", "DISTINCT", "WHERE") and value != "a":
-                fail(text, off, f"unexpected token '{value}'")
-        elif kind == "?" and not value:
-            fail(text, off, "empty variable name")
-        elif kind in ("@", ";", ","):
-            fail(text, off, f"unexpected character {kind!r}")
-        yield tok
+def _word(text: str, tok: Token) -> None:
+    _, value, off = tok
+    upper = value.upper()
+    if upper in _UNSUPPORTED_KEYWORDS:
+        fail(text, off, f"{upper} is outside the query subset", unsupported=True)
+    if upper not in ("SELECT", "DISTINCT", "WHERE") and value != "a":
+        fail(text, off, f"unexpected token '{value}'")
+
+
+def _variable(text: str, tok: Token) -> None:
+    if not tok[1]:
+        fail(text, tok[2], "empty variable name")
+
+
+# The query language's reading of bare words and variables; the tokens only
+# Turtle has are rejected.
+_CHECKS = {"word": _word, "?": _variable, "@": unexpected, ";": unexpected, ",": unexpected}
 
 
 def _is_word(tok: Token, keyword: str) -> bool:
@@ -168,7 +169,7 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     standard prefix map); the query language itself has no PREFIX form.
     """
     prefix_map = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-    tokens = _tokens(text)
+    tokens = scan(text, _CHECKS)
     with token_errors_first(tokens):
         return _parse(text, tokens, prefix_map)
 

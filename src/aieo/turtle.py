@@ -13,10 +13,11 @@ of equal stores are byte-identical.
 
 from __future__ import annotations
 
-from typing import Iterator, NoReturn
+import re
+from typing import NoReturn
 
 from .errors import KindMismatch, UndeclaredEntity
-from .lexer import Token, fail, scan, token_errors_first
+from .lexer import Token, fail, scan, token_errors_first, unexpected
 from .model import (
     AXIOM_TYPES,
     META_CLASS_KINDS,
@@ -36,24 +37,28 @@ from .model import (
 )
 
 
-def _tokens(text: str) -> Iterator[Token]:
-    """The scanner's tokens, with Turtle's reading of bare words and
-    directives; tokens only the query language has are rejected."""
-    for tok in scan(text):
-        kind, value, off = tok
-        if kind == "word" and value != "a":
-            if value.lower() in ("true", "false"):
-                fail(text, off, "boolean literals are not supported", unsupported=True)
-            if value.upper() in ("PREFIX", "BASE"):
-                fail(text, off, "SPARQL-style directives are not supported", unsupported=True)
-            fail(text, off, f"expected a prefixed name, found '{value}'")
-        elif kind == "@" and value != "prefix":
-            if value == "base":
-                fail(text, off, "@base is not supported", unsupported=True)
-            fail(text, off, f"unexpected directive '@{value}'")
-        elif kind in ("?", "{", "}"):
-            fail(text, off, f"unexpected character {kind!r}")
-        yield tok
+def _word(text: str, tok: Token) -> None:
+    _, value, off = tok
+    if value == "a":
+        return
+    if value.lower() in ("true", "false"):
+        fail(text, off, "boolean literals are not supported", unsupported=True)
+    if value.upper() in ("PREFIX", "BASE"):
+        fail(text, off, "SPARQL-style directives are not supported", unsupported=True)
+    fail(text, off, f"expected a prefixed name, found '{value}'")
+
+
+def _directive(text: str, tok: Token) -> None:
+    _, value, off = tok
+    if value == "base":
+        fail(text, off, "@base is not supported", unsupported=True)
+    if value != "prefix":
+        fail(text, off, f"unexpected directive '@{value}'")
+
+
+# Turtle's reading of bare words and directives; the tokens only the query
+# language has are rejected.
+_CHECKS = {"word": _word, "@": _directive, "?": unexpected, "{": unexpected, "}": unexpected}
 
 
 # A parsed triple: subject, predicate, object (Iri or AnnotationValue),
@@ -62,14 +67,16 @@ _Triple = tuple[Iri, Iri, "Iri | AnnotationValue", int]
 
 
 class _Parser:
-    """Pulls one token at a time from _tokens, keeping one of lookahead."""
+    """Pulls one token at a time from the scanner, keeping one of lookahead."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokens(text)
+        self.tokens = scan(text, _CHECKS)
         self.tok = next(self.tokens)
         self.prefixes: dict[str, str] = {}
         self.triples: list[_Triple] = []
+        # Resolved IRIs by token value; a redeclared prefix clears it.
+        self.iris: dict[object, Iri] = {}
 
     def peek(self) -> str:
         return self.tok[0]
@@ -90,20 +97,26 @@ class _Parser:
 
     def resolve(self, tok: Token) -> Iri:
         kind, value, _ = tok
+        iri = self.iris.get(value)
+        if iri is not None:
+            return iri
         if kind == "iri":
-            return Iri(value)
-        prefix, local = value
-        base = self.prefixes.get(prefix)
-        if base is None:
-            self.fail(tok, f"prefix '{prefix}:' used before declaration")
-        return Iri(base + local)
+            iri = Iri(value)
+        else:
+            prefix, local = value
+            base = self.prefixes.get(prefix)
+            if base is None:
+                self.fail(tok, f"prefix '{prefix}:' used before declaration")
+            iri = Iri(base + local)
+        self.iris[value] = iri
+        return iri
 
     def document(self) -> None:
         while True:
             kind = self.peek()
             if kind == "eof":
                 return
-            if kind == "@":  # @prefix, the one directive _tokens lets through
+            if kind == "@":  # @prefix, the one directive _CHECKS lets through
                 self.directive()
             else:
                 self.statement()
@@ -116,6 +129,8 @@ class _Parser:
             self.fail(name, "prefix declaration must end in ':'")
         base = self.expect("iri", "an IRI reference")
         self.expect(".", "'.' after prefix directive")
+        if prefix in self.prefixes:
+            self.iris.clear()
         self.prefixes[prefix] = base[1]
 
     def statement(self) -> None:
@@ -127,7 +142,7 @@ class _Parser:
         subject = self.resolve(subj_tok)
         while True:
             pred_tok = self.next()
-            if pred_tok[0] == "word":  # 'a', the one word _tokens lets through
+            if pred_tok[0] == "word":  # 'a', the one word _CHECKS lets through
                 predicate = RDF_TYPE
             elif pred_tok[0] in ("iri", "pname"):
                 predicate = self.resolve(pred_tok)
@@ -195,9 +210,10 @@ _TYPE_OF_PREDICATE = {
 
 def _map_triple(store: OntologyStore, s: Iri, p: Iri, o: Iri | AnnotationValue) -> Axiom:
     if isinstance(o, AnnotationValue):
-        if store.kind_of(p) is EntityKind.ANNOTATION_PROPERTY:
+        kind = store.kind_of(p)
+        if kind is EntityKind.ANNOTATION_PROPERTY:
             return AnnotationAssertion(s, p, o)
-        if store.kind_of(p) is None:
+        if kind is None:
             raise UndeclaredEntity(f"{p} is not declared")
         raise KindMismatch(f"literal object requires {p} to be an annotation property")
     row = _TYPE_OF_PREDICATE.get(p)
@@ -228,55 +244,69 @@ def _entries(ax: Axiom) -> list[tuple[int, Iri, "Iri | AnnotationValue"]]:
     return [(row.order, pred, obj)]
 
 
-_LOCAL_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+_LOCAL_SAFE = re.compile(r"[A-Za-z0-9_-]*")
 
 
-def _term(store: OntologyStore, term: "Iri | AnnotationValue") -> str:
-    if isinstance(term, AnnotationValue):
-        return render_literal(term)
-    compact = store.compact(term)
-    if compact != str(term):
-        prefix, local = compact.split(":", 1)
-        if all(c in _LOCAL_SAFE for c in local):
-            return compact
-    return f"<{term}>"
+class TermText(dict):
+    """The Turtle text of each term over one store's prefixes, rendered on
+    first use: a CURIE when a prefix covers the IRI and leaves a local part
+    of ASCII letters, digits, '_' and '-', else ``<IRI>``; literals quoted
+    and escaped."""
+
+    def __init__(self, store: OntologyStore):
+        super().__init__()
+        self.store = store
+
+    def __missing__(self, term: "Iri | AnnotationValue") -> str:
+        if isinstance(term, AnnotationValue):
+            text = render_literal(term)
+        else:
+            compact = self.store.compact(term)
+            if compact != str(term) and _LOCAL_SAFE.fullmatch(compact.split(":", 1)[1]):
+                text = compact
+            else:
+                text = f"<{term}>"
+        self[term] = text
+        return text
 
 
-def _predicate(store: OntologyStore, pred: Iri) -> str:
-    return "a" if pred == RDF_TYPE else _term(store, pred)
+def _objects(objects: list) -> list:
+    """Objects in term_key order: IRIs, by their text, before literals."""
+    return sorted(objects, key=term_key) if len(objects) > 1 else objects
 
 
 def serialize_turtle(store: OntologyStore) -> str:
     """Canonical, byte-deterministic text for the store's axiom set."""
+    text = TermText(store)
     lines = [
         f"@prefix {prefix}: <{base}> ."
         for prefix, base in sorted(store.prefixes.items())
     ]
-    by_subject: dict[Iri, list[tuple[int, Iri, Iri | AnnotationValue]]] = {}
-    for ax in store.axioms:
-        by_subject.setdefault(axiom_subject(ax), []).extend(_entries(ax))
-    if lines and by_subject:
+    subjects = sorted(s for s, axioms in store.by_subject.items() if axioms)
+    if lines and subjects:
         lines.append("")
-    for subject in sorted(by_subject):
+    for subject in subjects:
         groups: dict[tuple[int, Iri], list[Iri | AnnotationValue]] = {}
-        for order, pred, obj in by_subject[subject]:
-            groups.setdefault((order, pred), []).append(obj)
-        parts = []
-        for (order, pred), objects in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            rendered = ", ".join(_term(store, o) for o in sorted(objects, key=term_key))
-            parts.append(f"{_predicate(store, pred)} {rendered}")
+        for ax in store.by_subject[subject]:
+            for order, pred, obj in _entries(ax):
+                groups.setdefault((order, pred), []).append(obj)
+        parts = [
+            f"{'a' if pred == RDF_TYPE else text[pred]} "
+            + ", ".join([text[o] for o in _objects(groups[order, pred])])
+            for order, pred in sorted(groups)
+        ]
         body = " ;\n    ".join(parts)
-        lines.append(f"{_term(store, subject)} {body} .")
+        lines.append(f"{text[subject]} {body} .")
     return "\n".join(lines) + "\n"
 
 
-def axiom_line(store: OntologyStore, ax: Axiom) -> str:
-    """One-line rendering of a single axiom, for diffs and reports."""
-    subject = axiom_subject(ax)
+def axiom_line(store: OntologyStore, ax: Axiom, text: TermText | None = None) -> str:
+    """One-line rendering of a single axiom, for diffs and reports. Lines
+    over one store can share the ``text`` of its terms."""
+    if text is None:
+        text = TermText(store)
     parts = [
-        f"{_predicate(store, pred)} {_term(store, obj)}"
+        f"{'a' if pred == RDF_TYPE else text[pred]} {text[obj]}"
         for _, pred, obj in _entries(ax)
     ]
-    return f"{_term(store, subject)} {' ; '.join(parts)} ."
+    return f"{text[axiom_subject(ax)]} {' ; '.join(parts)} ."

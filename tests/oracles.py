@@ -10,7 +10,7 @@ library modules (only data types and vocabulary constants are imported).
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pyparsing as pp
 
@@ -475,6 +475,126 @@ def reference_sort_key(ax: Axiom) -> tuple:
     else:
         raise TypeError(f"no reference order for {type(ax).__name__}")
     return (type(ax).__name__, values)
+
+
+# ---------------------------------------------------------------------------
+# Canonical Turtle
+# ---------------------------------------------------------------------------
+
+_REFERENCE_META_CLASS = {kind: iri for iri, kind in META_CLASS_KINDS.items()}
+
+
+def _reference_entries(ax: Axiom) -> list[tuple[Iri, int, Iri, "Iri | AnnotationValue"]]:
+    """(subject, predicate rank, predicate, object) rows an axiom is written
+    as. An unordered axiom is written from its least member to each other."""
+    if isinstance(ax, Declaration):
+        return [(ax.iri, 0, RDF_TYPE, _REFERENCE_META_CLASS[ax.kind])]
+    if isinstance(ax, ClassAssertion):
+        return [(ax.ind, 0, RDF_TYPE, ax.cls)]
+    if isinstance(ax, SubClassOf):
+        return [(ax.sub, 1, RDFS_SUBCLASSOF, ax.sup)]
+    if isinstance(ax, (EquivalentClasses, EquivalentObjectProperties)):
+        if isinstance(ax, EquivalentClasses):
+            members, pred = sorted(ax.classes), OWL_EQUIVALENT_CLASS
+        else:
+            members, pred = sorted(ax.properties), OWL_EQUIVALENT_PROPERTY
+        return [(members[0], 2, pred, other) for other in members[1:]]
+    if isinstance(ax, DisjointClasses):
+        return [(min(ax.a, ax.b), 3, OWL_DISJOINT_WITH, max(ax.a, ax.b))]
+    if isinstance(ax, ObjectPropertyRange):
+        return [(ax.prop, 4, RDFS_RANGE, ax.cls)]
+    if isinstance(ax, ObjectPropertyDomain):
+        return [(ax.prop, 5, RDFS_DOMAIN, ax.cls)]
+    if isinstance(ax, SubObjectPropertyOf):
+        return [(ax.sub, 6, RDFS_SUBPROPERTYOF, ax.sup)]
+    if isinstance(ax, ObjectPropertyAssertion):
+        return [(ax.subject, 7, ax.prop, ax.object)]
+    if isinstance(ax, SameIndividual):
+        return [(min(ax.a, ax.b), 7, OWL_SAME_AS, max(ax.a, ax.b))]
+    if isinstance(ax, AnnotationAssertion):
+        return [(ax.subject, 8, ax.prop, ax.value)]
+    raise TypeError(f"no reference rows for {type(ax).__name__}")
+
+
+_CURIE_LOCAL = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+
+def _reference_term(prefixes: dict[str, str], term: "Iri | AnnotationValue") -> str:
+    if isinstance(term, AnnotationValue):
+        text = term.text
+        for raw, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
+            text = text.replace(raw, escaped)
+        return f'"{text}"@{term.language_tag}' if term.language_tag else f'"{text}"'
+    covering = [(prefix, base) for prefix, base in prefixes.items() if term.startswith(base)]
+    if covering:
+        # The longest base; of equal bases, the least prefix name.
+        longest = max(len(base) for _, base in covering)
+        prefix = min(p for p, base in covering if len(base) == longest)
+        curie = f"{prefix}:{term[longest:]}"
+        local = curie.split(":", 1)[1]
+        if curie != term and all(c in _CURIE_LOCAL for c in local):
+            return curie
+    return f"<{term}>"
+
+
+def _reference_object_key(term: "Iri | AnnotationValue") -> tuple:
+    if isinstance(term, AnnotationValue):
+        return (1, term.text, term.language_tag or "")
+    return (0, str(term))
+
+
+def _reference_predicate(prefixes: dict[str, str], pred: Iri) -> str:
+    return "a" if pred == RDF_TYPE else _reference_term(prefixes, pred)
+
+
+def reference_serialize_turtle(store: OntologyStore) -> str:
+    """The canonical Turtle text, regrouped from ``store.axioms``: sorted
+    prefix lines, a blank line, then one block per subject in IRI order,
+    predicates by (rank, IRI), each object list IRIs first, then literals."""
+    rows = [row for ax in store.axioms for row in _reference_entries(ax)]
+    lines = [f"@prefix {p}: <{b}> ." for p, b in sorted(store.prefixes.items())]
+    if lines and rows:
+        lines.append("")
+    for subject in sorted({row[0] for row in rows}):
+        keys = sorted({(rank, pred) for s, rank, pred, _ in rows if s == subject})
+        parts = []
+        for rank, pred in keys:
+            objects = sorted(
+                (o for s, r, p, o in rows if s == subject and r == rank and p == pred),
+                key=_reference_object_key,
+            )
+            rendered = ", ".join(_reference_term(store.prefixes, o) for o in objects)
+            parts.append(f"{_reference_predicate(store.prefixes, pred)} {rendered}")
+        lines.append(f"{_reference_term(store.prefixes, subject)} " + " ;\n    ".join(parts) + " .")
+    return "\n".join(lines) + "\n"
+
+
+def reference_axiom_line(store: OntologyStore, ax: Axiom) -> str:
+    """One axiom on one line: its subject, then its rows joined by ' ; '."""
+    rows = _reference_entries(ax)
+    parts = [
+        f"{_reference_predicate(store.prefixes, p)} {_reference_term(store.prefixes, o)}"
+        for _, _, p, o in rows
+    ]
+    return f"{_reference_term(store.prefixes, rows[0][0])} " + " ; ".join(parts) + " ."
+
+
+# ---------------------------------------------------------------------------
+# Equivalence merging
+# ---------------------------------------------------------------------------
+
+def naive_merged_sets(sets: list[frozenset]) -> set[frozenset]:
+    """Union overlapping sets until no two overlap."""
+    merged = [set(s) for s in sets]
+    while True:
+        overlap = next(
+            ((i, j) for i, j in combinations(range(len(merged)), 2) if merged[i] & merged[j]),
+            None,
+        )
+        if overlap is None:
+            return {frozenset(s) for s in merged}
+        i, j = overlap
+        merged[i] |= merged.pop(j)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ def test_scan_yields_offsets_and_decoded_values():
         ("word", "SELECT", 76),
         ("eof", None, 82),
     ]
+    # Whitespace and comments before a token, or before the end, are skipped.
+    assert list(scan(" ex:a # c\n.")) == [("pname", ("ex", "a"), 1), (".", ".", 10), ("eof", None, 11)]
+    assert list(scan("# only a comment\n  \t# another")) == [("eof", None, 29)]
+    assert list(scan("")) == [("eof", None, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,13 @@ from aieo.model import (
 from aieo.reasoner import materialize
 from aieo.schema import aieo, seed_schema
 
-from oracles import random_small_store, random_store, reference_sort_key, tally_metrics
+from oracles import (
+    naive_merged_sets,
+    random_small_store,
+    random_store,
+    reference_sort_key,
+    tally_metrics,
+)
 
 
 def _store() -> OntologyStore:
@@ -137,6 +143,77 @@ def test_equivalent_property_sets_merge_too():
     assert merged == [
         EquivalentObjectProperties(frozenset({ex("p"), ex("q"), ex("r")}))
     ]
+
+
+def _stored_sets(store: OntologyStore) -> set[frozenset]:
+    return {ax.classes for ax in store.axioms if isinstance(ax, EquivalentClasses)}
+
+
+def _assert_indexed(store: OntologyStore) -> None:
+    """by_subject holds every axiom once, under its subject."""
+    indexed = [(s, ax) for s, axioms in store.by_subject.items() for ax in axioms]
+    assert {ax for _, ax in indexed} == store.axioms and len(indexed) == len(store.axioms)
+    for subject, ax in indexed:
+        if isinstance(ax, EquivalentClasses):
+            assert subject == min(ax.classes)
+
+
+def test_a_merge_can_join_three_sets():
+    store = _store()
+    for name in ("D", "E", "F"):
+        store.declare(ex(name), EntityKind.OWL_CLASS)
+    for pair in ("AB", "CD", "EF"):
+        store.add(EquivalentClasses(frozenset(map(ex, pair))))
+    store.add(EquivalentClasses(frozenset(map(ex, "BDF"))))
+    assert _stored_sets(store) == {frozenset(map(ex, "ABCDEF"))}
+    _assert_indexed(store)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_equivalence_merges_match_naive_union(seed):
+    rng = random.Random(seed)
+    store = OntologyStore()
+    classes = [ex(f"C{n}") for n in range(rng.randint(3, 16))]
+    for iri in classes:
+        store.declare(iri, EntityKind.OWL_CLASS)
+    added: list[frozenset] = []
+    for _ in range(rng.randint(1, 14)):
+        members = frozenset(rng.sample(classes, rng.randint(2, min(4, len(classes)))))
+        store.add(EquivalentClasses(members))
+        added.append(members)
+        assert _stored_sets(store) == naive_merged_sets(added)
+    _assert_indexed(store)
+    # A copy merges on its own, and leaves the original as it was.
+    clone, before = store.copy(), _stored_sets(store)
+    extra = frozenset(rng.sample(classes, 2))
+    clone.add(EquivalentClasses(extra))
+    assert _stored_sets(clone) == naive_merged_sets(added + [extra])
+    assert _stored_sets(store) == before
+
+
+def test_long_equivalence_chains_merge_into_one_set():
+    rng = random.Random(5)
+    for n, oracle in ((120, True), (3000, False)):
+        store = OntologyStore()
+        classes = [ex(f"C{i}") for i in range(n)]
+        for iri in classes:
+            store.declare(iri, EntityKind.OWL_CLASS)
+        links = [frozenset(pair) for pair in zip(classes, classes[1:])]
+        rng.shuffle(links)
+        for link in links:
+            store.add(EquivalentClasses(link))
+        expected = naive_merged_sets(links) if oracle else {frozenset(classes)}
+        assert _stored_sets(store) == expected == {frozenset(classes)}
+        _assert_indexed(store)
+
+
+def test_compact_takes_the_longest_base_then_the_least_prefix_name():
+    for order in (["z", "deep", "a"], ["a", "deep", "z"]):
+        bases = {"z": "https://e.org/", "a": "https://e.org/", "deep": "https://e.org/d/"}
+        store = OntologyStore({name: bases[name] for name in order})
+        assert store.compact(Iri("https://e.org/x")) == "a:x"
+        assert store.compact(Iri("https://e.org/d/x")) == "deep:x"
+        assert store.compact(Iri("https://other.org/x")) == "https://other.org/x"
 
 
 def test_copy_is_independent():

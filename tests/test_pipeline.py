@@ -231,6 +231,30 @@ def test_extract_aggregates_sections():
     assert extract_keywords(doc, cfg) == [("risk", 3), ("privacy", 1)]
 
 
+def test_extract_keeps_letters_of_every_script():
+    doc = _doc(sections=[Section("s", "公平性 公平性 透明性 Équité équité équité")])
+    cfg = ExtractionConfig(stopwords=frozenset())
+    assert extract_keywords(doc, cfg) == [("équité", 3), ("公平性", 2), ("透明性", 1)]
+    stop = ExtractionConfig(stopwords=frozenset({"équité"}))
+    assert extract_keywords(doc, stop) == [("公平性", 2), ("透明性", 1)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_extract_on_ascii_bodies_keeps_the_ascii_token_rule(seed):
+    rng = random.Random(seed)
+    alphabet = "abcXYZ019 _-.,;!'\n\t"
+    bodies = ["".join(rng.choice(alphabet) for _ in range(300)) for _ in range(3)]
+    doc = _doc(sections=[Section(f"s{i}", body) for i, body in enumerate(bodies)])
+    cfg = ExtractionConfig(stopwords=frozenset({"abc", "x0"}), min_token_length=2, top_k=50)
+    counts: dict[str, int] = {}
+    for body in bodies:
+        for token in re.findall(r"[a-z0-9]+", body.lower()):
+            if len(token) >= 2 and token not in {"abc", "x0"}:
+                counts[token] = counts.get(token, 0) + 1
+    expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:50]
+    assert extract_keywords(doc, cfg) == expected
+
+
 def test_extract_default_stopwords_prune_function_words():
     doc = _doc(sections=[Section("s", "the fairness of the system and the data")])
     assert extract_keywords(doc, ExtractionConfig()) == [

@@ -1,22 +1,33 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from aieo.errors import KindMismatch, ParseError, UndeclaredEntity, UnsupportedFeature
+from aieo.jsonio import store_from_json, store_to_json
 from aieo.model import (
     AnnotationAssertion,
     AnnotationValue,
     ClassAssertion,
     EntityKind,
+    EquivalentClasses,
+    EquivalentObjectProperties,
     Iri,
     ObjectPropertyAssertion,
     OntologyStore,
     SameIndividual,
 )
 from aieo.schema import RDFS_LABEL, aieo, seed_schema
-from aieo.turtle import axiom_line, parse_turtle, serialize_turtle
+from aieo.turtle import TermText, axiom_line, parse_turtle, serialize_turtle
 
-from oracles import random_small_store, random_store
+from oracles import (
+    random_linked_store,
+    random_small_store,
+    random_store,
+    reference_axiom_line,
+    reference_serialize_turtle,
+)
 
 HEADER = """\
 @prefix aieo: <https://w3id.org/aieo#> .
@@ -175,3 +186,113 @@ def test_round_trip_preserves_object_property_assertions():
     store.add(ObjectPropertyAssertion(aieo("f"), aieo("keyword"), aieo("k")))
     again = parse_turtle(serialize_turtle(store))
     assert ObjectPropertyAssertion(aieo("f"), aieo("keyword"), aieo("k")) in again.axioms
+
+
+# ---------------------------------------------------------------------------
+# The writer against the reference serializer
+# ---------------------------------------------------------------------------
+
+_TRICKY_LOCALS = ("a.b", "t~x", "公平", "", "x-y_z", "dot.", "%41")
+_TRICKY_TEXTS = ('say "hi"', "back\\slash\\", "two\nlines", "tab\there", "cr\rlf", "公平性", "")
+
+
+def _decorated(store: OntologyStore, seed: int) -> OntologyStore:
+    """The store plus what the writer must get right: a nested prefix base
+    (the longest one wins) and a tied one under a lesser name, in shuffled
+    declaration order; locals outside the CURIE alphabet or empty; literals
+    with quotes, backslashes, line breaks, tabs and language tags; and
+    merged equivalences."""
+    rng = random.Random(seed)
+    store = store.copy()
+    base = store.prefixes.get("ex") or store.prefixes["aieo"]
+    under = sorted(iri for iri in store.declared() if iri.startswith(base) and iri != base)
+    nested = rng.choice(under)[: len(base) + 1]
+    prefixes = list(store.prefixes.items()) + [("deep", nested), ("aa", base)]
+    rng.shuffle(prefixes)
+    store.prefixes = dict(prefixes)
+    note, link = Iri(base + "note"), Iri(base + "link")
+    store.declare(note, EntityKind.ANNOTATION_PROPERTY)
+    store.declare(link, EntityKind.OBJECT_PROPERTY)
+    tricky = [Iri(base + local) for local in _TRICKY_LOCALS] + [Iri(nested + ".x")]
+    for ind in tricky:
+        store.declare(ind, EntityKind.NAMED_INDIVIDUAL)
+    for ind in tricky:
+        text = rng.choice(_TRICKY_TEXTS) + rng.choice(_TRICKY_TEXTS) or "x"
+        store.add(AnnotationAssertion(ind, note, AnnotationValue(text, rng.choice((None, "en", "de-CH")))))
+        store.add(AnnotationAssertion(ind, note, AnnotationValue(text)))
+        store.add(ObjectPropertyAssertion(ind, link, rng.choice(tricky)))
+    store.add(SameIndividual(*rng.sample(tricky, 2)))
+    for kind, make in ((EntityKind.OWL_CLASS, EquivalentClasses),
+                       (EntityKind.OBJECT_PROPERTY, EquivalentObjectProperties)):
+        pool = store.declared(kind)
+        if len(pool) >= 3:
+            a, b, c = rng.sample(pool, 3)
+            store.add(make(frozenset((a, b)))).add(make(frozenset((b, c))))
+    return store
+
+
+def _random_stores(seed: int) -> list[OntologyStore]:
+    return [
+        random_store(seed, schema_mutations=seed % 2 == 0),
+        random_linked_store(seed),
+        random_small_store(seed),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_writer_matches_reference_serializer(seed):
+    for plain in _random_stores(seed):
+        for store in (plain, _decorated(plain, seed)):
+            text = serialize_turtle(store)
+            assert text == reference_serialize_turtle(store)
+            shared = TermText(store)
+            for ax in store.axioms:
+                line = reference_axiom_line(store, ax)
+                assert axiom_line(store, ax) == line
+                assert axiom_line(store, ax, shared) == line
+            again = parse_turtle(text)
+            assert again.axioms == store.axioms
+            assert serialize_turtle(again) == text
+
+
+def test_decorated_stores_reach_every_writer_case():
+    texts = [serialize_turtle(_decorated(s, seed)) for seed in range(20) for s in _random_stores(seed)]
+    joined = "\n".join(texts)
+    for fragment in ("deep:", "<https://example.org/a.b>", "<https://example.org/t~x>",
+                     "\naa: a owl:NamedIndividual", "aa:C", '\\"hi\\"', "\\\\", "\\n", "\\t", "\\r", "@de-CH",
+                     "owl:equivalentClass", "owl:equivalentProperty", "<https://example.org/公平>"):
+        assert fragment in joined, fragment
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_prefix_ties_give_one_canonical_text(seed):
+    rng = random.Random(seed)
+    lines = [f"@prefix {name}: <https://example.org/> ." for name in ("z", "a", "m", "ex")]
+    lines += ["@prefix deep: <https://example.org/d/> .",
+              "@prefix owl: <http://www.w3.org/2002/07/owl#> ."]
+    rng.shuffle(lines)
+    body = "z:C a owl:Class .\n<https://example.org/d/x> a owl:NamedIndividual .\nm:x a owl:NamedIndividual .\n"
+    text = serialize_turtle(parse_turtle("\n".join(lines) + "\n" + body))
+    assert "a:C a owl:Class ." in text and "deep:x a owl:NamedIndividual ." in text
+    assert "a:x a owl:NamedIndividual ." in text
+    assert serialize_turtle(parse_turtle(text)) == text
+    assert serialize_turtle(store_from_json(store_to_json(parse_turtle(text)))) == text
+    assert text == serialize_turtle(parse_turtle("\n".join(sorted(lines)) + "\n" + body))
+
+
+def test_a_redeclared_prefix_applies_to_the_names_after_it():
+    text = HEADER + """
+@prefix ex: <https://a.example/> .
+ex:x a owl:NamedIndividual .
+ex:C a owl:Class .
+@prefix ex: <https://b.example/> .
+ex:x a owl:NamedIndividual .
+ex:y a owl:NamedIndividual .
+"""
+    store = parse_turtle(text)
+    assert store.declared(EntityKind.NAMED_INDIVIDUAL) == [
+        Iri("https://a.example/x"), Iri("https://b.example/x"), Iri("https://b.example/y"),
+    ]
+    assert store.prefixes["ex"] == "https://b.example/"
+    with pytest.raises(UndeclaredEntity, match="https://b.example/C"):
+        parse_turtle(text + "ex:y a ex:C .\n")
