@@ -10,7 +10,6 @@ partial files behind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -22,6 +21,7 @@ from .errors import (
     ParseError,
 )
 from .jsonio import (
+    canonical_json,
     parse_config,
     parse_framework_document,
     store_from_json,
@@ -111,7 +111,7 @@ def _cmd_reason(args: argparse.Namespace) -> int:
     store = _load_store(args.file)
     mat = materialize(store)
     closed = store.copy()
-    for fact in sorted_axioms(mat.inferred):
+    for fact in mat.inferred:
         closed.add(fact)
     _emit(_serialize_store(closed, args.out), args.out)
     if args.trace:
@@ -169,9 +169,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     record_dict["saturated"] = detect_saturation([record], args.saturation_threshold)[0]
     _emit(_serialize_store(result, args.out), args.out)
     if args.report is not None:
-        _atomic_write(
-            args.report, json.dumps(record_dict, indent=2, sort_keys=True) + "\n"
-        )
+        _atomic_write(args.report, canonical_json(record_dict))
     sys.stderr.write(
         f"ingested {store.compact(doc.id)}: iteration {record.iteration_index}, "
         f"axioms {record.before.axiom_count} -> {record.after.axiom_count} "
@@ -184,7 +182,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     store = _load_store(args.file)
     report = compute_metrics(store)
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(canonical_json(report.as_dict()))
     else:
         sys.stdout.write(report.as_table() + "\n")
     return ExitStatus.SUCCESS

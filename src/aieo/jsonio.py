@@ -1,4 +1,5 @@
-"""JSON forms: store interchange, framework documents, pipeline configs.
+"""JSON forms: store interchange, framework documents, pipeline configs,
+the reasoner's trace sidecar, and the canonical writer all JSON output uses.
 
 The interchange document is ``{"prefixes": {...}, "axioms": [...]}`` with
 one object per axiom whose ``kind`` field names the variant. IRIs are
@@ -9,13 +10,15 @@ prefixes (falling back to the standard map).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable
 
 from .errors import ParseDiagnostic, ParseError, SchemaViolation
 from .model import (
     AXIOM_TYPES,
     AnnotationValue,
     Axiom,
+    AxiomType,
     Declaration,
     EntityKind,
     Field,
@@ -182,11 +185,9 @@ def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> 
 
 
 def store_to_json(store: OntologyStore) -> str:
-    doc = {
-        "prefixes": dict(sorted(store.prefixes.items())),
-        "axioms": [axiom_to_obj(ax) for ax in sorted_axioms(store.axioms)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(
+        {"prefixes": store.prefixes, "axioms": sorted_axioms(store.axioms)}
+    )
 
 
 def store_from_json(text: str) -> OntologyStore:
@@ -210,6 +211,93 @@ def store_from_json(text: str) -> OntologyStore:
         if not isinstance(ax, Declaration):
             store.add(ax)
     return store
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON
+# ---------------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode  # compact, so the C encoder runs
+
+
+def _json_members(row: AxiomType) -> tuple[tuple[str, Callable[[Axiom], Any]], ...]:
+    """The members of the type's JSON object in key order, each as its
+    encoded key and a reader of its value."""
+    members = [("kind", lambda ax, tag=row.tag: tag)]
+    for f in row.fields:
+        read = lambda ax, get=attrgetter(f.name), conv=_TO_JSON[f.shape]: conv(get(ax))  # noqa: E731
+        members.append((f.json, read))
+    return tuple((_encode_str(key), read) for key, read in sorted(members, key=itemgetter(0)))
+
+
+_JSON_MEMBERS = {row.cls: _json_members(row) for row in AXIOM_TYPES.values()}
+
+
+def canonical_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    where an :class:`Axiom` anywhere in ``value`` stands for its
+    :func:`axiom_to_obj` object. Dict keys must be strings.
+
+    The stdlib encoder takes its pure-Python path whenever ``indent`` is set;
+    here strings and scalars go through its C helpers, and each distinct
+    axiom is rendered once per nesting depth, however often it recurs.
+    """
+    memo: dict[tuple[Axiom, str], str] = {}
+    chunks: list[str] = []
+    _write(value, "\n", chunks.append, memo)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value: Any, indent: str, emit: Callable[[str], None], memo: dict) -> None:
+    """Emit ``value`` as it appears after ``indent``, the newline and spaces
+    that start its line."""
+    if isinstance(value, str):
+        emit(_encode_str(value))
+    elif isinstance(value, dict):
+        if value:
+            members = ((_encode_str(key), item) for key, item in sorted(value.items()))
+            _write_object(members, indent, emit, memo)
+        else:
+            emit("{}")
+    elif isinstance(value, (list, tuple)):
+        if value:
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in value:
+                emit(sep)
+                _write(item, inner, emit, memo)
+                sep = "," + inner
+            emit(indent + "]")
+        else:
+            emit("[]")
+    elif isinstance(value, Axiom):
+        text = memo.get((value, indent))
+        if text is None:
+            chunks: list[str] = []
+            members = ((key, read(value)) for key, read in _JSON_MEMBERS[type(value)])
+            _write_object(members, indent, chunks.append, memo)
+            text = memo[(value, indent)] = "".join(chunks)
+        emit(text)
+    else:
+        emit(_encode_scalar(value))
+
+
+def _write_object(
+    members: Iterable[tuple[str, Any]], indent: str, emit: Callable[[str], None], memo: dict
+) -> None:
+    """Emit a non-empty object from its (encoded key, value) pairs."""
+    inner = indent + "  "
+    sep = "{" + inner
+    for key, item in members:
+        if isinstance(item, str):
+            emit(sep + key + ": " + _encode_str(item))
+        else:
+            emit(sep + key + ": ")
+            _write(item, inner, emit, memo)
+        sep = "," + inner
+    emit(indent + "}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +423,13 @@ def parse_config(text: str) -> PipelineConfig:
 
 def traces_to_json(mat: Materialization) -> str:
     """Every inferred fact with all of its one-step derivations."""
-    entries = []
-    for fact in sorted_axioms(mat.inferred):
-        entries.append(
-            {
-                "conclusion": axiom_to_obj(fact),
-                "traces": [
-                    {
-                        "rule": trace.rule.value,
-                        "premises": [axiom_to_obj(p) for p in trace.premises],
-                    }
-                    for trace in mat.traces[fact]
-                ],
-            }
-        )
-    return json.dumps(entries, indent=2, sort_keys=True) + "\n"
+    return canonical_json([
+        {
+            "conclusion": fact,
+            "traces": [
+                {"rule": trace.rule.value, "premises": trace.premises}
+                for trace in mat.traces[fact]
+            ],
+        }
+        for fact in sorted_axioms(mat.inferred)
+    ])

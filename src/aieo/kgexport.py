@@ -7,11 +7,11 @@ most specific classes; L3 adds asserted relationships between individuals.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .jsonio import canonical_json
 from .model import (
     AnnotationAssertion,
     ClassAssertion,
@@ -229,4 +229,4 @@ def render_json(g: GraphDoc) -> str:
             for e in g.edges
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc)

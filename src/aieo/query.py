@@ -9,13 +9,13 @@ scenarios for a concept, and concepts unique to one framework.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import MissingArgument, UnknownConcept
+from .jsonio import canonical_json
 from .lexer import Token, fail, scan, token_errors_first, unexpected
 from .model import (
     AXIOM_TYPES,
@@ -120,7 +120,7 @@ class ResultSet:
             {str(v): _render_term(row[v]) for v in self.variables}
             for row in self.rows
         ]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return canonical_json(payload)
 
 
 def _render_term(term: "Iri | AnnotationValue") -> str:

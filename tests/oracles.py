@@ -9,6 +9,7 @@ library modules (only data types and vocabulary constants are imported).
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations
 
@@ -577,6 +578,71 @@ def reference_axiom_line(store: OntologyStore, ax: Axiom) -> str:
         for _, _, p, o in rows
     ]
     return f"{_reference_term(store.prefixes, rows[0][0])} " + " ; ".join(parts) + " ."
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON
+# ---------------------------------------------------------------------------
+
+def reference_json(value: object) -> str:
+    """The canonical JSON text: the stdlib encoder with a two-space indent,
+    sorted keys and ASCII escapes, then a newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def reference_axiom_obj(ax: Axiom) -> dict:
+    """An axiom's interchange object, restated type by type: ``kind`` is the
+    type's name, sets are sorted lists, and a literal is ``text`` plus a
+    ``languageTag`` when it has one."""
+    if isinstance(ax, Declaration):
+        fields = {"iri": ax.iri, "entityKind": ax.kind.value}
+    elif isinstance(ax, (SubClassOf, SubObjectPropertyOf)):
+        fields = {"sub": ax.sub, "sup": ax.sup}
+    elif isinstance(ax, EquivalentClasses):
+        fields = {"classes": sorted(ax.classes)}
+    elif isinstance(ax, EquivalentObjectProperties):
+        fields = {"properties": sorted(ax.properties)}
+    elif isinstance(ax, (DisjointClasses, SameIndividual)):
+        fields = {"a": ax.a, "b": ax.b}
+    elif isinstance(ax, (ObjectPropertyRange, ObjectPropertyDomain)):
+        fields = {"prop": ax.prop, "cls": ax.cls}
+    elif isinstance(ax, ClassAssertion):
+        fields = {"cls": ax.cls, "ind": ax.ind}
+    elif isinstance(ax, ObjectPropertyAssertion):
+        fields = {"subject": ax.subject, "prop": ax.prop, "object": ax.object}
+    elif isinstance(ax, AnnotationAssertion):
+        value = {"text": ax.value.text}
+        if ax.value.language_tag:
+            value["languageTag"] = ax.value.language_tag
+        fields = {"subject": ax.subject, "annProp": ax.prop, "value": value}
+    else:
+        raise TypeError(f"no reference object for {type(ax).__name__}")
+    return {"kind": type(ax).__name__, **fields}
+
+
+def reference_store_to_json(store: OntologyStore) -> str:
+    """The interchange document: the prefix map and every axiom in the
+    canonical order."""
+    axioms = sorted(store.axioms, key=reference_sort_key)
+    return reference_json(
+        {"prefixes": store.prefixes, "axioms": [reference_axiom_obj(ax) for ax in axioms]}
+    )
+
+
+def reference_traces_to_json(mat) -> str:
+    """The trace sidecar: each inferred fact in the canonical order, with
+    its traces in the order the materialization holds them."""
+    return reference_json([
+        {
+            "conclusion": reference_axiom_obj(fact),
+            "traces": [
+                {"rule": trace.rule.value,
+                 "premises": [reference_axiom_obj(p) for p in trace.premises]}
+                for trace in mat.traces[fact]
+            ],
+        }
+        for fact in sorted(mat.inferred, key=reference_sort_key)
+    ])
 
 
 # ---------------------------------------------------------------------------

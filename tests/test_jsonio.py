@@ -1,19 +1,24 @@
 """Tests for the JSON interchange, document, config, and trace forms."""
 
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
 
+from aieo.cli import main
 from aieo.errors import ParseError, SchemaViolation
 from aieo.jsonio import (
     axiom_to_obj,
+    canonical_json,
     parse_config,
     parse_framework_document,
     store_from_json,
     store_to_json,
     traces_to_json,
 )
+from aieo.kgexport import DetailLevel, export_graph, render_json
 from aieo.model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -22,12 +27,25 @@ from aieo.model import (
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
+    OntologyStore,
+    render_literal,
 )
 from aieo.pipeline import run_iteration
+from aieo.query import Query, TriplePattern, Variable, canned_query, evaluate
 from aieo.reasoner import materialize
-from aieo.schema import aieo, seed_schema
+from aieo.schema import RDFS_LABEL, aieo, seed_schema
+from aieo.turtle import parse_turtle
 
-from oracles import random_small_store, random_store
+from oracles import (
+    random_linked_store,
+    random_query,
+    random_small_store,
+    random_store,
+    reference_axiom_obj,
+    reference_json,
+    reference_store_to_json,
+    reference_traces_to_json,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -319,3 +337,152 @@ def test_traces_json_is_deterministic_and_sorted():
 
 def test_traces_json_empty():
     assert traces_to_json(materialize(seed_schema())) == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON: the writer against the stdlib encoder
+# ---------------------------------------------------------------------------
+
+# Non-ASCII (an emoji escapes as a surrogate pair), JSON's own escapes,
+# control characters, DEL, and the separators U+2028 and U+2029.
+_TEXTS = (
+    "caf\u00e9", "\u4e2d\u6587", "rocket \U0001F680", 'say "hi"', "back\\slash",
+    "tab\tnew\nline\r", "nul\x00 bell\x07 esc\x1b \x7f", "line\u2028para\u2029",
+    "plain",
+)
+_TAGS = (None, "en", "fr-CA", "zh-Hans")
+
+
+def _with_odd_text(store: OntologyStore, seed: int) -> OntologyStore:
+    """The store plus a non-ASCII prefix and individual, and labels drawn
+    from the texts and language tags above."""
+    rng = random.Random(seed)
+    store.prefixes["z\u00e9"] = "https://example.org/zo\u00eb/"
+    store.declare(Iri("https://example.org/zo\u00eb/\u4e2d"), EntityKind.NAMED_INDIVIDUAL)
+    store.declare(RDFS_LABEL, EntityKind.ANNOTATION_PROPERTY)
+    subjects = store.declared(EntityKind.OWL_CLASS) + store.declared(EntityKind.NAMED_INDIVIDUAL)
+    for _ in range(rng.randint(1, 8)):
+        text = "".join(rng.sample(_TEXTS, rng.randint(1, 3)))
+        store.add(AnnotationAssertion(
+            rng.choice(subjects), RDFS_LABEL, AnnotationValue(text, rng.choice(_TAGS))
+        ))
+    return store
+
+
+def _graph_obj(graph) -> dict:
+    return {
+        "nodes": [
+            {"id": n.id, "label": n.label, "kind": n.kind, "annotation": n.annotation}
+            for n in graph.nodes
+        ],
+        "edges": [
+            {"from": e.src, "to": e.dst, "label": e.label, "kind": e.kind}
+            for e in graph.edges
+        ],
+    }
+
+
+def _rows_obj(result) -> list:
+    return [
+        {str(v): render_literal(t) if isinstance(t, AnnotationValue) else str(t)
+         for v, t in row.items()}
+        for row in result.rows
+    ]
+
+
+_LABELS = Query(
+    (Variable("x"), Variable("l")),
+    (TriplePattern(Variable("x"), RDFS_LABEL, Variable("l")),),
+)
+
+
+def _assert_canonical(store: OntologyStore, seed: int) -> None:
+    assert store_to_json(store) == reference_store_to_json(store)
+    for ax in store.axioms:
+        assert axiom_to_obj(ax) == reference_axiom_obj(ax)
+    mat = materialize(store)
+    assert traces_to_json(mat) == reference_traces_to_json(mat)
+    for level in DetailLevel:
+        graph = export_graph(mat, level)
+        assert render_json(graph) == reference_json(_graph_obj(graph))
+    rng = random.Random(seed)
+    patterns, projected, distinct = random_query(rng)
+    results = [
+        evaluate(_LABELS, mat),
+        evaluate(Query(projected, tuple(patterns), distinct), mat),
+        canned_query("principles_by_framework", mat),
+    ]
+    for result in results:
+        assert result.to_json() == reference_json(_rows_obj(result))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # random queries may be cartesian
+@pytest.mark.parametrize("make", [random_store, random_linked_store, random_small_store])
+def test_canonical_json_matches_the_stdlib_encoder(make):
+    for seed in range(25):
+        _assert_canonical(make(seed), seed)
+        _assert_canonical(_with_odd_text(make(seed), seed), seed)
+
+
+def test_canonical_json_edge_stores():
+    _assert_canonical(OntologyStore(), 0)
+    assert store_to_json(OntologyStore()) == '{\n  "axioms": [],\n  "prefixes": {}\n}\n'
+    bare = _with_odd_text(random_small_store(3), 3)
+    bare.prefixes.clear()
+    _assert_canonical(bare, 3)
+    assert store_to_json(bare).endswith('  "prefixes": {}\n}\n')
+    _assert_canonical(seed_schema(), 0)  # consistent, nothing inferred
+
+
+def _random_value(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth > 3 or roll < 0.4:
+        return rng.choice([
+            True, False, None, 0, -7, 2**70, 1.0, -0.0, 0.1, 1e300, 5e-324,
+            math.inf, -math.inf, math.nan, "", *_TEXTS,
+        ])
+    if roll < 0.7:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if roll < 0.8:
+        return tuple(_random_value(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    keys = rng.sample(_TEXTS + ("a", "B", "kind", ""), rng.randint(0, 4))
+    return {key: _random_value(rng, depth + 1) for key in keys}
+
+
+def test_canonical_json_scalars_and_nesting():
+    rng = random.Random(7)
+    for _ in range(500):
+        value = _random_value(rng, 0)
+        assert canonical_json(value) == reference_json(value)
+    with pytest.raises(TypeError):
+        canonical_json({1: "a"})
+
+
+def test_cli_tour_writes_canonical_json(tmp_path, capsys):
+    def cli(*argv):
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().out
+
+    config = ("--config", DATA / "pipeline_config.json")
+    assert cli("seed", "--out", tmp_path / "seed.ttl")[0] == 0
+    assert cli("ingest", tmp_path / "seed.ttl", DATA / "au_framework.json", *config,
+               "--out", tmp_path / "au.ttl", "--report", tmp_path / "au.json")[0] == 0
+    assert cli("ingest", tmp_path / "au.ttl", DATA / "eu_framework.json", *config,
+               "--out", tmp_path / "full.ttl")[0] == 0
+    assert cli("reason", tmp_path / "full.ttl", "--out", tmp_path / "closed.json",
+               "--trace")[0] == 0
+
+    full = parse_turtle((tmp_path / "full.ttl").read_text(encoding="utf-8"))
+    mat = materialize(full)
+    closed = full.copy()
+    for fact in mat.inferred:
+        closed.add(fact)
+    assert (tmp_path / "closed.json").read_text() == reference_store_to_json(closed)
+    sidecar = (tmp_path / "closed.trace.json").read_text()
+    assert sidecar == reference_traces_to_json(mat) and sidecar != "[]\n"
+
+    report = (tmp_path / "au.json").read_text()
+    code, metrics = cli("metrics", tmp_path / "full.ttl", "--format", "json")
+    assert code == 0
+    for text in (report, metrics):
+        assert reference_json(json.loads(text)) == text
