@@ -29,6 +29,7 @@ from .jsonio import (
     traces_to_json,
 )
 from .kgexport import DetailLevel, export_graph, render_dot, render_json
+from .lexer import fail
 from .model import Iri, OntologyStore, compute_metrics, sorted_axioms
 from .pipeline import detect_saturation, run_iteration
 from .query import CANNED_QUERY_NAMES, canned_query, evaluate, parse_query
@@ -52,7 +53,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; bytes that are not UTF-8 are a parse error at the
+    line and column of the first of them."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Count lines as the text reading would see them.
+            before = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            fail(before, len(before), f"invalid UTF-8 byte 0x{data[exc.start]:02x}")
+        raise
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -186,7 +186,7 @@ def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> 
 
 def store_to_json(store: OntologyStore) -> str:
     return canonical_json(
-        {"prefixes": store.prefixes, "axioms": sorted_axioms(store.axioms)}
+        {"prefixes": store.prefixes, "axioms": sorted_axioms(store)}
     )
 
 

@@ -10,9 +10,10 @@ once, in :data:`AXIOM_TYPES`; every other module reads it from there.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -56,6 +57,12 @@ class AnnotationValue:
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("annotation text must be non-empty")
+        # Exactly what the Turtle lexer reads back after '@'.
+        tag = self.language_tag
+        if tag is not None and not (tag and all(c.isalnum() or c == "-" for c in tag)):
+            raise ValueError(
+                f"language tag {tag!r} must be letters, digits and '-', and non-empty"
+            )
 
 
 _LITERAL_ESCAPES = str.maketrans(
@@ -423,18 +430,6 @@ def axiom_type(ax: Axiom) -> AxiomType:
         raise TypeError(f"unknown axiom type {type(ax).__name__}") from None
 
 
-def referenced_entities(ax: Axiom) -> list[tuple[Iri, EntityKind | None]]:
-    """Every IRI a non-declaration axiom references, with its required kind."""
-    out: list[tuple[Iri, EntityKind | None]] = []
-    for f in AXIOM_TYPES[type(ax)].refs:
-        value = getattr(ax, f.name)
-        if f.shape is frozenset:
-            out.extend((iri, f.kind) for iri in sorted(value))
-        else:
-            out.append((value, f.kind))
-    return out
-
-
 def axiom_subject(ax: Axiom) -> Iri:
     """The IRI an axiom is grouped under when serialized or indexed."""
     return axiom_type(ax).subject_of(ax)
@@ -455,8 +450,12 @@ def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:
 # ---------------------------------------------------------------------------
 
 class OntologyStore:
-    """Declared entities plus a normalized axiom set, indexed by subject.
+    """Declared entities plus a normalized axiom set, indexed by type and by
+    subject.
 
+    ``add`` and ``declare`` are the only writers. Readers use ``ax in
+    store``, iteration, ``len(store)``, ``axioms_of`` and the read-only
+    ``by_subject`` index; ``axioms`` is a frozen snapshot for set algebra.
     Mutations are single-writer; hand a ``copy()`` to other threads of
     control for concurrent reads. Normalization folds overlapping
     EquivalentClasses / EquivalentObjectProperties axioms into one maximal
@@ -465,7 +464,8 @@ class OntologyStore:
 
     def __init__(self, prefixes: dict[str, str] | None = None):
         self.prefixes: dict[str, str] = dict(prefixes or {})
-        self.axioms: set[Axiom] = set()
+        # The axioms themselves: one set per AXIOM_TYPES row.
+        self._by_type: dict[type, set[Axiom]] = {cls: set() for cls in AXIOM_TYPES}
         self._kinds: dict[Iri, EntityKind] = {}
         self.by_subject: dict[Iri, set[Axiom]] = defaultdict(set)
         # Each member of a stored equivalence axiom, mapped to that axiom.
@@ -495,22 +495,29 @@ class OntologyStore:
         row = axiom_type(ax)
         if row.cls is Declaration:
             return self.declare(ax.iri, ax.kind)
+        for iri, required, actual in self._bad_references(ax, row):
+            if actual is None:
+                raise UndeclaredEntity(f"{iri} is not declared")
+            raise KindMismatch(
+                f"{iri} is declared as {actual.value}; {row.tag} requires {required.value}"
+            )
+        if row.members is not None:
+            ax = self._merge_equivalence(ax, row)
+        self._insert(ax, row)
+        return self
+
+    def _bad_references(
+        self, ax: Axiom, row: AxiomType
+    ) -> Iterator[tuple[Iri, EntityKind | None, EntityKind | None]]:
+        """Each IRI the axiom references that is undeclared (``actual`` is
+        None) or declared with another kind than its position requires."""
         kinds = self._kinds
         for f in row.refs:
             value = getattr(ax, f.name)
             for iri in sorted(value) if f.shape is frozenset else (value,):
                 actual = kinds.get(iri)
-                if actual is None:
-                    raise UndeclaredEntity(f"{iri} is not declared")
-                if f.kind is not None and actual is not f.kind:
-                    raise KindMismatch(
-                        f"{iri} is declared as {actual.value}; "
-                        f"{row.tag} requires {f.kind.value}"
-                    )
-        if row.members is not None:
-            ax = self._merge_equivalence(ax, row)
-        self._insert(ax, row)
-        return self
+                if actual is None or (f.kind is not None and actual is not f.kind):
+                    yield iri, f.kind, actual
 
     def _merge_equivalence(self, ax: Axiom, row: AxiomType) -> Axiom:
         # Keep equivalence axioms maximal: union with any overlapping set.
@@ -527,7 +534,7 @@ class OntologyStore:
         return row.cls(frozenset(merged))
 
     def _insert(self, ax: Axiom, row: AxiomType) -> None:
-        axioms = self.axioms
+        axioms = self._by_type[row.cls]
         size = len(axioms)
         axioms.add(ax)
         if len(axioms) == size:
@@ -538,7 +545,7 @@ class OntologyStore:
                 self._equivalence[iri] = ax
 
     def _remove(self, ax: Axiom, row: AxiomType) -> None:
-        self.axioms.discard(ax)
+        self._by_type[row.cls].discard(ax)
         self.by_subject[row.subject_of(ax)].discard(ax)
         for iri in getattr(ax, row.members):
             del self._equivalence[iri]
@@ -554,8 +561,23 @@ class OntologyStore:
             return sorted(self._kinds)
         return sorted(i for i, k in self._kinds.items() if k is kind)
 
+    def __contains__(self, ax: object) -> bool:
+        return ax in self._by_type.get(type(ax), ())
+
+    def __iter__(self) -> Iterator[Axiom]:
+        return chain.from_iterable(self._by_type.values())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._by_type.values()))
+
+    @property
+    def axioms(self) -> frozenset[Axiom]:
+        """A read-only snapshot of every axiom; building it costs O(n)."""
+        return frozenset(self)
+
     def axioms_of(self, *types: type) -> Iterator[Axiom]:
-        return (ax for ax in self.axioms if isinstance(ax, types))
+        """The axioms of exactly the given types (each an AXIOM_TYPES key)."""
+        return chain.from_iterable(self._by_type[cls] for cls in types)
 
     # -- prefix handling ---------------------------------------------------
 
@@ -587,7 +609,7 @@ class OntologyStore:
 
     def copy(self) -> "OntologyStore":
         dup = OntologyStore(self.prefixes)
-        dup.axioms = set(self.axioms)
+        dup._by_type = {cls: set(axioms) for cls, axioms in self._by_type.items()}
         dup._kinds = dict(self._kinds)
         dup._equivalence = dict(self._equivalence)
         dup.by_subject = defaultdict(set, {k: set(v) for k, v in self.by_subject.items()})
@@ -602,16 +624,16 @@ class OntologyStore:
         for iri, kinds in declared_twice.items():
             if len(kinds) > 1:
                 problems.append(f"{iri} declared with multiple kinds")
-        for ax in self.axioms:
-            for iri, required in referenced_entities(ax):
-                actual = self._kinds.get(iri)
-                if actual is None:
-                    problems.append(f"{type(ax).__name__} references undeclared {iri}")
-                elif required is not None and actual is not required:
-                    problems.append(
-                        f"{type(ax).__name__} needs {iri} to be {required.value}, "
-                        f"found {actual.value}"
-                    )
+        for row in AXIOM_TYPES.values():
+            for ax in self._by_type[row.cls]:
+                for iri, required, actual in self._bad_references(ax, row):
+                    if actual is None:
+                        problems.append(f"{row.tag} references undeclared {iri}")
+                    else:
+                        problems.append(
+                            f"{row.tag} needs {iri} to be {required.value}, "
+                            f"found {actual.value}"
+                        )
         return problems
 
     def require_valid(self) -> None:
@@ -676,14 +698,14 @@ class MetricsReport:
 
 
 def compute_metrics(store: OntologyStore) -> MetricsReport:
-    per_type = Counter(map(type, store.axioms))
+    per_type = store._by_type
     return MetricsReport(
-        axiom_count=len(store.axioms),
+        axiom_count=len(store),
         logical_axiom_count=sum(
-            per_type[row.cls] for row in AXIOM_TYPES.values() if row.logical
+            len(per_type[row.cls]) for row in AXIOM_TYPES.values() if row.logical
         ),
-        declaration_axiom_count=per_type[Declaration],
-        annotation_assertion_count=per_type[AnnotationAssertion],
+        declaration_axiom_count=len(per_type[Declaration]),
+        annotation_assertion_count=len(per_type[AnnotationAssertion]),
         class_count=len(store.declared(EntityKind.OWL_CLASS)),
         object_property_count=len(store.declared(EntityKind.OBJECT_PROPERTY)),
         data_property_count=len(store.declared(EntityKind.DATA_PROPERTY)),

@@ -211,7 +211,7 @@ def keyword_iri(token: str) -> Iri:
 # ---------------------------------------------------------------------------
 
 def is_ingested(store: OntologyStore, framework_id: Iri) -> bool:
-    return ClassAssertion(aieo("Framework"), framework_id) in store.axioms
+    return ClassAssertion(aieo("Framework"), framework_id) in store
 
 
 def ingested_frameworks(store: OntologyStore) -> list[Iri]:
@@ -492,7 +492,7 @@ def detect_saturation(
     history: Sequence[IterationRecord], threshold: float
 ) -> list[bool]:
     """Saturation flag per record: relative increment below the threshold."""
-    if threshold <= 0:
+    if not threshold > 0:  # also rejects NaN
         raise ValueError("saturation threshold must be > 0")
     return [
         record.increment / max(1, record.before.axiom_count) < threshold

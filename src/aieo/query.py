@@ -429,7 +429,7 @@ def _peers(mat: Materialization, concept: Iri) -> list[Iri]:
 def _framework_links(mat: Materialization, concept: Iri) -> set[Iri]:
     """The frameworks whose base assertions link to the concept (asserted
     only, so sameAs propagation does not blur which framework said what)."""
-    base = mat.base.axioms
+    base = mat.base
     return {
         s for s, p, _ in _index_of(mat).by_position[2].get(concept, ())
         if p in _CONCEPT_LINK_PROPERTIES

@@ -125,10 +125,10 @@ class Materialization:
         return not self.violations
 
     def has(self, fact: Axiom) -> bool:
-        return fact in self.base.axioms or fact in self.inferred
+        return fact in self.base or fact in self.inferred
 
     def facts(self) -> Iterable[Axiom]:
-        yield from self.base.axioms
+        yield from self.base
         yield from self.inferred
 
 
@@ -139,14 +139,11 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     """
     store.require_valid()
 
-    by_type: dict[type, list[Axiom]] = defaultdict(list)
-    for ax in store.axioms:
-        by_type[type(ax)].append(ax)
     # Per schema type, each axiom triple's subject -> [(its object, axiom)].
     joins: dict[type, dict[Iri, list[tuple[Iri, Axiom]]]] = {}
     for schema in {row.schema for row in _RULES}:
         join = joins[schema] = defaultdict(list)
-        for ax in by_type[schema]:
+        for ax in store.axioms_of(schema):
             for subject, _, obj in AXIOM_TYPES[schema].triples(ax):
                 join[subject].append((obj, ax))
 
@@ -158,7 +155,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
 
     free_rows = plan(row for row in _RULES if row.rule is not _R6)
     r6_rows, every_row = plan(row for row in _RULES if row.rule is _R6), plan(_RULES)
-    asserted = sorted_axioms(by_type[ClassAssertion] + by_type[ObjectPropertyAssertion])
+    asserted = sorted_axioms(store.axioms_of(ClassAssertion, ObjectPropertyAssertion))
     inferred: set[Axiom] = set()
     traces: dict[Axiom, list[InferenceTrace]] = {}
     sameas_free: frozenset[Axiom] | None = None
@@ -179,7 +176,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
         for row, key, join in rows[type(fact)]:
             for joined, schema_ax in join.get(key(fact), ()):
                 conclusion = row.conclude(fact, joined)
-                if conclusion in store.axioms:  # asserted facts carry no traces
+                if conclusion in store:  # asserted facts carry no traces
                     continue
                 if conclusion not in inferred:
                     if len(inferred) >= fact_limit:
@@ -208,7 +205,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
 
 def explain(mat: Materialization, fact: Axiom) -> list[InferenceTrace]:
     """All one-step derivations of the fact; empty iff it is asserted."""
-    if fact in mat.base.axioms:
+    if fact in mat.base:
         return []
     if fact in mat.inferred:
         return list(mat.traces[fact])
@@ -227,7 +224,7 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
 
     def free_membership(cls: Iri, ind: Iri) -> bool:
         fact = ClassAssertion(cls, ind)
-        return fact in mat.base.axioms or fact in mat.sameas_free
+        return fact in mat.base or fact in mat.sameas_free
 
     violations: list[ConsistencyViolation] = []
     disjoints = sorted(mat.base.axioms_of(DisjointClasses), key=lambda d: (d.a, d.b))

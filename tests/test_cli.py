@@ -125,6 +125,41 @@ def test_declaring_a_structural_predicate_exits_validation_error(run, tmp_path, 
     assert "Traceback" not in err
 
 
+def _with_bad_byte(source: Path, target: Path) -> None:
+    """Copy ``source`` to ``target`` with "é" and then byte 0xff put at the
+    start of its third line, so the bad byte is at line 3, column 2."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[2] = "é".encode() + b"\xff" + lines[2]
+    target.write_bytes(b"".join(lines))
+
+
+_BAD_BYTE_ERROR = "3:2: error: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.mark.parametrize("name", ["store.ttl", "store.json"])
+def test_non_utf8_store_exits_parse_error(run, tmp_path, name):
+    good = tmp_path / f"good{Path(name).suffix}"
+    assert run("seed", "--out", str(good))[0] == 0
+    _with_bad_byte(good, tmp_path / name)
+    code, out, err = run("parse", str(tmp_path / name))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == "" and err == _BAD_BYTE_ERROR
+
+
+@pytest.mark.parametrize("bad", ["doc", "config"])
+def test_non_utf8_ingest_input_exits_parse_error(run, seed_file, tmp_path, bad):
+    paths = {"doc": DATA / "au_framework.json", "config": DATA / "pipeline_config.json"}
+    _with_bad_byte(paths[bad], tmp_path / "bad.json")
+    paths[bad] = tmp_path / "bad.json"
+    code, _, err = run(
+        "ingest", seed_file, str(paths["doc"]), "--config", str(paths["config"]),
+        "--out", str(tmp_path / "out.ttl"),
+    )
+    assert code == ExitStatus.PARSE_ERROR
+    assert err == _BAD_BYTE_ERROR
+    assert not (tmp_path / "out.ttl").exists()
+
+
 def test_parse_schema_violation_exits_validation_error(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"axioms": [{"kind": "Nope"}]}')
@@ -338,6 +373,17 @@ def test_ingest_saturation_threshold_flag(run, seed_file, tmp_path):
     )
     assert code == 0
     assert json.loads(report_path.read_text())["saturated"] is True
+
+
+def test_ingest_nan_saturation_threshold_exits_validation_error(run, seed_file, tmp_path):
+    code, _, err = run(
+        "ingest", seed_file, str(DATA / "au_framework.json"),
+        "--config", str(DATA / "pipeline_config.json"),
+        "--out", str(tmp_path / "au.ttl"), "--saturation-threshold", "nan",
+    )
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert err == "error: saturation threshold must be > 0\n"
+    assert not (tmp_path / "au.ttl").exists()
 
 
 def test_ingest_duplicate_fails_atomically(run, seed_file, tmp_path):

@@ -159,6 +159,10 @@ def test_bad_json_reports_position():
         ('{"prefixes": {"ex": ""}}', "$.prefixes.ex"),
         ('{"axioms": [{"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",'
          ' "value": {"text": 5}}]}', "$.axioms[0].value.text"),
+        ('{"axioms": [{"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",'
+         ' "value": {"text": "a", "languageTag": "en US"}}]}', "$.axioms[0]"),
+        ('{"axioms": [{"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",'
+         ' "value": {"text": "a", "languageTag": ""}}]}', "$.axioms[0]"),
     ],
 )
 def test_schema_violations_carry_paths(doc, path):

@@ -28,9 +28,11 @@ from aieo.model import (
 )
 from aieo.reasoner import materialize
 from aieo.schema import aieo, seed_schema
+from aieo.turtle import parse_turtle, serialize_turtle
 
 from oracles import (
     naive_merged_sets,
+    random_linked_store,
     random_small_store,
     random_store,
     reference_sort_key,
@@ -305,13 +307,59 @@ def test_random_generators_cover_every_axiom_type():
     assert seen == set(AXIOM_TYPES)
 
 
+def _assert_read_api_agrees(store: OntologyStore, absent: list[Axiom]) -> None:
+    """Every read of the per-type sets agrees with the snapshot."""
+    snapshot = store.axioms
+    assert isinstance(snapshot, frozenset) and len(store) == len(snapshot)
+    assert sorted_axioms(store) == sorted_axioms(snapshot)
+    for cls in AXIOM_TYPES:
+        assert set(store.axioms_of(cls)) == {ax for ax in snapshot if type(ax) is cls}
+    assert all(ax in store for ax in snapshot)
+    assert not any(ax in store for ax in absent)
+    _assert_indexed(store)
+    with pytest.raises(AttributeError):
+        store.axioms.add(next(iter(snapshot)))
+    with pytest.raises(AttributeError):
+        store.axioms = frozenset()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_store_reads_agree_with_snapshot(seed):
+    rng = random.Random(seed)
+    stores = [
+        random_store(seed, schema_mutations=True),
+        random_linked_store(seed),
+        random_small_store(seed),
+    ]
+    for store in stores:
+        # Equivalence merges remove stored axioms, so the absent ones
+        # include axioms that were in the store a moment ago.
+        classes = store.declared(EntityKind.OWL_CLASS)
+        absent = [ClassAssertion(ex("never"), ex("declared")), "not an axiom"]
+        before = store.axioms
+        for _ in range(4):
+            store.add(EquivalentClasses(frozenset(rng.sample(classes, 2))))
+        absent += sorted_axioms(before - store.axioms)
+        _assert_read_api_agrees(store, absent)
+        dup = store.copy()
+        _assert_read_api_agrees(dup, absent)
+        # The copy shares no set with the original.
+        dup.declare(ex("fresh"), EntityKind.OWL_CLASS)
+        assert Declaration(ex("fresh"), EntityKind.OWL_CLASS) not in store
+        assert len(dup) == len(store) + 1
+
+
 def test_validation_catches_corrupted_store():
     store = _store()
     store.add(ClassAssertion(ex("A"), ex("x")))
-    # simulate external corruption: axiom set references an undeclared entity
-    store.axioms.add(ClassAssertion(ex("A"), Iri("https://example.org/ghost")))
-    problems = store.validate()
-    assert problems
+    # add/declare are the only writers, so corruption has to go behind them:
+    # one axiom references an undeclared entity, one an entity of the wrong kind
+    store._by_type[ClassAssertion].add(ClassAssertion(ex("A"), ex("ghost")))
+    store._by_type[ClassAssertion].add(ClassAssertion(ex("A"), ex("B")))
+    assert sorted(store.validate()) == [
+        "ClassAssertion needs https://example.org/B to be NamedIndividual, found OwlClass",
+        "ClassAssertion references undeclared https://example.org/ghost",
+    ]
     with pytest.raises(ValidationError):
         store.require_valid()
 
@@ -348,3 +396,20 @@ def test_annotation_value_language_tag():
     tagged = AnnotationValue("hello", "en")
     assert plain != tagged
     assert tagged.language_tag == "en"
+
+
+@pytest.mark.parametrize("tag", ["en-GB", "de", "x-1", "中文", "-"])
+def test_language_tag_as_the_lexer_reads_it(tag):
+    """A tag is what the Turtle lexer reads back after '@': letters,
+    digits and '-', at least one of them."""
+    store = OntologyStore()
+    store.declare(ex("s"), EntityKind.NAMED_INDIVIDUAL)
+    store.declare(ex("label"), EntityKind.ANNOTATION_PROPERTY)
+    store.add(AnnotationAssertion(ex("s"), ex("label"), AnnotationValue("a", tag)))
+    assert parse_turtle(serialize_turtle(store)).axioms == store.axioms
+
+
+@pytest.mark.parametrize("tag", ["", "en US", "en_GB", "en@x", "fr\n"])
+def test_language_tag_rejects_what_turtle_cannot_read_back(tag):
+    with pytest.raises(ValueError, match="language tag"):
+        AnnotationValue("a", tag)

@@ -687,7 +687,7 @@ def test_detect_saturation_boundary_is_not_saturated():
     assert detect_saturation([_record(100, 5)], 0.05) == [False]
 
 
-@pytest.mark.parametrize("threshold", [0.0, -1.0])
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
 def test_detect_saturation_rejects_bad_threshold(threshold):
     with pytest.raises(ValueError, match="> 0"):
         detect_saturation([_record(100, 5)], threshold)
