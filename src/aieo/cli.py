@@ -123,9 +123,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_reason(args: argparse.Namespace) -> int:
     store = _load_store(args.file)
     mat = materialize(store)
-    closed = store.copy()
-    for fact in mat.inferred:
-        closed.add(fact)
+    closed = store.copy().update(mat.inferred)
     _emit(_serialize_store(closed, args.out), args.out)
     if args.trace:
         sidecar = str(Path(args.out).with_suffix(".trace.json"))
@@ -213,8 +211,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     before = _load_store(args.before)
     after = _load_store(args.after)
-    added = sorted_axioms(after.axioms - before.axioms)
-    removed = sorted_axioms(before.axioms - after.axioms)
+    old, new = before.axioms, after.axioms
+    added = sorted_axioms(new - old)
+    removed = sorted_axioms(old - new)
     text = TermText(before)
     for ax in removed:
         sys.stdout.write(f"- {axiom_line(before, ax, text)}\n")

@@ -203,14 +203,10 @@ def store_from_json(text: str) -> OntologyStore:
         axiom_from_obj(obj, resolve, f"$.axioms[{i}]")
         for i, obj in enumerate(raw_axioms)
     ]
-    store = OntologyStore(prefixes)
-    for ax in axioms:  # declarations first; file order must not matter
-        if isinstance(ax, Declaration):
-            store.declare(ax.iri, ax.kind)
-    for ax in axioms:
-        if not isinstance(ax, Declaration):
-            store.add(ax)
-    return store
+    # Declarations first; file order must not matter.
+    declarations = [ax for ax in axioms if type(ax) is Declaration]
+    rest = [ax for ax in axioms if type(ax) is not Declaration]
+    return OntologyStore(prefixes).update(declarations).update(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from enum import IntEnum
 from .jsonio import canonical_json
 from .model import (
     AnnotationAssertion,
-    ClassAssertion,
     EntityKind,
     EquivalentClasses,
     Iri,
@@ -98,10 +97,9 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
 
     memberships: dict[Iri, set[Iri]] = defaultdict(set)
     members_per_class: dict[Iri, set[Iri]] = defaultdict(set)
-    for fact in mat.facts():
-        if isinstance(fact, ClassAssertion):
-            memberships[fact.ind].add(fact.cls)
-            members_per_class[fact.cls].add(fact.ind)
+    for fact in mat.class_assertions():
+        memberships[fact.ind].add(fact.cls)
+        members_per_class[fact.cls].add(fact.ind)
 
     nodes: list[GraphNode] = []
     edges: list[GraphEdge] = []

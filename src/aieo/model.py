@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
 from .errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
@@ -414,6 +415,7 @@ AXIOM_TYPES: dict[type, AxiomType] = {row.cls: row for row in (
 
 
 _DECLARATION = AXIOM_TYPES[Declaration]
+_ANY_KIND = frozenset(EntityKind)
 
 # The fixed predicates of the triples view. Declaring one as an entity would
 # let its assertions render the same triples as a structural axiom.
@@ -449,13 +451,23 @@ def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:
 # Store
 # ---------------------------------------------------------------------------
 
+def _index_under(index: dict[Iri, set[Axiom]], subject: Iri, ax: Axiom) -> None:
+    entry = index.get(subject)
+    if entry is None:
+        index[subject] = {ax}
+    else:
+        entry.add(ax)
+
+
 class OntologyStore:
     """Declared entities plus a normalized axiom set, indexed by type and by
     subject.
 
-    ``add`` and ``declare`` are the only writers. Readers use ``ax in
-    store``, iteration, ``len(store)``, ``axioms_of`` and the read-only
-    ``by_subject`` index; ``axioms`` is a frozen snapshot for set algebra.
+    ``add``, its batch form ``update``, and ``declare`` are the only writers.
+    Readers use ``ax in store``, iteration, ``len(store)``, ``axioms_of``
+    and the read-only ``by_subject`` index, which holds a key only while
+    some axiom has that subject; ``axioms`` is a frozen snapshot for set
+    algebra.
     Mutations are single-writer; hand a ``copy()`` to other threads of
     control for concurrent reads. Normalization folds overlapping
     EquivalentClasses / EquivalentObjectProperties axioms into one maximal
@@ -467,7 +479,8 @@ class OntologyStore:
         # The axioms themselves: one set per AXIOM_TYPES row.
         self._by_type: dict[type, set[Axiom]] = {cls: set() for cls in AXIOM_TYPES}
         self._kinds: dict[Iri, EntityKind] = {}
-        self.by_subject: dict[Iri, set[Axiom]] = defaultdict(set)
+        self._by_subject: dict[Iri, set[Axiom]] = {}
+        self.by_subject = MappingProxyType(self._by_subject)
         # Each member of a stored equivalence axiom, mapped to that axiom.
         self._equivalence: dict[Iri, Axiom] = {}
 
@@ -506,6 +519,57 @@ class OntologyStore:
         self._insert(ax, row)
         return self
 
+    def update(self, axioms: Iterable[Axiom]) -> "OntologyStore":
+        """Add each axiom in order: the same checks, the same resulting store
+        and the same first error as calling ``add`` on each. Between two
+        declarations, each reference field of each axiom type is checked
+        with one set inclusion, and the axioms go in with ``set.update``."""
+        batch: list[Axiom] = []
+        for ax in axioms:
+            if type(ax) is Declaration:
+                if batch:
+                    self._add_batch(batch)
+                    batch = []
+                self.declare(ax.iri, ax.kind)
+            else:
+                batch.append(ax)
+        self._add_batch(batch)
+        return self
+
+    def _add_batch(self, axioms: list[Axiom]) -> None:
+        groups: dict[type, list[Axiom]] = defaultdict(list)
+        for ax in axioms:
+            groups[type(ax)].append(ax)
+        rows = [AXIOM_TYPES.get(cls) for cls in groups]
+        if not all(row is not None and self._references_declared(row, groups[row.cls])
+                   for row in rows):
+            for ax in axioms:  # raises the error the first failing add raises
+                self.add(ax)
+            return
+        index = self._by_subject
+        for row in rows:
+            group = groups[row.cls]
+            if row.members is not None:  # equivalence axioms merge one by one
+                for ax in group:
+                    self.add(ax)
+                continue
+            self._by_type[row.cls].update(group)
+            subject_of = row.subject_of
+            for ax in group:
+                _index_under(index, subject_of(ax), ax)
+
+    def _references_declared(self, row: AxiomType, group: Iterable[Axiom]) -> bool:
+        """Whether every IRI the axioms reference is declared with the kind
+        its position requires."""
+        for f in row.refs:
+            values = map(attrgetter(f.name), group)
+            if f.shape is frozenset:
+                values = chain.from_iterable(values)
+            kinds = set(map(self._kinds.get, set(values)))
+            if not kinds <= (_ANY_KIND if f.kind is None else {f.kind}):
+                return False
+        return True
+
     def _bad_references(
         self, ax: Axiom, row: AxiomType
     ) -> Iterator[tuple[Iri, EntityKind | None, EntityKind | None]]:
@@ -539,14 +603,18 @@ class OntologyStore:
         axioms.add(ax)
         if len(axioms) == size:
             return
-        self.by_subject[row.subject_of(ax)].add(ax)
+        _index_under(self._by_subject, row.subject_of(ax), ax)
         if row.members is not None:
             for iri in getattr(ax, row.members):
                 self._equivalence[iri] = ax
 
     def _remove(self, ax: Axiom, row: AxiomType) -> None:
         self._by_type[row.cls].discard(ax)
-        self.by_subject[row.subject_of(ax)].discard(ax)
+        subject = row.subject_of(ax)
+        entry = self._by_subject[subject]
+        entry.discard(ax)
+        if not entry:
+            del self._by_subject[subject]
         for iri in getattr(ax, row.members):
             del self._equivalence[iri]
 
@@ -612,11 +680,14 @@ class OntologyStore:
         dup._by_type = {cls: set(axioms) for cls, axioms in self._by_type.items()}
         dup._kinds = dict(self._kinds)
         dup._equivalence = dict(self._equivalence)
-        dup.by_subject = defaultdict(set, {k: set(v) for k, v in self.by_subject.items()})
+        dup._by_subject = {k: set(v) for k, v in self._by_subject.items()}
+        dup.by_subject = MappingProxyType(dup._by_subject)
         return dup
 
     def validate(self) -> list[str]:
-        """Full structural scan; returns human-readable problems (empty = ok)."""
+        """Full structural scan; returns human-readable problems (empty = ok).
+        Only the axiom types whose references fail the set check of
+        ``update`` are scanned axiom by axiom."""
         problems: list[str] = []
         declared_twice: dict[Iri, set[EntityKind]] = defaultdict(set)
         for ax in self.axioms_of(Declaration):
@@ -625,7 +696,10 @@ class OntologyStore:
             if len(kinds) > 1:
                 problems.append(f"{iri} declared with multiple kinds")
         for row in AXIOM_TYPES.values():
-            for ax in self._by_type[row.cls]:
+            axioms = self._by_type[row.cls]
+            if self._references_declared(row, axioms):
+                continue
+            for ax in axioms:
                 for iri, required, actual in self._bad_references(ax, row):
                     if actual is None:
                         problems.append(f"{row.tag} references undeclared {iri}")

@@ -7,15 +7,22 @@ a worklist holds facts not yet used as a rule premise, so each fact meets
 each rule once against the static schema and every one-step derivation is
 found exactly once. Traces therefore record all one-step proofs of every
 inferred fact.
+
+The closure records each derivation as a bare (rule, premises) row. A
+fact's :class:`InferenceTrace` tuple is built and put in canonical order the
+first time that fact's traces are read (:func:`explain`, or
+``jsonio.traces_to_json``), so the sort costs nothing for facts no one asks
+about.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import IterationLimitExceeded, UnknownFact
 from .model import (
@@ -107,13 +114,49 @@ class ConsistencyViolation:
     traces: tuple[InferenceTrace, ...]
 
 
+def _row_key(row: tuple[RuleId, tuple[Axiom, ...]]) -> tuple:
+    rule, premises = row
+    return (rule.value, tuple(map(axiom_sort_key, premises)))
+
+
+class Traces(Mapping):
+    """Each inferred fact -> its one-step derivations, in canonical order.
+
+    Read-only. ``materialize`` hands over a list of (rule, premises) rows
+    per fact; the first read of a fact builds and sorts its traces and keeps
+    them in place of the rows. Every derivation is found whatever the
+    discovery order, so sorting makes equal stores yield identical tuples.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict[Axiom, list[tuple[RuleId, tuple[Axiom, ...]]]]):
+        self._rows: dict[Axiom, list | tuple[InferenceTrace, ...]] = rows
+
+    def __getitem__(self, fact: Axiom) -> tuple[InferenceTrace, ...]:
+        rows = self._rows[fact]
+        if type(rows) is list:
+            if len(rows) > 1:
+                rows.sort(key=_row_key)
+            rows = self._rows[fact] = tuple(
+                [InferenceTrace(fact, rule, premises) for rule, premises in rows]
+            )
+        return rows
+
+    def __iter__(self) -> Iterator[Axiom]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass(frozen=True)
 class Materialization:
     """An immutable closure of ``base`` under the inference rules."""
 
     base: OntologyStore
     inferred: frozenset[Axiom]
-    traces: dict[Axiom, tuple[InferenceTrace, ...]]
+    traces: Traces
     # The inferred facts that some derivation without R6 reaches.
     sameas_free: frozenset[Axiom]
     violations: tuple[ConsistencyViolation, ...]
@@ -130,6 +173,13 @@ class Materialization:
     def facts(self) -> Iterable[Axiom]:
         yield from self.base
         yield from self.inferred
+
+    def class_assertions(self) -> Iterator[ClassAssertion]:
+        """The asserted class assertions, then the inferred ones."""
+        yield from self.base.axioms_of(ClassAssertion)
+        for fact in self.inferred:
+            if type(fact) is ClassAssertion:
+                yield fact
 
 
 def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materialization:
@@ -156,8 +206,10 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     free_rows = plan(row for row in _RULES if row.rule is not _R6)
     r6_rows, every_row = plan(row for row in _RULES if row.rule is _R6), plan(_RULES)
     asserted = sorted_axioms(store.axioms_of(ClassAssertion, ObjectPropertyAssertion))
+    # Every conclusion is a class or property assertion.
+    asserted_set = set(asserted)
     inferred: set[Axiom] = set()
-    traces: dict[Axiom, list[InferenceTrace]] = {}
+    traces: dict[Axiom, list[tuple[RuleId, tuple[Axiom, ...]]]] = {}
     sameas_free: frozenset[Axiom] | None = None
     # Each entry is a fact and the rows it has still to meet; what it
     # derives meets the rows of the current pass.
@@ -176,7 +228,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
         for row, key, join in rows[type(fact)]:
             for joined, schema_ax in join.get(key(fact), ()):
                 conclusion = row.conclude(fact, joined)
-                if conclusion in store:  # asserted facts carry no traces
+                if conclusion in asserted_set:  # asserted facts carry no traces
                     continue
                 if conclusion not in inferred:
                     if len(inferred) >= fact_limit:
@@ -186,17 +238,12 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
                     inferred.add(conclusion)
                     traces[conclusion] = []
                     queue.append((conclusion, derived_rows))
-                traces[conclusion].append(InferenceTrace(conclusion, row.rule, (fact, schema_ax)))
-
-    # Every one-step derivation is found whatever the order; only the
-    # discovery order varies. Sort so equal stores yield identical tuples.
-    def trace_key(t: InferenceTrace) -> tuple:
-        return (t.rule.value, tuple(axiom_sort_key(p) for p in t.premises))
+                traces[conclusion].append((row.rule, (fact, schema_ax)))
 
     mat = Materialization(
         base=store,
         inferred=frozenset(inferred),
-        traces={fact: tuple(sorted(ts, key=trace_key)) for fact, ts in traces.items()},
+        traces=Traces(traces),
         sameas_free=sameas_free,
         violations=(),
     )
@@ -216,9 +263,8 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     """One violation per (sameAs-merged individual, asserted disjoint pair)
     whose merged membership covers both classes."""
     memberships: dict[Iri, set[Iri]] = defaultdict(set)
-    for fact in mat.facts():
-        if isinstance(fact, ClassAssertion):
-            memberships[fact.ind].add(fact.cls)
+    for fact in mat.class_assertions():
+        memberships[fact.ind].add(fact.cls)
     if not memberships:
         return []
 

@@ -191,12 +191,16 @@ def parse_turtle(text: str) -> OntologyStore:
             store.declare(s, META_CLASS_KINDS[o])
         else:
             rest.append(triple)
+    axioms: list[Axiom] = []
     for s, p, o, off in rest:
         try:
-            store.add(_map_triple(store, s, p, o))
-        except ValueError as exc:  # degenerate pair/set axioms
-            fail(text, off, str(exc))
-    return store
+            axioms.append(_map_triple(store, s, p, o))
+        except (ValueError, UndeclaredEntity, KindMismatch) as exc:
+            store.update(axioms)  # an earlier axiom's own error comes first
+            if isinstance(exc, ValueError):  # degenerate pair/set axioms
+                fail(text, off, str(exc))
+            raise
+    return store.update(axioms)
 
 
 # Axiom types by their fixed predicate. An rdf:type triple is a class
@@ -282,7 +286,7 @@ def serialize_turtle(store: OntologyStore) -> str:
         f"@prefix {prefix}: <{base}> ."
         for prefix, base in sorted(store.prefixes.items())
     ]
-    subjects = sorted(s for s, axioms in store.by_subject.items() if axioms)
+    subjects = sorted(store.by_subject)
     if lines and subjects:
         lines.append("")
     for subject in subjects:

@@ -155,6 +155,7 @@ def _assert_indexed(store: OntologyStore) -> None:
     """by_subject holds every axiom once, under its subject."""
     indexed = [(s, ax) for s, axioms in store.by_subject.items() for ax in axioms]
     assert {ax for _, ax in indexed} == store.axioms and len(indexed) == len(store.axioms)
+    assert all(store.by_subject.values())  # no key outlives its last axiom
     for subject, ax in indexed:
         if isinstance(ax, EquivalentClasses):
             assert subject == min(ax.classes)
@@ -240,6 +241,141 @@ def test_indexes_track_mutation():
         Declaration(ex("A"), EntityKind.OWL_CLASS),
         EquivalentClasses(frozenset({ex("A"), ex("B"), ex("C")})),
     }
+
+
+def test_a_merge_that_moves_an_axiom_leaves_no_empty_entry():
+    store = _store()
+    old = EquivalentClasses(frozenset({ex("B"), ex("C")}))
+    store.add(old).add(EquivalentClasses(frozenset({ex("A"), ex("C")})))
+    # The merged set lives under its least member; B keeps only its own
+    # declaration, since every subject is a declared IRI.
+    assert store.by_subject.get(ex("B"), ()) == {Declaration(ex("B"), EntityKind.OWL_CLASS)}
+    _assert_indexed(store)
+
+
+def test_by_subject_is_read_only():
+    store = _store()
+    with pytest.raises(TypeError):
+        store.by_subject[ex("x")] = set()
+    with pytest.raises(TypeError):
+        del store.by_subject[ex("x")]
+    with pytest.raises(AttributeError):
+        store.by_subject.setdefault(ex("w"), set())
+    assert ex("w") not in store.by_subject
+    assert store.copy().by_subject == store.by_subject
+
+
+def _state(store: OntologyStore) -> tuple:
+    """Everything a reader can see of a store."""
+    return (
+        {cls: set(store.axioms_of(cls)) for cls in AXIOM_TYPES},
+        {iri: store.kind_of(iri) for iri in store.declared()},
+        dict(store.by_subject),
+        len(store),
+    )
+
+
+def _outcome(store: OntologyStore, write) -> tuple:
+    """The error a write raises, if any, and the state it leaves."""
+    try:
+        write(store)
+        error = None
+    except Exception as exc:  # noqa: BLE001  the comparison is the point
+        error = (type(exc), str(exc))
+    return error, _state(store)
+
+
+def _add_each(axioms: list[Axiom]):
+    def write(store: OntologyStore) -> None:
+        for ax in axioms:
+            store.add(ax)
+    return write
+
+
+def _generated(seed: int) -> list[OntologyStore]:
+    return [random_store(seed), random_linked_store(seed), random_small_store(seed)]
+
+
+def _with_merges(store: OntologyStore, rng: random.Random) -> list[Axiom]:
+    """The store's non-declaration axioms plus overlapping equivalence
+    axioms, shuffled."""
+    classes = store.declared(EntityKind.OWL_CLASS)
+    props = store.declared(EntityKind.OBJECT_PROPERTY)
+    axioms = sorted_axioms(ax for ax in store if type(ax) is not Declaration)
+    for _ in range(4):
+        axioms.append(EquivalentClasses(frozenset(rng.sample(classes, 2))))
+    if len(props) >= 2:
+        axioms.append(EquivalentObjectProperties(frozenset(rng.sample(props, 2))))
+    rng.shuffle(axioms)
+    return axioms
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_update_matches_sequential_add(seed):
+    rng = random.Random(seed)
+    for base in _generated(seed):
+        declarations = list(base.axioms_of(Declaration))
+        rest = _with_merges(base, rng)
+        fresh = lambda: OntologyStore(base.prefixes).update(declarations)  # noqa: E731
+        loop, batch = fresh(), fresh()
+        _add_each(rest)(loop)
+        assert batch.update(rest) is batch
+        assert _state(batch) == _state(loop)
+        _assert_indexed(batch)
+        # The equivalence index came out the same too: a later merge agrees.
+        classes = base.declared(EntityKind.OWL_CLASS)
+        extra = EquivalentClasses(frozenset(rng.sample(classes, 2)))
+        assert _state(batch.add(extra)) == _state(loop.add(extra))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_update_with_declarations_anywhere_matches_sequential_add(seed):
+    """Declarations interleaved with the rest: update still takes them in
+    order, so the first axiom before its entities' declarations raises the
+    same error and leaves the same store as the add loop."""
+    rng = random.Random(seed)
+    for base in _generated(seed):
+        axioms = sorted_axioms(base.axioms_of(Declaration)) + _with_merges(base, rng)
+        rng.shuffle(axioms)
+        # An early run of declarations, so some batches go in before the error.
+        axioms.sort(key=lambda ax: type(ax) is not Declaration and rng.random() < 0.5)
+        fresh = lambda: OntologyStore(base.prefixes)  # noqa: E731
+        assert _outcome(fresh(), lambda s: s.update(axioms)) == _outcome(
+            fresh(), _add_each(axioms)
+        )
+
+
+_BAD_AXIOMS = (
+    ClassAssertion(ex("Missing"), ex("x")),  # undeclared class
+    ClassAssertion(ex("x"), ex("x")),  # an individual where a class goes
+    ObjectPropertyAssertion(ex("x"), ex("A"), ex("y")),  # a class as property
+    EquivalentClasses(frozenset({ex("A"), ex("ghost")})),  # undeclared member
+    AnnotationAssertion(ex("nowhere"), ex("note"), AnnotationValue("v")),
+)
+# The entities the bad axioms name, other than the missing ones.
+_BAD_AXIOM_DECLARATIONS = (
+    *_store().axioms_of(Declaration), Declaration(ex("note"), EntityKind.ANNOTATION_PROPERTY)
+)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("bad", _BAD_AXIOMS, ids=lambda ax: type(ax).__name__)
+def test_update_raises_the_first_error_add_raises(seed, bad):
+    rng = random.Random(seed)
+    for base in _generated(seed):
+        declarations = [*base.axioms_of(Declaration), *_BAD_AXIOM_DECLARATIONS]
+        fresh = lambda: OntologyStore(base.prefixes).update(declarations)  # noqa: E731
+        axioms = _with_merges(base, rng)
+        axioms.insert(rng.randrange(len(axioms) + 1), bad)
+        error, state = _outcome(fresh(), lambda s: s.update(axioms))
+        assert error is not None and error[0] in (UndeclaredEntity, KindMismatch)
+        assert (error, state) == _outcome(fresh(), _add_each(axioms))
+
+
+def test_update_rejects_a_non_axiom_where_add_does():
+    store, axioms = _store(), [ClassAssertion(ex("A"), ex("x")), "not an axiom"]
+    assert _outcome(_store(), lambda s: s.update(axioms)) == _outcome(store, _add_each(axioms))
+    assert ClassAssertion(ex("A"), ex("x")) in store
 
 
 def test_sorted_axioms_is_insertion_order_free():

@@ -4,6 +4,7 @@ import pytest
 
 from aieo.errors import IterationLimitExceeded, UnknownFact
 from aieo.model import (
+    Axiom,
     ClassAssertion,
     DisjointClasses,
     EntityKind,
@@ -12,8 +13,11 @@ from aieo.model import (
     OntologyStore,
     SameIndividual,
     SubClassOf,
+    axiom_sort_key,
 )
+from aieo.jsonio import traces_to_json
 from aieo.reasoner import (
+    InferenceTrace,
     RuleId,
     check_consistency,
     equivalence_classes,
@@ -30,6 +34,7 @@ from oracles import (
     random_linked_store,
     random_small_store,
     random_store,
+    reference_traces_to_json,
 )
 
 
@@ -347,3 +352,41 @@ def test_materialization_is_deterministic():
     assert a.inferred == b.inferred
     assert a.violations == b.violations
     assert {f: a.traces[f] for f in a.inferred} == {f: b.traces[f] for f in b.inferred}
+
+
+_GENERATORS = [random_store, random_linked_store, random_small_store]
+
+
+@pytest.mark.parametrize("make", _GENERATORS)
+@pytest.mark.parametrize("seed", range(8))
+def test_traces_are_read_only_and_render_as_the_reference(make, seed):
+    mat = materialize(make(seed))
+    for fact in list(mat.traces)[:1]:
+        with pytest.raises(TypeError):
+            mat.traces[fact] = ()
+        with pytest.raises(TypeError):
+            del mat.traces[fact]
+    assert set(mat.traces) == set(mat.inferred) and len(mat.traces) == len(mat.inferred)
+    assert traces_to_json(mat) == reference_traces_to_json(mat)
+
+
+@pytest.mark.parametrize("make", _GENERATORS)
+@pytest.mark.parametrize("seed", range(8))
+def test_traces_are_built_only_when_read(make, seed, monkeypatch):
+    """materialize builds the InferenceTrace objects of the violations it
+    explains and of no other fact; a read builds one fact's, once."""
+    built: list[Axiom] = []
+
+    def counting(conclusion, rule, premises):
+        built.append(conclusion)
+        return InferenceTrace(conclusion, rule, premises)
+
+    monkeypatch.setattr("aieo.reasoner.InferenceTrace", counting)
+    mat = materialize(make(seed))
+    explained = {t.conclusion for v in mat.violations for t in v.traces}
+    assert set(built) == explained
+    for fact in sorted(set(mat.inferred) - explained, key=axiom_sort_key)[:3]:
+        del built[:]
+        first = mat.traces[fact]
+        assert built == [fact] * len(first)
+        assert mat.traces[fact] is first and len(built) == len(first)

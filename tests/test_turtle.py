@@ -152,6 +152,32 @@ aieo:x aieo:keyword "literal value" .
         parse_turtle(text)
 
 
+_FAULTS = {
+    "undeclared": ("aieo:x a aieo:Ghost .", UndeclaredEntity),
+    "mismatch": ("aieo:x a aieo:x .", KindMismatch),
+    "degenerate": ("aieo:x owl:sameAs aieo:x .", ParseError),
+    "undeclared-predicate": ("aieo:x aieo:nothing aieo:x .", UndeclaredEntity),
+    "literal-predicate": ('aieo:x aieo:keyword "v" .', KindMismatch),
+}
+
+
+@pytest.mark.parametrize("first", sorted(_FAULTS))
+@pytest.mark.parametrize("second", sorted(_FAULTS))
+def test_the_first_faulty_statement_gives_the_error(first, second):
+    """Statements are read in file order, whether the fault is found while
+    the triple is mapped to an axiom or while the axiom is added."""
+    text = HEADER + (
+        "aieo:x a owl:NamedIndividual .\naieo:ok a owl:NamedIndividual .\n"
+        "aieo:Framework a owl:Class .\naieo:keyword a owl:ObjectProperty .\n"
+    )
+    body = f"{_FAULTS[first][0]}\naieo:ok a aieo:Framework .\n{_FAULTS[second][0]}\n"
+    with pytest.raises(_FAULTS[first][1]) as err:
+        parse_turtle(text + body)
+    with pytest.raises(_FAULTS[first][1]) as alone:
+        parse_turtle(text + _FAULTS[first][0] + "\n")
+    assert str(err.value).split(": ", 1)[-1] == str(alone.value).split(": ", 1)[-1]
+
+
 def test_serialized_output_is_sorted_and_grouped():
     store = seed_schema()
     text = serialize_turtle(store)
