@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from enum import IntEnum
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .jsonio import (
 )
 from .kgexport import DetailLevel, export_graph, render_dot, render_json
 from .lexer import fail
-from .model import Iri, OntologyStore, compute_metrics, sorted_axioms
+from .model import OntologyStore, compute_metrics, sorted_axioms
 from .pipeline import detect_saturation, run_iteration
 from .query import CANNED_QUERY_NAMES, canned_query, evaluate, parse_query
 from .reasoner import materialize
@@ -156,9 +157,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
     mat = materialize(store)
     if args.text is not None:
         prefixes = dict(store.prefixes) or None
-        result = evaluate(parse_query(args.text, prefixes), mat)
+        # The library warns; the CLI reports each warning as one line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            query = parse_query(args.text, prefixes)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            sys.stderr.write(f"warning: {message}\n")
+        result = evaluate(query, mat)
     else:
-        arg = Iri(store.resolve(args.arg)) if args.arg else None
+        arg = store.resolve(args.arg) if args.arg else None
         result = canned_query(args.ask, mat, arg)
     sys.stdout.write(result.to_json() if args.format == "json" else result.to_tsv())
     return ExitStatus.SUCCESS

@@ -25,6 +25,7 @@ from .model import (
     Iri,
     OntologyStore,
     axiom_type,
+    resolve_curie,
     sorted_axioms,
 )
 from .pipeline import (
@@ -55,13 +56,7 @@ def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
     def resolve(name: str, path: str) -> Iri:
         if not isinstance(name, str) or not name:
             raise SchemaViolation(path, "expected a non-empty IRI string")
-        if ":" in name:
-            prefix, local = name.split(":", 1)
-            base = table.get(prefix)
-            if base is not None and not local.startswith("//"):
-                return Iri(base + local)
-            return Iri(name)
-        return aieo(name)
+        return resolve_curie(name, table) if ":" in name else aieo(name)
 
     return resolve
 

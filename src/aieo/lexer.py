@@ -1,14 +1,14 @@
-"""One scanner for the Turtle subset and the query language.
+"""One scanner and term reader for the Turtle subset and the query language.
 
 :func:`scan` splits text into ``(kind, value, offset)`` tokens with one
 compiled regular expression. It knows the union of both token sets and
-rejects what neither language accepts; each parser then rejects the tokens
-its own language lacks and reads bare words its own way. Line and column
+rejects what neither language accepts; each language passes in checks that
+reject the tokens it lacks and read bare words its own way. Line and column
 are worked out from the offset only when a diagnostic is raised.
 
-Each parser passes :func:`scan` checks for the token kinds its language
-reads its own way, and pulls tokens one at a time, inside
-:func:`token_errors_first`.
+Both parsers read through a :class:`Cursor`: one token of lookahead, and
+one :meth:`Cursor.term` reader for IRIs, prefixed names, ``a`` and
+literals, so a term gets the same diagnostic in either language.
 
 Token kinds and values:
 
@@ -25,10 +25,10 @@ Token kinds and values:
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterator, Mapping, NoReturn, TypeVar
 
 from .errors import ParseDiagnostic, ParseError, UnsupportedFeature
+from .model import RDF_TYPE, AnnotationValue, Iri
 
 # Character classes, as the str predicates name them: \s is str.isspace and
 # [^\W_] is str.isalnum over every code point. Letters have no exact class:
@@ -83,19 +83,6 @@ def fail(text: str, offset: int, message: str, unsupported: bool = False) -> NoR
     raise (UnsupportedFeature if unsupported else ParseError)(
         [ParseDiagnostic(line, col, message)]
     )
-
-
-@contextmanager
-def token_errors_first(tokens: Iterator[Token]) -> Iterator[None]:
-    """Run a parse that pulls from ``tokens``. If it stops at a grammar
-    error, the rest of the text is scanned first, so a token error anywhere
-    is the one raised, and of two token errors the earlier."""
-    try:
-        yield
-    except ParseError:
-        for _ in tokens:
-            pass
-        raise
 
 
 def unexpected(text: str, tok: Token) -> NoReturn:
@@ -171,3 +158,89 @@ def scan(text: str, checks: Mapping[str, Check] = {}) -> Iterator[Token]:
         if kind in checks:
             checks[kind](text, tok)
         yield tok
+
+
+R = TypeVar("R")
+
+
+class Cursor:
+    """A parse of ``text``: the tokens of ``scan(text, checks)`` with one of
+    lookahead in ``tok``, and prefixed names resolved against ``prefixes``.
+    ``unknown_prefix`` is the language's message for a prefix missing from
+    them, formatted with the prefix."""
+
+    __slots__ = ("text", "tokens", "tok", "prefixes", "unknown_prefix", "iris")
+
+    def __init__(
+        self, text: str, checks: Mapping[str, Check], prefixes: dict[str, str], unknown_prefix: str
+    ):
+        self.text = text
+        self.tokens = scan(text, checks)
+        self.tok = next(self.tokens)
+        self.prefixes = prefixes
+        self.unknown_prefix = unknown_prefix
+        # Resolved IRIs by token value; redeclaring a prefix clears it.
+        self.iris: dict[object, Iri] = {}
+
+    def read(self, reader: Callable[["Cursor"], R]) -> R:
+        """``reader(self)``. If it stops at a grammar error, the rest of the
+        text is scanned first, so a token error anywhere is the one raised,
+        and of two token errors the earlier."""
+        try:
+            return reader(self)
+        except ParseError:
+            for _ in self.tokens:
+                pass
+            raise
+
+    def peek(self) -> str:
+        return self.tok[0]
+
+    def take(self) -> Token:
+        tok = self.tok
+        self.tok = next(self.tokens, tok)  # eof repeats
+        return tok
+
+    def fail(self, tok: Token, message: str, unsupported: bool = False) -> NoReturn:
+        fail(self.text, tok[2], message, unsupported)
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.take()
+        if tok[0] != kind:
+            self.fail(tok, f"expected {what}")
+        return tok
+
+    def declare(self, prefix: str, base: str) -> None:
+        if prefix in self.prefixes:
+            self.iris.clear()
+        self.prefixes[prefix] = base
+
+    def term(self, position: str) -> "Iri | AnnotationValue":
+        """The next token as the term at ``position`` of a triple
+        (``"subject"``, ``"predicate"`` or ``"object"``): an IRI or prefixed
+        name anywhere, ``a`` as a predicate, a non-empty literal as an
+        object."""
+        tok = self.take()
+        kind, value, _ = tok
+        if kind == "iri" or kind == "pname":
+            iri = self.iris.get(value)
+            if iri is None:
+                if kind == "iri":
+                    iri = Iri(value)
+                else:
+                    prefix, local = value
+                    base = self.prefixes.get(prefix)
+                    if base is None:
+                        self.fail(tok, self.unknown_prefix.format(prefix))
+                    iri = Iri(base + local)
+                self.iris[value] = iri
+            return iri
+        if kind == "string":
+            if position != "object":
+                self.fail(tok, f"a literal cannot be a {position}")
+            if not value[0]:
+                self.fail(tok, "empty literal")
+            return AnnotationValue(*value)
+        if kind == "word" and value == "a" and position == "predicate":
+            return RDF_TYPE
+        self.fail(tok, f"expected {'an' if position == 'object' else 'a'} {position}")

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
 
@@ -82,6 +82,17 @@ def term_key(term: "Iri | AnnotationValue") -> tuple:
     if isinstance(term, AnnotationValue):
         return (1, term.text, term.language_tag or "")
     return (0, str(term))
+
+
+def resolve_curie(name: str, prefixes: Mapping[str, str]) -> Iri:
+    """``name`` as a CURIE over ``prefixes``: split at the first ':', and
+    expand a known prefix unless the local part starts with '//'. Any other
+    name is taken as an absolute IRI."""
+    prefix, colon, local = name.partition(":")
+    base = prefixes.get(prefix) if colon else None
+    if base is not None and not local.startswith("//"):
+        return Iri(base + local)
+    return Iri(name)
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +662,7 @@ class OntologyStore:
 
     def resolve(self, name: str) -> Iri:
         """Resolve a CURIE against the prefix map; absolute IRIs pass through."""
-        if ":" in name:
-            prefix, local = name.split(":", 1)
-            base = self.prefixes.get(prefix)
-            if base is not None and not local.startswith("//"):
-                return Iri(base + local)
-        return Iri(name)
+        return resolve_curie(name, self.prefixes)
 
     def compact(self, iri: Iri) -> str:
         """Shorten an IRI to a CURIE when a declared prefix covers it: the

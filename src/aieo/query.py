@@ -5,6 +5,10 @@ typing, equivalence, and sameAs propagation are all visible to queries.
 Four canned queries answer the federated questions the ontology is built
 for: principles per framework, cross-framework concept descriptions,
 scenarios for a concept, and concepts unique to one framework.
+
+Query text is read through the :class:`~aieo.lexer.Cursor` that Turtle
+files use too; this module reads only the ``SELECT``/``WHERE`` frame,
+``?variables`` and the rejection of nested groups.
 """
 
 from __future__ import annotations
@@ -12,14 +16,12 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import MissingArgument, UnknownConcept
 from .jsonio import canonical_json
-from .lexer import Token, fail, scan, token_errors_first, unexpected
+from .lexer import Cursor, Token, fail, unexpected
 from .model import (
     AXIOM_TYPES,
-    RDF_TYPE,
     AnnotationAssertion,
     AnnotationValue,
     ClassAssertion,
@@ -169,95 +171,57 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     standard prefix map); the query language itself has no PREFIX form.
     """
     prefix_map = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-    tokens = scan(text, _CHECKS)
-    with token_errors_first(tokens):
-        return _parse(text, tokens, prefix_map)
+    return Cursor(text, _CHECKS, prefix_map, "unknown prefix '{}:'").read(_parse)
 
 
-def _parse(text: str, tokens: Iterator[Token], prefix_map: dict[str, str]) -> Query:
-    lookahead = next(tokens)
+def _term(cur: Cursor, position: str) -> "Iri | AnnotationValue | Variable":
+    kind = cur.peek()
+    if kind == "?":
+        return Variable(cur.take()[1])
+    if kind == "{":
+        cur.fail(cur.tok, "nested groups are outside the query subset", unsupported=True)
+    return cur.term(position)
 
-    def peek() -> Token:
-        return lookahead
 
-    def take() -> Token:
-        nonlocal lookahead
-        tok = lookahead
-        lookahead = next(tokens, tok)  # eof repeats
-        return tok
-
-    def resolve(tok: Token) -> Iri:
-        kind, value, off = tok
-        if kind == "iri":
-            return Iri(value)
-        prefix, local = value
-        base = prefix_map.get(prefix)
-        if base is None:
-            fail(text, off, f"unknown prefix '{prefix}:'")
-        return Iri(base + local)
-
-    tok = take()
+def _parse(cur: Cursor) -> Query:
+    tok = cur.take()
     if not _is_word(tok, "SELECT"):
-        fail(text, tok[2], "query must start with SELECT")
-    distinct = _is_word(peek(), "DISTINCT")
+        cur.fail(tok, "query must start with SELECT")
+    distinct = _is_word(cur.tok, "DISTINCT")
     if distinct:
-        take()
+        cur.take()
     projected: list[tuple[Variable, int]] = []
-    while peek()[0] == "?":
-        _, name, off = take()
+    while cur.peek() == "?":
+        _, name, off = cur.take()
         projected.append((Variable(name), off))
     if not projected:
-        fail(text, peek()[2], "SELECT needs at least one ?variable")
-    tok = take()
+        cur.fail(cur.tok, "SELECT needs at least one ?variable")
+    tok = cur.take()
     if not _is_word(tok, "WHERE"):
-        fail(text, tok[2], "expected WHERE")
-    tok = take()
-    if tok[0] != "{":
-        fail(text, tok[2], "expected '{'")
-
-    def term(position: str, allow_literal: bool) -> "Iri | AnnotationValue | Variable":
-        tok = take()
-        kind, value, off = tok
-        if kind == "?":
-            return Variable(value)
-        if kind in ("iri", "pname"):
-            return resolve(tok)
-        if kind == "word" and value == "a" and position == "predicate":
-            return RDF_TYPE
-        if kind == "string":
-            if not allow_literal:
-                fail(text, off, f"a literal cannot be a {position}")
-            text_, lang = value
-            if not text_:
-                fail(text, off, "empty literal")
-            return AnnotationValue(text_, lang)
-        if kind == "{":
-            fail(text, off, "nested groups are outside the query subset", unsupported=True)
-        fail(text, off, f"expected a {position}")
-
+        cur.fail(tok, "expected WHERE")
+    cur.expect("{", "'{'")
     patterns: list[TriplePattern] = []
-    while peek()[0] != "}":
-        if peek()[0] == "eof":
-            fail(text, peek()[2], "unterminated WHERE group")
-        s = term("subject", allow_literal=False)
-        p = term("predicate", allow_literal=False)
-        o = term("object", allow_literal=True)
-        patterns.append(TriplePattern(s, p, o))
-        if peek()[0] == ".":
-            take()
-    close = take()
-    tok = take()
+    while cur.peek() != "}":
+        if cur.peek() == "eof":
+            cur.fail(cur.tok, "unterminated WHERE group")
+        s = _term(cur, "subject")
+        p = _term(cur, "predicate")
+        patterns.append(TriplePattern(s, p, _term(cur, "object")))
+        if cur.peek() == ".":
+            cur.take()
+    close = cur.take()
+    tok = cur.take()
     if tok[0] != "eof":
-        fail(text, tok[2], "trailing content after '}'")
+        cur.fail(tok, "trailing content after '}'")
     if not patterns:
-        fail(text, close[2], "WHERE group has no patterns")
+        cur.fail(close, "WHERE group has no patterns")
     try:
         return Query(tuple(v for v, _ in projected), tuple(patterns), distinct=distinct)
     except ValueError as exc:
         message = str(exc)
     # The one invalid query left: a projected variable that no pattern binds.
     bound = {v for p in patterns for v in p.variables()}
-    fail(text, next(off for v, off in projected if v not in bound), message)
+    fail(cur.text, next(off for v, off in projected if v not in bound), message)
 
 
 # ---------------------------------------------------------------------------

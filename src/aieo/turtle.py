@@ -4,7 +4,9 @@ Accepted subset: ``@prefix`` directives, subject-grouped statements with
 ``;``/``,`` lists, the ``a`` shorthand, prefixed names, ``<absolute>`` IRIs,
 and plain or language-tagged string literals. Blank nodes, collections,
 datatyped/numeric/boolean literals, and ``@base`` are rejected as
-unsupported features with a position.
+unsupported features with a position. Terms are read through the
+:class:`~aieo.lexer.Cursor` that query text uses too; this module reads
+``@prefix`` directives and the statement structure.
 
 Serialization is canonical: prefixes sorted, subjects sorted by absolute
 IRI, predicates in a fixed order, object lists sorted. Two serializations
@@ -14,10 +16,9 @@ of equal stores are byte-identical.
 from __future__ import annotations
 
 import re
-from typing import NoReturn
 
 from .errors import KindMismatch, UndeclaredEntity
-from .lexer import Token, fail, scan, token_errors_first, unexpected
+from .lexer import Cursor, Token, fail, unexpected
 from .model import (
     AXIOM_TYPES,
     META_CLASS_KINDS,
@@ -66,126 +67,49 @@ _CHECKS = {"word": _word, "@": _directive, "?": unexpected, "{": unexpected, "}"
 _Triple = tuple[Iri, Iri, "Iri | AnnotationValue", int]
 
 
-class _Parser:
-    """Pulls one token at a time from the scanner, keeping one of lookahead."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = scan(text, _CHECKS)
-        self.tok = next(self.tokens)
-        self.prefixes: dict[str, str] = {}
-        self.triples: list[_Triple] = []
-        # Resolved IRIs by token value; a redeclared prefix clears it.
-        self.iris: dict[object, Iri] = {}
-
-    def peek(self) -> str:
-        return self.tok[0]
-
-    def next(self) -> Token:
-        tok = self.tok
-        self.tok = next(self.tokens, tok)  # eof repeats
-        return tok
-
-    def fail(self, tok: Token, message: str) -> NoReturn:
-        fail(self.text, tok[2], message)
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok[0] != kind:
-            self.fail(tok, f"expected {what}")
-        return tok
-
-    def resolve(self, tok: Token) -> Iri:
-        kind, value, _ = tok
-        iri = self.iris.get(value)
-        if iri is not None:
-            return iri
-        if kind == "iri":
-            iri = Iri(value)
-        else:
-            prefix, local = value
-            base = self.prefixes.get(prefix)
-            if base is None:
-                self.fail(tok, f"prefix '{prefix}:' used before declaration")
-            iri = Iri(base + local)
-        self.iris[value] = iri
-        return iri
-
-    def document(self) -> None:
+def _document(cur: Cursor) -> list[_Triple]:
+    """The triples of the document, in order; ``@prefix`` directives go
+    into the cursor's prefixes."""
+    triples: list[_Triple] = []
+    while (kind := cur.peek()) != "eof":
+        if kind == "@":  # @prefix, the one directive _CHECKS lets through
+            cur.take()
+            name = cur.expect("pname", "a prefix name ending in ':'")
+            prefix, local = name[1]
+            if local:
+                cur.fail(name, "prefix declaration must end in ':'")
+            base = cur.expect("iri", "an IRI reference")
+            cur.expect(".", "'.' after prefix directive")
+            cur.declare(prefix, base[1])
+            continue
+        subject = cur.term("subject")
         while True:
-            kind = self.peek()
-            if kind == "eof":
-                return
-            if kind == "@":  # @prefix, the one directive _CHECKS lets through
-                self.directive()
-            else:
-                self.statement()
-
-    def directive(self) -> None:
-        self.next()
-        name = self.expect("pname", "a prefix name ending in ':'")
-        prefix, local = name[1]
-        if local:
-            self.fail(name, "prefix declaration must end in ':'")
-        base = self.expect("iri", "an IRI reference")
-        self.expect(".", "'.' after prefix directive")
-        if prefix in self.prefixes:
-            self.iris.clear()
-        self.prefixes[prefix] = base[1]
-
-    def statement(self) -> None:
-        subj_tok = self.next()
-        if subj_tok[0] == "string":
-            self.fail(subj_tok, "a literal cannot be a subject")
-        if subj_tok[0] not in ("iri", "pname"):
-            self.fail(subj_tok, "expected a subject IRI")
-        subject = self.resolve(subj_tok)
-        while True:
-            pred_tok = self.next()
-            if pred_tok[0] == "word":  # 'a', the one word _CHECKS lets through
-                predicate = RDF_TYPE
-            elif pred_tok[0] in ("iri", "pname"):
-                predicate = self.resolve(pred_tok)
-            else:
-                self.fail(pred_tok, "expected a predicate")
+            predicate = cur.term("predicate")
             while True:
-                obj_tok = self.next()
-                kind, value, off = obj_tok
-                obj: Iri | AnnotationValue
-                if kind in ("iri", "pname"):
-                    obj = self.resolve(obj_tok)
-                elif kind == "string":
-                    text, lang = value
-                    if not text:
-                        self.fail(obj_tok, "empty literal")
-                    obj = AnnotationValue(text, lang)
-                else:
-                    self.fail(obj_tok, "expected an object")
-                self.triples.append((subject, predicate, obj, off))
-                if self.peek() == ",":
-                    self.next()
-                    continue
-                break
-            sep = self.next()
+                off = cur.tok[2]
+                triples.append((subject, predicate, cur.term("object"), off))
+                if cur.peek() != ",":
+                    break
+                cur.take()
+            sep = cur.take()
             if sep[0] == ";":
-                if self.peek() == ".":  # tolerate trailing ';'
-                    self.next()
-                    return
-                continue
-            if sep[0] == ".":
-                return
-            self.fail(sep, "expected ';', ',' or '.'")
+                if cur.peek() != ".":
+                    continue
+                cur.take()  # tolerate trailing ';'
+            elif sep[0] != ".":
+                cur.fail(sep, "expected ';', ',' or '.'")
+            break
+    return triples
 
 
 def parse_turtle(text: str) -> OntologyStore:
     """Parse a document in the subset into a validated store."""
-    parser = _Parser(text)
-    with token_errors_first(parser.tokens):
-        parser.document()
-    store = OntologyStore(parser.prefixes)
+    cur = Cursor(text, _CHECKS, {}, "prefix '{}:' used before declaration")
+    triples = cur.read(_document)
+    store = OntologyStore(cur.prefixes)
     # Declarations first so statement order inside the file never matters.
     rest: list[_Triple] = []
-    for triple in parser.triples:
+    for triple in triples:
         s, p, o, _ = triple
         if p == RDF_TYPE and isinstance(o, Iri) and o in META_CLASS_KINDS:
             store.declare(s, META_CLASS_KINDS[o])

@@ -279,6 +279,25 @@ def test_query_text_tsv(run, tmp_path):
     )
 
 
+def test_query_disconnected_pattern_warns_in_one_stderr_line(run, tmp_path):
+    store = seed_schema()
+    for name in ("fw", "fair"):
+        store.declare(aieo(name), EntityKind.NAMED_INDIVIDUAL)
+    store.add(ClassAssertion(aieo("Framework"), aieo("fw")))
+    store.add(ClassAssertion(aieo("Principle"), aieo("fair")))
+    path = _write_store(tmp_path, store)
+    code, out, err = run(
+        "query", path, "--text",
+        "SELECT ?x WHERE { ?x a aieo:Principle . ?y a aieo:Framework }",
+    )
+    assert code == 0
+    assert out == "?x\nhttps://w3id.org/aieo#fair\n"
+    assert err == (
+        "warning: pattern shares no variable with the projection or any other "
+        "pattern; result is a cartesian product\n"
+    )
+
+
 def test_query_json_format(run, seed_file):
     code, out, _ = run(
         "query", seed_file, "--format", "json",

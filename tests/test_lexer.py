@@ -1,7 +1,8 @@
 """Tests for the shared Turtle/query scanner (``aieo.lexer``).
 
 The diagnostics tables pin every token-level diagnostic of both
-languages, with exception class, line and column. The mutation fuzz checks that the parsers fail only with the
+languages and the term diagnostics they share, with exception class, line
+and column. The mutation fuzz checks that the parsers fail only with the
 package's own exceptions, at positions inside the text.
 """
 
@@ -77,6 +78,12 @@ TURTLE_DIAGNOSTICS = [
     (P + "ex:a ex:p", ParseError, "expected an object", 2, 10),
     (P + "ex:a ex:p\r\n", ParseError, "expected an object", 3, 1),
     (P + "zz:a ex:p ex:b .", ParseError, "prefix 'zz:' used before declaration", 2, 1),
+    # The term diagnostics both languages share (see QUERY_DIAGNOSTICS).
+    (P + "a ex:p ex:b .", ParseError, "expected a subject", 2, 1),
+    (P + 'ex:a "x" ex:b .', ParseError, "a literal cannot be a predicate", 2, 6),
+    (P + "ex:a . ex:b", ParseError, "expected a predicate", 2, 6),
+    (P + '"x" ex:p ex:b .', ParseError, "a literal cannot be a subject", 2, 1),
+    (P + 'ex:a ex:p "" .', ParseError, "empty literal", 2, 11),
 ]
 
 QUERY_DIAGNOSTICS = [
@@ -111,6 +118,13 @@ QUERY_DIAGNOSTICS = [
     ("SELECT ?x WHERE {\n  # nothing\n}", ParseError, "WHERE group has no patterns", 3, 1),
     ("SELECT ?x\n  ?missing WHERE { ?x a aieo:Framework }", ParseError,
      "projected variable ?missing occurs in no pattern", 2, 3),
+    # The term diagnostics both languages share (see TURTLE_DIAGNOSTICS).
+    ("SELECT ?x WHERE { a a ?x }", ParseError, "expected a subject", 1, 19),
+    ("SELECT ?x WHERE { ?x a }", ParseError, "expected an object", 1, 24),
+    ('SELECT ?x WHERE { ?x "p" ?y }', ParseError, "a literal cannot be a predicate", 1, 22),
+    ("SELECT ?x WHERE { ?x . ?y }", ParseError, "expected a predicate", 1, 22),
+    ('SELECT ?x WHERE { "x" a ?x }', ParseError, "a literal cannot be a subject", 1, 19),
+    ('SELECT ?x WHERE { ?x a "" }', ParseError, "empty literal", 1, 24),
 ]
 
 

@@ -19,6 +19,7 @@ from aieo.model import (
     Iri,
     ObjectPropertyAssertion,
     SameIndividual,
+    render_literal,
 )
 from aieo.query import (
     CANNED_QUERY_NAMES,
@@ -34,6 +35,7 @@ from aieo.query import (
 )
 from aieo.reasoner import materialize
 from aieo.schema import (
+    AIEO_NS,
     CONCEPT_LINK_PROPERTIES,
     OWL_SAME_AS,
     RDF_TYPE,
@@ -210,6 +212,59 @@ def test_disconnected_pattern_warns():
 def test_query_rejects_unknown_projection_directly():
     with pytest.raises(ValueError, match="occurs in no pattern"):
         Query((Variable("y"),), (TriplePattern(Variable("x"), RDF_TYPE, aieo("Framework")),))
+
+
+def _query_text(query, prefixed):
+    """The query as text. Each IRI is written as ``<IRI>``, or, when
+    ``prefixed``, as ``a`` or an ``aieo:`` name where it has one."""
+
+    def term(t):
+        if isinstance(t, Variable):
+            return f"?{t}"
+        if isinstance(t, AnnotationValue):
+            return render_literal(t)
+        if prefixed and t == RDF_TYPE:
+            return "a"
+        if prefixed and t.startswith(AIEO_NS):
+            return "aieo:" + t[len(AIEO_NS):]
+        return f"<{t}>"
+
+    head = "SELECT DISTINCT" if query.distinct else "SELECT"
+    variables = " ".join(f"?{v}" for v in query.projected_variables)
+    body = " . ".join(
+        " ".join(term(t) for t in (p.subject, p.predicate, p.object)) for p in query.patterns
+    )
+    return f"{head} {variables} WHERE {{ {body} }}"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # random patterns may be disconnected
+def test_query_text_round_trips_random_queries():
+    rng = random.Random(20261018)
+    for i in range(400):
+        patterns, projected, distinct = random_query(rng)
+        query = Query(projected, tuple(patterns), distinct)
+        text = _query_text(query, prefixed=i % 2 == 1)
+        assert parse_query(text) == query, text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        AnnotationValue('say "hi"'),
+        AnnotationValue("back\\slash, tab\t, new\nline, return\r"),
+        AnnotationValue("fair", "en"),
+        AnnotationValue("équité", "fr-CA"),
+        AnnotationValue("公平性", "zh-Hans"),
+        AnnotationValue("Ⅻ ² ½ — naïve 🙂"),
+        AnnotationValue("# not a comment ; , . { } ?x <x> a:b"),
+    ],
+    ids=repr,
+)
+def test_query_text_round_trips_literal_objects(value):
+    x = Variable("x")
+    query = Query((x,), (TriplePattern(x, SHORT_DESCRIPTION, value),))
+    for prefixed in (False, True):
+        assert parse_query(_query_text(query, prefixed)) == query
 
 
 # ---------------------------------------------------------------------------
