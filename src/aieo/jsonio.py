@@ -52,11 +52,16 @@ def _loads(text: str) -> Any:
 def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
     table = dict(DEFAULT_PREFIXES)
     table.update(prefixes)
+    memo: dict[str, Iri] = {}
 
     def resolve(name: str, path: str) -> Iri:
+        # Checked first: a malformed value may be an unhashable list.
         if not isinstance(name, str) or not name:
             raise SchemaViolation(path, "expected a non-empty IRI string")
-        return resolve_curie(name, table) if ":" in name else aieo(name)
+        iri = memo.get(name)
+        if iri is None:
+            iri = memo[name] = resolve_curie(name, table) if ":" in name else aieo(name)
+        return iri
 
     return resolve
 
@@ -252,6 +257,14 @@ def _write(value: Any, indent: str, emit: Callable[[str], None], memo: dict) -> 
             _write_object(members, indent, emit, memo)
         else:
             emit("{}")
+    elif isinstance(value, Axiom):  # before tuple: an axiom is one
+        text = memo.get((value, indent))
+        if text is None:
+            chunks: list[str] = []
+            members = ((key, read(value)) for key, read in _JSON_MEMBERS[type(value)])
+            _write_object(members, indent, chunks.append, memo)
+            text = memo[(value, indent)] = "".join(chunks)
+        emit(text)
     elif isinstance(value, (list, tuple)):
         if value:
             inner = indent + "  "
@@ -263,14 +276,6 @@ def _write(value: Any, indent: str, emit: Callable[[str], None], memo: dict) -> 
             emit(indent + "]")
         else:
             emit("[]")
-    elif isinstance(value, Axiom):
-        text = memo.get((value, indent))
-        if text is None:
-            chunks: list[str] = []
-            members = ((key, read(value)) for key, read in _JSON_MEMBERS[type(value)])
-            _write_object(members, indent, chunks.append, memo)
-            text = memo[(value, indent)] = "".join(chunks)
-        emit(text)
     else:
         emit(_encode_scalar(value))
 

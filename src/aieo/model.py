@@ -3,14 +3,17 @@ ontology metrics.
 
 The store keeps a duplicate-free set of axioms over declared entities.
 Entities are plain absolute IRIs; CURIE resolution happens at the parsing
-boundaries (see :mod:`aieo.turtle` and :mod:`aieo.jsonio`). What each axiom
-type looks like (its fields, triples, JSON form and sort order) is described
-once, in :data:`AXIOM_TYPES`; every other module reads it from there.
+boundaries (see :mod:`aieo.turtle` and :mod:`aieo.jsonio`). Axioms and
+literals are immutable tuples tagged by their type, so building, hashing
+and comparing one are C tuple operations. Each axiom class lists its fields
+once; what else each axiom type looks like (its triples, JSON form and sort
+order) is described once, in :data:`AXIOM_TYPES`, and every other module
+reads it from there.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -46,24 +49,6 @@ class EntityKind(Enum):
     ANNOTATION_PROPERTY = "AnnotationProperty"
     DATA_PROPERTY = "DataProperty"
     NAMED_INDIVIDUAL = "NamedIndividual"
-
-
-@dataclass(frozen=True, slots=True)
-class AnnotationValue:
-    """A plain or language-tagged literal."""
-
-    text: str
-    language_tag: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("annotation text must be non-empty")
-        # Exactly what the Turtle lexer reads back after '@'.
-        tag = self.language_tag
-        if tag is not None and not (tag and all(c.isalnum() or c == "-" for c in tag)):
-            raise ValueError(
-                f"language tag {tag!r} must be letters, digits and '-', and non-empty"
-            )
 
 
 _LITERAL_ESCAPES = str.maketrans(
@@ -130,129 +115,18 @@ _META_CLASS_OF_KIND = {kind: iri for iri, kind in META_CLASS_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Axiom union
-# ---------------------------------------------------------------------------
-
-class Axiom:
-    """Marker base for the tagged union of supported OWL constructs."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Declaration(Axiom):
-    iri: Iri
-    kind: EntityKind
-
-
-@dataclass(frozen=True, slots=True)
-class SubClassOf(Axiom):
-    sub: Iri
-    sup: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class EquivalentClasses(Axiom):
-    classes: frozenset[Iri]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", frozenset(self.classes))
-        if len(self.classes) < 2:
-            raise ValueError("EquivalentClasses needs at least two classes")
-
-
-@dataclass(frozen=True, slots=True)
-class DisjointClasses(Axiom):
-    """Unordered pair, stored with a <= b."""
-
-    a: Iri
-    b: Iri
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("DisjointClasses needs two distinct classes")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-@dataclass(frozen=True, slots=True)
-class SubObjectPropertyOf(Axiom):
-    sub: Iri
-    sup: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class EquivalentObjectProperties(Axiom):
-    properties: frozenset[Iri]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "properties", frozenset(self.properties))
-        if len(self.properties) < 2:
-            raise ValueError("EquivalentObjectProperties needs at least two properties")
-
-
-@dataclass(frozen=True, slots=True)
-class ObjectPropertyRange(Axiom):
-    prop: Iri
-    cls: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class ObjectPropertyDomain(Axiom):
-    prop: Iri
-    cls: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class ClassAssertion(Axiom):
-    cls: Iri
-    ind: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class ObjectPropertyAssertion(Axiom):
-    subject: Iri
-    prop: Iri
-    object: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class SameIndividual(Axiom):
-    """Unordered pair, stored with a <= b."""
-
-    a: Iri
-    b: Iri
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("SameIndividual needs two distinct individuals")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-@dataclass(frozen=True, slots=True)
-class AnnotationAssertion(Axiom):
-    subject: Iri
-    prop: Iri
-    value: AnnotationValue
-
-
-# ---------------------------------------------------------------------------
-# Axiom-type table
+# Records: axioms and literals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class Field:
-    """One field of an axiom type, in dataclass order.
+    """One field of a record type, in tuple order.
 
-    ``shape`` is the type of its value: ``Iri``, ``frozenset`` (of IRIs),
-    ``EntityKind`` or ``AnnotationValue``. An IRI here must be declared with
-    ``kind``, or with any kind when ``kind`` is None. ``json`` is its key in
-    the JSON interchange form (the field name unless given).
+    For an axiom field, ``shape`` is the type of its value: ``Iri``,
+    ``frozenset`` (of IRIs), ``EntityKind`` or ``AnnotationValue``. An IRI
+    here must be declared with ``kind``, or with any kind when ``kind`` is
+    None. ``json`` is its key in the JSON interchange form (the field name
+    unless given).
     """
 
     name: str
@@ -265,6 +139,186 @@ class Field:
             object.__setattr__(self, "json", self.name)
 
 
+class _Record(tuple):
+    """An immutable value stored as a tuple tagged by its type: element 0 is
+    the class, then the field values in ``_fields`` order. Equality and hash
+    include the type, so records of two types are unequal even when their
+    fields agree.
+
+    A subclass lists its fields with the ``fields`` class keyword (and
+    trailing ``defaults``), declares ``__slots__ = ()``, and may define
+    ``_normalize``, which takes the field values and returns them normalized
+    or raises ValueError. Construction is one ``tuple.__new__`` after
+    ``_normalize``; hashing and equality are the C tuple operations; each
+    field is read by name through the C getter of
+    :func:`collections.namedtuple`. Read fields by name, never by index or
+    unpacking.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # the field names, as in a namedtuple
+    _field_specs: tuple[Field, ...] = ()
+
+    def __init_subclass__(cls, fields: tuple[Field, ...] = (), defaults: tuple = ()) -> None:
+        super().__init_subclass__()
+        if not fields:  # an abstract base such as Axiom
+            return
+        names = tuple(f.name for f in fields)
+        getters = vars(namedtuple(cls.__name__, ("tag", *names)))
+        for name in names:
+            setattr(cls, name, getters[name])
+        normalize = getattr(cls, "_normalize", None)
+        args = ", ".join(names)
+        values = f"*_normalize({args})" if normalize else args
+        namespace = {"_new": tuple.__new__, "_normalize": normalize}
+        exec(f"def __new__(_cls, {args}):\n    return _new(_cls, (_cls, {values}))", namespace)
+        new = namespace["__new__"]
+        new.__qualname__ = f"{cls.__qualname__}.__new__"
+        new.__defaults__ = defaults or None
+        cls.__new__ = staticmethod(new)
+        cls._fields = cls.__match_args__ = names
+        cls._field_specs = fields
+
+    def __repr__(self) -> str:
+        values = ", ".join(map("{}={!r}".format, self._fields, self[1:]))
+        return f"{type(self).__qualname__}({values})"
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+
+class AnnotationValue(_Record, fields=(Field("text", str), Field("language_tag", str)),
+                      defaults=(None,)):
+    """A plain or language-tagged literal.
+
+    Like an axiom, it is an immutable tuple tagged by its type, so equality
+    and hash include the type; read its fields by name, never by index or
+    unpacking.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _normalize(text: str, tag: str | None) -> tuple:
+        if not text:
+            raise ValueError("annotation text must be non-empty")
+        # Exactly what the Turtle lexer reads back after '@'.
+        if tag is not None and not (tag and all(c.isalnum() or c == "-" for c in tag)):
+            raise ValueError(
+                f"language tag {tag!r} must be letters, digits and '-', and non-empty"
+            )
+        return text, tag
+
+
+def _distinct_pair(message: str) -> Callable[[Iri, Iri], tuple]:
+    """Normalization of an unordered pair: distinct, stored with a <= b."""
+    def normalize(a: Iri, b: Iri) -> tuple:
+        if a == b:
+            raise ValueError(message)
+        return (a, b) if a < b else (b, a)
+    return normalize
+
+
+def _member_set(message: str) -> Callable[[Iterable[Iri]], tuple]:
+    """Normalization of an equivalence: a frozenset of two or more members."""
+    def normalize(members: Iterable[Iri]) -> tuple:
+        members = frozenset(members)
+        if len(members) < 2:
+            raise ValueError(message)
+        return (members,)
+    return normalize
+
+
+_CLASS = EntityKind.OWL_CLASS
+_PROPERTY = EntityKind.OBJECT_PROPERTY
+_INDIVIDUAL = EntityKind.NAMED_INDIVIDUAL
+
+
+class Axiom(_Record):
+    """Base of the tagged union of supported OWL constructs.
+
+    Each axiom is an immutable tuple tagged by its type: element 0 is the
+    class, then the field values. ``isinstance(ax, tuple)`` holds, and
+    equality and hash include the type, so ``SubClassOf(A, B)`` and
+    ``DisjointClasses(A, B)`` are two axioms. Read fields by name, never
+    by index or unpacking.
+    """
+
+    __slots__ = ()
+
+
+class Declaration(Axiom, fields=(Field("iri"), Field("kind", EntityKind, json="entityKind"))):
+    __slots__ = ()
+
+
+class SubClassOf(Axiom, fields=(Field("sub", kind=_CLASS), Field("sup", kind=_CLASS))):
+    __slots__ = ()
+
+
+class EquivalentClasses(Axiom, fields=(Field("classes", frozenset, _CLASS),)):
+    __slots__ = ()
+    _normalize = staticmethod(_member_set("EquivalentClasses needs at least two classes"))
+
+
+class DisjointClasses(Axiom, fields=(Field("a", kind=_CLASS), Field("b", kind=_CLASS))):
+    """Unordered pair, stored with a <= b."""
+
+    __slots__ = ()
+    _normalize = staticmethod(_distinct_pair("DisjointClasses needs two distinct classes"))
+
+
+class SubObjectPropertyOf(Axiom, fields=(Field("sub", kind=_PROPERTY),
+                                         Field("sup", kind=_PROPERTY))):
+    __slots__ = ()
+
+
+class EquivalentObjectProperties(Axiom, fields=(Field("properties", frozenset, _PROPERTY),)):
+    __slots__ = ()
+    _normalize = staticmethod(
+        _member_set("EquivalentObjectProperties needs at least two properties")
+    )
+
+
+class ObjectPropertyRange(Axiom, fields=(Field("prop", kind=_PROPERTY),
+                                         Field("cls", kind=_CLASS))):
+    __slots__ = ()
+
+
+class ObjectPropertyDomain(Axiom, fields=(Field("prop", kind=_PROPERTY),
+                                          Field("cls", kind=_CLASS))):
+    __slots__ = ()
+
+
+class ClassAssertion(Axiom, fields=(Field("cls", kind=_CLASS), Field("ind", kind=_INDIVIDUAL))):
+    __slots__ = ()
+
+
+class ObjectPropertyAssertion(Axiom, fields=(Field("subject", kind=_INDIVIDUAL),
+                                             Field("prop", kind=_PROPERTY),
+                                             Field("object", kind=_INDIVIDUAL))):
+    __slots__ = ()
+
+
+class SameIndividual(Axiom, fields=(Field("a", kind=_INDIVIDUAL),
+                                    Field("b", kind=_INDIVIDUAL))):
+    """Unordered pair, stored with a <= b."""
+
+    __slots__ = ()
+    _normalize = staticmethod(_distinct_pair("SameIndividual needs two distinct individuals"))
+
+
+class AnnotationAssertion(Axiom, fields=(
+    Field("subject"),
+    Field("prop", kind=EntityKind.ANNOTATION_PROPERTY, json="annProp"),
+    Field("value", AnnotationValue),
+)):
+    __slots__ = ()
+
+
+# ---------------------------------------------------------------------------
+# Axiom-type table
+# ---------------------------------------------------------------------------
+
 # How a field value enters the sort key; IRIs enter as they are.
 _SORT_PART: dict[type, Callable] = {
     frozenset: lambda v: tuple(sorted(v)),
@@ -275,7 +329,8 @@ _SORT_PART: dict[type, Callable] = {
 
 @dataclass(frozen=True, slots=True)
 class AxiomType:
-    """Everything the library knows about one axiom type.
+    """Everything the library knows about one axiom type beyond its fields,
+    which the class itself lists.
 
     In RDF the axiom is the triple ``subject predicate obj``, where
     ``subject`` and ``obj`` name fields and a None ``predicate`` means the
@@ -286,11 +341,10 @@ class AxiomType:
     axioms are the ones counted by ``logicalAxiomCount``.
 
     The callables below are built once per type, so no per-axiom code
-    inspects the dataclass fields.
+    inspects the fields.
     """
 
     cls: type
-    fields: tuple[Field, ...]
     subject: str
     obj: str
     predicate: Iri | None
@@ -298,6 +352,7 @@ class AxiomType:
     order: int = 0
     logical: bool = True
     # Derived from the above in __post_init__.
+    fields: tuple[Field, ...] = field(init=False)  # the class's own, in tuple order
     tag: str = field(init=False)  # the type's name, also its JSON "kind"
     members: str | None = field(init=False)  # the set-valued field, if any
     refs: tuple[Field, ...] = field(init=False)  # fields naming other entities
@@ -307,16 +362,18 @@ class AxiomType:
     sort_key: Callable[[Axiom], tuple] = field(init=False)
 
     def __post_init__(self) -> None:
-        members = next((f.name for f in self.fields if f.shape is frozenset), None)
+        fields = self.cls._field_specs
+        members = next((f.name for f in fields if f.shape is frozenset), None)
         # A declaration introduces its IRI rather than referencing it.
-        declares = any(f.shape is EntityKind for f in self.fields)
+        declares = any(f.shape is EntityKind for f in fields)
         refs = () if declares else tuple(
-            f for f in self.fields if f.shape is Iri or f.shape is frozenset
+            f for f in fields if f.shape is Iri or f.shape is frozenset
         )
         subject_of: Callable = attrgetter(self.subject)
         if self.subject == members:
             subject_of = lambda ax, get=subject_of: min(get(ax))  # noqa: E731
         set_ = object.__setattr__
+        set_(self, "fields", fields)
         set_(self, "tag", self.cls.__name__)
         set_(self, "members", members)
         set_(self, "refs", refs)
@@ -365,63 +422,24 @@ class AxiomType:
         return self.cls(**{self.subject: subject, self.obj: obj})
 
 
-_CLASS = EntityKind.OWL_CLASS
-_PROPERTY = EntityKind.OBJECT_PROPERTY
-_INDIVIDUAL = EntityKind.NAMED_INDIVIDUAL
-
 AXIOM_TYPES: dict[type, AxiomType] = {row.cls: row for row in (
+    AxiomType(Declaration, "iri", "kind", RDF_TYPE, order=0, logical=False),
+    AxiomType(SubClassOf, "sub", "sup", RDFS_SUBCLASSOF, order=1),
     AxiomType(
-        Declaration, (Field("iri"), Field("kind", EntityKind, json="entityKind")),
-        "iri", "kind", RDF_TYPE, order=0, logical=False,
+        EquivalentClasses, "classes", "classes", OWL_EQUIVALENT_CLASS, symmetric=True, order=2
     ),
+    AxiomType(DisjointClasses, "a", "b", OWL_DISJOINT_WITH, symmetric=True, order=3),
+    AxiomType(SubObjectPropertyOf, "sub", "sup", RDFS_SUBPROPERTYOF, order=6),
     AxiomType(
-        SubClassOf, (Field("sub", kind=_CLASS), Field("sup", kind=_CLASS)),
-        "sub", "sup", RDFS_SUBCLASSOF, order=1,
+        EquivalentObjectProperties, "properties", "properties", OWL_EQUIVALENT_PROPERTY,
+        symmetric=True, order=2,
     ),
-    AxiomType(
-        EquivalentClasses, (Field("classes", frozenset, _CLASS),),
-        "classes", "classes", OWL_EQUIVALENT_CLASS, symmetric=True, order=2,
-    ),
-    AxiomType(
-        DisjointClasses, (Field("a", kind=_CLASS), Field("b", kind=_CLASS)),
-        "a", "b", OWL_DISJOINT_WITH, symmetric=True, order=3,
-    ),
-    AxiomType(
-        SubObjectPropertyOf, (Field("sub", kind=_PROPERTY), Field("sup", kind=_PROPERTY)),
-        "sub", "sup", RDFS_SUBPROPERTYOF, order=6,
-    ),
-    AxiomType(
-        EquivalentObjectProperties, (Field("properties", frozenset, _PROPERTY),),
-        "properties", "properties", OWL_EQUIVALENT_PROPERTY, symmetric=True, order=2,
-    ),
-    AxiomType(
-        ObjectPropertyRange, (Field("prop", kind=_PROPERTY), Field("cls", kind=_CLASS)),
-        "prop", "cls", RDFS_RANGE, order=4,
-    ),
-    AxiomType(
-        ObjectPropertyDomain, (Field("prop", kind=_PROPERTY), Field("cls", kind=_CLASS)),
-        "prop", "cls", RDFS_DOMAIN, order=5,
-    ),
-    AxiomType(
-        ClassAssertion, (Field("cls", kind=_CLASS), Field("ind", kind=_INDIVIDUAL)),
-        "ind", "cls", RDF_TYPE, order=0,
-    ),
-    AxiomType(
-        ObjectPropertyAssertion,
-        (Field("subject", kind=_INDIVIDUAL), Field("prop", kind=_PROPERTY),
-         Field("object", kind=_INDIVIDUAL)),
-        "subject", "object", None, order=7,
-    ),
-    AxiomType(
-        SameIndividual, (Field("a", kind=_INDIVIDUAL), Field("b", kind=_INDIVIDUAL)),
-        "a", "b", OWL_SAME_AS, symmetric=True, order=7,
-    ),
-    AxiomType(
-        AnnotationAssertion,
-        (Field("subject"), Field("prop", kind=EntityKind.ANNOTATION_PROPERTY, json="annProp"),
-         Field("value", AnnotationValue)),
-        "subject", "value", None, order=8, logical=False,
-    ),
+    AxiomType(ObjectPropertyRange, "prop", "cls", RDFS_RANGE, order=4),
+    AxiomType(ObjectPropertyDomain, "prop", "cls", RDFS_DOMAIN, order=5),
+    AxiomType(ClassAssertion, "ind", "cls", RDF_TYPE, order=0),
+    AxiomType(ObjectPropertyAssertion, "subject", "object", None, order=7),
+    AxiomType(SameIndividual, "a", "b", OWL_SAME_AS, symmetric=True, order=7),
+    AxiomType(AnnotationAssertion, "subject", "value", None, order=8, logical=False),
 )}
 
 

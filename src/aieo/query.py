@@ -13,9 +13,10 @@ files use too; this module reads only the ``SELECT``/``WHERE`` frame,
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MissingArgument, UnknownConcept
 from .jsonio import canonical_json
@@ -90,8 +91,19 @@ class Query:
                 warnings.warn(
                     "pattern shares no variable with the projection or any "
                     "other pattern; result is a cartesian product",
-                    stacklevel=2,
+                    stacklevel=_stacklevel_outside_package(),
                 )
+
+
+def _stacklevel_outside_package() -> int:
+    """The ``warnings.warn`` stacklevel, for the function that calls this,
+    of the innermost caller outside this package: a warning then names the
+    caller's own file and line, whether it built a :class:`Query` or called
+    :func:`parse_query`."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 Binding = dict  # Variable -> Iri | AnnotationValue

@@ -156,6 +156,8 @@ def test_bad_json_reports_position():
         ('{"axioms": [{"kind": "Declaration", "iri": "", "entityKind": "OwlClass"}]}',
          "$.axioms[0].iri"),
         ('{"axioms": {}}', "$.axioms"),
+        ('{"axioms": [{"kind": "EquivalentClasses", "classes": ["A", ["B"]]}]}',
+         "$.axioms[0].classes[1]"),
         ('{"prefixes": {"ex": ""}}', "$.prefixes.ex"),
         ('{"axioms": [{"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",'
          ' "value": {"text": 5}}]}', "$.axioms[0].value.text"),

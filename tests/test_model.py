@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
+import pickle
 import random
 import sys
 
 import pytest
 
 from aieo.errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
+from aieo.jsonio import axiom_to_obj, canonical_json
 from aieo.model import (
     AXIOM_TYPES,
     AnnotationAssertion,
@@ -20,9 +24,12 @@ from aieo.model import (
     EquivalentObjectProperties,
     Iri,
     ObjectPropertyAssertion,
+    ObjectPropertyDomain,
+    ObjectPropertyRange,
     OntologyStore,
     SameIndividual,
     SubClassOf,
+    SubObjectPropertyOf,
     compute_metrics,
     sorted_axioms,
 )
@@ -411,8 +418,8 @@ def test_sorted_axioms_matches_reference_order(seed):
 
 
 def _concrete_axiom_types() -> set[type]:
-    # dataclass(slots=True) replaces each class, so keep only the classes
-    # their modules actually bind.
+    # Only the classes their modules bind: a class made inside a function
+    # is not a type of the library.
     found, todo = set(), [Axiom]
     while todo:
         for sub in todo.pop().__subclasses__():
@@ -428,7 +435,133 @@ def test_every_axiom_type_has_a_table_row():
     assert set(AXIOM_TYPES) == types
     for cls, row in AXIOM_TYPES.items():
         assert row.cls is cls and row.tag == cls.__name__
-        assert [f.name for f in row.fields] == [f.name for f in dataclasses.fields(cls)]
+        assert [f.name for f in row.fields] == list(cls._fields)
+
+
+# One instance of each axiom type and of AnnotationValue, with its repr as
+# the dataclass implementation printed it. A two-member set prints in hash
+# order, so both orders are accepted there.
+_EX = "https://example.org/"
+_PINNED_REPRS = [
+    (Declaration(ex("A"), EntityKind.OWL_CLASS),
+     f"Declaration(iri='{_EX}A', kind=<EntityKind.OWL_CLASS: 'OwlClass'>)"),
+    (SubClassOf(ex("A"), ex("B")), f"SubClassOf(sub='{_EX}A', sup='{_EX}B')"),
+    (EquivalentClasses([ex("A"), ex("B")]),
+     f"EquivalentClasses(classes=frozenset({{'{_EX}A', '{_EX}B'}}))",
+     f"EquivalentClasses(classes=frozenset({{'{_EX}B', '{_EX}A'}}))"),
+    (DisjointClasses(ex("B"), ex("A")), f"DisjointClasses(a='{_EX}A', b='{_EX}B')"),
+    (SubObjectPropertyOf(ex("p"), ex("q")), f"SubObjectPropertyOf(sub='{_EX}p', sup='{_EX}q')"),
+    (EquivalentObjectProperties([ex("p"), ex("q")]),
+     f"EquivalentObjectProperties(properties=frozenset({{'{_EX}p', '{_EX}q'}}))",
+     f"EquivalentObjectProperties(properties=frozenset({{'{_EX}q', '{_EX}p'}}))"),
+    (ObjectPropertyRange(ex("p"), ex("A")), f"ObjectPropertyRange(prop='{_EX}p', cls='{_EX}A')"),
+    (ObjectPropertyDomain(ex("p"), ex("A")),
+     f"ObjectPropertyDomain(prop='{_EX}p', cls='{_EX}A')"),
+    (ClassAssertion(ex("A"), ex("x")), f"ClassAssertion(cls='{_EX}A', ind='{_EX}x')"),
+    (ObjectPropertyAssertion(ex("x"), ex("p"), ex("y")),
+     f"ObjectPropertyAssertion(subject='{_EX}x', prop='{_EX}p', object='{_EX}y')"),
+    (SameIndividual(ex("y"), ex("x")), f"SameIndividual(a='{_EX}x', b='{_EX}y')"),
+    (AnnotationAssertion(ex("x"), ex("label"), AnnotationValue("v", "en")),
+     f"AnnotationAssertion(subject='{_EX}x', prop='{_EX}label', "
+     "value=AnnotationValue(text='v', language_tag='en'))"),
+    (AnnotationValue("v"), "AnnotationValue(text='v', language_tag=None)"),
+]
+_VALUES = [pinned[0] for pinned in _PINNED_REPRS]
+
+
+def test_pinned_values_cover_every_type():
+    assert {type(v) for v in _VALUES} == set(AXIOM_TYPES) | {AnnotationValue}
+
+
+@pytest.mark.parametrize("pinned", _PINNED_REPRS, ids=lambda p: type(p[0]).__name__)
+def test_repr_is_the_dataclass_repr(pinned):
+    value, *expected = pinned
+    assert repr(value) in expected and str(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_values_are_type_tagged_tuples_not_dataclasses(value):
+    assert isinstance(value, tuple) and not dataclasses.is_dataclass(value)
+    names = type(value)._fields
+    assert [getattr(value, name) for name in names] == list(value[1:])
+
+
+def test_equal_fields_of_two_types_are_two_axioms():
+    store = _store()
+    pairs = [
+        (SubClassOf(ex("A"), ex("B")), DisjointClasses(ex("A"), ex("B"))),
+        (ObjectPropertyRange(ex("p"), ex("A")), ObjectPropertyDomain(ex("p"), ex("A"))),
+    ]
+    for first, second in pairs:
+        assert first != second and len(frozenset((first, second))) == 2
+        store.add(first).add(second)
+    assert len(store.axioms) == len(store)
+    assert all(ax in store for pair in pairs for ax in pair)
+    assert sum(1 for _ in store.axioms_of(SubClassOf, DisjointClasses)) == 2
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_no_field_can_be_assigned(value):
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_keyword_and_positional_construction_agree(value):
+    cls, names = type(value), type(value)._fields
+    fields = {name: getattr(value, name) for name in names}
+    by_keyword, by_position = cls(**fields), cls(*fields.values())
+    assert by_keyword == by_position == value
+    assert hash(by_keyword) == hash(by_position) == hash(value)
+    assert type(by_keyword) is type(by_position) is cls
+
+
+def test_normalization_and_its_errors_are_unchanged():
+    assert DisjointClasses(b=ex("A"), a=ex("B")) == DisjointClasses(ex("A"), ex("B"))
+    assert (DisjointClasses(ex("B"), ex("A")).a, DisjointClasses(ex("B"), ex("A")).b) == (
+        ex("A"), ex("B"))
+    assert SameIndividual(b=ex("x"), a=ex("y")).a == ex("x")
+    members = EquivalentClasses(classes=[ex("A"), ex("B"), ex("A")]).classes
+    assert type(members) is frozenset and members == {ex("A"), ex("B")}
+    assert type(EquivalentObjectProperties(iter([ex("p"), ex("q")])).properties) is frozenset
+    assert AnnotationValue(text="v").language_tag is None
+    for build, message in [
+        (lambda: DisjointClasses(ex("A"), ex("A")), "DisjointClasses needs two distinct classes"),
+        (lambda: SameIndividual(ex("x"), ex("x")),
+         "SameIndividual needs two distinct individuals"),
+        (lambda: EquivalentClasses([ex("A")]), "EquivalentClasses needs at least two classes"),
+        (lambda: EquivalentObjectProperties([ex("p"), ex("p")]),
+         "EquivalentObjectProperties needs at least two properties"),
+        (lambda: AnnotationValue(""), "annotation text must be non-empty"),
+        (lambda: AnnotationValue("v", "en US"),
+         "language tag 'en US' must be letters, digits and '-', and non-empty"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_copy_and_pickle_round_trip(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for dup in copies:
+        assert dup == value and type(dup) is type(value)
+
+
+@pytest.mark.parametrize("value", _VALUES[:-1], ids=lambda v: type(v).__name__)
+def test_canonical_json_writes_a_nested_axiom_as_an_object(value):
+    obj = axiom_to_obj(value)
+    for doc, plain in [
+        ([value], [obj]),
+        ((value,), [obj]),
+        ({"premises": (value, value)}, {"premises": [obj, obj]}),
+    ]:
+        assert canonical_json(doc) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def test_random_generators_cover_every_axiom_type():

@@ -209,6 +209,20 @@ def test_disconnected_pattern_warns():
         parse_query("SELECT ?x WHERE { ?x a aieo:Framework . ?y a aieo:Keyword }")
 
 
+def test_disconnected_pattern_warning_names_the_callers_line():
+    x, y = Variable("x"), Variable("y")
+    patterns = (TriplePattern(x, RDF_TYPE, aieo("Framework")),
+                TriplePattern(y, RDF_TYPE, aieo("Keyword")))
+    for build in (
+        lambda: Query((x,), patterns),
+        lambda: parse_query("SELECT ?x WHERE { ?x a aieo:Framework . ?y a aieo:Keyword }"),
+    ):
+        with pytest.warns(UserWarning, match="cartesian product") as record:
+            build()
+        assert record[0].filename == __file__
+        assert record[0].lineno == build.__code__.co_firstlineno
+
+
 def test_query_rejects_unknown_projection_directly():
     with pytest.raises(ValueError, match="occurs in no pattern"):
         Query((Variable("y"),), (TriplePattern(Variable("x"), RDF_TYPE, aieo("Framework")),))
