@@ -1,14 +1,21 @@
-"""One scanner and term reader for the Turtle subset and the query language.
+"""One token reader and term reader for the Turtle subset and the query language.
 
-:func:`scan` splits text into ``(kind, value, offset)`` tokens with one
-compiled regular expression. It knows the union of both token sets and
-rejects what neither language accepts; each language passes in checks that
-reject the tokens it lacks and read bare words its own way. Line and column
-are worked out from the offset only when a diagnostic is raised.
+A text is read in one pass: one compiled regular expression splits it into
+the texts of its tokens (a C-level ``findall``), and each *distinct* token
+text is then read once, in order of first appearance, into a ``(kind,
+value)`` pair. The reader knows the union of both token sets and rejects
+what neither language accepts; each language passes in checks that reject
+the tokens it lacks and read bare words its own way. Since a token's reading
+depends on its text alone, the first token that fails is the earliest one,
+so token errors come first, earliest first, before any grammar error.
 
-Both parsers read through a :class:`Cursor`: one token of lookahead, and
-one :meth:`Cursor.term` reader for IRIs, prefixed names, ``a`` and
-literals, so a term gets the same diagnostic in either language.
+Both parsers then run their grammar over the token texts through a
+:class:`Cursor`: one token of lookahead, and one :meth:`Cursor.term`
+reader for IRIs, prefixed names, ``a`` and literals, so a term gets the
+same diagnostic in either language. Resolved terms are memoized per token
+text. Tokens are known by their index; the line and column of a
+diagnostic are worked out from the text only when it is raised.
+:func:`scan` reads the same tokens one at a time, with their offsets.
 
 Token kinds and values:
 
@@ -19,43 +26,50 @@ Token kinds and values:
 - ``"string"``: ``(text, language tag or None)``, escapes decoded
 - ``"pname"``: ``(prefix, local)`` of ``prefix:local``
 - ``"word"``: a bare word such as ``a``, ``SELECT`` or ``true``
-- ``"eof"``: ``None``, at ``len(text)``
+- ``"eof"``: ``None``, the empty text at ``len(text)``
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, Mapping, NoReturn, TypeVar
+from itertools import islice
+from typing import Callable, Iterator, Mapping, NoReturn
 
 from .errors import ParseDiagnostic, ParseError, UnsupportedFeature
 from .model import RDF_TYPE, AnnotationValue, Iri
 
-# Character classes, as the str predicates name them: \s is str.isspace and
-# [^\W_] is str.isalnum over every code point. Letters have no exact class:
-# [^\W\d_] also holds numerals such as '²' and '½', so the two places that
-# need str.isalpha (a name's first character, the word after '@') check it
-# on the matched text. Whitespace and comments before a token are part of
-# its match, and the scan ends on the empty match at the end of the text.
-_TOKEN = re.compile(
-    r"""
-    \s*(?:\#[^\n]*\s*)*
-    (?:
+# The token alternatives, in the order they are tried. Character classes,
+# as the str predicates name them: \s is str.isspace and [^\W_] is
+# str.isalnum over every code point. Letters have no exact class: [^\W\d_]
+# also holds numerals such as '²' and '½', so the two places that need
+# str.isalpha (a name's first character, the word after '@') check it on
+# the matched text. An unterminated string takes the backslash it stopped
+# at, and a stray '+' or '-' the character after it, so that every token
+# is read from its own text.
+_ALTERNATIVES = r"""
       (?P<label>_:)
     | (?P<pname>(?P<prefix>(?:[^\W\d][\w-]*)?):(?P<local>[\w-]*))
     | (?P<word>[^\W\d][\w-]*)
     | (?P<punct>[.;,{}])
     | (?P<long>"{3})
-    | (?P<string>"(?P<body>[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*)(?P<close>"(?:@(?P<lang>(?:[^\W_]|-)*))?)?)
-    | (?P<iri><(?P<ref>[^>\n]*)(?P<iri_close>>)?)
+    | (?P<string>"(?P<body>[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*)
+                  (?:(?P<close>"(?:@(?P<lang>(?:[^\W_]|-)*))?)|(?P<escape>\\))?)
+    | (?P<iri><[^>\n]*>?)
     | (?P<var>\?\w*)
     | (?P<at>@[^\W\d_]*)
     | (?P<blank>[][])
     | (?P<collection>[()])
     | (?P<datatype>\^\^)
     | (?P<eof>\Z)
-    | (?P<other>.)
-    )
-    """,
+    | (?P<other>[+-]?.)
+"""
+# Reads one token's text.
+_TOKEN = re.compile(_ALTERNATIVES, re.VERBOSE | re.DOTALL)
+# Splits a text into its token texts: the same alternatives as one group,
+# after the whitespace and comments before the token. The last match is the
+# empty text at the end; trailing whitespace adds a second one.
+_SPLIT = re.compile(
+    r"\s*(?:\#[^\n]*\s*)*(" + re.sub(r"\(\?P<\w+>", "(?:", _ALTERNATIVES) + ")",
     re.VERBOSE | re.DOTALL,
 )
 
@@ -67,12 +81,32 @@ _UNSUPPORTED = {
     "label": "blank node labels are not supported",
 }
 
+_PUNCTUATION = frozenset(".;,{}")
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
-Token = tuple[str, object, int]
-# A language's reading of one token: returns, or raises its diagnostic.
-Check = Callable[[str, Token], None]
+Token = tuple[str, object]
+# A language's reading of one token: returns, or rejects it.
+Check = Callable[[Token], None]
+
+
+class _Rejected(Exception):
+    """A token's own error, ``at`` characters into its text; the reader
+    that knows where the token sits turns it into a diagnostic."""
+
+    def __init__(self, message: str, unsupported: bool, at: int):
+        self.message, self.unsupported, self.at = message, unsupported, at
+
+
+def reject(message: str, unsupported: bool = False, at: int = 0) -> NoReturn:
+    """Reject the token being read, with a diagnostic at its start (or
+    ``at`` characters into it)."""
+    raise _Rejected(message, unsupported, at)
+
+
+def unexpected(tok: Token) -> None:
+    """The check that rejects a token of a kind the language lacks."""
+    reject(f"unexpected character {tok[0]!r}")
 
 
 def fail(text: str, offset: int, message: str, unsupported: bool = False) -> NoReturn:
@@ -85,16 +119,18 @@ def fail(text: str, offset: int, message: str, unsupported: bool = False) -> NoR
     )
 
 
-def unexpected(text: str, tok: Token) -> NoReturn:
-    """The check that rejects a token of a kind the language lacks."""
-    fail(text, tok[2], f"unexpected character {tok[0]!r}")
+def fail_at(text: str, index: int, message: str, unsupported: bool = False, at: int = 0) -> NoReturn:
+    """:func:`fail` at the ``index``-th token of ``text`` (``at`` characters
+    into it), found by splitting the text again."""
+    match = next(islice(_SPLIT.finditer(text), index, None))
+    fail(text, match.start(1) + at, message, unsupported)
 
 
-def _reject_character(text: str, offset: int) -> NoReturn:
-    c = text[offset]
-    if c.isdigit() or (c in "+-" and text[offset + 1 : offset + 2].isdigit()):
-        fail(text, offset, "numeric literals are not supported", unsupported=True)
-    fail(text, offset, f"unexpected character {c!r}")
+def _reject_character(raw: str, at: int = 0) -> NoReturn:
+    c = raw[at]
+    if c.isdigit() or (c in "+-" and raw[at + 1 : at + 2].isdigit()):
+        reject("numeric literals are not supported", unsupported=True, at=at)
+    reject(f"unexpected character {c!r}", at=at)
 
 
 def _letters(word: str) -> str:
@@ -105,114 +141,139 @@ def _letters(word: str) -> str:
     return word
 
 
-def scan(text: str, checks: Mapping[str, Check] = {}) -> Iterator[Token]:
-    """Yield the tokens of ``text`` in order, ending with ``eof``. A
-    language passes in ``checks`` its reading of the token kinds it treats
-    differently: each token of such a kind goes through its check."""
-    match = _TOKEN.match
-    pos = 0
-    while True:
-        m = match(text, pos)
+def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
+    """The ``(kind, value)`` of the token whose text is ``raw``, which a
+    language's ``checks`` accept; raises :class:`_Rejected` otherwise."""
+    # The kinds that their first character gives are read without a match.
+    first = raw[:1]
+    if raw in _PUNCTUATION:
+        kind = value = raw
+    elif first == "?":
+        kind, value = "?", raw[1:]
+    elif first == "<":
+        if len(raw) == 1 or raw[-1] != ">":
+            reject("unterminated IRI reference")
+        kind, value = "iri", raw[1:-1]
+        if not value:
+            reject("empty IRI reference")
+    elif not first:
+        return "eof", None
+    else:
+        m = _TOKEN.match(raw)
         kind = m.lastgroup
-        start, pos = m.span(kind)
         if kind == "pname":
-            if not (text[start].isalpha() or text[start] in "_:"):
-                _reject_character(text, start)
+            if not (raw[0].isalpha() or raw[0] in "_:"):
+                _reject_character(raw)
             value = m.group("prefix", "local")
-        elif kind == "punct":
-            kind = value = text[start]
         elif kind == "string":
             if m.group("close") is None:
-                if text.startswith("\\", pos):
-                    fail(text, start, "unknown escape sequence in string")
-                fail(text, start, "unterminated string literal")
+                if m.group("escape"):
+                    reject("unknown escape sequence in string")
+                reject("unterminated string literal")
             body, lang = m.group("body", "lang")
             if lang == "":
-                fail(text, start, "empty language tag")
+                reject("empty language tag")
             if "\\" in body:
                 body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
             value = body, lang
         elif kind == "word":
-            if not (text[start].isalpha() or text[start] == "_"):
-                _reject_character(text, start)
-            value = m.group(kind)
-        elif kind == "iri":
-            if m.group("iri_close") is None:
-                fail(text, start, "unterminated IRI reference")
-            value = m.group("ref")
-            if not value:
-                fail(text, start, "empty IRI reference")
-        elif kind == "var":
-            kind, value = "?", m.group(kind)[1:]
+            if not (raw[0].isalpha() or raw[0] == "_"):
+                _reject_character(raw)
+            value = raw
         elif kind == "at":
-            value = _letters(m.group(kind)[1:])
-            kind, pos = "@", start + 1 + len(value)
-        elif kind == "eof":
-            yield kind, None, start
-            return
+            kind, value = "@", _letters(raw[1:])
         elif kind == "other":
-            _reject_character(text, start)
+            _reject_character(raw)
         else:
-            fail(text, start, _UNSUPPORTED[kind], unsupported=True)
-        tok = kind, value, start
-        if kind in checks:
-            checks[kind](text, tok)
-        yield tok
+            reject(_UNSUPPORTED[kind], unsupported=True)
+    tok = kind, value
+    check = checks.get(kind)
+    if check is not None:
+        check(tok)
+    if kind == "@" and len(raw) > len(value) + 1:  # a numeral after the letters
+        _reject_character(raw, len(value) + 1)
+    return tok
 
 
-R = TypeVar("R")
+def scan(text: str, checks: Mapping[str, Check] = {}) -> Iterator[tuple[str, object, int]]:
+    """Yield the ``(kind, value, offset)`` of each token of ``text`` in
+    order, one at a time, ending with ``eof``: the tokens a :class:`Cursor`
+    reads, through the same ``checks``."""
+    match = _SPLIT.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        raw = m.group(1)
+        start, pos = m.span(1)
+        if raw[:1] == "@":  # a directive ends at its last letter
+            raw = "@" + _letters(raw[1:])
+            pos = start + len(raw)
+        try:
+            kind, value = _read_token(raw, checks)
+        except _Rejected as r:
+            fail(text, start + r.at, r.message, r.unsupported)
+        yield kind, value, start
+        if kind == "eof":
+            return
 
 
 class Cursor:
-    """A parse of ``text``: the tokens of ``scan(text, checks)`` with one of
-    lookahead in ``tok``, and prefixed names resolved against ``prefixes``.
-    ``unknown_prefix`` is the language's message for a prefix missing from
-    them, formatted with the prefix."""
+    """A parse of ``text``: its token texts in ``tokens``, read through
+    ``checks`` into ``kinds``, with the next one at index ``at``; prefixed
+    names resolve against ``prefixes``. ``unknown_prefix`` is the
+    language's message for a prefix missing from them, formatted with the
+    prefix. Raises the diagnostic of the first token ``checks`` reject.
 
-    __slots__ = ("text", "tokens", "tok", "prefixes", "unknown_prefix", "iris")
+    A grammar stops at ``eof``: nothing is read after it is taken."""
+
+    __slots__ = ("text", "tokens", "kinds", "at", "prefixes", "unknown_prefix", "iris", "terms")
 
     def __init__(
         self, text: str, checks: Mapping[str, Check], prefixes: dict[str, str], unknown_prefix: str
     ):
         self.text = text
-        self.tokens = scan(text, checks)
-        self.tok = next(self.tokens)
+        self.tokens = tokens = _SPLIT.findall(text)
+        self.kinds = kinds = {}
+        for raw in dict.fromkeys(tokens):
+            try:
+                kinds[raw] = _read_token(raw, checks)
+            except _Rejected as r:
+                fail_at(text, tokens.index(raw), r.message, r.unsupported, r.at)
+        self.at = 0
         self.prefixes = prefixes
         self.unknown_prefix = unknown_prefix
-        # Resolved IRIs by token value; redeclaring a prefix clears it.
-        self.iris: dict[object, Iri] = {}
+        # Resolved IRIs by token text, and each position's terms by token
+        # text; redeclaring a prefix clears them.
+        self.iris: dict[str, Iri] = {}
+        self.terms: dict[str, dict] = {"subject": {}, "predicate": {}, "object": {}}
 
-    def read(self, reader: Callable[["Cursor"], R]) -> R:
-        """``reader(self)``. If it stops at a grammar error, the rest of the
-        text is scanned first, so a token error anywhere is the one raised,
-        and of two token errors the earlier."""
-        try:
-            return reader(self)
-        except ParseError:
-            for _ in self.tokens:
-                pass
-            raise
+    def lookahead(self) -> Token:
+        return self.kinds[self.tokens[self.at]]
 
     def peek(self) -> str:
-        return self.tok[0]
+        return self.kinds[self.tokens[self.at]][0]
 
     def take(self) -> Token:
-        tok = self.tok
-        self.tok = next(self.tokens, tok)  # eof repeats
+        tok = self.kinds[self.tokens[self.at]]
+        self.at += 1
         return tok
 
-    def fail(self, tok: Token, message: str, unsupported: bool = False) -> NoReturn:
-        fail(self.text, tok[2], message, unsupported)
+    def fail(self, message: str, index: int | None = None, unsupported: bool = False) -> NoReturn:
+        """Raise a diagnostic at the ``index``-th token, by default the one
+        last taken."""
+        fail_at(self.text, self.at - 1 if index is None else index, message, unsupported)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.take()
         if tok[0] != kind:
-            self.fail(tok, f"expected {what}")
+            self.fail(f"expected {what}")
         return tok
 
     def declare(self, prefix: str, base: str) -> None:
         if prefix in self.prefixes:
             self.iris.clear()
+            for memo in self.terms.values():
+                memo.clear()
         self.prefixes[prefix] = base
 
     def term(self, position: str) -> "Iri | AnnotationValue":
@@ -220,10 +281,19 @@ class Cursor:
         (``"subject"``, ``"predicate"`` or ``"object"``): an IRI or prefixed
         name anywhere, ``a`` as a predicate, a non-empty literal as an
         object."""
-        tok = self.take()
-        kind, value, _ = tok
+        at = self.at
+        self.at = at + 1
+        raw = self.tokens[at]
+        memo = self.terms[position]
+        term = memo.get(raw)
+        if term is None:
+            term = memo[raw] = self._resolve(raw, position)
+        return term
+
+    def _resolve(self, raw: str, position: str) -> "Iri | AnnotationValue":
+        kind, value = self.kinds[raw]
         if kind == "iri" or kind == "pname":
-            iri = self.iris.get(value)
+            iri = self.iris.get(raw)
             if iri is None:
                 if kind == "iri":
                     iri = Iri(value)
@@ -231,16 +301,16 @@ class Cursor:
                     prefix, local = value
                     base = self.prefixes.get(prefix)
                     if base is None:
-                        self.fail(tok, self.unknown_prefix.format(prefix))
+                        self.fail(self.unknown_prefix.format(prefix))
                     iri = Iri(base + local)
-                self.iris[value] = iri
+                self.iris[raw] = iri
             return iri
         if kind == "string":
             if position != "object":
-                self.fail(tok, f"a literal cannot be a {position}")
+                self.fail(f"a literal cannot be a {position}")
             if not value[0]:
-                self.fail(tok, "empty literal")
+                self.fail("empty literal")
             return AnnotationValue(*value)
         if kind == "word" and value == "a" and position == "predicate":
             return RDF_TYPE
-        self.fail(tok, f"expected {'an' if position == 'object' else 'a'} {position}")
+        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}")

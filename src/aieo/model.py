@@ -139,6 +139,14 @@ class Field:
             object.__setattr__(self, "json", self.name)
 
 
+def _value_repr(value: object) -> str:
+    """``repr(value)``, with a set's members in sorted order so that equal
+    records print alike in every run."""
+    if isinstance(value, frozenset):
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    return repr(value)
+
+
 class _Record(tuple):
     """An immutable value stored as a tuple tagged by its type: element 0 is
     the class, then the field values in ``_fields`` order. Equality and hash
@@ -180,7 +188,7 @@ class _Record(tuple):
         cls._field_specs = fields
 
     def __repr__(self) -> str:
-        values = ", ".join(map("{}={!r}".format, self._fields, self[1:]))
+        values = ", ".join(map("{}={}".format, self._fields, map(_value_repr, self[1:])))
         return f"{type(self).__qualname__}({values})"
 
     def __getnewargs__(self) -> tuple:

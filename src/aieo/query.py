@@ -7,8 +7,10 @@ for: principles per framework, cross-framework concept descriptions,
 scenarios for a concept, and concepts unique to one framework.
 
 Query text is read through the :class:`~aieo.lexer.Cursor` that Turtle
-files use too; this module reads only the ``SELECT``/``WHERE`` frame,
-``?variables`` and the rejection of nested groups.
+files use too (one pass splits the text, each distinct token is read once,
+token errors come first, positions are worked out on error); this module
+reads only the ``SELECT``/``WHERE`` frame, ``?variables`` and the rejection
+of nested groups.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import MissingArgument, UnknownConcept
 from .jsonio import canonical_json
-from .lexer import Cursor, Token, fail, unexpected
+from .lexer import Cursor, Token, reject, unexpected
 from .model import (
     AXIOM_TYPES,
     AnnotationAssertion,
@@ -153,18 +155,18 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
-def _word(text: str, tok: Token) -> None:
-    _, value, off = tok
+def _word(tok: Token) -> None:
+    value = tok[1]
     upper = value.upper()
     if upper in _UNSUPPORTED_KEYWORDS:
-        fail(text, off, f"{upper} is outside the query subset", unsupported=True)
+        reject(f"{upper} is outside the query subset", unsupported=True)
     if upper not in ("SELECT", "DISTINCT", "WHERE") and value != "a":
-        fail(text, off, f"unexpected token '{value}'")
+        reject(f"unexpected token '{value}'")
 
 
-def _variable(text: str, tok: Token) -> None:
+def _variable(tok: Token) -> None:
     if not tok[1]:
-        fail(text, tok[2], "empty variable name")
+        reject("empty variable name")
 
 
 # The query language's reading of bare words and variables; the tokens only
@@ -183,7 +185,7 @@ def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     standard prefix map); the query language itself has no PREFIX form.
     """
     prefix_map = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-    return Cursor(text, _CHECKS, prefix_map, "unknown prefix '{}:'").read(_parse)
+    return _parse(Cursor(text, _CHECKS, prefix_map, "unknown prefix '{}:'"))
 
 
 def _term(cur: Cursor, position: str) -> "Iri | AnnotationValue | Variable":
@@ -191,49 +193,46 @@ def _term(cur: Cursor, position: str) -> "Iri | AnnotationValue | Variable":
     if kind == "?":
         return Variable(cur.take()[1])
     if kind == "{":
-        cur.fail(cur.tok, "nested groups are outside the query subset", unsupported=True)
+        cur.fail("nested groups are outside the query subset", cur.at, unsupported=True)
     return cur.term(position)
 
 
 def _parse(cur: Cursor) -> Query:
-    tok = cur.take()
-    if not _is_word(tok, "SELECT"):
-        cur.fail(tok, "query must start with SELECT")
-    distinct = _is_word(cur.tok, "DISTINCT")
+    if not _is_word(cur.take(), "SELECT"):
+        cur.fail("query must start with SELECT")
+    distinct = _is_word(cur.lookahead(), "DISTINCT")
     if distinct:
         cur.take()
     projected: list[tuple[Variable, int]] = []
     while cur.peek() == "?":
-        _, name, off = cur.take()
-        projected.append((Variable(name), off))
+        projected.append((Variable(cur.take()[1]), cur.at - 1))
     if not projected:
-        cur.fail(cur.tok, "SELECT needs at least one ?variable")
-    tok = cur.take()
-    if not _is_word(tok, "WHERE"):
-        cur.fail(tok, "expected WHERE")
+        cur.fail("SELECT needs at least one ?variable", cur.at)
+    if not _is_word(cur.take(), "WHERE"):
+        cur.fail("expected WHERE")
     cur.expect("{", "'{'")
     patterns: list[TriplePattern] = []
     while cur.peek() != "}":
         if cur.peek() == "eof":
-            cur.fail(cur.tok, "unterminated WHERE group")
+            cur.fail("unterminated WHERE group", cur.at)
         s = _term(cur, "subject")
         p = _term(cur, "predicate")
         patterns.append(TriplePattern(s, p, _term(cur, "object")))
         if cur.peek() == ".":
             cur.take()
-    close = cur.take()
-    tok = cur.take()
-    if tok[0] != "eof":
-        cur.fail(tok, "trailing content after '}'")
+    close = cur.at
+    cur.take()
+    if cur.take()[0] != "eof":
+        cur.fail("trailing content after '}'")
     if not patterns:
-        cur.fail(close, "WHERE group has no patterns")
+        cur.fail("WHERE group has no patterns", close)
     try:
         return Query(tuple(v for v, _ in projected), tuple(patterns), distinct=distinct)
     except ValueError as exc:
         message = str(exc)
     # The one invalid query left: a projected variable that no pattern binds.
     bound = {v for p in patterns for v in p.variables()}
-    fail(cur.text, next(off for v, off in projected if v not in bound), message)
+    cur.fail(message, next(at for v, at in projected if v not in bound))
 
 
 # ---------------------------------------------------------------------------

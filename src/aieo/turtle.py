@@ -4,9 +4,13 @@ Accepted subset: ``@prefix`` directives, subject-grouped statements with
 ``;``/``,`` lists, the ``a`` shorthand, prefixed names, ``<absolute>`` IRIs,
 and plain or language-tagged string literals. Blank nodes, collections,
 datatyped/numeric/boolean literals, and ``@base`` are rejected as
-unsupported features with a position. Terms are read through the
-:class:`~aieo.lexer.Cursor` that query text uses too; this module reads
-``@prefix`` directives and the statement structure.
+unsupported features with a position. The text is read through the
+:class:`~aieo.lexer.Cursor` that query text uses too: one pass splits it
+into tokens, each distinct token is read once, a bad token anywhere is
+reported before any grammar error, and a diagnostic's line and column are
+worked out only when it is raised. This module reads ``@prefix``
+directives and the statement structure; a triple keeps the index of its
+object token, not an offset, for the errors of mapping it to an axiom.
 
 Serialization is canonical: prefixes sorted, subjects sorted by absolute
 IRI, predicates in a fixed order, object lists sorted. Two serializations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import KindMismatch, UndeclaredEntity
-from .lexer import Cursor, Token, fail, unexpected
+from .lexer import Cursor, Token, fail_at, reject, unexpected
 from .model import (
     AXIOM_TYPES,
     META_CLASS_KINDS,
@@ -38,23 +42,23 @@ from .model import (
 )
 
 
-def _word(text: str, tok: Token) -> None:
-    _, value, off = tok
+def _word(tok: Token) -> None:
+    value = tok[1]
     if value == "a":
         return
     if value.lower() in ("true", "false"):
-        fail(text, off, "boolean literals are not supported", unsupported=True)
+        reject("boolean literals are not supported", unsupported=True)
     if value.upper() in ("PREFIX", "BASE"):
-        fail(text, off, "SPARQL-style directives are not supported", unsupported=True)
-    fail(text, off, f"expected a prefixed name, found '{value}'")
+        reject("SPARQL-style directives are not supported", unsupported=True)
+    reject(f"expected a prefixed name, found '{value}'")
 
 
-def _directive(text: str, tok: Token) -> None:
-    _, value, off = tok
+def _directive(tok: Token) -> None:
+    value = tok[1]
     if value == "base":
-        fail(text, off, "@base is not supported", unsupported=True)
+        reject("@base is not supported", unsupported=True)
     if value != "prefix":
-        fail(text, off, f"unexpected directive '@{value}'")
+        reject(f"unexpected directive '@{value}'")
 
 
 # Turtle's reading of bare words and directives; the tokens only the query
@@ -63,7 +67,7 @@ _CHECKS = {"word": _word, "@": _directive, "?": unexpected, "{": unexpected, "}"
 
 
 # A parsed triple: subject, predicate, object (Iri or AnnotationValue),
-# plus the object token's offset for error reporting.
+# plus the object token's index for error reporting.
 _Triple = tuple[Iri, Iri, "Iri | AnnotationValue", int]
 
 
@@ -74,30 +78,29 @@ def _document(cur: Cursor) -> list[_Triple]:
     while (kind := cur.peek()) != "eof":
         if kind == "@":  # @prefix, the one directive _CHECKS lets through
             cur.take()
-            name = cur.expect("pname", "a prefix name ending in ':'")
-            prefix, local = name[1]
+            prefix, local = cur.expect("pname", "a prefix name ending in ':'")[1]
             if local:
-                cur.fail(name, "prefix declaration must end in ':'")
-            base = cur.expect("iri", "an IRI reference")
+                cur.fail("prefix declaration must end in ':'")
+            base = cur.expect("iri", "an IRI reference")[1]
             cur.expect(".", "'.' after prefix directive")
-            cur.declare(prefix, base[1])
+            cur.declare(prefix, base)
             continue
         subject = cur.term("subject")
         while True:
             predicate = cur.term("predicate")
             while True:
-                off = cur.tok[2]
-                triples.append((subject, predicate, cur.term("object"), off))
+                at = cur.at
+                triples.append((subject, predicate, cur.term("object"), at))
                 if cur.peek() != ",":
                     break
                 cur.take()
-            sep = cur.take()
-            if sep[0] == ";":
+            sep = cur.take()[0]
+            if sep == ";":
                 if cur.peek() != ".":
                     continue
                 cur.take()  # tolerate trailing ';'
-            elif sep[0] != ".":
-                cur.fail(sep, "expected ';', ',' or '.'")
+            elif sep != ".":
+                cur.fail("expected ';', ',' or '.'")
             break
     return triples
 
@@ -105,8 +108,9 @@ def _document(cur: Cursor) -> list[_Triple]:
 def parse_turtle(text: str) -> OntologyStore:
     """Parse a document in the subset into a validated store."""
     cur = Cursor(text, _CHECKS, {}, "prefix '{}:' used before declaration")
-    triples = cur.read(_document)
+    triples = _document(cur)
     store = OntologyStore(cur.prefixes)
+    del cur  # the token list is not needed from here on
     # Declarations first so statement order inside the file never matters.
     rest: list[_Triple] = []
     for triple in triples:
@@ -116,13 +120,13 @@ def parse_turtle(text: str) -> OntologyStore:
         else:
             rest.append(triple)
     axioms: list[Axiom] = []
-    for s, p, o, off in rest:
+    for s, p, o, at in rest:
         try:
             axioms.append(_map_triple(store, s, p, o))
         except (ValueError, UndeclaredEntity, KindMismatch) as exc:
             store.update(axioms)  # an earlier axiom's own error comes first
             if isinstance(exc, ValueError):  # degenerate pair/set axioms
-                fail(text, off, str(exc))
+                fail_at(text, at, str(exc))
             raise
     return store.update(axioms)
 

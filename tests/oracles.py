@@ -5,6 +5,10 @@ no-change loops, scans over full cross products, recount-from-scratch
 tallies, and a standalone grammar. Agreement between these and the library is the main
 correctness evidence, so nothing in this file may share logic with the
 library modules (only data types and vocabulary constants are imported).
+The one exception is the token-at-a-time reader, which reads each token
+through ``aieo.lexer.scan`` and the languages' checks on purpose: it pins
+how the library splits text, reads repeated tokens, memoizes terms and
+positions diagnostics, not how one token is read.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ from itertools import combinations, permutations
 
 import pyparsing as pp
 
+from aieo import query as _query, turtle as _turtle
+from aieo.errors import KindMismatch, ParseDiagnostic, ParseError, UndeclaredEntity, UnsupportedFeature
+from aieo.lexer import scan
 from aieo.model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -35,7 +42,7 @@ from aieo.model import (
     SubObjectPropertyOf,
 )
 from aieo.pipeline import EquivalenceProposal
-from aieo.query import TriplePattern, Variable
+from aieo.query import Query, TriplePattern, Variable
 from aieo.schema import (
     CONCEPT_LINK_PROPERTIES,
     DISJOINT_PAIRS,
@@ -50,6 +57,7 @@ from aieo.schema import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    DEFAULT_PREFIXES,
     aieo,
     seed_schema,
 )
@@ -913,3 +921,221 @@ def random_query(rng: random.Random) -> tuple[list[TriplePattern], tuple[Variabl
     count = rng.randint(1, len(used))
     projected = tuple(sorted(rng.sample(used, count)))
     return patterns, projected, rng.random() < 0.5
+
+
+# ---------------------------------------------------------------------------
+# Token-at-a-time reference reader for Turtle and query text
+# ---------------------------------------------------------------------------
+
+def _reference_fail(text: str, offset: int, message: str, unsupported: bool = False):
+    line = text[:offset].count("\n") + 1
+    column = offset - (text[:offset].rfind("\n") + 1) + 1
+    raise (UnsupportedFeature if unsupported else ParseError)(
+        [ParseDiagnostic(line, column, message)]
+    )
+
+
+class ReferenceCursor:
+    """The tokens of ``scan(text, checks)``, pulled one at a time with one
+    of lookahead; every token carries its offset, every term is resolved
+    where it stands, and a grammar error first scans the rest of the text
+    so that a token error anywhere wins."""
+
+    def __init__(self, text, checks, prefixes, unknown_prefix):
+        self.text = text
+        self.tokens = scan(text, checks)
+        self.tok = next(self.tokens)
+        self.prefixes = prefixes
+        self.unknown_prefix = unknown_prefix
+
+    def read(self, reader):
+        try:
+            return reader(self)
+        except ParseError:
+            for _ in self.tokens:
+                pass
+            raise
+
+    def peek(self):
+        return self.tok[0]
+
+    def take(self):
+        tok = self.tok
+        self.tok = next(self.tokens, tok)  # eof repeats
+        return tok
+
+    def fail(self, tok, message, unsupported=False):
+        _reference_fail(self.text, tok[2], message, unsupported)
+
+    def expect(self, kind, what):
+        tok = self.take()
+        if tok[0] != kind:
+            self.fail(tok, f"expected {what}")
+        return tok
+
+    def term(self, position):
+        tok = self.take()
+        kind, value, _ = tok
+        if kind == "iri":
+            return Iri(value)
+        if kind == "pname":
+            prefix, local = value
+            if prefix not in self.prefixes:
+                self.fail(tok, self.unknown_prefix.format(prefix))
+            return Iri(self.prefixes[prefix] + local)
+        if kind == "string":
+            if position != "object":
+                self.fail(tok, f"a literal cannot be a {position}")
+            if not value[0]:
+                self.fail(tok, "empty literal")
+            return AnnotationValue(*value)
+        if kind == "word" and value == "a" and position == "predicate":
+            return RDF_TYPE
+        self.fail(tok, f"expected {'an' if position == 'object' else 'a'} {position}")
+
+
+def _reference_document(cur: ReferenceCursor) -> list:
+    triples = []
+    while cur.peek() != "eof":
+        if cur.peek() == "@":
+            cur.take()
+            name = cur.expect("pname", "a prefix name ending in ':'")
+            prefix, local = name[1]
+            if local:
+                cur.fail(name, "prefix declaration must end in ':'")
+            base = cur.expect("iri", "an IRI reference")
+            cur.expect(".", "'.' after prefix directive")
+            cur.prefixes[prefix] = base[1]
+            continue
+        subject = cur.term("subject")
+        while True:
+            predicate = cur.term("predicate")
+            while True:
+                offset = cur.tok[2]
+                triples.append((subject, predicate, cur.term("object"), offset))
+                if cur.peek() != ",":
+                    break
+                cur.take()
+            sep = cur.take()
+            if sep[0] == ";":
+                if cur.peek() != ".":
+                    continue
+                cur.take()
+            elif sep[0] != ".":
+                cur.fail(sep, "expected ';', ',' or '.'")
+            break
+    return triples
+
+
+_REFERENCE_PAIRS = {
+    RDFS_SUBCLASSOF: lambda s, o: SubClassOf(s, o),
+    OWL_EQUIVALENT_CLASS: lambda s, o: EquivalentClasses([s, o]),
+    OWL_DISJOINT_WITH: lambda s, o: DisjointClasses(s, o),
+    RDFS_SUBPROPERTYOF: lambda s, o: SubObjectPropertyOf(s, o),
+    OWL_EQUIVALENT_PROPERTY: lambda s, o: EquivalentObjectProperties([s, o]),
+    RDFS_RANGE: lambda s, o: ObjectPropertyRange(s, o),
+    RDFS_DOMAIN: lambda s, o: ObjectPropertyDomain(s, o),
+    RDF_TYPE: lambda s, o: ClassAssertion(o, s),
+    OWL_SAME_AS: lambda s, o: SameIndividual(s, o),
+}
+
+
+def _reference_axiom(store: OntologyStore, s, p, o) -> Axiom:
+    kind = store.kind_of(p)
+    if isinstance(o, AnnotationValue):
+        if kind is EntityKind.ANNOTATION_PROPERTY:
+            return AnnotationAssertion(s, p, o)
+        if kind is None:
+            raise UndeclaredEntity(f"{p} is not declared")
+        raise KindMismatch(f"literal object requires {p} to be an annotation property")
+    if p in _REFERENCE_PAIRS:
+        return _REFERENCE_PAIRS[p](s, o)
+    if kind is None:
+        raise UndeclaredEntity(f"{p} is not declared")
+    if kind is EntityKind.ANNOTATION_PROPERTY:
+        raise KindMismatch(f"annotation property {p} requires a literal object")
+    if kind is not EntityKind.OBJECT_PROPERTY:
+        raise KindMismatch(f"{p} is declared as {kind.value}, not usable as a predicate")
+    return ObjectPropertyAssertion(s, p, o)
+
+
+def reference_parse_turtle(text: str) -> OntologyStore:
+    """``parse_turtle`` read one token at a time: declarations first, then
+    every other triple as an axiom, in document order."""
+    cur = ReferenceCursor(text, _turtle._CHECKS, {}, "prefix '{}:' used before declaration")
+    triples = cur.read(_reference_document)
+    store = OntologyStore(cur.prefixes)
+    for s, p, o, _ in triples:
+        if p == RDF_TYPE and o in META_CLASS_KINDS:
+            store.declare(s, META_CLASS_KINDS[o])
+    axioms = []
+    for s, p, o, offset in triples:
+        if p == RDF_TYPE and o in META_CLASS_KINDS:
+            continue
+        try:
+            axioms.append(_reference_axiom(store, s, p, o))
+        except (ValueError, UndeclaredEntity, KindMismatch) as exc:
+            store.update(axioms)
+            if isinstance(exc, ValueError):
+                _reference_fail(text, offset, str(exc))
+            raise
+    return store.update(axioms)
+
+
+def _reference_query_term(cur: ReferenceCursor, position: str):
+    if cur.peek() == "?":
+        return Variable(cur.take()[1])
+    if cur.peek() == "{":
+        cur.fail(cur.tok, "nested groups are outside the query subset", unsupported=True)
+    return cur.term(position)
+
+
+def _is_keyword(tok, keyword: str) -> bool:
+    return tok[0] == "word" and tok[1].upper() == keyword
+
+
+def _reference_query(cur: ReferenceCursor) -> Query:
+    tok = cur.take()
+    if not _is_keyword(tok, "SELECT"):
+        cur.fail(tok, "query must start with SELECT")
+    distinct = _is_keyword(cur.tok, "DISTINCT")
+    if distinct:
+        cur.take()
+    projected = []
+    while cur.peek() == "?":
+        _, name, offset = cur.take()
+        projected.append((Variable(name), offset))
+    if not projected:
+        cur.fail(cur.tok, "SELECT needs at least one ?variable")
+    tok = cur.take()
+    if not _is_keyword(tok, "WHERE"):
+        cur.fail(tok, "expected WHERE")
+    cur.expect("{", "'{'")
+    patterns = []
+    while cur.peek() != "}":
+        if cur.peek() == "eof":
+            cur.fail(cur.tok, "unterminated WHERE group")
+        s = _reference_query_term(cur, "subject")
+        p = _reference_query_term(cur, "predicate")
+        patterns.append(TriplePattern(s, p, _reference_query_term(cur, "object")))
+        if cur.peek() == ".":
+            cur.take()
+    close = cur.take()
+    tok = cur.take()
+    if tok[0] != "eof":
+        cur.fail(tok, "trailing content after '}'")
+    if not patterns:
+        cur.fail(close, "WHERE group has no patterns")
+    try:
+        return Query(tuple(v for v, _ in projected), tuple(patterns), distinct=distinct)
+    except ValueError as exc:
+        bound = {v for p in patterns for v in p.variables()}
+        offset = next(offset for v, offset in projected if v not in bound)
+        _reference_fail(cur.text, offset, str(exc))
+
+
+def reference_parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
+    """``parse_query`` read one token at a time."""
+    prefix_map = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
+    cur = ReferenceCursor(text, _query._CHECKS, prefix_map, "unknown prefix '{}:'")
+    return cur.read(_reference_query)

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from aieo.model import ClassAssertion, EntityKind, ObjectPropertyAssertion
 from aieo.schema import aieo, seed_schema
 from aieo.turtle import serialize_turtle
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 @pytest.fixture
@@ -535,3 +539,62 @@ def test_write_to_missing_directory_is_io_error(run, tmp_path):
     code, _, err = run("seed", "--out", str(tmp_path / "nodir" / "x.ttl"))
     assert code == 4
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# determinism across hash seeds
+# ---------------------------------------------------------------------------
+
+# Runs each command of the JSON list in argv[1] through main(), in order,
+# and writes its stdout, stderr and exit code to <n>.out, <n>.err, <n>.code.
+_TOUR_DRIVER = """
+import contextlib, io, json, sys
+from aieo.cli import main
+for n, argv in enumerate(json.loads(sys.argv[1])):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    for suffix, text in (("out", out.getvalue()), ("err", err.getvalue()), ("code", str(code))):
+        with open(f"{n}.{suffix}", "w", encoding="utf-8") as f:
+            f.write(text)
+"""
+
+_TOUR = [
+    ["seed", "--out", "seed.ttl"],
+    ["ingest", "seed.ttl", str(DATA / "au_framework.json"),
+     "--config", str(DATA / "pipeline_config.json"), "--out", "au.ttl", "--report", "au.json"],
+    ["ingest", "au.ttl", str(DATA / "eu_framework.json"),
+     "--config", str(DATA / "pipeline_config.json"), "--out", "full.ttl", "--report", "eu.json"],
+    ["reason", "full.ttl", "--out", "closed.ttl", "--trace"],
+    ["export", "closed.ttl", "--level", "3", "--format", "json", "--out", "graph.json"],
+    ["query", "full.ttl", "--text", "SELECT ?c ?p WHERE { ?c owl:sameAs ?d . ?c ?p ?d }"],
+    ["query", "closed.ttl", "--ask", "describe_concept", "--arg", "aieo:AU_Fairness"],
+    ["diff", "seed.ttl", "closed.ttl"],
+    ["parse", "bad.ttl"],
+]
+
+
+def _run_tour(directory: Path, hash_seed: str) -> dict[str, bytes]:
+    directory.mkdir()
+    (directory / "bad.ttl").write_text(
+        "@prefix ex: <https://example.org/> .\nex:a ex:p ex:b , 42 .\n", encoding="utf-8"
+    )
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-c", _TOUR_DRIVER, json.dumps(_TOUR)],
+        cwd=directory, env=env, check=True, timeout=300,
+    )
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_cli_tour_is_byte_identical_under_two_hash_seeds(tmp_path):
+    first = _run_tour(tmp_path / "seed1", "1")
+    second = _run_tour(tmp_path / "seed2", "2")
+    assert first.keys() == second.keys()
+    assert [name for name in first if first[name] != second[name]] == []
+    assert {"closed.trace.json", "graph.json", "au.json", "eu.json"} <= first.keys()
+    codes = [int(first[f"{n}.code"]) for n in range(len(_TOUR))]
+    assert codes == [0] * (len(_TOUR) - 1) + [1]
+    assert b"numeric literals are not supported" in first[f"{len(_TOUR) - 1}.err"]
+    assert first["6.out"].count(b"\n") > 1 and first["5.out"].count(b"\n") > 1

@@ -3,7 +3,8 @@
 The diagnostics tables pin every token-level diagnostic of both
 languages and the term diagnostics they share, with exception class, line
 and column. The mutation fuzz checks that the parsers fail only with the
-package's own exceptions, at positions inside the text.
+package's own exceptions, at positions inside the text, and that they give
+the same outcome as the token-at-a-time reference reader in ``oracles``.
 """
 
 from __future__ import annotations
@@ -14,14 +15,20 @@ import sys
 
 import pytest
 
-from aieo.errors import AieoError, ParseError, UnsupportedFeature
+from aieo.errors import AieoError, ParseError, UndeclaredEntity, UnsupportedFeature
 from aieo.jsonio import store_from_json, store_to_json
 from aieo.lexer import scan
-from aieo.query import PRINCIPLES_BY_FRAMEWORK_QUERY, parse_query
+from aieo.model import OntologyStore
+from aieo.query import PRINCIPLES_BY_FRAMEWORK_QUERY, Query, parse_query
 from aieo.schema import seed_schema
 from aieo.turtle import parse_turtle, serialize_turtle
 
-from oracles import random_small_store
+from oracles import (
+    random_small_store,
+    random_store,
+    reference_parse_query,
+    reference_parse_turtle,
+)
 
 P = "@prefix ex: <https://example.org/> .\n"
 
@@ -84,6 +91,10 @@ TURTLE_DIAGNOSTICS = [
     (P + "ex:a . ex:b", ParseError, "expected a predicate", 2, 6),
     (P + '"x" ex:p ex:b .', ParseError, "a literal cannot be a subject", 2, 1),
     (P + 'ex:a ex:p "" .', ParseError, "empty literal", 2, 11),
+    # An axiom that cannot be built is reported at its object.
+    ("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n" + P
+     + "ex:A a owl:Class . ex:B a owl:Class .\nex:A owl:disjointWith ex:B ,\n  ex:A .",
+     ParseError, "DisjointClasses needs two distinct classes", 5, 3),
 ]
 
 QUERY_DIAGNOSTICS = [
@@ -284,3 +295,56 @@ def test_mutated_inputs_fail_only_with_positioned_package_errors():
                     messages.add(diag.message)
     assert failures > 2000
     assert "document nested too deeply" in messages
+
+
+def _outcome(parse, text):
+    """What reading ``text`` gives: the canonical text of the store, the
+    typed terms of the query, or the error's type, message and position."""
+    try:
+        result = parse(text)
+    except AieoError as exc:
+        diagnostics = [(d.line, d.column, d.message) for d in getattr(exc, "diagnostics", ())]
+        return type(exc), str(exc), diagnostics
+    if isinstance(result, OntologyStore):
+        return OntologyStore, serialize_turtle(result)
+    terms = [result.projected_variables]
+    terms += [(p.subject, p.predicate, p.object) for p in result.patterns]
+    return Query, result.distinct, [[(type(t), t) for t in row] for row in terms]
+
+
+_QUERY_BASES = [
+    PRINCIPLES_BY_FRAMEWORK_QUERY,
+    'SELECT ?x WHERE {\n  ?x a aieo:Principle . # c\r\n  ?x rdfs:label "fair"@en\n}',
+    "SELECT ?p ?y ?z WHERE { <https://w3id.org/aieo#i259> ?p ?y . "
+    "?y <https://w3id.org/aieo#application> ?z }",
+    'select distinct ?a WHERE { ?a aieo:shortDescription "say \\"hi\\"\\n" . ?a ?p ?a }',
+]
+
+
+# A prefix redeclared after use: the names after it resolve to the new base.
+_REDECLARED = (
+    "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n" + P
+    + "ex:A a owl:Class . ex:x a owl:NamedIndividual , ex:A .\n"
+    + "@prefix ex: <https://example.org/b#> .\n"
+    + "ex:A a owl:Class . ex:x a owl:NamedIndividual , ex:A .\n"
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_reader_matches_the_token_at_a_time_reference():
+    turtle_bases = [serialize_turtle(seed_schema()), _REDECLARED]
+    turtle_bases += [serialize_turtle(random_small_store(seed)) for seed in range(4)]
+    turtle_bases += [serialize_turtle(random_store(seed, schema_mutations=True)) for seed in range(4)]
+    rng = random.Random(2718)
+    outcomes = set()
+    for parse, reference, bases, count in [
+        (parse_turtle, reference_parse_turtle, turtle_bases, 3000),
+        (parse_query, reference_parse_query, _QUERY_BASES, 3000),
+    ]:
+        for n in range(count):
+            text = _mutate(rng, bases[n % len(bases)])
+            outcome = _outcome(parse, text)
+            assert outcome == _outcome(reference, text), text
+            outcomes.add(outcome[0])
+    # Both languages succeed on some texts, and fail with each kind of error.
+    assert {OntologyStore, Query, ParseError, UnsupportedFeature, UndeclaredEntity} <= outcomes

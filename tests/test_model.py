@@ -439,21 +439,19 @@ def test_every_axiom_type_has_a_table_row():
 
 
 # One instance of each axiom type and of AnnotationValue, with its repr as
-# the dataclass implementation printed it. A two-member set prints in hash
-# order, so both orders are accepted there.
+# the dataclass implementation printed it, except that a set prints its
+# members sorted rather than in hash order.
 _EX = "https://example.org/"
 _PINNED_REPRS = [
     (Declaration(ex("A"), EntityKind.OWL_CLASS),
      f"Declaration(iri='{_EX}A', kind=<EntityKind.OWL_CLASS: 'OwlClass'>)"),
     (SubClassOf(ex("A"), ex("B")), f"SubClassOf(sub='{_EX}A', sup='{_EX}B')"),
     (EquivalentClasses([ex("A"), ex("B")]),
-     f"EquivalentClasses(classes=frozenset({{'{_EX}A', '{_EX}B'}}))",
-     f"EquivalentClasses(classes=frozenset({{'{_EX}B', '{_EX}A'}}))"),
+     f"EquivalentClasses(classes=frozenset({{'{_EX}A', '{_EX}B'}}))"),
     (DisjointClasses(ex("B"), ex("A")), f"DisjointClasses(a='{_EX}A', b='{_EX}B')"),
     (SubObjectPropertyOf(ex("p"), ex("q")), f"SubObjectPropertyOf(sub='{_EX}p', sup='{_EX}q')"),
     (EquivalentObjectProperties([ex("p"), ex("q")]),
-     f"EquivalentObjectProperties(properties=frozenset({{'{_EX}p', '{_EX}q'}}))",
-     f"EquivalentObjectProperties(properties=frozenset({{'{_EX}q', '{_EX}p'}}))"),
+     f"EquivalentObjectProperties(properties=frozenset({{'{_EX}p', '{_EX}q'}}))"),
     (ObjectPropertyRange(ex("p"), ex("A")), f"ObjectPropertyRange(prop='{_EX}p', cls='{_EX}A')"),
     (ObjectPropertyDomain(ex("p"), ex("A")),
      f"ObjectPropertyDomain(prop='{_EX}p', cls='{_EX}A')"),
@@ -475,8 +473,8 @@ def test_pinned_values_cover_every_type():
 
 @pytest.mark.parametrize("pinned", _PINNED_REPRS, ids=lambda p: type(p[0]).__name__)
 def test_repr_is_the_dataclass_repr(pinned):
-    value, *expected = pinned
-    assert repr(value) in expected and str(value) == repr(value)
+    value, expected = pinned
+    assert repr(value) == expected and str(value) == repr(value)
 
 
 @pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
