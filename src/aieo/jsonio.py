@@ -5,13 +5,22 @@ The interchange document is ``{"prefixes": {...}, "axioms": [...]}`` with
 one object per axiom whose ``kind`` field names the variant. IRIs are
 emitted absolute; on input, CURIEs are resolved against the document's own
 prefixes (falling back to the standard map).
+
+Every JSON text written here has the bytes of
+``json.dumps(value, indent=2, sort_keys=True)`` plus a newline. Objects of a
+fixed shape are written from ``%`` templates built once at import: each
+axiom type's object (one writer per :data:`AXIOM_TYPES` row), the store
+document, the trace sidecar's fact and trace rows, and, through
+:func:`object_template`, the graph nodes and edges of
+:mod:`aieo.kgexport`. Free-form values (prefix maps, reports, metrics,
+query rows) go through :func:`canonical_json`.
 """
 
 from __future__ import annotations
 
 import json
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable
+from operator import attrgetter
+from typing import Any, Callable
 
 from .errors import ParseDiagnostic, ParseError, SchemaViolation
 from .model import (
@@ -36,7 +45,7 @@ from .pipeline import (
     PipelineConfig,
     Section,
 )
-from .reasoner import Materialization
+from .reasoner import Materialization, RuleId
 from .schema import DEFAULT_PREFIXES, aieo
 
 
@@ -112,6 +121,12 @@ _TO_JSON: dict[type, Callable[[Any], Any]] = {
 
 
 def axiom_to_obj(ax: Axiom) -> dict:
+    """The axiom's interchange object, as plain JSON values.
+
+    No writer here calls it (each type's template writes the same object
+    directly); it stays public as the interchange object for library
+    callers that build their own documents, and the tests pin it to the
+    type-by-type restatement in their oracles."""
     row = axiom_type(ax)
     obj = {"kind": row.tag}
     for f in row.fields:
@@ -184,12 +199,6 @@ def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> 
         raise SchemaViolation(path, str(exc)) from None
 
 
-def store_to_json(store: OntologyStore) -> str:
-    return canonical_json(
-        {"prefixes": store.prefixes, "axioms": sorted_axioms(store)}
-    )
-
-
 def store_from_json(text: str) -> OntologyStore:
     doc = _expect_obj(_loads(text), "$")
     _reject_unknown(doc, {"prefixes", "axioms"}, "$")
@@ -213,21 +222,83 @@ def store_from_json(text: str) -> OntologyStore:
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
-_encode_str = json.encoder.encode_basestring_ascii
+encode_string = json.encoder.encode_basestring_ascii  # a string's JSON text
 _encode_scalar = json.JSONEncoder().encode  # compact, so the C encoder runs
 
 
-def _json_members(row: AxiomType) -> tuple[tuple[str, Callable[[Axiom], Any]], ...]:
-    """The members of the type's JSON object in key order, each as its
-    encoded key and a reader of its value."""
-    members = [("kind", lambda ax, tag=row.tag: tag)]
-    for f in row.fields:
-        read = lambda ax, get=attrgetter(f.name), conv=_TO_JSON[f.shape]: conv(get(ax))  # noqa: E731
-        members.append((f.json, read))
-    return tuple((_encode_str(key), read) for key, read in sorted(members, key=itemgetter(0)))
+def array_text(items: list[str], indent: str) -> str:
+    """The JSON array of items already written as JSON text, as it appears
+    after ``indent``, the newline and spaces that start its line."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-_JSON_MEMBERS = {row.cls: _json_members(row) for row in AXIOM_TYPES.values()}
+def object_template(members: dict[str, str | None], indent: str) -> str:
+    """The ``%`` format of a JSON object as it appears after ``indent``.
+    ``members`` maps each key, in sorted order, to its JSON text, or to None
+    for a slot; ``%`` fills the slots with JSON text in key order."""
+    keys = list(members)
+    if keys != sorted(keys):
+        raise ValueError(f"object keys must be in sorted order: {keys}")
+    inner = indent + "  "
+    return "{" + ",".join(
+        inner + encode_string(key) + ": " + ("%s" if text is None else text.replace("%", "%%"))
+        for key, text in members.items()
+    ) + indent + "}"
+
+
+def _literal_text(value: AnnotationValue, indent: str) -> str:
+    inner = indent + "  "
+    text = inner + '"text": ' + encode_string(value.text) + indent + "}"
+    if value.language_tag:
+        return "{" + inner + '"languageTag": ' + encode_string(value.language_tag) + "," + text
+    return "{" + text
+
+
+_ENTITY_KIND_TEXT = {kind: encode_string(kind.value) for kind in EntityKind}
+
+# A field value's JSON text, as it appears after the indent given; the text
+# of its _TO_JSON value.
+_TEXT_OF_SHAPE: dict[type, Callable[[Any, str], str]] = {
+    Iri: lambda iri, indent: encode_string(iri),
+    frozenset: lambda iris, indent: array_text(list(map(encode_string, sorted(iris))), indent),
+    EntityKind: lambda kind, indent: _ENTITY_KIND_TEXT[kind],
+    AnnotationValue: _literal_text,
+}
+
+
+def _axiom_writer(row: AxiomType) -> Callable[[Axiom, str], str]:
+    """The writer of the type's :func:`axiom_to_obj` object: an axiom and the
+    indent it appears after -> its JSON text, from one template per indent."""
+    fields = sorted(row.fields, key=attrgetter("json"))
+    members = dict(sorted(
+        {"kind": encode_string(row.tag), **dict.fromkeys(f.json for f in fields)}.items()
+    ))
+    templates: dict[str, str] = {}  # one per indent met
+
+    def template(indent: str) -> str:
+        text = templates[indent] = object_template(members, indent)
+        return text
+
+    if len(fields) > 1 and all(f.shape is Iri for f in fields):
+        values = attrgetter(*(f.name for f in fields))
+
+        def write(ax: Axiom, indent: str) -> str:
+            fmt = templates.get(indent) or template(indent)
+            return fmt % tuple(map(encode_string, values(ax)))
+    else:
+        readers = tuple((attrgetter(f.name), _TEXT_OF_SHAPE[f.shape]) for f in fields)
+
+        def write(ax: Axiom, indent: str) -> str:
+            fmt, inner = templates.get(indent) or template(indent), indent + "  "
+            return fmt % tuple(text(read(ax), inner) for read, text in readers)
+
+    return write
+
+
+_AXIOM_WRITERS = {row.cls: _axiom_writer(row) for row in AXIOM_TYPES.values()}
 
 
 def canonical_json(value: Any) -> str:
@@ -235,43 +306,52 @@ def canonical_json(value: Any) -> str:
     where an :class:`Axiom` anywhere in ``value`` stands for its
     :func:`axiom_to_obj` object. Dict keys must be strings.
 
-    The stdlib encoder takes its pure-Python path whenever ``indent`` is set;
-    here strings and scalars go through its C helpers, and each distinct
-    axiom is rendered once per nesting depth, however often it recurs.
+    This is the writer of free-form values such as reports, metrics and
+    query rows. Objects of a fixed shape (axioms, the store document, trace
+    sidecar rows, graph nodes and edges) are written from templates built
+    once at import, to the same bytes; an axiom met here is written by its
+    type's template too. The stdlib encoder takes its pure-Python path
+    whenever ``indent`` is set; here strings and scalars go through its C
+    helpers.
     """
-    memo: dict[tuple[Axiom, str], str] = {}
+    return _json_text(value, "\n") + "\n"
+
+
+def _json_text(value: Any, indent: str) -> str:
+    """``value`` as it appears after ``indent``."""
     chunks: list[str] = []
-    _write(value, "\n", chunks.append, memo)
-    chunks.append("\n")
+    _write(value, indent, chunks.append)
     return "".join(chunks)
 
 
-def _write(value: Any, indent: str, emit: Callable[[str], None], memo: dict) -> None:
+def _write(value: Any, indent: str, emit: Callable[[str], None]) -> None:
     """Emit ``value`` as it appears after ``indent``, the newline and spaces
     that start its line."""
     if isinstance(value, str):
-        emit(_encode_str(value))
+        emit(encode_string(value))
     elif isinstance(value, dict):
         if value:
-            members = ((_encode_str(key), item) for key, item in sorted(value.items()))
-            _write_object(members, indent, emit, memo)
+            inner = indent + "  "
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                if isinstance(item, str):
+                    emit(sep + encode_string(key) + ": " + encode_string(item))
+                else:
+                    emit(sep + encode_string(key) + ": ")
+                    _write(item, inner, emit)
+                sep = "," + inner
+            emit(indent + "}")
         else:
             emit("{}")
     elif isinstance(value, Axiom):  # before tuple: an axiom is one
-        text = memo.get((value, indent))
-        if text is None:
-            chunks: list[str] = []
-            members = ((key, read(value)) for key, read in _JSON_MEMBERS[type(value)])
-            _write_object(members, indent, chunks.append, memo)
-            text = memo[(value, indent)] = "".join(chunks)
-        emit(text)
+        emit(_AXIOM_WRITERS[type(value)](value, indent))
     elif isinstance(value, (list, tuple)):
         if value:
             inner = indent + "  "
             sep = "[" + inner
             for item in value:
                 emit(sep)
-                _write(item, inner, emit, memo)
+                _write(item, inner, emit)
                 sep = "," + inner
             emit(indent + "]")
         else:
@@ -280,20 +360,12 @@ def _write(value: Any, indent: str, emit: Callable[[str], None], memo: dict) -> 
         emit(_encode_scalar(value))
 
 
-def _write_object(
-    members: Iterable[tuple[str, Any]], indent: str, emit: Callable[[str], None], memo: dict
-) -> None:
-    """Emit a non-empty object from its (encoded key, value) pairs."""
-    inner = indent + "  "
-    sep = "{" + inner
-    for key, item in members:
-        if isinstance(item, str):
-            emit(sep + key + ": " + _encode_str(item))
-        else:
-            emit(sep + key + ": ")
-            _write(item, inner, emit, memo)
-        sep = "," + inner
-    emit(indent + "}")
+_STORE = object_template({"axioms": None, "prefixes": None}, "\n")
+
+
+def store_to_json(store: OntologyStore) -> str:
+    axioms = [_AXIOM_WRITERS[type(ax)](ax, "\n    ") for ax in sorted_axioms(store)]
+    return _STORE % (array_text(axioms, "\n  "), _json_text(store.prefixes, "\n  ")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +489,28 @@ def parse_config(text: str) -> PipelineConfig:
 # Reasoner trace sidecar
 # ---------------------------------------------------------------------------
 
+_FACT = object_template({"conclusion": None, "traces": None}, "\n  ")
+_TRACE = object_template({"premises": None, "rule": None}, "\n      ")
+_RULE_TEXT = {rule: encode_string(rule.value) for rule in RuleId}
+
+
 def traces_to_json(mat: Materialization) -> str:
     """Every inferred fact with all of its one-step derivations."""
-    return canonical_json([
-        {
-            "conclusion": fact,
-            "traces": [
-                {"rule": trace.rule.value, "premises": trace.premises}
-                for trace in mat.traces[fact]
-            ],
-        }
-        for fact in sorted_axioms(mat.inferred)
-    ])
+    premises: dict[Axiom, str] = {}  # each distinct premise is written once
+
+    def premise(ax: Axiom) -> str:
+        text = premises.get(ax)
+        if text is None:
+            text = premises[ax] = _AXIOM_WRITERS[type(ax)](ax, "\n          ")
+        return text
+
+    facts = []
+    for fact in sorted_axioms(mat.inferred):
+        traces = [
+            _TRACE % (array_text(list(map(premise, trace.premises)), "\n        "),
+                      _RULE_TEXT[trace.rule])
+            for trace in mat.traces[fact]
+        ]
+        facts.append(_FACT % (_AXIOM_WRITERS[type(fact)](fact, "\n    "),
+                              array_text(traces, "\n    ")))
+    return array_text(facts, "\n") + "\n"

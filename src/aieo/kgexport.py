@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .jsonio import canonical_json
+from .jsonio import array_text, encode_string, object_template
 from .model import (
     AnnotationAssertion,
     EntityKind,
@@ -216,15 +216,23 @@ def render_dot(g: GraphDoc) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Keys in sorted order; the values below fill their slots in that order.
+_NODE = object_template(dict.fromkeys(("annotation", "id", "kind", "label")), "\n    ")
+_EDGE = object_template(dict.fromkeys(("from", "kind", "label", "to")), "\n    ")
+_GRAPH = object_template(dict.fromkeys(("edges", "nodes")), "\n")
+
+
 def render_json(g: GraphDoc) -> str:
-    doc = {
-        "nodes": [
-            {"id": n.id, "label": n.label, "kind": n.kind, "annotation": n.annotation}
-            for n in g.nodes
-        ],
-        "edges": [
-            {"from": e.src, "to": e.dst, "label": e.label, "kind": e.kind}
-            for e in g.edges
-        ],
-    }
-    return canonical_json(doc)
+    """The graph as canonical JSON: ``{"nodes": [...], "edges": [...]}`` with
+    the fields of each node, and ``from``/``to`` for an edge's ends."""
+    nodes = [
+        _NODE % (encode_string(n.annotation), encode_string(n.id), encode_string(n.kind),
+                 encode_string(n.label))
+        for n in g.nodes
+    ]
+    edges = [
+        _EDGE % (encode_string(e.src), encode_string(e.kind), encode_string(e.label),
+                 encode_string(e.dst))
+        for e in g.edges
+    ]
+    return _GRAPH % (array_text(edges, "\n  "), array_text(nodes, "\n  ")) + "\n"

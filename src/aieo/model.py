@@ -368,6 +368,9 @@ class AxiomType:
     triple: Callable[[Axiom], tuple] | None = field(init=False)  # if not symmetric
     pair: Callable[[Axiom], Iterable[Iri]] | None = field(init=False)  # if symmetric
     sort_key: Callable[[Axiom], tuple] = field(init=False)
+    # The axiom whose triple is ``subject predicate obj``; None when the
+    # axiom has a field beyond the pair (its own ``prop``).
+    from_pair: Callable[[Iri, Iri], Axiom] | None = field(init=False)
 
     def __post_init__(self) -> None:
         fields = self.cls._field_specs
@@ -394,6 +397,7 @@ class AxiomType:
             set_(self, "triple", self._make_triple(declares))
             set_(self, "pair", None)
         set_(self, "sort_key", self._make_sort_key())
+        set_(self, "from_pair", self._make_from_pair())
 
     def _make_triple(self, declares: bool) -> Callable[[Axiom], tuple]:
         if self.predicate is None:
@@ -415,6 +419,17 @@ class AxiomType:
             getattr(ax, n) if part is None else part(getattr(ax, n)) for n, part in pairs
         ))
 
+    def _make_from_pair(self) -> Callable[[Iri, Iri], Axiom] | None:
+        cls = self.cls
+        if self.members is not None:
+            return lambda subject, obj: cls(frozenset((subject, obj)))
+        names = tuple(f.name for f in self.fields)
+        if names == (self.subject, self.obj):
+            return cls
+        if names == (self.obj, self.subject):
+            return lambda subject, obj: cls(obj, subject)
+        return None
+
     def triples(self, ax: Axiom) -> list[tuple]:
         """Every triple the axiom renders to: one per ordered pair of
         distinct members when symmetric, else its one triple."""
@@ -422,12 +437,6 @@ class AxiomType:
             return [self.triple(ax)]
         members, pred = self.pair(ax), self.predicate
         return [(a, pred, b) for a in members for b in members if a != b]
-
-    def from_pair(self, subject: Iri, obj: Iri) -> Axiom:
-        """The axiom of this type whose triple is ``subject predicate obj``."""
-        if self.members is not None:
-            return self.cls(frozenset((subject, obj)))
-        return self.cls(**{self.subject: subject, self.obj: obj})
 
 
 AXIOM_TYPES: dict[type, AxiomType] = {row.cls: row for row in (

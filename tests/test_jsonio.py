@@ -12,23 +12,29 @@ from aieo.errors import ParseError, SchemaViolation
 from aieo.jsonio import (
     axiom_to_obj,
     canonical_json,
+    encode_string,
+    object_template,
     parse_config,
     parse_framework_document,
     store_from_json,
     store_to_json,
     traces_to_json,
 )
-from aieo.kgexport import DetailLevel, export_graph, render_json
+from aieo.kgexport import DetailLevel, GraphDoc, GraphNode, export_graph, render_json
 from aieo.model import (
+    AXIOM_TYPES,
     AnnotationAssertion,
     AnnotationValue,
     ClassAssertion,
     Declaration,
     EntityKind,
+    EquivalentClasses,
     Iri,
     ObjectPropertyAssertion,
     OntologyStore,
+    SubClassOf,
     render_literal,
+    sorted_axioms,
 )
 from aieo.pipeline import run_iteration
 from aieo.query import Query, TriplePattern, Variable, canned_query, evaluate
@@ -438,6 +444,82 @@ def test_canonical_json_edge_stores():
     _assert_canonical(bare, 3)
     assert store_to_json(bare).endswith('  "prefixes": {}\n}\n')
     _assert_canonical(seed_schema(), 0)  # consistent, nothing inferred
+
+
+def _nested(value, depth: int, dict_first: bool):
+    """``value`` inside ``depth`` levels of lists and dicts, alternating."""
+    for level in range(depth):
+        value = {"k": value} if (level % 2 == 0) == dict_first else [value]
+    return value
+
+
+def _one_of_each_type() -> list:
+    """Axioms of every type from odd-text stores, with a tagged and an
+    untagged literal among them."""
+    found: dict = {}
+    for seed in range(6):
+        for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
+            for ax in sorted_axioms(_with_odd_text(store, seed).axioms):
+                if isinstance(ax, AnnotationAssertion):
+                    found.setdefault((AnnotationAssertion, ax.value.language_tag is None), ax)
+                else:
+                    found.setdefault(type(ax), ax)
+    assert {key if isinstance(key, type) else key[0] for key in found} == set(AXIOM_TYPES)
+    assert (AnnotationAssertion, True) in found and (AnnotationAssertion, False) in found
+    return list(found.values())
+
+
+@pytest.mark.parametrize("dict_first", [True, False])
+def test_every_axiom_type_writes_at_every_nesting_depth(dict_first):
+    for ax in _one_of_each_type():
+        for depth in range(4):
+            expected = reference_json(_nested(reference_axiom_obj(ax), depth, dict_first))
+            assert canonical_json(_nested(ax, depth, dict_first)) == expected, (ax, depth)
+
+
+def _store_of_classes(names: str) -> OntologyStore:
+    store = OntologyStore({"ex": "https://example.org/"})
+    for name in names:
+        store.declare(aieo(name), EntityKind.OWL_CLASS)
+    store.declare(aieo("x"), EntityKind.NAMED_INDIVIDUAL)
+    return store
+
+
+def test_trace_sidecar_with_set_premises_and_several_traces():
+    store = _store_of_classes("ABC")
+    store.add(EquivalentClasses([aieo("A"), aieo("B")]))
+    store.add(SubClassOf(aieo("A"), aieo("C"))).add(SubClassOf(aieo("B"), aieo("C")))
+    store.add(ClassAssertion(aieo("A"), aieo("x")))
+    mat = materialize(store)
+    assert len(mat.traces[ClassAssertion(aieo("C"), aieo("x"))]) > 1
+    (trace,) = mat.traces[ClassAssertion(aieo("B"), aieo("x"))]
+    assert any(type(premise) is EquivalentClasses for premise in trace.premises)
+    assert traces_to_json(mat) == reference_traces_to_json(mat)
+
+
+def test_trace_sidecar_with_nothing_inferred():
+    for store in (OntologyStore(), _store_of_classes("AB"), seed_schema()):
+        mat = materialize(store)
+        assert not mat.inferred
+        assert traces_to_json(mat) == reference_traces_to_json(mat) == "[]\n"
+
+
+def test_render_json_of_graphs_without_edges():
+    empty = GraphDoc((), ())
+    assert render_json(empty) == reference_json(_graph_obj(empty))
+    assert render_json(empty) == '{\n  "edges": [],\n  "nodes": []\n}\n'
+    lonely = GraphDoc(tuple(
+        GraphNode(f"ex:n{i}", text, "class" if i % 2 else "individual", text[::-1])
+        for i, text in enumerate(_TEXTS)
+    ), ())
+    assert render_json(lonely) == reference_json(_graph_obj(lonely))
+
+
+def test_object_template_writes_members_in_sorted_key_order():
+    fmt = object_template({"a": None, "b": encode_string("100%")}, "\n")
+    assert fmt % (encode_string("x"),) + "\n" == reference_json({"b": "100%", "a": "x"})
+    with pytest.raises(ValueError):
+        object_template({"b": None, "a": None}, "\n")
 
 
 def _random_value(rng: random.Random, depth: int):

@@ -517,6 +517,23 @@ def test_keyword_and_positional_construction_agree(value):
     assert type(by_keyword) is type(by_position) is cls
 
 
+@pytest.mark.parametrize("row", list(AXIOM_TYPES.values()), ids=lambda row: row.tag)
+def test_from_pair_agrees_with_keyword_construction(row):
+    if {f.name for f in row.fields} - {row.subject, row.obj}:  # its own prop besides
+        assert row.from_pair is None
+        return
+    s = ex("s")
+    o = EntityKind.OWL_CLASS if row.obj == "kind" else ex("o")
+    if row.members is not None:
+        expected = row.cls(**{row.members: frozenset((s, o))})
+    else:
+        expected = row.cls(**{row.subject: s, row.obj: o})
+    built = row.from_pair(s, o)
+    assert built == expected and type(built) is row.cls
+    if row.symmetric:
+        assert row.from_pair(o, s) == expected
+
+
 def test_normalization_and_its_errors_are_unchanged():
     assert DisjointClasses(b=ex("A"), a=ex("B")) == DisjointClasses(ex("A"), ex("B"))
     assert (DisjointClasses(ex("B"), ex("A")).a, DisjointClasses(ex("B"), ex("A")).b) == (
