@@ -7,18 +7,21 @@ emitted absolute; on input, CURIEs are resolved against the document's own
 prefixes (falling back to the standard map).
 
 Every JSON text written here has the bytes of
-``json.dumps(value, indent=2, sort_keys=True)`` plus a newline. Objects of a
+``json.dumps(value, indent=2, sort_keys=True)`` plus a newline. Free-form
+values (reports, metrics, query rows, the store's prefix map) are written
+by ``json.dumps`` itself, through :func:`canonical_json`. Objects of a
 fixed shape are written from ``%`` templates built once at import: each
 axiom type's object (one writer per :data:`AXIOM_TYPES` row), the store
 document, the trace sidecar's fact and trace rows, and, through
 :func:`object_template`, the graph nodes and edges of
-:mod:`aieo.kgexport`. Free-form values (prefix maps, reports, metrics,
-query rows) go through :func:`canonical_json`.
+:mod:`aieo.kgexport`. :func:`axiom_to_obj` is the parse of the text its
+type's template writes, so the object and the text cannot differ.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -58,6 +61,18 @@ def _loads(text: str) -> Any:
         raise ParseError([ParseDiagnostic(1, 1, "document nested too deeply")]) from None
 
 
+# Input the Turtle writer could not write back is rejected: an IRI holding
+# '>' or a line break (a file read takes '\r' for one), and a prefix name
+# Turtle would not read as one.
+_IRI_BREAK = re.compile(r"[>\n\r]")
+_WORD = re.compile(r"[\w-]*")
+
+
+def _check_iri(iri: str, path: str) -> None:
+    if _IRI_BREAK.search(iri):
+        raise SchemaViolation(path, "an IRI cannot contain '>' or a line break")
+
+
 def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
     table = dict(DEFAULT_PREFIXES)
     table.update(prefixes)
@@ -69,7 +84,9 @@ def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
             raise SchemaViolation(path, "expected a non-empty IRI string")
         iri = memo.get(name)
         if iri is None:
-            iri = memo[name] = resolve_curie(name, table) if ":" in name else aieo(name)
+            iri = resolve_curie(name, table) if ":" in name else aieo(name)
+            _check_iri(iri, path)
+            memo[name] = iri
         return iri
 
     return resolve
@@ -105,33 +122,11 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
 _ENTITY_KIND_VALUES = {k.value: k for k in EntityKind}
 
 
-def _literal_to_obj(value: AnnotationValue) -> dict:
-    obj = {"text": value.text}
-    if value.language_tag:
-        obj["languageTag"] = value.language_tag
-    return obj
-
-
-_TO_JSON: dict[type, Callable[[Any], Any]] = {
-    Iri: str,
-    frozenset: lambda iris: sorted(map(str, iris)),
-    EntityKind: lambda kind: kind.value,
-    AnnotationValue: _literal_to_obj,
-}
-
-
 def axiom_to_obj(ax: Axiom) -> dict:
-    """The axiom's interchange object, as plain JSON values.
-
-    No writer here calls it (each type's template writes the same object
-    directly); it stays public as the interchange object for library
-    callers that build their own documents, and the tests pin it to the
-    type-by-type restatement in their oracles."""
-    row = axiom_type(ax)
-    obj = {"kind": row.tag}
-    for f in row.fields:
-        obj[f.json] = _TO_JSON[f.shape](getattr(ax, f.name))
-    return obj
+    """The axiom's interchange object, as plain JSON values: the parse of
+    the text its type's template writes. No writer here calls it; it stays
+    public for library callers that build their own documents."""
+    return json.loads(_AXIOM_WRITERS[axiom_type(ax).cls](ax, "\n"))
 
 
 def _iri_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> Iri:
@@ -204,8 +199,16 @@ def store_from_json(text: str) -> OntologyStore:
     _reject_unknown(doc, {"prefixes", "axioms"}, "$")
     prefixes = _field(doc, "prefixes", dict, "$", {})
     for prefix, base in prefixes.items():
+        path = f"$.prefixes.{prefix}"
         if not isinstance(base, str) or not base:
-            raise SchemaViolation(f"$.prefixes.{prefix}", "expected a non-empty string")
+            raise SchemaViolation(path, "expected a non-empty string")
+        # Empty, or a letter or '_' then word characters or '-', but not '_'
+        # alone: Turtle's blank node label.
+        if prefix and not ((prefix[0].isalpha() or prefix[0] == "_") and prefix != "_"
+                           and _WORD.fullmatch(prefix)):
+            raise SchemaViolation(path, "expected a prefix name: a letter or '_', then "
+                                        "letters, digits, '_' or '-'")
+        _check_iri(base, path)
     resolve = _resolver(prefixes)
     raw_axioms = _field(doc, "axioms", list, "$", [])
     axioms = [
@@ -223,7 +226,6 @@ def store_from_json(text: str) -> OntologyStore:
 # ---------------------------------------------------------------------------
 
 encode_string = json.encoder.encode_basestring_ascii  # a string's JSON text
-_encode_scalar = json.JSONEncoder().encode  # compact, so the C encoder runs
 
 
 def array_text(items: list[str], indent: str) -> str:
@@ -259,8 +261,7 @@ def _literal_text(value: AnnotationValue, indent: str) -> str:
 
 _ENTITY_KIND_TEXT = {kind: encode_string(kind.value) for kind in EntityKind}
 
-# A field value's JSON text, as it appears after the indent given; the text
-# of its _TO_JSON value.
+# A field value's JSON text, as it appears after the indent given.
 _TEXT_OF_SHAPE: dict[type, Callable[[Any, str], str]] = {
     Iri: lambda iri, indent: encode_string(iri),
     frozenset: lambda iris, indent: array_text(list(map(encode_string, sorted(iris))), indent),
@@ -270,8 +271,8 @@ _TEXT_OF_SHAPE: dict[type, Callable[[Any, str], str]] = {
 
 
 def _axiom_writer(row: AxiomType) -> Callable[[Axiom, str], str]:
-    """The writer of the type's :func:`axiom_to_obj` object: an axiom and the
-    indent it appears after -> its JSON text, from one template per indent."""
+    """The writer of the type's interchange object: an axiom and the indent
+    it appears after -> its JSON text, from one template per indent."""
     fields = sorted(row.fields, key=attrgetter("json"))
     members = dict(sorted(
         {"kind": encode_string(row.tag), **dict.fromkeys(f.json for f in fields)}.items()
@@ -302,62 +303,12 @@ _AXIOM_WRITERS = {row.cls: _axiom_writer(row) for row in AXIOM_TYPES.values()}
 
 
 def canonical_json(value: Any) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    where an :class:`Axiom` anywhere in ``value`` stands for its
-    :func:`axiom_to_obj` object. Dict keys must be strings.
-
-    This is the writer of free-form values such as reports, metrics and
-    query rows. Objects of a fixed shape (axioms, the store document, trace
-    sidecar rows, graph nodes and edges) are written from templates built
-    once at import, to the same bytes; an axiom met here is written by its
-    type's template too. The stdlib encoder takes its pure-Python path
-    whenever ``indent`` is set; here strings and scalars go through its C
-    helpers.
-    """
-    return _json_text(value, "\n") + "\n"
-
-
-def _json_text(value: Any, indent: str) -> str:
-    """``value`` as it appears after ``indent``."""
-    chunks: list[str] = []
-    _write(value, indent, chunks.append)
-    return "".join(chunks)
-
-
-def _write(value: Any, indent: str, emit: Callable[[str], None]) -> None:
-    """Emit ``value`` as it appears after ``indent``, the newline and spaces
-    that start its line."""
-    if isinstance(value, str):
-        emit(encode_string(value))
-    elif isinstance(value, dict):
-        if value:
-            inner = indent + "  "
-            sep = "{" + inner
-            for key, item in sorted(value.items()):
-                if isinstance(item, str):
-                    emit(sep + encode_string(key) + ": " + encode_string(item))
-                else:
-                    emit(sep + encode_string(key) + ": ")
-                    _write(item, inner, emit)
-                sep = "," + inner
-            emit(indent + "}")
-        else:
-            emit("{}")
-    elif isinstance(value, Axiom):  # before tuple: an axiom is one
-        emit(_AXIOM_WRITERS[type(value)](value, indent))
-    elif isinstance(value, (list, tuple)):
-        if value:
-            inner = indent + "  "
-            sep = "[" + inner
-            for item in value:
-                emit(sep)
-                _write(item, inner, emit)
-                sep = "," + inner
-            emit(indent + "]")
-        else:
-            emit("[]")
-    else:
-        emit(_encode_scalar(value))
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``: the writer of
+    free-form values such as reports, metrics and query rows. Objects of a
+    fixed shape (axioms, the store document, trace sidecar rows, graph
+    nodes and edges) are written from templates built once at import, to
+    the same bytes."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 _STORE = object_template({"axioms": None, "prefixes": None}, "\n")
@@ -365,7 +316,10 @@ _STORE = object_template({"axioms": None, "prefixes": None}, "\n")
 
 def store_to_json(store: OntologyStore) -> str:
     axioms = [_AXIOM_WRITERS[type(ax)](ax, "\n    ") for ax in sorted_axioms(store)]
-    return _STORE % (array_text(axioms, "\n  "), _json_text(store.prefixes, "\n  ")) + "\n"
+    # json.dumps escapes every newline inside a string, so each newline it
+    # writes starts a line and takes the document's indent.
+    prefixes = json.dumps(store.prefixes, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return _STORE % (array_text(axioms, "\n  "), prefixes) + "\n"
 
 
 # ---------------------------------------------------------------------------

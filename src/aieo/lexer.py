@@ -15,7 +15,6 @@ reader for IRIs, prefixed names, ``a`` and literals, so a term gets the
 same diagnostic in either language. Resolved terms are memoized per token
 text. Tokens are known by their index; the line and column of a
 diagnostic are worked out from the text only when it is raised.
-:func:`scan` reads the same tokens one at a time, with their offsets.
 
 Token kinds and values:
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Callable, Iterator, Mapping, NoReturn
+from typing import Callable, Mapping, NoReturn
 
 from .errors import ParseDiagnostic, ParseError, UnsupportedFeature
 from .model import RDF_TYPE, AnnotationValue, Iri
@@ -193,28 +192,6 @@ def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
     if kind == "@" and len(raw) > len(value) + 1:  # a numeral after the letters
         _reject_character(raw, len(value) + 1)
     return tok
-
-
-def scan(text: str, checks: Mapping[str, Check] = {}) -> Iterator[tuple[str, object, int]]:
-    """Yield the ``(kind, value, offset)`` of each token of ``text`` in
-    order, one at a time, ending with ``eof``: the tokens a :class:`Cursor`
-    reads, through the same ``checks``."""
-    match = _SPLIT.match
-    pos = 0
-    while True:
-        m = match(text, pos)
-        raw = m.group(1)
-        start, pos = m.span(1)
-        if raw[:1] == "@":  # a directive ends at its last letter
-            raw = "@" + _letters(raw[1:])
-            pos = start + len(raw)
-        try:
-            kind, value = _read_token(raw, checks)
-        except _Rejected as r:
-            fail(text, start + r.at, r.message, r.unsupported)
-        yield kind, value, start
-        if kind == "eof":
-            return
 
 
 class Cursor:

@@ -752,6 +752,9 @@ class OntologyStore:
         return problems
 
     def require_valid(self) -> None:
+        """Raise :class:`ValidationError` with :meth:`validate`'s problems: the
+        defensive full scan that ``aieo parse`` and ``materialize`` run, though
+        ``add``, ``declare`` and ``update`` already refuse what it finds."""
         problems = self.validate()
         if problems:
             raise ValidationError("; ".join(problems))

@@ -5,10 +5,11 @@ no-change loops, scans over full cross products, recount-from-scratch
 tallies, and a standalone grammar. Agreement between these and the library is the main
 correctness evidence, so nothing in this file may share logic with the
 library modules (only data types and vocabulary constants are imported).
-The one exception is the token-at-a-time reader, which reads each token
-through ``aieo.lexer.scan`` and the languages' checks on purpose: it pins
-how the library splits text, reads repeated tokens, memoizes terms and
-positions diagnostics, not how one token is read.
+The one exception is the token-at-a-time reader (:func:`scan` and
+:class:`ReferenceCursor`), which splits text with the lexer's own regular
+expression and reads each token through the lexer's ``_read_token`` and
+the languages' checks on purpose: it pins how the library reads repeated
+tokens, memoizes terms and positions diagnostics, not how one token is read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pyparsing as pp
 
 from aieo import query as _query, turtle as _turtle
 from aieo.errors import KindMismatch, ParseDiagnostic, ParseError, UndeclaredEntity, UnsupportedFeature
-from aieo.lexer import scan
+from aieo.lexer import _SPLIT, _Rejected, _letters, _read_token
 from aieo.model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -933,6 +934,27 @@ def _reference_fail(text: str, offset: int, message: str, unsupported: bool = Fa
     raise (UnsupportedFeature if unsupported else ParseError)(
         [ParseDiagnostic(line, column, message)]
     )
+
+
+def scan(text: str, checks: dict = {}):
+    """Yield the ``(kind, value, offset)`` of each token of ``text`` in
+    order, one at a time, ending with ``eof``: the tokens a ``Cursor``
+    reads, through the same ``checks``."""
+    pos = 0
+    while True:
+        m = _SPLIT.match(text, pos)
+        raw = m.group(1)
+        start, pos = m.span(1)
+        if raw[:1] == "@":  # a directive ends at its last letter
+            raw = "@" + _letters(raw[1:])
+            pos = start + len(raw)
+        try:
+            kind, value = _read_token(raw, checks)
+        except _Rejected as r:
+            _reference_fail(text, start + r.at, r.message, r.unsupported)
+        yield kind, value, start
+        if kind == "eof":
+            return
 
 
 class ReferenceCursor:

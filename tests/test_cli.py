@@ -172,6 +172,19 @@ def test_parse_schema_violation_exits_validation_error(run, tmp_path):
     assert "$.axioms[0]" in err
 
 
+def test_json_store_the_turtle_writer_cannot_write_exits_validation_error(run, tmp_path):
+    # A carriage return would be written into the Turtle IRI, and the file
+    # reader takes it for a line break.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"axioms": [
+        {"kind": "Declaration", "iri": "https://e/a\rb", "entityKind": "OwlClass"}
+    ]}))
+    code, _, err = run("reason", str(path), "--out", str(tmp_path / "out.ttl"))
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert "$.axioms[0].iri" in err
+    assert not (tmp_path / "out.ttl").exists()
+
+
 def test_metrics_json_format(run, seed_file):
     code, out, _ = run("metrics", seed_file, "--format", "json")
     assert code == 0

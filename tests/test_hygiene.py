@@ -61,3 +61,34 @@ def test_the_check_sees_unused_and_exempt_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Each top-level function and class of the modules in ``sources``
+    (name -> text) that no module reads and ``exported`` does not list, as
+    ``module.name``. A read is a name loaded or an attribute taken."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_the_check_sees_unread_definitions():
+    sources = {
+        "a": "def used(): pass\ndef unused(): pass\nclass Public: pass\nclass _Hidden: pass\n",
+        "b": "from .a import used\nimport a\nused()\na._Hidden\n",
+    }
+    assert unread_definitions(sources, {"Public"}) == ["a.unused"]
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    exported = _exported(ast.parse(sources["__init__"]))
+    assert unread_definitions(sources, exported) == []

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from aieo.cli import main
-from aieo.errors import ParseError, SchemaViolation
+from aieo.errors import AieoError, ParseError, SchemaViolation
 from aieo.jsonio import (
+    _AXIOM_WRITERS,
     axiom_to_obj,
     canonical_json,
     encode_string,
@@ -40,7 +41,7 @@ from aieo.pipeline import run_iteration
 from aieo.query import Query, TriplePattern, Variable, canned_query, evaluate
 from aieo.reasoner import materialize
 from aieo.schema import RDFS_LABEL, aieo, seed_schema
-from aieo.turtle import parse_turtle
+from aieo.turtle import parse_turtle, serialize_turtle
 
 from oracles import (
     random_linked_store,
@@ -171,12 +172,61 @@ def test_bad_json_reports_position():
          ' "value": {"text": "a", "languageTag": "en US"}}]}', "$.axioms[0]"),
         ('{"axioms": [{"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",'
          ' "value": {"text": "a", "languageTag": ""}}]}', "$.axioms[0]"),
+        # Input the Turtle writer could not write back.
+        *[(json.dumps({"prefixes": {name: "https://e/"}}), f"$.prefixes.{name}")
+          for name in ("a:b", "a b", "1x", "x.y", "-x", "_", "\u00b2")],
+        *[(json.dumps({"prefixes": {"e": "https://e/" + c}}), "$.prefixes.e") for c in ">\n\r"],
+        *[(_doc_with_axioms({"kind": "Declaration", "iri": iri, "entityKind": "OwlClass"},
+                            prefixes={"e": "https://e/"}), "$.axioms[0].iri")
+          for iri in ("https://e/a>b", "https://e/a\nb", "https://e/a\rb", "e:a>", "a\nb")],
+        ('{"axioms": [{"kind": "EquivalentClasses", "classes": ["A", "B>"]}]}',
+         "$.axioms[0].classes[1]"),
     ],
 )
 def test_schema_violations_carry_paths(doc, path):
     with pytest.raises(SchemaViolation) as exc:
         store_from_json(doc)
     assert exc.value.field_name == path
+
+
+_PREFIX_NAMES = ("", "a", "_x", "z\u00e9-1", "x-", "a:b", "a b", "1x", "x.y", "-x", "_", "\u00b2")
+_IRI_TAILS = ("", "a", "a b", 'q"t', "back\\slash", "caf\u00e9", "100%", "#x", ">", "\n", "a\rb")
+
+
+def test_every_accepted_store_writes_turtle_that_reads_back():
+    rng = random.Random(11)
+    outcomes = set()
+    for seed in range(12):
+        for make in (random_store, random_linked_store, random_small_store):
+            doc = json.loads(store_to_json(_with_odd_text(make(seed), seed)))
+            doc["prefixes"][rng.choice(_PREFIX_NAMES)] = "https://e/" + rng.choice(_IRI_TAILS)
+            doc["axioms"].append({"kind": "Declaration", "entityKind": "NamedIndividual",
+                                  "iri": "https://e/" + rng.choice(_IRI_TAILS) + "i"})
+            try:
+                store = store_from_json(json.dumps(doc))
+            except SchemaViolation:
+                outcomes.add("rejected")
+                continue
+            outcomes.add("accepted")
+            back = parse_turtle(serialize_turtle(store))
+            assert set(back.axioms) == set(store.axioms), (make.__name__, seed)
+            assert back.prefixes == store.prefixes, (make.__name__, seed)
+    assert outcomes == {"accepted", "rejected"}
+
+
+def test_json_prefix_names_are_the_ones_turtle_reads():
+    chars = [chr(c) for c in range(0, 0x3000, 5)] + ["_", "-", "\u00b2", "\u216b", "\u0301"]
+    for name in ["", "__", "_1", "a.b"] + chars + ["a" + c for c in chars]:
+        try:
+            read = parse_turtle(f"@prefix {name}: <https://e/> .").prefixes == {name: "https://e/"}
+        except AieoError:
+            read = False
+        try:
+            store_from_json(json.dumps({"prefixes": {name: "https://e/"}}))
+            accepted = True
+        except SchemaViolation:
+            accepted = False
+        assert accepted == read, repr(name)
 
 
 def test_degenerate_axioms_become_schema_violations():
@@ -446,11 +496,15 @@ def test_canonical_json_edge_stores():
     _assert_canonical(seed_schema(), 0)  # consistent, nothing inferred
 
 
-def _nested(value, depth: int, dict_first: bool):
-    """``value`` inside ``depth`` levels of lists and dicts, alternating."""
-    for level in range(depth):
-        value = {"k": value} if (level % 2 == 0) == dict_first else [value]
-    return value
+def test_prefix_maps_with_odd_text_write_as_the_stdlib_does():
+    odd = _TEXTS + ("100%", "%s %% %(k)s", "", "ctl\x01\x1f\x08\x0c")
+    for i, text in enumerate(odd):
+        store = random_small_store(i)
+        store.prefixes[text] = "https://e/" + text
+        store.prefixes["p" + text] = text or "x"
+        assert store_to_json(store) == reference_store_to_json(store), text
+    only_prefixes = OntologyStore(dict(zip(odd, reversed(odd))))
+    assert store_to_json(only_prefixes) == reference_store_to_json(only_prefixes)
 
 
 def _one_of_each_type() -> list:
@@ -469,12 +523,13 @@ def _one_of_each_type() -> list:
     return list(found.values())
 
 
-@pytest.mark.parametrize("dict_first", [True, False])
-def test_every_axiom_type_writes_at_every_nesting_depth(dict_first):
+def test_every_axiom_type_writes_at_every_nesting_depth():
     for ax in _one_of_each_type():
         for depth in range(4):
-            expected = reference_json(_nested(reference_axiom_obj(ax), depth, dict_first))
-            assert canonical_json(_nested(ax, depth, dict_first)) == expected, (ax, depth)
+            indent = "\n" + "  " * depth
+            expected = json.dumps(reference_axiom_obj(ax), indent=2, sort_keys=True)
+            assert _AXIOM_WRITERS[type(ax)](ax, indent) == expected.replace("\n", indent), (
+                ax, depth)
 
 
 def _store_of_classes(names: str) -> OntologyStore:
@@ -542,8 +597,7 @@ def test_canonical_json_scalars_and_nesting():
     for _ in range(500):
         value = _random_value(rng, 0)
         assert canonical_json(value) == reference_json(value)
-    with pytest.raises(TypeError):
-        canonical_json({1: "a"})
+    assert canonical_json({1: "a"}) == reference_json({1: "a"})
 
 
 def test_cli_tour_writes_canonical_json(tmp_path, capsys):

@@ -17,7 +17,6 @@ import pytest
 
 from aieo.errors import AieoError, ParseError, UndeclaredEntity, UnsupportedFeature
 from aieo.jsonio import store_from_json, store_to_json
-from aieo.lexer import scan
 from aieo.model import OntologyStore
 from aieo.query import PRINCIPLES_BY_FRAMEWORK_QUERY, Query, parse_query
 from aieo.schema import seed_schema
@@ -28,6 +27,7 @@ from oracles import (
     random_store,
     reference_parse_query,
     reference_parse_turtle,
+    scan,
 )
 
 P = "@prefix ex: <https://example.org/> .\n"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import pickle
 import random
 import sys
@@ -10,7 +9,6 @@ import sys
 import pytest
 
 from aieo.errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
-from aieo.jsonio import axiom_to_obj, canonical_json
 from aieo.model import (
     AXIOM_TYPES,
     AnnotationAssertion,
@@ -566,17 +564,6 @@ def test_copy_and_pickle_round_trip(value):
                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for dup in copies:
         assert dup == value and type(dup) is type(value)
-
-
-@pytest.mark.parametrize("value", _VALUES[:-1], ids=lambda v: type(v).__name__)
-def test_canonical_json_writes_a_nested_axiom_as_an_object(value):
-    obj = axiom_to_obj(value)
-    for doc, plain in [
-        ([value], [obj]),
-        ((value,), [obj]),
-        ({"premises": (value, value)}, {"premises": [obj, obj]}),
-    ]:
-        assert canonical_json(doc) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def test_random_generators_cover_every_axiom_type():
