@@ -305,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit status as a plain int, which prints
+    alike on every Python version (an IntEnum member does not before 3.11)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -312,19 +314,19 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     if getattr(args, "command", None) == "reason" and args.trace and args.out is None:
         sys.stderr.write("error: --trace needs --out to name the sidecar file\n")
-        return ExitStatus.PARSE_ERROR
+        return int(ExitStatus.PARSE_ERROR)
     try:
         return int(args.func(args))
     except ParseError as exc:  # includes UnsupportedFeature
         for diag in exc.diagnostics:
             sys.stderr.write(f"{diag}\n")
-        return ExitStatus.PARSE_ERROR
+        return int(ExitStatus.PARSE_ERROR)
     except (AieoError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return ExitStatus.VALIDATION_ERROR
+        return int(ExitStatus.VALIDATION_ERROR)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return ExitStatus.IO_ERROR
+        return int(ExitStatus.IO_ERROR)
 
 
 def entry_point() -> None:

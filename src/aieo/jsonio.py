@@ -61,16 +61,9 @@ def _loads(text: str) -> Any:
         raise ParseError([ParseDiagnostic(1, 1, "document nested too deeply")]) from None
 
 
-# Input the Turtle writer could not write back is rejected: an IRI holding
-# '>' or a line break (a file read takes '\r' for one), and a prefix name
-# Turtle would not read as one.
-_IRI_BREAK = re.compile(r"[>\n\r]")
+# Input the Turtle writer could not write back is rejected: an IRI that
+# ``Iri`` rejects, and a prefix name Turtle would not read as one.
 _WORD = re.compile(r"[\w-]*")
-
-
-def _check_iri(iri: str, path: str) -> None:
-    if _IRI_BREAK.search(iri):
-        raise SchemaViolation(path, "an IRI cannot contain '>' or a line break")
 
 
 def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
@@ -84,8 +77,10 @@ def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
             raise SchemaViolation(path, "expected a non-empty IRI string")
         iri = memo.get(name)
         if iri is None:
-            iri = resolve_curie(name, table) if ":" in name else aieo(name)
-            _check_iri(iri, path)
+            try:
+                iri = resolve_curie(name, table) if ":" in name else aieo(name)
+            except ValueError as exc:
+                raise SchemaViolation(path, str(exc)) from None
             memo[name] = iri
         return iri
 
@@ -208,7 +203,10 @@ def store_from_json(text: str) -> OntologyStore:
                            and _WORD.fullmatch(prefix)):
             raise SchemaViolation(path, "expected a prefix name: a letter or '_', then "
                                         "letters, digits, '_' or '-'")
-        _check_iri(base, path)
+        try:
+            Iri(base)
+        except ValueError as exc:
+            raise SchemaViolation(path, str(exc)) from None
     resolve = _resolver(prefixes)
     raw_axioms = _field(doc, "axioms", list, "$", [])
     axioms = [

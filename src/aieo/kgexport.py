@@ -3,6 +3,12 @@
 Levels nest: L1 shows classes (with individual-count badges), the subclass
 hierarchy, and class equivalences; L2 adds individuals with edges to their
 most specific classes; L3 adds asserted relationships between individuals.
+
+A node's id is its IRI as a CURIE under the declared prefix with the longest
+base (``OntologyStore.compact``), or the IRI itself when no prefix covers
+it. Its annotation is its display label: the least text of its
+``rdfs:label`` assertions (``schema.label_of``, the label consolidation
+scores), or empty when it has none.
 """
 
 from __future__ import annotations
@@ -10,10 +16,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 
 from .jsonio import array_text, encode_string, object_template
 from .model import (
-    AnnotationAssertion,
     EntityKind,
     EquivalentClasses,
     Iri,
@@ -21,10 +27,9 @@ from .model import (
     OntologyStore,
     SubClassOf,
     SubObjectPropertyOf,
-    sorted_axioms,
 )
 from .reasoner import Materialization, equivalence_classes
-from .schema import RDFS_LABEL
+from .schema import label_of
 
 
 class DetailLevel(IntEnum):
@@ -88,12 +93,12 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
     """Deterministic node/edge lists for the store at the given level."""
     store = mat.base
     classes = store.declared(EntityKind.OWL_CLASS)
-    individuals = store.declared(EntityKind.NAMED_INDIVIDUAL)
-
-    labels: dict[Iri, str] = {}
-    for ax in sorted_axioms(store.axioms_of(AnnotationAssertion)):
-        if ax.prop == RDFS_LABEL and ax.subject not in labels:
-            labels[ax.subject] = ax.value.text
+    individuals = (
+        store.declared(EntityKind.NAMED_INDIVIDUAL)
+        if level >= DetailLevel.L2_PLUS_INDIVIDUALS else []
+    )
+    # Every node id and edge end is read from here.
+    ids = {iri: store.compact(iri) for iri in chain(classes, individuals)}
 
     memberships: dict[Iri, set[Iri]] = defaultdict(set)
     members_per_class: dict[Iri, set[Iri]] = defaultdict(set)
@@ -101,54 +106,36 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
         memberships[fact.ind].add(fact.cls)
         members_per_class[fact.cls].add(fact.ind)
 
-    nodes: list[GraphNode] = []
-    edges: list[GraphEdge] = []
-
-    for cls in classes:
-        count = len(members_per_class.get(cls, ()))
-        nodes.append(
-            GraphNode(
-                id=store.compact(cls),
-                label=f"{cls.local} [{count}]",
-                kind="class",
-                annotation=labels.get(cls, ""),
-            )
-        )
-    subclass_axioms = sorted(store.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup))
-    for ax in subclass_axioms:
-        edges.append(
-            GraphEdge(store.compact(ax.sub), store.compact(ax.sup), "subClassOf", "subclass")
-        )
-    for ax in sorted(store.axioms_of(EquivalentClasses), key=lambda a: min(a.classes)):
-        block = sorted(ax.classes)
+    # The final sorts order nodes and edges by every field, so nothing is
+    # sorted before them.
+    nodes = [
+        GraphNode(ids[cls], f"{cls.local} [{len(members_per_class.get(cls, ()))}]", "class",
+                  label_of(store, cls) or "")
+        for cls in classes
+    ]
+    edges = [
+        GraphEdge(ids[ax.sub], ids[ax.sup], "subClassOf", "subclass")
+        for ax in store.axioms_of(SubClassOf)
+    ]
+    for ax in store.axioms_of(EquivalentClasses):
+        block = sorted(ax.classes)  # the lesser IRI is the edge's source
         for i, a in enumerate(block):
             for b in block[i + 1 :]:
-                edges.append(
-                    GraphEdge(store.compact(a), store.compact(b), "equivalentClass", "equivalence")
-                )
+                edges.append(GraphEdge(ids[a], ids[b], "equivalentClass", "equivalence"))
 
     if level >= DetailLevel.L2_PLUS_INDIVIDUALS:
         # Memberships are closed under R2/R3, so a type is implied by a more
         # specific one exactly when another type has a direct edge to it.
         rep = _representatives(store, EntityKind.OWL_CLASS)
         rep_supers: dict[Iri, set[Iri]] = defaultdict(set)
-        for ax in subclass_axioms:
+        for ax in store.axioms_of(SubClassOf):
             rep_supers[rep[ax.sub]].add(rep[ax.sup])
         for ind in individuals:
-            nodes.append(
-                GraphNode(
-                    id=store.compact(ind),
-                    label=ind.local,
-                    kind="individual",
-                    annotation=labels.get(ind, ""),
-                )
-            )
+            nodes.append(GraphNode(ids[ind], ind.local, "individual", label_of(store, ind) or ""))
             reps = {rep[c] for c in memberships.get(ind, ())}
             implied = {c for d in reps for c in rep_supers.get(d, ()) if c != d}
-            for cls in sorted(reps - implied):
-                edges.append(
-                    GraphEdge(store.compact(ind), store.compact(cls), "type", "membership")
-                )
+            for cls in reps - implied:
+                edges.append(GraphEdge(ids[ind], ids[cls], "type", "membership"))
 
     if level >= DetailLevel.L3_PLUS_INSTANCE_RELATIONSHIPS:
         prop_rep = _representatives(store, EntityKind.OBJECT_PROPERTY)
@@ -156,12 +143,9 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
         for ax in store.axioms_of(SubObjectPropertyOf):
             prop_supers[ax.sub].add(ax.sup)
 
-        asserted = [
-            ax for ax in store.axioms_of(ObjectPropertyAssertion)
-            if store.kind_of(ax.object) is EntityKind.NAMED_INDIVIDUAL
-        ]
+        # The store admits only individuals at both ends of an assertion.
         by_pair: dict[tuple[Iri, Iri], set[Iri]] = defaultdict(set)
-        for ax in asserted:
+        for ax in store.axioms_of(ObjectPropertyAssertion):
             by_pair[(ax.subject, ax.object)].add(ax.prop)
         rendered: set[tuple[Iri, Iri, Iri]] = set()
         for (subj, obj), props in by_pair.items():
@@ -173,10 +157,8 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
                     kept -= _strict_supers(prop_supers, q)
             for p in kept:
                 rendered.add((subj, prop_rep[p], obj))
-        for subj, prop, obj in sorted(rendered):
-            edges.append(
-                GraphEdge(store.compact(subj), store.compact(obj), prop.local, "assertion")
-            )
+        for subj, prop, obj in rendered:
+            edges.append(GraphEdge(ids[subj], ids[obj], prop.local, "assertion"))
 
     node_order = {"class": 0, "individual": 1}
     nodes.sort(key=lambda n: (node_order[n.kind], n.id))

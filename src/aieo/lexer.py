@@ -253,6 +253,14 @@ class Cursor:
                 memo.clear()
         self.prefixes[prefix] = base
 
+    def iri(self, text: str) -> Iri:
+        """``text`` as an IRI, or a diagnostic at the token last taken when
+        :class:`Iri` rejects it."""
+        try:
+            return Iri(text)
+        except ValueError as exc:
+            self.fail(str(exc))
+
     def term(self, position: str) -> "Iri | AnnotationValue":
         """The next token as the term at ``position`` of a triple
         (``"subject"``, ``"predicate"`` or ``"object"``): an IRI or prefixed
@@ -272,15 +280,13 @@ class Cursor:
         if kind == "iri" or kind == "pname":
             iri = self.iris.get(raw)
             if iri is None:
-                if kind == "iri":
-                    iri = Iri(value)
-                else:
+                if kind == "pname":
                     prefix, local = value
                     base = self.prefixes.get(prefix)
                     if base is None:
                         self.fail(self.unknown_prefix.format(prefix))
-                    iri = Iri(base + local)
-                self.iris[raw] = iri
+                    value = base + local
+                iri = self.iris[raw] = self.iri(value)
             return iri
         if kind == "string":
             if position != "object":

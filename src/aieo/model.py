@@ -14,7 +14,7 @@ reads it from there.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -25,13 +25,18 @@ from .errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationErro
 
 
 class Iri(str):
-    """An absolute IRI. Behaves as a string; the subclass only marks intent."""
+    """An absolute IRI. Behaves as a string; the subclass marks intent and
+    admits only what the Turtle and JSON writers can write back: a
+    non-empty text without '>' or a line break, a carriage return included
+    (a file read takes it for one)."""
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
         if not value:
             raise ValueError("IRI must be non-empty")
+        if ">" in value or "\n" in value or "\r" in value:
+            raise ValueError("an IRI cannot contain '>' or a line break")
         return super().__new__(cls, value)
 
     @property
@@ -518,6 +523,11 @@ class OntologyStore:
     control for concurrent reads. Normalization folds overlapping
     EquivalentClasses / EquivalentObjectProperties axioms into one maximal
     set each, so equivalence is always stored as its connected component.
+
+    Every IRI in the store is one the writers can write back, since
+    :class:`Iri` rejects the rest. ``prefixes`` is a plain dict: the Turtle
+    and JSON readers check the bases and names they read into it, but
+    nothing checks a prefix given to the constructor or a later edit.
     """
 
     def __init__(self, prefixes: dict[str, str] | None = None):
@@ -802,17 +812,12 @@ class MetricsReport:
         return "\n".join(lines)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "axiomCount": self.axiom_count,
-            "logicalAxiomCount": self.logical_axiom_count,
-            "declarationAxiomCount": self.declaration_axiom_count,
-            "annotationAssertionCount": self.annotation_assertion_count,
-            "classCount": self.class_count,
-            "objectPropertyCount": self.object_property_count,
-            "dataPropertyCount": self.data_property_count,
-            "individualCount": self.individual_count,
-            "annotationPropertyCount": self.annotation_property_count,
-        }
+        """Each count under its field name in camelCase (``axiomCount``)."""
+        out = {}
+        for f in dataclass_fields(self):
+            first, *rest = f.name.split("_")
+            out[first + "".join(map(str.capitalize, rest))] = getattr(self, f.name)
+        return out
 
 
 def compute_metrics(store: OntologyStore) -> MetricsReport:

@@ -43,6 +43,7 @@ from .schema import (
     REFERENCE,
     SHORT_DESCRIPTION,
     aieo,
+    label_of,
 )
 
 DEFAULT_STOPWORDS = frozenset(
@@ -342,12 +343,8 @@ def label_similarity(a: str, b: str) -> float:
 
 
 def _concept_label(store: OntologyStore, ind: Iri) -> str:
-    labels = sorted(
-        ax.value.text
-        for ax in store.by_subject.get(ind, ())
-        if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL
-    )
-    return labels[0] if labels else ind.local.replace("_", " ")
+    label = label_of(store, ind)
+    return ind.local.replace("_", " ") if label is None else label
 
 
 def _label_tokens(label: str) -> frozenset[str]:

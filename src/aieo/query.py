@@ -56,9 +56,6 @@ class Variable(str):
         return super().__new__(cls, name)
 
 
-Term = "Iri | AnnotationValue | Variable"
-
-
 @dataclass(frozen=True, slots=True)
 class TriplePattern:
     subject: "Iri | Variable"

@@ -54,6 +54,16 @@ def aieo(local: str) -> Iri:
     return Iri(AIEO_NS + local)
 
 
+def label_of(store: OntologyStore, iri: Iri) -> str | None:
+    """The entity's display label: the least text of its ``rdfs:label``
+    assertions, or None when it has none."""
+    return min(
+        (ax.value.text for ax in store.by_subject.get(iri, ())
+         if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL),
+        default=None,
+    )
+
+
 CENTRAL_CLASSES = (
     "AI_Dimension",
     "Framework",

@@ -82,6 +82,7 @@ def _document(cur: Cursor) -> list[_Triple]:
             if local:
                 cur.fail("prefix declaration must end in ':'")
             base = cur.expect("iri", "an IRI reference")[1]
+            cur.iri(base)  # rejects a base the writers could not write back
             cur.expect(".", "'.' after prefix directive")
             cur.declare(prefix, base)
             continue

@@ -995,16 +995,22 @@ class ReferenceCursor:
             self.fail(tok, f"expected {what}")
         return tok
 
+    def iri(self, tok, text):
+        try:
+            return Iri(text)
+        except ValueError as exc:
+            self.fail(tok, str(exc))
+
     def term(self, position):
         tok = self.take()
         kind, value, _ = tok
         if kind == "iri":
-            return Iri(value)
+            return self.iri(tok, value)
         if kind == "pname":
             prefix, local = value
             if prefix not in self.prefixes:
                 self.fail(tok, self.unknown_prefix.format(prefix))
-            return Iri(self.prefixes[prefix] + local)
+            return self.iri(tok, self.prefixes[prefix] + local)
         if kind == "string":
             if position != "object":
                 self.fail(tok, f"a literal cannot be a {position}")
@@ -1026,6 +1032,7 @@ def _reference_document(cur: ReferenceCursor) -> list:
             if local:
                 cur.fail(name, "prefix declaration must end in ':'")
             base = cur.expect("iri", "an IRI reference")
+            cur.iri(base, base[1])
             cur.expect(".", "'.' after prefix directive")
             cur.prefixes[prefix] = base[1]
             continue

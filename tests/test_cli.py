@@ -354,6 +354,27 @@ def test_canned_query_without_argument_exits_validation_error(run, seed_file):
     assert "needs a concept IRI" in err
 
 
+def test_every_exit_status_is_a_plain_int(run, tmp_path, seed_file):
+    # str() of an IntEnum member is its name before Python 3.11.
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("aieo:x", encoding="utf-8")
+    for argv, status in [
+        (("parse", str(bad)), 1),
+        (("reason", seed_file, "--trace"), 1),
+        (("query", seed_file, "--ask", "describe_concept"), 2),
+        (("parse", str(tmp_path / "missing.ttl")), 4),
+        (("check", seed_file), 0),
+    ]:
+        code, _, _ = run(*argv)
+        assert (type(code), code) == (int, status), argv
+
+
+def test_canned_query_argument_that_is_no_iri_exits_validation_error(run, seed_file):
+    code, _, err = run("query", seed_file, "--ask", "describe_concept", "--arg", "https://e/a\rb")
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert err == "error: an IRI cannot contain '>' or a line break\n"
+
+
 def test_canned_query_resolves_curie_argument(run, tmp_path):
     store = seed_schema()
     for name in ("fair", "hiring"):
@@ -583,6 +604,8 @@ _TOUR = [
     ["query", "full.ttl", "--text", "SELECT ?c ?p WHERE { ?c owl:sameAs ?d . ?c ?p ?d }"],
     ["query", "closed.ttl", "--ask", "describe_concept", "--arg", "aieo:AU_Fairness"],
     ["diff", "seed.ttl", "closed.ttl"],
+    ["export", "closed.ttl", "--level", "1", "--format", "dot", "--out", "graph.dot"],
+    ["export", "full.ttl", "--level", "2", "--format", "json", "--out", "graph2.json"],
     ["parse", "bad.ttl"],
 ]
 
@@ -606,7 +629,8 @@ def test_cli_tour_is_byte_identical_under_two_hash_seeds(tmp_path):
     second = _run_tour(tmp_path / "seed2", "2")
     assert first.keys() == second.keys()
     assert [name for name in first if first[name] != second[name]] == []
-    assert {"closed.trace.json", "graph.json", "au.json", "eu.json"} <= first.keys()
+    assert {"closed.trace.json", "graph.json", "graph.dot", "graph2.json", "au.json",
+            "eu.json"} <= first.keys()
     codes = [int(first[f"{n}.code"]) for n in range(len(_TOUR))]
     assert codes == [0] * (len(_TOUR) - 1) + [1]
     assert b"numeric literals are not supported" in first[f"{len(_TOUR) - 1}.err"]

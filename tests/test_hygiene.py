@@ -63,10 +63,22 @@ def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function or class, or the
+    plain names an assignment binds, dunder names such as ``__all__`` aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
-    """Each top-level function and class of the modules in ``sources``
-    (name -> text) that no module reads and ``exported`` does not list, as
-    ``module.name``. A read is a name loaded or an attribute taken."""
+    """Each top-level function, class and assigned name of the modules in
+    ``sources`` (name -> text) that no module reads and ``exported`` does
+    not list, as ``module.name``. A read is a name loaded or an attribute
+    taken."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set(exported)
     for tree in trees.values():
@@ -75,17 +87,17 @@ def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in read]
+    return [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+            for name in _defined(node) if name not in read]
 
 
 def test_the_check_sees_unread_definitions():
     sources = {
-        "a": "def used(): pass\ndef unused(): pass\nclass Public: pass\nclass _Hidden: pass\n",
-        "b": "from .a import used\nimport a\nused()\na._Hidden\n",
+        "a": "def used(): pass\ndef unused(): pass\nclass Public: pass\nclass _Hidden: pass\n"
+             "__all__ = ['Public']\nTABLE = {}\nLIMIT: int = 3\n_LEFT = 0\nx, y = 1, 2\n",
+        "b": "from .a import used\nimport a\nused()\na._Hidden\na.TABLE\nLIMIT\n",
     }
-    assert unread_definitions(sources, {"Public"}) == ["a.unused"]
+    assert unread_definitions(sources, {"Public"}) == ["a.unused", "a._LEFT"]
 
 
 def test_every_definition_is_read_or_exported():

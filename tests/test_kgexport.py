@@ -28,10 +28,12 @@ from aieo.model import (
     SubClassOf,
     SubObjectPropertyOf,
 )
+from aieo.pipeline import _concept_label
 from aieo.reasoner import materialize
 from aieo.schema import RDFS_LABEL, aieo, seed_schema
 
 from oracles import (
+    _naive_concept_label,
     assert_valid_dot,
     naive_strict_supers,
     random_linked_store,
@@ -372,6 +374,42 @@ def test_dot_output_parses_for_random_stores():
         store = random_store(seed)
         for level in (1, 2, 3):
             assert_valid_dot(render_dot(_export(store, level)))
+
+
+_LABEL_TEXTS = ("b", "a", "B", "a b", "\u00c9quit\u00e9", "\u00e9quit\u00e9", "z")
+
+
+def _least_label(store, iri):
+    """The least text of the ``rdfs:label`` assertions on ``iri``, found by a
+    scan of every axiom, or "" when there are none."""
+    texts = [ax.value.text for ax in store.axioms
+             if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL
+             and ax.subject == iri]
+    return min(texts, default="")
+
+
+def test_annotations_and_concept_labels_are_the_least_rdfs_label():
+    rng = random.Random(5)
+    several = 0
+    for seed in range(20):
+        for store in (random_store(seed), random_linked_store(seed)):
+            nodes = (store.declared(EntityKind.OWL_CLASS)
+                     + store.declared(EntityKind.NAMED_INDIVIDUAL))
+            for _ in range(rng.randint(0, 12)):
+                prop = rng.choice((RDFS_LABEL, RDFS_LABEL, aieo("shortDescription")))
+                value = AnnotationValue(rng.choice(_LABEL_TEXTS), rng.choice((None, "en", "fr")))
+                store.add(AnnotationAssertion(rng.choice(nodes), prop, value))
+            by_id = {store.compact(iri): iri for iri in nodes}
+            graph = _export(store, 2)
+            assert len(graph.nodes) == len(nodes)
+            for node in graph.nodes:
+                iri = by_id[node.id]
+                assert node.annotation == _least_label(store, iri), (seed, iri)
+                assert _concept_label(store, iri) == _naive_concept_label(store, iri), (seed, iri)
+                texts = {ax.value.text for ax in store.by_subject.get(iri, ())
+                         if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL}
+                several += len(texts) > 1
+    assert several  # some node has labels to choose between
 
 
 def test_dot_escapes_quotes_in_labels():

@@ -65,6 +65,12 @@ def test_iri_local_name():
     assert Iri("https://example.org/just/path").local == "path"
 
 
+@pytest.mark.parametrize("text", ["https://e/a>b", "https://e/a\nb", "https://e/a\rb"])
+def test_iri_rejects_what_the_writers_cannot_write_back(text):
+    with pytest.raises(ValueError, match="an IRI cannot contain '>' or a line break"):
+        Iri(text)
+
+
 def test_unordered_pairs_normalize():
     assert DisjointClasses(ex("B"), ex("A")) == DisjointClasses(ex("A"), ex("B"))
     assert SameIndividual(ex("y"), ex("x")).a == ex("x")

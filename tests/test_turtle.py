@@ -109,6 +109,18 @@ def test_unknown_prefix_is_a_parse_error():
     assert "missing" in diag.message
 
 
+@pytest.mark.parametrize("text, position", [
+    ("<https://e/x> <https://e/p>\n  <https://e/a\rb> .", (2, 3)),
+    ("@prefix ex: <https://e/\r> .\nex:a a owl:Class .", (1, 13)),
+])
+def test_a_carriage_return_in_an_iri_is_a_positioned_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    [diag] = err.value.diagnostics
+    assert (diag.line, diag.column) == position
+    assert diag.message == "an IRI cannot contain '>' or a line break"
+
+
 def test_diagnostics_carry_position():
     with pytest.raises(ParseError) as err:
         parse_turtle(HEADER + "\naieo:x rdf:type\n")
