@@ -10,6 +10,7 @@ partial files behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -176,18 +177,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     doc = parse_framework_document(_read(args.doc))
     cfg = parse_config(_read(args.config))
     result, record = run_iteration(
-        store,
-        doc,
-        cfg.extraction,
-        cfg.classification,
-        cfg.confirmations,
+        store, doc, cfg.extraction, cfg.classification, cfg.confirmations,
         threshold=cfg.threshold,
     )
-    record_dict = record.as_dict()
-    record_dict["saturated"] = detect_saturation([record], args.saturation_threshold)[0]
+    saturated = detect_saturation([record], args.saturation_threshold)[0]
+    record = dataclasses.replace(record, saturated=saturated)
     _emit(_serialize_store(result, args.out), args.out)
     if args.report is not None:
-        _atomic_write(args.report, canonical_json(record_dict))
+        _atomic_write(args.report, canonical_json(record.as_dict()))
     sys.stderr.write(
         f"ingested {store.compact(doc.id)}: iteration {record.iteration_index}, "
         f"axioms {record.before.axiom_count} -> {record.after.axiom_count} "

@@ -6,16 +6,20 @@ one object per axiom whose ``kind`` field names the variant. IRIs are
 emitted absolute; on input, CURIEs are resolved against the document's own
 prefixes (falling back to the standard map).
 
+Each axiom type has one reader and one writer, both built once at import
+from its :data:`AXIOM_TYPES` row. Every JSON object read, in a store, a
+framework document or a config, is checked in the one fault order that
+:func:`axiom_from_obj` describes.
+
 Every JSON text written here has the bytes of
 ``json.dumps(value, indent=2, sort_keys=True)`` plus a newline. Free-form
 values (reports, metrics, query rows, the store's prefix map) are written
 by ``json.dumps`` itself, through :func:`canonical_json`. Objects of a
 fixed shape are written from ``%`` templates built once at import: each
-axiom type's object (one writer per :data:`AXIOM_TYPES` row), the store
-document, the trace sidecar's fact and trace rows, and, through
-:func:`object_template`, the graph nodes and edges of
-:mod:`aieo.kgexport`. :func:`axiom_to_obj` is the parse of the text its
-type's template writes, so the object and the text cannot differ.
+axiom type's object, the store document, the trace sidecar's fact and
+trace rows, and, through :func:`object_template`, the graph nodes and
+edges of :mod:`aieo.kgexport`. :func:`axiom_to_obj` is the parse of the
+text its type's template writes, so the object and the text cannot differ.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .model import (
     AxiomType,
     Declaration,
     EntityKind,
-    Field,
     Iri,
     OntologyStore,
     axiom_type,
@@ -87,27 +90,32 @@ def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
     return resolve
 
 
-def _expect_obj(value: Any, path: str) -> dict:
+_MISSING = object()
+
+
+def _object(value: Any, path: str, members: set[str] | frozenset[str] | None = None) -> dict:
+    """The value, checked to be a JSON object and, when ``members`` is
+    given, to have no member outside them: the first unknown one is
+    reported."""
     if not isinstance(value, dict):
         raise SchemaViolation(path, "expected a JSON object")
+    if members is not None and not value.keys() <= members:
+        key = next(key for key in value if key not in members)
+        raise SchemaViolation(f"{path}.{key}", "unknown field")
     return value
 
 
-def _field(obj: dict, name: str, typ: type, path: str, default: Any = ...) -> Any:
-    if name not in obj:
-        if default is ...:
+def _field(obj: dict, name: str, typ: type, path: str, default: Any = _MISSING) -> Any:
+    value = obj.get(name, _MISSING)
+    if type(value) is typ:
+        return value
+    if value is _MISSING:
+        if default is _MISSING:
             raise SchemaViolation(f"{path}.{name}", "required field is missing")
         return default
-    value = obj[name]
     if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
         raise SchemaViolation(f"{path}.{name}", f"expected {typ.__name__}")
     return value
-
-
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise SchemaViolation(f"{path}.{key}", "unknown field")
 
 
 # ---------------------------------------------------------------------------
@@ -124,74 +132,79 @@ def axiom_to_obj(ax: Axiom) -> dict:
     return json.loads(_AXIOM_WRITERS[axiom_type(ax).cls](ax, "\n"))
 
 
-def _iri_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> Iri:
-    return resolve(_field(obj, f.json, str, path), f"{path}.{f.json}")
+def _iri_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> Iri:
+    return resolve(_field(obj, key, str, path), f"{path}.{key}")
 
 
-def _iris_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> frozenset[Iri]:
-    raw = _field(obj, f.json, list, path)
-    return frozenset(resolve(item, f"{path}.{f.json}[{i}]") for i, item in enumerate(raw))
+def _iris_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> frozenset[Iri]:
+    raw = _field(obj, key, list, path)
+    return frozenset(resolve(item, f"{path}.{key}[{i}]") for i, item in enumerate(raw))
 
 
-def _kind_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> EntityKind:
-    value = _field(obj, f.json, str, path)
+def _kind_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> EntityKind:
+    value = _field(obj, key, str, path)
     if value not in _ENTITY_KIND_VALUES:
-        raise SchemaViolation(
-            f"{path}.{f.json}", f"expected one of {sorted(_ENTITY_KIND_VALUES)}"
-        )
+        raise SchemaViolation(f"{path}.{key}", f"expected one of {sorted(_ENTITY_KIND_VALUES)}")
     return _ENTITY_KIND_VALUES[value]
 
 
-def _literal_object(obj: dict, f: Field, path: str) -> dict:
-    value = _expect_obj(_field(obj, f.json, dict, path), f"{path}.{f.json}")
-    _reject_unknown(value, {"text", "languageTag"}, f"{path}.{f.json}")
-    return value
-
-
-def _literal_from_obj(obj: dict, f: Field, resolve: Callable, path: str) -> AnnotationValue:
-    vpath = f"{path}.{f.json}"
-    value = _literal_object(obj, f, path)
+def _literal_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> AnnotationValue:
+    vpath = f"{path}.{key}"
+    value = _object(_field(obj, key, dict, path), vpath, {"text", "languageTag"})
     return AnnotationValue(
         _field(value, "text", str, vpath), _field(value, "languageTag", str, vpath, None)
     )
 
 
-_FROM_JSON: dict[type, Callable[[dict, Field, Callable, str], Any]] = {
+# A field's reader by shape: (the axiom object, the field's JSON key,
+# resolve, the object's path) -> the field's value.
+_FROM_JSON: dict[type, Callable[[dict, str, Callable, str], Any]] = {
     Iri: _iri_from_obj,
     frozenset: _iris_from_obj,
     EntityKind: _kind_from_obj,
     AnnotationValue: _literal_from_obj,
 }
 
-
-_TYPE_OF_TAG = {row.tag: row for row in AXIOM_TYPES.values()}
+# One reader per AXIOM_TYPES row, by JSON kind: the class, the members an
+# object of the kind may have, and each field's JSON key and reader in
+# field order.
+_AXIOM_READERS = {
+    row.tag: (
+        row.cls,
+        frozenset({"kind", *(f.json for f in row.fields)}),
+        tuple((f.json, _FROM_JSON[f.shape]) for f in row.fields),
+    )
+    for row in AXIOM_TYPES.values()
+}
 
 
 def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> Axiom:
-    _expect_obj(obj, path)
-    tag = _field(obj, "kind", str, path)
-    row = _TYPE_OF_TAG.get(tag)
-    if row is None:
+    """The axiom an interchange object describes; ``path`` names the object
+    in messages (``$.axioms[3]``, say). ``resolve(name, path)`` turns an IRI
+    or CURIE string into an ``Iri``, or raises :class:`SchemaViolation` at
+    ``path``; it is also handed non-string values, and must reject them.
+
+    Of several faults, the one reported is the first in this order, which
+    every JSON object read here follows: the value is not an object; its
+    ``kind``, which decides the members allowed; an unknown member; each
+    field in field order (a literal's object checked in this same order,
+    its constructor's ``ValueError`` reported at ``path``); then the axiom
+    constructor's ``ValueError``, at ``path``.
+    """
+    tag = _field(_object(obj, path), "kind", str, path)
+    reader = _AXIOM_READERS.get(tag)
+    if reader is None:
         raise SchemaViolation(f"{path}.kind", f"unknown axiom kind {tag!r}")
-    # For an object with several faults, the one reported is the first in
-    # this order: an entity kind, unknown fields, a literal's object, then
-    # the fields in order.
+    cls, members, fields = reader
+    _object(obj, path, members)
     try:
-        for f in row.fields:
-            if f.shape is EntityKind:
-                _kind_from_obj(obj, f, resolve, path)
-        _reject_unknown(obj, {"kind", *(f.json for f in row.fields)}, path)
-        for f in row.fields:
-            if f.shape is AnnotationValue:
-                _literal_object(obj, f, path)
-        return row.cls(*[_FROM_JSON[f.shape](obj, f, resolve, path) for f in row.fields])
+        return cls(*[read(obj, key, resolve, path) for key, read in fields])
     except ValueError as exc:
         raise SchemaViolation(path, str(exc)) from None
 
 
 def store_from_json(text: str) -> OntologyStore:
-    doc = _expect_obj(_loads(text), "$")
-    _reject_unknown(doc, {"prefixes", "axioms"}, "$")
+    doc = _object(_loads(text), "$", {"prefixes", "axioms"})
     prefixes = _field(doc, "prefixes", dict, "$", {})
     for prefix, base in prefixes.items():
         path = f"$.prefixes.{prefix}"
@@ -208,11 +221,8 @@ def store_from_json(text: str) -> OntologyStore:
         except ValueError as exc:
             raise SchemaViolation(path, str(exc)) from None
     resolve = _resolver(prefixes)
-    raw_axioms = _field(doc, "axioms", list, "$", [])
-    axioms = [
-        axiom_from_obj(obj, resolve, f"$.axioms[{i}]")
-        for i, obj in enumerate(raw_axioms)
-    ]
+    axioms = [axiom_from_obj(obj, resolve, f"$.axioms[{i}]")
+              for i, obj in enumerate(_field(doc, "axioms", list, "$", []))]
     # Declarations first; file order must not matter.
     declarations = [ax for ax in axioms if type(ax) is Declaration]
     rest = [ax for ax in axioms if type(ax) is not Declaration]
@@ -325,35 +335,28 @@ def store_to_json(store: OntologyStore) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_framework_document(text: str) -> FrameworkDocument:
-    obj = _expect_obj(_loads(text), "$")
-    _reject_unknown(obj, {"id", "title", "sections", "conceptDeclarations"}, "$")
+    obj = _object(_loads(text), "$", {"id", "title", "sections", "conceptDeclarations"})
     resolve = _resolver({})
     doc_id = resolve(_field(obj, "id", str, "$"), "$.id")
     title = _field(obj, "title", str, "$")
     sections = []
     for i, raw in enumerate(_field(obj, "sections", list, "$", [])):
         spath = f"$.sections[{i}]"
-        _expect_obj(raw, spath)
-        _reject_unknown(raw, {"heading", "body"}, spath)
+        _object(raw, spath, {"heading", "body"})
         sections.append(
             Section(_field(raw, "heading", str, spath), _field(raw, "body", str, spath))
         )
     concepts = []
     for i, raw in enumerate(_field(obj, "conceptDeclarations", list, "$", [])):
         cpath = f"$.conceptDeclarations[{i}]"
-        _expect_obj(raw, cpath)
-        _reject_unknown(
-            raw, {"name", "kind", "shortDescription", "reference"}, cpath
-        )
+        _object(raw, cpath, {"name", "kind", "shortDescription", "reference"})
         try:
-            concepts.append(
-                ConceptDeclaration(
-                    name=_field(raw, "name", str, cpath),
-                    kind=_field(raw, "kind", str, cpath),
-                    short_description=_field(raw, "shortDescription", str, cpath, None),
-                    reference=_field(raw, "reference", str, cpath, None),
-                )
-            )
+            concepts.append(ConceptDeclaration(
+                name=_field(raw, "name", str, cpath),
+                kind=_field(raw, "kind", str, cpath),
+                short_description=_field(raw, "shortDescription", str, cpath, None),
+                reference=_field(raw, "reference", str, cpath, None),
+            ))
         except ValueError as exc:
             raise SchemaViolation(cpath, str(exc)) from None
     try:
@@ -368,17 +371,16 @@ def parse_framework_document(text: str) -> FrameworkDocument:
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse a pipeline config; every field is optional and defaulted."""
-    obj = _expect_obj(_loads(text), "$")
-    _reject_unknown(
-        obj, {"extraction", "classificationMap", "confirmations", "threshold"}, "$"
+    obj = _object(
+        _loads(text), "$", {"extraction", "classificationMap", "confirmations", "threshold"}
     )
     resolve = _resolver({})
 
     extraction = ExtractionConfig()
     if "extraction" in obj:
-        raw = _expect_obj(obj["extraction"], "$.extraction")
-        _reject_unknown(
-            raw, {"stopwords", "minTokenLength", "topK", "relevantTopK"}, "$.extraction"
+        raw = _object(
+            obj["extraction"], "$.extraction",
+            {"stopwords", "minTokenLength", "topK", "relevantTopK"},
         )
         kwargs: dict = {}
         if "stopwords" in raw:
@@ -387,12 +389,10 @@ def parse_config(text: str) -> PipelineConfig:
                 if not isinstance(w, str):
                     raise SchemaViolation(f"$.extraction.stopwords[{i}]", "expected string")
             kwargs["stopwords"] = frozenset(w.lower() for w in words)
-        if "minTokenLength" in raw:
-            kwargs["min_token_length"] = _field(raw, "minTokenLength", int, "$.extraction")
-        if "topK" in raw:
-            kwargs["top_k"] = _field(raw, "topK", int, "$.extraction")
-        if "relevantTopK" in raw:
-            kwargs["relevant_top_k"] = _field(raw, "relevantTopK", int, "$.extraction")
+        for key, name in (("minTokenLength", "min_token_length"), ("topK", "top_k"),
+                          ("relevantTopK", "relevant_top_k")):
+            if key in raw:
+                kwargs[name] = _field(raw, key, int, "$.extraction")
         try:
             extraction = ExtractionConfig(**kwargs)
         except ValueError as exc:
@@ -400,7 +400,7 @@ def parse_config(text: str) -> PipelineConfig:
 
     classification = ClassificationMap()
     if "classificationMap" in obj:
-        raw = _expect_obj(obj["classificationMap"], "$.classificationMap")
+        raw = _object(obj["classificationMap"], "$.classificationMap")
         entries = {}
         for keyword, target in raw.items():
             if not isinstance(target, str):
@@ -414,8 +414,7 @@ def parse_config(text: str) -> PipelineConfig:
     confirmations = []
     for i, raw in enumerate(_field(obj, "confirmations", list, "$", [])):
         cpath = f"$.confirmations[{i}]"
-        _expect_obj(raw, cpath)
-        _reject_unknown(raw, {"left", "right"}, cpath)
+        _object(raw, cpath, {"left", "right"})
         left = resolve(_field(raw, "left", str, cpath), f"{cpath}.left")
         right = resolve(_field(raw, "right", str, cpath), f"{cpath}.right")
         if left == right:

@@ -21,7 +21,14 @@ from itertools import combinations, permutations
 import pyparsing as pp
 
 from aieo import query as _query, turtle as _turtle
-from aieo.errors import KindMismatch, ParseDiagnostic, ParseError, UndeclaredEntity, UnsupportedFeature
+from aieo.errors import (
+    KindMismatch,
+    ParseDiagnostic,
+    ParseError,
+    SchemaViolation,
+    UndeclaredEntity,
+    UnsupportedFeature,
+)
 from aieo.lexer import _SPLIT, _Rejected, _letters, _read_token
 from aieo.model import (
     AnnotationAssertion,
@@ -652,6 +659,153 @@ def reference_traces_to_json(mat) -> str:
         }
         for fact in sorted(mat.inferred, key=reference_sort_key)
     ])
+
+
+# ---------------------------------------------------------------------------
+# JSON store reader
+# ---------------------------------------------------------------------------
+
+# Each axiom kind's class and members after ``kind``, in the order they are
+# read, with what each must hold: an IRI, an array of IRIs, an entity kind
+# or a literal object.
+REFERENCE_AXIOM_SCHEMA = {
+    "Declaration": (Declaration, (("iri", "iri"), ("entityKind", "entityKind"))),
+    "SubClassOf": (SubClassOf, (("sub", "iri"), ("sup", "iri"))),
+    "EquivalentClasses": (EquivalentClasses, (("classes", "iris"),)),
+    "DisjointClasses": (DisjointClasses, (("a", "iri"), ("b", "iri"))),
+    "SubObjectPropertyOf": (SubObjectPropertyOf, (("sub", "iri"), ("sup", "iri"))),
+    "EquivalentObjectProperties": (EquivalentObjectProperties, (("properties", "iris"),)),
+    "ObjectPropertyRange": (ObjectPropertyRange, (("prop", "iri"), ("cls", "iri"))),
+    "ObjectPropertyDomain": (ObjectPropertyDomain, (("prop", "iri"), ("cls", "iri"))),
+    "ClassAssertion": (ClassAssertion, (("cls", "iri"), ("ind", "iri"))),
+    "ObjectPropertyAssertion": (
+        ObjectPropertyAssertion, (("subject", "iri"), ("prop", "iri"), ("object", "iri"))
+    ),
+    "SameIndividual": (SameIndividual, (("a", "iri"), ("b", "iri"))),
+    "AnnotationAssertion": (
+        AnnotationAssertion, (("subject", "iri"), ("annProp", "iri"), ("value", "literal"))
+    ),
+}
+
+
+def _reference_json_object(value: object, path: str, members: tuple[str, ...]) -> dict:
+    """Faults 1 and 3 of every JSON object: not an object, then its first
+    member (in document order) that ``members`` does not list."""
+    if type(value) is not dict:
+        raise SchemaViolation(path, "expected a JSON object")
+    for key in value:
+        if key not in members:
+            raise SchemaViolation(f"{path}.{key}", "unknown field")
+    return value
+
+
+def _reference_json_member(obj: dict, key: str, typ: type, path: str, optional: bool = False):
+    """A member that must hold a JSON value of type ``typ`` (``true`` is no
+    int); None when it is optional and absent."""
+    if key not in obj:
+        if optional:
+            return None
+        raise SchemaViolation(f"{path}.{key}", "required field is missing")
+    if type(obj[key]) is not typ:
+        raise SchemaViolation(f"{path}.{key}", f"expected {typ.__name__}")
+    return obj[key]
+
+
+def _reference_json_iri(value: object, prefixes: dict[str, str], path: str) -> Iri:
+    """A non-empty string: a CURIE over a known prefix (unless the local
+    part starts with '//'), a bare name in the ontology namespace, or else
+    an absolute IRI."""
+    if type(value) is not str or not value:
+        raise SchemaViolation(path, "expected a non-empty IRI string")
+    prefix, colon, local = value.partition(":")
+    try:
+        if not colon:
+            return aieo(value)
+        if prefix in prefixes and not local.startswith("//"):
+            return Iri(prefixes[prefix] + local)
+        return Iri(value)
+    except ValueError as exc:
+        raise SchemaViolation(path, str(exc)) from None
+
+
+def _reference_json_axiom(obj: object, prefixes: dict[str, str], path: str) -> Axiom:
+    if type(obj) is not dict:
+        raise SchemaViolation(path, "expected a JSON object")
+    kind = _reference_json_member(obj, "kind", str, path)
+    if kind not in REFERENCE_AXIOM_SCHEMA:
+        raise SchemaViolation(f"{path}.kind", f"unknown axiom kind {kind!r}")
+    cls, members = REFERENCE_AXIOM_SCHEMA[kind]
+    _reference_json_object(obj, path, ("kind", *(key for key, _ in members)))
+    kinds = sorted(k.value for k in EntityKind)
+    values = []
+    try:
+        for key, what in members:
+            if what == "iri":
+                values.append(_reference_json_iri(
+                    _reference_json_member(obj, key, str, path), prefixes, f"{path}.{key}"))
+            elif what == "iris":
+                items = _reference_json_member(obj, key, list, path)
+                values.append(frozenset(
+                    _reference_json_iri(item, prefixes, f"{path}.{key}[{i}]")
+                    for i, item in enumerate(items)
+                ))
+            elif what == "entityKind":
+                name = _reference_json_member(obj, key, str, path)
+                if name not in kinds:
+                    raise SchemaViolation(f"{path}.{key}", f"expected one of {kinds}")
+                values.append(EntityKind(name))
+            else:
+                vpath = f"{path}.{key}"
+                literal = _reference_json_member(obj, key, dict, path)
+                _reference_json_object(literal, vpath, ("text", "languageTag"))
+                values.append(AnnotationValue(
+                    _reference_json_member(literal, "text", str, vpath),
+                    _reference_json_member(literal, "languageTag", str, vpath, optional=True),
+                ))
+        return cls(*values)
+    except ValueError as exc:  # a constructor's, the literal's included
+        raise SchemaViolation(path, str(exc)) from None
+
+
+def _reference_prefix_name(name: str) -> bool:
+    """Empty, or a letter or '_' then letters, digits, '_' or '-', but not
+    '_' alone."""
+    return name == "" or (
+        name != "_" and (name[0].isalpha() or name[0] == "_")
+        and all(c.isalnum() or c in "_-" for c in name)
+    )
+
+
+def reference_store_from_json(text: str) -> OntologyStore:
+    """The store an interchange document describes, read member by member
+    in the one documented fault order: not an object, (an axiom's ``kind``,)
+    an unknown member, each member in schema order, then the constructor's
+    ``ValueError`` at the object's path. Declarations are added first, then
+    the other axioms, each group in file order."""
+    doc = _reference_json_object(json.loads(text), "$", ("prefixes", "axioms"))
+    prefixes = _reference_json_member(doc, "prefixes", dict, "$", optional=True) or {}
+    for name, base in prefixes.items():
+        path = f"$.prefixes.{name}"
+        if type(base) is not str or not base:
+            raise SchemaViolation(path, "expected a non-empty string")
+        if not _reference_prefix_name(name):
+            raise SchemaViolation(path, "expected a prefix name: a letter or '_', then "
+                                        "letters, digits, '_' or '-'")
+        try:
+            Iri(base)
+        except ValueError as exc:
+            raise SchemaViolation(path, str(exc)) from None
+    table = {**DEFAULT_PREFIXES, **prefixes}
+    raw = _reference_json_member(doc, "axioms", list, "$", optional=True) or []
+    axioms = [_reference_json_axiom(obj, table, f"$.axioms[{i}]") for i, obj in enumerate(raw)]
+    store = OntologyStore(dict(prefixes))
+    for ax in axioms:
+        if isinstance(ax, Declaration):
+            store.add(ax)
+    for ax in axioms:
+        if not isinstance(ax, Declaration):
+            store.add(ax)
+    return store
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +114,57 @@ def test_deeply_nested_json_exits_parse_error(run, tmp_path, opener):
     code, out, err = run("metrics", str(path))
     assert code == ExitStatus.PARSE_ERROR
     assert out == "" and err == "1:1: error: document nested too deeply\n"
+
+
+_SWAP_VALUES = (None, True, 0, -1, 2.5, "", "x", "aieo:x", [], ["x", 1], {}, {"a": None})
+
+
+def _json_sites(value):
+    """Every (container, key) of a parsed JSON value, nested ones included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in list(items):
+        yield value, key
+        if isinstance(item, (dict, list)):
+            yield from _json_sites(item)
+
+
+def _damage(rng: random.Random, doc):
+    """The document with one or two values deleted or swapped for another
+    JSON type."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        sites = list(_json_sites(doc))
+        if not sites:
+            break
+        container, key = rng.choice(sites)
+        if rng.random() < 0.5:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(rng.choice(_SWAP_VALUES))
+    return doc
+
+
+def test_damaged_json_inputs_exit_with_a_documented_status(run, tmp_path):
+    store, doc, config = (tmp_path / name for name in ("store.json", "doc.json", "config.json"))
+    assert run("seed", "--out", str(store))[0] == 0
+    bases = {
+        store: json.loads(store.read_text()),
+        doc: json.loads((DATA / "au_framework.json").read_text()),
+        config: json.loads((DATA / "pipeline_config.json").read_text()),
+    }
+    ingest = ("ingest", str(store), str(doc), "--config", str(config),
+              "--out", str(tmp_path / "out.json"))
+    rng = random.Random(404)
+    codes = set()
+    for n in range(180):
+        for path, base in bases.items():
+            path.write_text(json.dumps(base))
+        damaged = list(bases)[n % 3]
+        damaged.write_text(json.dumps(_damage(rng, bases[damaged])))
+        code, _, _ = run("parse", str(store)) if damaged is store else run(*ingest)
+        assert code in (0, 1, 2), (damaged.name, damaged.read_text())
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 @pytest.mark.parametrize("name,text", [

@@ -1,5 +1,6 @@
 """Tests for the JSON interchange, document, config, and trace forms."""
 
+import copy
 import json
 import math
 import random
@@ -50,6 +51,7 @@ from oracles import (
     random_store,
     reference_axiom_obj,
     reference_json,
+    reference_store_from_json,
     reference_store_to_json,
     reference_traces_to_json,
 )
@@ -229,6 +231,17 @@ def test_json_prefix_names_are_the_ones_turtle_reads():
         assert accepted == read, repr(name)
 
 
+@pytest.mark.parametrize("read", [store_from_json, parse_framework_document, parse_config])
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_deep_nesting_is_a_positioned_parse_error(read, opener):
+    # Past the decoder's limit on every supported Python version.
+    with pytest.raises(ParseError) as exc:
+        read(opener * 100_000)
+    assert [(d.line, d.column, d.message) for d in exc.value.diagnostics] == [
+        (1, 1, "document nested too deeply")
+    ]
+
+
 def test_degenerate_axioms_become_schema_violations():
     same = _doc_with_axioms({"kind": "DisjointClasses", "a": "A", "b": "A"})
     with pytest.raises(SchemaViolation):
@@ -236,6 +249,177 @@ def test_degenerate_axioms_become_schema_violations():
     single = _doc_with_axioms({"kind": "EquivalentClasses", "classes": ["A"]})
     with pytest.raises(SchemaViolation):
         store_from_json(single)
+
+
+def _axiom(obj):
+    return store_from_json(_doc_with_axioms(obj))
+
+
+def _document(obj):
+    return parse_framework_document(json.dumps(obj))
+
+
+def _config(obj):
+    return parse_config(json.dumps(obj))
+
+
+# Objects with two faults: the one reported is the first in the one order
+# every JSON object is read in (not an object, an axiom's kind, an unknown
+# member, each member in schema order, the constructor's ValueError).
+@pytest.mark.parametrize(
+    "read,obj,expected",
+    [
+        # An entity kind is read after the IRI and after unknown members.
+        (_axiom, {"kind": "Declaration", "entityKind": "Class"},
+         "$.axioms[0].iri: required field is missing"),
+        (_axiom, {"kind": "Declaration", "iri": "", "entityKind": 5},
+         "$.axioms[0].iri: expected a non-empty IRI string"),
+        (_axiom, {"kind": "Declaration", "iri": "A", "entityKind": "Class", "x": 1},
+         "$.axioms[0].x: unknown field"),
+        # A literal's object is read in field order, after the subject.
+        (_axiom, {"kind": "AnnotationAssertion", "annProp": "p", "value": 5},
+         "$.axioms[0].subject: required field is missing"),
+        (_axiom, {"kind": "AnnotationAssertion", "subject": 5, "annProp": "p"},
+         "$.axioms[0].subject: expected str"),
+        (_axiom, {"kind": "AnnotationAssertion", "subject": "s", "annProp": "",
+                  "value": {"text": "a", "x": 1}},
+         "$.axioms[0].annProp: expected a non-empty IRI string"),
+        (_axiom, {"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",
+                  "value": {"x": 1, "languageTag": 5}},
+         "$.axioms[0].value.x: unknown field"),
+        (_axiom, {"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",
+                  "value": {"languageTag": "en US"}},
+         "$.axioms[0].value.text: required field is missing"),
+        # The kind decides the members allowed, so it comes first.
+        (_axiom, {"x": 1}, "$.axioms[0].kind: required field is missing"),
+        (_axiom, {"kind": "Nope", "x": 1}, "$.axioms[0].kind: unknown axiom kind 'Nope'"),
+        (_axiom, {"kind": "SubClassOf", "sub": "A", "x": 1}, "$.axioms[0].x: unknown field"),
+        (_axiom, {"kind": "DisjointClasses", "a": "A", "b": "A", "c": 1},
+         "$.axioms[0].c: unknown field"),
+        (_axiom, {"kind": "EquivalentClasses", "classes": ["A", 5], "x": 1},
+         "$.axioms[0].x: unknown field"),
+        # Framework documents and configs follow the same order.
+        (_document, {"id": 5, "title": 5, "x": 1}, "$.x: unknown field"),
+        (_document, {"id": "aieo:X", "title": "x", "sections": [{"body": 5, "x": 1}]},
+         "$.sections[0].x: unknown field"),
+        (_document, {"id": "aieo:X", "title": "x",
+                     "conceptDeclarations": [{"name": "", "kind": 5}]},
+         "$.conceptDeclarations[0].kind: expected str"),
+        (_config, {"extraction": {"topK": 0, "minTokenLength": "a"}},
+         "$.extraction.minTokenLength: expected int"),
+        (_config, {"confirmations": [{"left": 5, "z": 1}], "x": 1}, "$.x: unknown field"),
+        (_config, {"confirmations": [{"right": 5, "z": 1}]},
+         "$.confirmations[0].z: unknown field"),
+    ],
+)
+def test_the_first_fault_in_the_one_order_is_reported(read, obj, expected):
+    with pytest.raises(SchemaViolation) as exc:
+        read(obj)
+    assert str(exc.value) == expected
+
+
+_OTHER_VALUES = (None, True, 0, 7, 2.5, "", "text", [], ["A", 1], {}, {"text": "t"})
+_UNKNOWN_NAMES = ("x", "kind", "iri", "sub", "value", "text", "languageTag", "axioms", "")
+_BAD_KINDS = ("Nope", "", "declaration", *(row.tag for row in AXIOM_TYPES.values()))
+_ENTITY_KINDS = ("Class", "", "OwlClass", "NamedIndividual", "AnnotationProperty")
+_BAD_IRIS = ("", "a>b", "https://e/x\n", "ex:z", "zz:q", "x", "https://example.org/C0")
+_LANGUAGE_TAGS = ("en", "en US", "", "fr-CA", 5, None)
+
+
+def _other_value(rng: random.Random):
+    return copy.deepcopy(rng.choice(_OTHER_VALUES))
+
+
+def _mutate_members(rng: random.Random, obj: dict) -> None:
+    """Delete a member, swap one for another JSON type, or add an unknown one."""
+    op = rng.randrange(3) if obj else 2
+    if op == 0:
+        del obj[rng.choice(list(obj))]
+    elif op == 1:
+        obj[rng.choice(list(obj))] = _other_value(rng)
+    else:
+        obj[rng.choice(_UNKNOWN_NAMES)] = _other_value(rng)
+
+
+def _mutate_axiom(rng: random.Random, axioms: list, i: int) -> None:
+    ax = axioms[i]
+    op = rng.randrange(8)
+    if not isinstance(ax, dict) or op == 3:
+        axioms[i] = _other_value(rng)
+    elif op < 3:
+        _mutate_members(rng, ax)
+    elif op == 4:
+        ax["kind"] = rng.choice(_BAD_KINDS)
+    elif op == 5:
+        ax["entityKind"] = rng.choice(_ENTITY_KINDS)
+    elif op == 6:
+        key = rng.choice([key for key in ax if key != "kind"] or ["iri"])
+        if isinstance(ax.get(key), list) and ax[key]:
+            ax[key][rng.randrange(len(ax[key]))] = rng.choice(_BAD_IRIS + _OTHER_VALUES[:4])
+        else:
+            ax[key] = rng.choice(_BAD_IRIS)
+    elif isinstance(ax.get("value"), dict):  # a fault inside a literal
+        roll = rng.randrange(3)
+        if roll == 0:
+            _mutate_members(rng, ax["value"])
+        elif roll == 1:
+            ax["value"]["text"] = rng.choice(("", 5, "t"))
+        else:
+            ax["value"]["languageTag"] = rng.choice(_LANGUAGE_TAGS)
+    else:
+        ax["value"] = rng.choice(({"text": "t", "languageTag": "en US"}, {"text": ""}, 5))
+
+
+def _mutate_store_document(rng: random.Random, doc: dict, near: int | None) -> int | None:
+    """One fault in the document: in an axiom (the one at ``near`` when
+    given, to put two faults in one object), the prefix map or the
+    document itself. Returns the axiom index hit, if any."""
+    axioms = doc.get("axioms")
+    roll = rng.random()
+    if isinstance(axioms, list) and axioms and roll < 0.8:
+        i = near if near is not None and near < len(axioms) else rng.randrange(len(axioms))
+        _mutate_axiom(rng, axioms, i)
+        return i
+    prefixes = doc.get("prefixes")
+    if isinstance(prefixes, dict) and roll < 0.9:
+        if prefixes and rng.random() < 0.5:
+            prefixes[rng.choice(list(prefixes))] = rng.choice(_OTHER_VALUES[:6] + _BAD_IRIS[:3])
+        else:
+            prefixes[rng.choice(("a b", "1x", "_", "ok", ""))] = rng.choice(("https://e/", ""))
+        return None
+    _mutate_members(rng, doc)
+    return None
+
+
+def _read_outcome(read, text: str):
+    try:
+        store = read(text)
+    except AieoError as exc:
+        return type(exc).__name__, str(exc)
+    return set(store.axioms), store.prefixes
+
+
+def test_store_reader_matches_the_fault_order_reference():
+    bases = [store_to_json(random_small_store(seed, max_axioms=30)) for seed in range(4)]
+    bases += [store_to_json(_with_odd_text(random_small_store(seed, max_axioms=20), seed))
+              for seed in range(4, 6)]
+    bases.append(store_to_json(random_linked_store(1)))
+    rng = random.Random(1812)
+    outcomes = set()
+    for n in range(3000):
+        doc = json.loads(bases[n % len(bases)])
+        hit = _mutate_store_document(rng, doc, None)
+        if n % 2:  # a second fault, in the same axiom half of the time
+            _mutate_store_document(rng, doc, hit if rng.random() < 0.5 else None)
+        text = json.dumps(doc)
+        outcome = _read_outcome(store_from_json, text)
+        assert outcome == _read_outcome(reference_store_from_json, text), text
+        outcomes.add(outcome[0] if isinstance(outcome[0], str) else "store")
+        if outcome[0] == "SchemaViolation":
+            outcomes.add(outcome[1].split(": ", 1)[1].split(" '")[0])
+    assert {"store", "SchemaViolation", "UndeclaredEntity", "unknown field",
+            "required field is missing", "expected dict", "expected a JSON object",
+            "unknown axiom kind", "expected a non-empty IRI string"} <= outcomes, outcomes
 
 
 # ---------------------------------------------------------------------------
