@@ -2,9 +2,9 @@
 metrics, export, diff.
 
 Results go to stdout, diagnostics to stderr; the exit code is the machine
-signal (0 ok, 1 usage/parse, 2 validation, 3 inconsistent, 4 I/O). Output
-files are written atomically (temp file + rename) so failures never leave
-partial files behind.
+signal (0 ok, 1 usage/parse or internal error, 2 validation, 3 inconsistent,
+4 I/O). Output files are written atomically (temp file + rename) so failures
+never leave partial files behind.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .turtle import TermText, axiom_line, parse_turtle, serialize_turtle
 class ExitStatus(IntEnum):
     SUCCESS = 0
     PARSE_ERROR = 1
+    INTERNAL_ERROR = 1  # an alias: what an uncaught exception exits with
     VALIDATION_ERROR = 2
     INCONSISTENT = 3
     IO_ERROR = 4
@@ -175,11 +176,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     store = _load_store(args.store)
     doc = parse_framework_document(_read(args.doc))
-    cfg = parse_config(_read(args.config))
-    result, record = run_iteration(
-        store, doc, cfg.extraction, cfg.classification, cfg.confirmations,
-        threshold=cfg.threshold,
-    )
+    result, record = run_iteration(store, doc, parse_config(_read(args.config)))
     saturated = detect_saturation([record], args.saturation_threshold)[0]
     record = dataclasses.replace(record, saturated=saturated)
     _emit(_serialize_store(result, args.out), args.out)
@@ -324,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return int(ExitStatus.IO_ERROR)
+    except Exception as exc:  # a fault in aieo itself: one line, no traceback
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        return int(ExitStatus.INTERNAL_ERROR)
 
 
 def entry_point() -> None:

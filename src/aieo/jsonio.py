@@ -387,7 +387,7 @@ def parse_config(text: str) -> PipelineConfig:
             words = _field(raw, "stopwords", list, "$.extraction")
             for i, w in enumerate(words):
                 if not isinstance(w, str):
-                    raise SchemaViolation(f"$.extraction.stopwords[{i}]", "expected string")
+                    raise SchemaViolation(f"$.extraction.stopwords[{i}]", "expected str")
             kwargs["stopwords"] = frozenset(w.lower() for w in words)
         for key, name in (("minTokenLength", "min_token_length"), ("topK", "top_k"),
                           ("relevantTopK", "relevant_top_k")):
@@ -404,7 +404,7 @@ def parse_config(text: str) -> PipelineConfig:
         entries = {}
         for keyword, target in raw.items():
             if not isinstance(target, str):
-                raise SchemaViolation(f"$.classificationMap.{keyword}", "expected string")
+                raise SchemaViolation(f"$.classificationMap.{keyword}", "expected str")
             entries[keyword] = resolve(target, f"$.classificationMap.{keyword}")
         try:
             classification = ClassificationMap(entries)

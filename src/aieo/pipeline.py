@@ -37,6 +37,7 @@ from .schema import (
     AIEO_NS,
     ANNOTATION_PROPERTIES,
     CONCEPT_LINK_PROPERTIES,
+    FRAMEWORK,
     KEYWORD_SUBCLASSES,
     METHOD,
     RDFS_LABEL,
@@ -212,15 +213,11 @@ def keyword_iri(token: str) -> Iri:
 # ---------------------------------------------------------------------------
 
 def is_ingested(store: OntologyStore, framework_id: Iri) -> bool:
-    return ClassAssertion(aieo("Framework"), framework_id) in store
+    return ClassAssertion(FRAMEWORK, framework_id) in store
 
 
 def ingested_frameworks(store: OntologyStore) -> list[Iri]:
-    return sorted(
-        ax.ind
-        for ax in store.axioms_of(ClassAssertion)
-        if ax.cls == aieo("Framework")
-    )
+    return sorted(ax.ind for ax in store.axioms_of(ClassAssertion) if ax.cls == FRAMEWORK)
 
 
 def structure_framework(store: OntologyStore, doc: FrameworkDocument) -> OntologyStore:
@@ -234,7 +231,7 @@ def structure_framework(store: OntologyStore, doc: FrameworkDocument) -> Ontolog
                 f"concept kind must be one of {CONCEPT_KINDS}, got {concept.kind!r}"
             )
     store.declare(doc.id, EntityKind.NAMED_INDIVIDUAL)
-    store.add(ClassAssertion(aieo("Framework"), doc.id))
+    store.add(ClassAssertion(FRAMEWORK, doc.id))
     if doc.title:
         store.add(AnnotationAssertion(doc.id, RDFS_LABEL, AnnotationValue(doc.title)))
     for concept in doc.concept_declarations:
@@ -273,16 +270,14 @@ def attach_keywords(
     store: OntologyStore,
     framework_id: Iri,
     extracted: Sequence[tuple[str, int]],
-    classification: ClassificationMap | None = None,
-    cfg: ExtractionConfig | None = None,
+    config: PipelineConfig = PipelineConfig(),
 ) -> OntologyStore:
     """Turn extracted keywords into typed individuals linked from the
     framework; the leading relevantTopK also get relevantKeyword links and
     the framework records the extractor behind them via `method`."""
     if not is_ingested(store, framework_id):
         raise UnknownFramework(f"framework not ingested: {framework_id}")
-    classification = classification or ClassificationMap()
-    cfg = cfg or ExtractionConfig()
+    classification, cfg = config.classification, config.extraction
     relevant = {token for token, _ in extracted[: cfg.relevant_top_k]}
     for token, _ in extracted:
         ind = keyword_iri(token)
@@ -441,25 +436,20 @@ def apply_equivalences(
 def run_iteration(
     store: OntologyStore,
     doc: FrameworkDocument,
-    cfg: ExtractionConfig | None = None,
-    classification: ClassificationMap | None = None,
-    confirmations: Iterable[frozenset[Iri]] = (),
-    *,
-    threshold: float = 0.5,
+    config: PipelineConfig = PipelineConfig(),
 ) -> tuple[OntologyStore, IterationRecord]:
     """Run structure, extraction, enrichment, and consolidation atomically.
 
     The input store is never mutated; the returned store carries the
     iteration's additions, and the record carries before/after metrics.
     """
-    _check_threshold(threshold)
-    cfg = cfg or ExtractionConfig()
-    confirmed_pairs = set(confirmations)
     before = compute_metrics(store)
     work = store.copy()
 
     structure_framework(work, doc)
-    attach_keywords(work, doc.id, extract_keywords(doc, cfg), classification, cfg)
+    # No later stage adds or removes a framework.
+    framework_count = len(ingested_frameworks(work))
+    attach_keywords(work, doc.id, extract_keywords(doc, config.extraction), config)
     for concept in doc.concept_declarations:
         annotations: list[tuple[Iri, AnnotationValue]] = []
         if concept.short_description:
@@ -467,17 +457,18 @@ def run_iteration(
         if concept.reference:
             annotations.append((REFERENCE, AnnotationValue(concept.reference)))
         enrich(work, concept_iri(doc.id, concept.name), annotations)
-    if len(ingested_frameworks(work)) >= 2:
+    if framework_count >= 2:
+        confirmed_pairs = set(config.confirmations)
         to_apply = [
             replace(p, status="confirmed")
-            for p in propose_equivalences(work, doc.id, threshold)
+            for p in propose_equivalences(work, doc.id, config.threshold)
             if p.pair() in confirmed_pairs
         ]
         apply_equivalences(work, to_apply)
 
     after = compute_metrics(work)
     record = IterationRecord(
-        iteration_index=len(ingested_frameworks(work)),
+        iteration_index=framework_count,
         before=before,
         after=after,
         increment=after.axiom_count - before.axiom_count,

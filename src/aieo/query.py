@@ -39,6 +39,7 @@ from .reasoner import Materialization
 from .schema import (
     CONCEPT_LINK_PROPERTIES,
     DEFAULT_PREFIXES,
+    FRAMEWORK,
     REFERENCE,
     SHORT_DESCRIPTION,
     aieo,
@@ -356,7 +357,6 @@ PRINCIPLES_BY_FRAMEWORK_QUERY = (
 
 _SCENARIO_PROPERTIES = (aieo("application"), aieo("example"), aieo("scenario"), aieo("useCase"))
 _CONCEPT_LINK_PROPERTIES = frozenset(aieo(p) for p in CONCEPT_LINK_PROPERTIES.values())
-_FRAMEWORK = aieo("Framework")
 
 
 def canned_query(name: str, mat: Materialization, arg: Iri | None = None) -> ResultSet:
@@ -406,7 +406,7 @@ def _framework_links(mat: Materialization, concept: Iri) -> set[Iri]:
         s for s, p, _ in _index_of(mat).by_position[2].get(concept, ())
         if p in _CONCEPT_LINK_PROPERTIES
         and ObjectPropertyAssertion(s, p, concept) in base
-        and ClassAssertion(_FRAMEWORK, s) in base
+        and ClassAssertion(FRAMEWORK, s) in base
     }
 
 

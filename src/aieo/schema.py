@@ -88,6 +88,9 @@ KEYWORD_SUBCLASSES = (
 
 CLASS_NAMES = CENTRAL_CLASSES + ASSOCIATION_CLASSES + ("Keyword",) + KEYWORD_SUBCLASSES
 
+# The class whose members are the ingested frameworks.
+FRAMEWORK = aieo("Framework")
+
 # Every central concept is disjoint with every other one, except the
 # Principle/Requirement pair: a consolidated concept may be a principle in
 # one framework and a requirement in another.

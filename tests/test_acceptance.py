@@ -98,14 +98,8 @@ def test_criterion_3_equivalence_semantics(capsys):
         au = parse_framework_document((DATA / "au_framework.json").read_text())
         eu = parse_framework_document((DATA / "eu_framework.json").read_text())
         cfg = parse_config((DATA / "pipeline_config.json").read_text())
-        store, _ = run_iteration(
-            seed_schema(), au, cfg.extraction, cfg.classification,
-            cfg.confirmations, threshold=cfg.threshold,
-        )
-        store, _ = run_iteration(
-            store, eu, cfg.extraction, cfg.classification,
-            cfg.confirmations, threshold=cfg.threshold,
-        )
+        store, _ = run_iteration(seed_schema(), au, cfg)
+        store, _ = run_iteration(store, eu, cfg)
         mat = materialize(store)
         for concept in ("AU_Fairness", "AU_Accountability"):
             result = canned_query("describe_concept", mat, aieo(concept))
@@ -182,10 +176,7 @@ def test_criterion_6_query_correctness(capsys):
 
         au = parse_framework_document((DATA / "au_framework.json").read_text())
         cfg = parse_config((DATA / "pipeline_config.json").read_text())
-        store, _ = run_iteration(
-            seed_schema(), au, cfg.extraction, cfg.classification,
-            cfg.confirmations, threshold=cfg.threshold,
-        )
+        store, _ = run_iteration(seed_schema(), au, cfg)
         result = canned_query("principles_by_framework", materialize(store))
         assert len(result.rows) == 8
 
@@ -196,23 +187,14 @@ def test_criterion_7_pipeline_iterativity_and_saturation(capsys):
         eu = parse_framework_document((DATA / "eu_framework.json").read_text())
         cfg = parse_config((DATA / "pipeline_config.json").read_text())
 
-        store1, rec1 = run_iteration(
-            seed_schema(), au, cfg.extraction, cfg.classification,
-            cfg.confirmations, threshold=cfg.threshold,
-        )
-        store2, rec2 = run_iteration(
-            store1, eu, cfg.extraction, cfg.classification,
-            cfg.confirmations, threshold=cfg.threshold,
-        )
+        store1, rec1 = run_iteration(seed_schema(), au, cfg)
+        store2, rec2 = run_iteration(store1, eu, cfg)
         assert (rec1.iteration_index, rec2.iteration_index) == (1, 2)
         assert rec1.increment > 0 and rec2.increment > 0
 
         frozen = set(store2.axioms)
         with pytest.raises(DuplicateFramework):
-            run_iteration(
-                store2, au, cfg.extraction, cfg.classification,
-                cfg.confirmations, threshold=cfg.threshold,
-            )
+            run_iteration(store2, au, cfg)
         assert set(store2.axioms) == frozen
 
         final_metrics = rec2.after

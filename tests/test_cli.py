@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from aieo import cli
 from aieo.cli import ExitStatus, main
+from aieo.jsonio import parse_config, parse_framework_document
 from aieo.model import ClassAssertion, EntityKind, ObjectPropertyAssertion
+from aieo.pipeline import detect_saturation, run_iteration
 from aieo.schema import aieo, seed_schema
 from aieo.turtle import serialize_turtle
 
@@ -24,6 +27,8 @@ def run(capsys):
     def invoke(*argv):
         code = main(list(argv))
         captured = capsys.readouterr()
+        # An internal fault exits 1 as a parse error does; keep the two apart.
+        assert "error: internal error:" not in captured.err
         return code, captured.out, captured.err
 
     return invoke
@@ -422,6 +427,19 @@ def test_every_exit_status_is_a_plain_int(run, tmp_path, seed_file):
         assert (type(code), code) == (int, status), argv
 
 
+def test_internal_error_is_one_stderr_line(seed_file, monkeypatch, capsys):
+    def fault(args):
+        raise RuntimeError("index out of step")
+
+    monkeypatch.setattr(cli, "_cmd_metrics", fault)
+    code = main(["metrics", seed_file])
+    out, err = capsys.readouterr()
+    assert (type(code), code) == (int, 1)
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: index out of step\n"
+    assert "Traceback" not in err
+
+
 def test_canned_query_argument_that_is_no_iri_exits_validation_error(run, seed_file):
     code, _, err = run("query", seed_file, "--ask", "describe_concept", "--arg", "https://e/a\rb")
     assert code == ExitStatus.VALIDATION_ERROR
@@ -548,6 +566,24 @@ def test_ingest_two_frameworks_merges_confirmed_pairs(run, seed_file, tmp_path):
     assert "iteration 2" in err
     text = out.read_text()
     assert "owl:sameAs" in text
+
+
+def test_ingest_adds_only_io_to_run_iteration(run, seed_file, tmp_path):
+    cfg = parse_config((DATA / "pipeline_config.json").read_text())
+    store, previous = seed_schema(), seed_file
+    for name in ("au", "eu"):
+        doc_path = DATA / f"{name}_framework.json"
+        store, record = run_iteration(store, parse_framework_document(doc_path.read_text()), cfg)
+        out, report = tmp_path / f"{name}.ttl", tmp_path / f"{name}.json"
+        code, _, _ = run(
+            "ingest", previous, str(doc_path), "--config", str(DATA / "pipeline_config.json"),
+            "--out", str(out), "--report", str(report),
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == serialize_turtle(store)
+        saturated = detect_saturation([record], 0.05)[0]
+        assert json.loads(report.read_text()) == {**record.as_dict(), "saturated": saturated}
+        previous = str(out)
 
 
 # ---------------------------------------------------------------------------

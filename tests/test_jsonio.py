@@ -530,20 +530,28 @@ def test_parse_config_violations_carry_paths(doc, path):
     assert exc.value.field_name == path
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"extraction": {"stopwords": ["the", 1]}}', "$.extraction.stopwords[1]: expected str"),
+        ('{"classificationMap": {"risk": 3}}', "$.classificationMap.risk: expected str"),
+        ('{"threshold": "0.5"}', "$.threshold: expected a number"),
+    ],
+)
+def test_parse_config_type_messages(doc, message):
+    with pytest.raises(SchemaViolation) as exc:
+        parse_config(doc)
+    assert str(exc.value) == message
+
+
 def test_shipped_sample_files_parse_and_ingest():
     au = parse_framework_document((DATA / "au_framework.json").read_text())
     eu = parse_framework_document((DATA / "eu_framework.json").read_text())
     cfg = parse_config((DATA / "pipeline_config.json").read_text())
     assert len(au.concept_declarations) == 8
     assert len(eu.concept_declarations) == 14
-    store, rec1 = run_iteration(
-        seed_schema(), au, cfg.extraction, cfg.classification,
-        cfg.confirmations, threshold=cfg.threshold,
-    )
-    store, rec2 = run_iteration(
-        store, eu, cfg.extraction, cfg.classification,
-        cfg.confirmations, threshold=cfg.threshold,
-    )
+    store, rec1 = run_iteration(seed_schema(), au, cfg)
+    store, rec2 = run_iteration(store, eu, cfg)
     assert rec1.increment > 0 and rec2.increment > 0
     assert materialize(store).consistent
 

@@ -277,7 +277,7 @@ def test_attach_types_links_and_annotates():
     structure_framework(store, _doc())
     cfg = ExtractionConfig(top_k=3, relevant_top_k=1)
     cmap = ClassificationMap({"risk": aieo("Risk_keyword")})
-    attach_keywords(store, aieo("FW1"), [("risk", 3), ("privacy", 1)], cmap, cfg)
+    attach_keywords(store, aieo("FW1"), [("risk", 3), ("privacy", 1)], PipelineConfig(cfg, cmap))
     risk, privacy = keyword_iri("risk"), keyword_iri("privacy")
     assert ClassAssertion(aieo("Risk_keyword"), risk) in store.axioms
     assert ClassAssertion(aieo("Keyword"), privacy) in store.axioms  # unmapped default
@@ -298,7 +298,7 @@ def test_attach_with_zero_relevant_top_k_records_no_method():
     store = seed_schema()
     structure_framework(store, _doc())
     cfg = ExtractionConfig(relevant_top_k=0)
-    attach_keywords(store, aieo("FW1"), [("risk", 2)], cfg=cfg)
+    attach_keywords(store, aieo("FW1"), [("risk", 2)], PipelineConfig(cfg))
     assert not any(
         isinstance(ax, AnnotationAssertion) and ax.prop == METHOD
         for ax in store.axioms
@@ -424,7 +424,7 @@ def test_propose_and_run_iteration_reject_bad_thresholds(threshold):
     with pytest.raises(ValueError, match=message):
         propose_equivalences(_aligned_pair_store(), aieo("FW2"), threshold=threshold)
     with pytest.raises(ValueError, match=message):
-        run_iteration(seed_schema(), _FULL_DOC, threshold=threshold)
+        PipelineConfig(threshold=threshold)
 
 
 # Labels that stress normalization: no tokens at all (whitespace,
@@ -612,15 +612,15 @@ def test_run_iteration_consolidates_only_confirmed_pairs():
                                  ConceptDeclaration("Safety", "Requirement")])
     pair = frozenset((concept_iri(aieo("FW1"), "Fairness"), concept_iri(aieo("FW2"), "Fairness")))
     mid, _ = run_iteration(seed_schema(), doc1)
-    out, _ = run_iteration(mid, doc2, confirmations=[pair])
+    out, _ = run_iteration(mid, doc2, PipelineConfig(confirmations=(pair,)))
     merges = set(out.axioms_of(SameIndividual))
     assert merges == {SameIndividual(*sorted(pair))}  # Safety stays proposed only
 
 
 def test_run_iteration_first_framework_skips_consolidation():
-    out, _ = run_iteration(seed_schema(), _FULL_DOC, confirmations=[
-        frozenset((aieo("a"), aieo("b")))
-    ])
+    out, _ = run_iteration(seed_schema(), _FULL_DOC, PipelineConfig(confirmations=(
+        frozenset((aieo("a"), aieo("b"))),
+    )))
     assert not list(out.axioms_of(SameIndividual))
 
 
