@@ -157,12 +157,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     store = _load_store(args.file)
     mat = materialize(store)
+    # Both --text and --arg resolve CURIEs against the store's own prefixes.
     if args.text is not None:
-        prefixes = dict(store.prefixes) or None
         # The library warns; the CLI reports each warning as one line.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            query = parse_query(args.text, prefixes)
+            query = parse_query(args.text, store.prefixes)
         for message in dict.fromkeys(str(w.message) for w in caught):
             sys.stderr.write(f"warning: {message}\n")
         result = evaluate(query, mat)

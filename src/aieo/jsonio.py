@@ -25,7 +25,6 @@ text its type's template writes, so the object and the text cannot differ.
 from __future__ import annotations
 
 import json
-import re
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -40,6 +39,7 @@ from .model import (
     Iri,
     OntologyStore,
     axiom_type,
+    check_prefix,
     resolve_curie,
     sorted_axioms,
 )
@@ -62,11 +62,6 @@ def _loads(text: str) -> Any:
         raise ParseError([ParseDiagnostic(exc.lineno, exc.colno, exc.msg)]) from None
     except RecursionError:  # the decoder recurses once per nested array/object
         raise ParseError([ParseDiagnostic(1, 1, "document nested too deeply")]) from None
-
-
-# Input the Turtle writer could not write back is rejected: an IRI that
-# ``Iri`` rejects, and a prefix name Turtle would not read as one.
-_WORD = re.compile(r"[\w-]*")
 
 
 def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
@@ -207,19 +202,10 @@ def store_from_json(text: str) -> OntologyStore:
     doc = _object(_loads(text), "$", {"prefixes", "axioms"})
     prefixes = _field(doc, "prefixes", dict, "$", {})
     for prefix, base in prefixes.items():
-        path = f"$.prefixes.{prefix}"
-        if not isinstance(base, str) or not base:
-            raise SchemaViolation(path, "expected a non-empty string")
-        # Empty, or a letter or '_' then word characters or '-', but not '_'
-        # alone: Turtle's blank node label.
-        if prefix and not ((prefix[0].isalpha() or prefix[0] == "_") and prefix != "_"
-                           and _WORD.fullmatch(prefix)):
-            raise SchemaViolation(path, "expected a prefix name: a letter or '_', then "
-                                        "letters, digits, '_' or '-'")
         try:
-            Iri(base)
+            check_prefix(prefix, base)
         except ValueError as exc:
-            raise SchemaViolation(path, str(exc)) from None
+            raise SchemaViolation(f"$.prefixes.{prefix}", str(exc)) from None
     resolve = _resolver(prefixes)
     axioms = [axiom_from_obj(obj, resolve, f"$.axioms[{i}]")
               for i, obj in enumerate(_field(doc, "axioms", list, "$", []))]
@@ -326,7 +312,7 @@ def store_to_json(store: OntologyStore) -> str:
     axioms = [_AXIOM_WRITERS[type(ax)](ax, "\n    ") for ax in sorted_axioms(store)]
     # json.dumps escapes every newline inside a string, so each newline it
     # writes starts a line and takes the document's indent.
-    prefixes = json.dumps(store.prefixes, indent=2, sort_keys=True).replace("\n", "\n  ")
+    prefixes = json.dumps(dict(store.prefixes), indent=2, sort_keys=True).replace("\n", "\n  ")
     return _STORE % (array_text(axioms, "\n  "), prefixes) + "\n"
 
 

@@ -253,14 +253,6 @@ class Cursor:
                 memo.clear()
         self.prefixes[prefix] = base
 
-    def iri(self, text: str) -> Iri:
-        """``text`` as an IRI, or a diagnostic at the token last taken when
-        :class:`Iri` rejects it."""
-        try:
-            return Iri(text)
-        except ValueError as exc:
-            self.fail(str(exc))
-
     def term(self, position: str) -> "Iri | AnnotationValue":
         """The next token as the term at ``position`` of a triple
         (``"subject"``, ``"predicate"`` or ``"object"``): an IRI or prefixed
@@ -286,7 +278,10 @@ class Cursor:
                     if base is None:
                         self.fail(self.unknown_prefix.format(prefix))
                     value = base + local
-                iri = self.iris[raw] = self.iri(value)
+                try:
+                    iri = self.iris[raw] = Iri(value)
+                except ValueError as exc:  # a diagnostic at this token
+                    self.fail(str(exc))
             return iri
         if kind == "string":
             if position != "object":

@@ -74,6 +74,22 @@ def term_key(term: "Iri | AnnotationValue") -> tuple:
     return (0, str(term))
 
 
+def check_prefix(name: str, base: str) -> None:
+    """Raise ``ValueError`` unless both readers read ``name: base`` back as
+    a prefix: ``base`` a non-empty string that :class:`Iri` accepts, and
+    ``name`` empty, or a letter or '_' then letters, digits, '_' or '-',
+    but not '_' alone (Turtle's blank node label)."""
+    if not isinstance(base, str) or not base:
+        raise ValueError("expected a non-empty string")
+    if not isinstance(name, str) or name and (
+        name == "_" or not (name[0].isalpha() or name[0] == "_")
+        or not all(c.isalnum() or c in "_-" for c in name)
+    ):
+        raise ValueError("expected a prefix name: a letter or '_', then "
+                         "letters, digits, '_' or '-'")
+    Iri(base)
+
+
 def resolve_curie(name: str, prefixes: Mapping[str, str]) -> Iri:
     """``name`` as a CURIE over ``prefixes``: split at the first ':', and
     expand a known prefix unless the local part starts with '//'. Any other
@@ -524,14 +540,17 @@ class OntologyStore:
     EquivalentClasses / EquivalentObjectProperties axioms into one maximal
     set each, so equivalence is always stored as its connected component.
 
-    Every IRI in the store is one the writers can write back, since
-    :class:`Iri` rejects the rest. ``prefixes`` is a plain dict: the Turtle
-    and JSON readers check the bases and names they read into it, but
-    nothing checks a prefix given to the constructor or a later edit.
+    Every IRI and prefix in the store is one the writers can write back:
+    :class:`Iri` rejects any other IRI, and the constructor runs
+    :func:`check_prefix` on each prefix it is given. ``prefixes`` is a
+    read-only view of that map; nothing changes it after construction.
     """
 
-    def __init__(self, prefixes: dict[str, str] | None = None):
-        self.prefixes: dict[str, str] = dict(prefixes or {})
+    def __init__(self, prefixes: Mapping[str, str] | None = None):
+        prefixes = dict(prefixes or {})
+        for name, base in prefixes.items():
+            check_prefix(name, base)
+        self._prefixes = MappingProxyType(prefixes)
         # The axioms themselves: one set per AXIOM_TYPES row.
         self._by_type: dict[type, set[Axiom]] = {cls: set() for cls in AXIOM_TYPES}
         self._kinds: dict[Iri, EntityKind] = {}
@@ -705,15 +724,20 @@ class OntologyStore:
 
     # -- prefix handling ---------------------------------------------------
 
+    @property
+    def prefixes(self) -> Mapping[str, str]:
+        """The prefix map, read-only: names to bases."""
+        return self._prefixes
+
     def resolve(self, name: str) -> Iri:
         """Resolve a CURIE against the prefix map; absolute IRIs pass through."""
-        return resolve_curie(name, self.prefixes)
+        return resolve_curie(name, self._prefixes)
 
     def compact(self, iri: Iri) -> str:
         """Shorten an IRI to a CURIE when a declared prefix covers it: the
         prefix with the longest base, of equal bases the least name."""
         best: tuple[str, str] | None = None
-        for prefix, base in self.prefixes.items():
+        for prefix, base in self._prefixes.items():
             if iri.startswith(base) and (
                 best is None
                 or len(base) > len(best[1])
@@ -727,7 +751,7 @@ class OntologyStore:
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self) -> "OntologyStore":
-        dup = OntologyStore(self.prefixes)
+        dup = OntologyStore(self._prefixes)
         dup._by_type = {cls: set(axioms) for cls, axioms in self._by_type.items()}
         dup._kinds = dict(self._kinds)
         dup._equivalence = dict(self._equivalence)
@@ -735,10 +759,12 @@ class OntologyStore:
         dup.by_subject = MappingProxyType(dup._by_subject)
         return dup
 
-    def validate(self) -> list[str]:
-        """Full structural scan; returns human-readable problems (empty = ok).
-        Only the axiom types whose references fail the set check of
-        ``update`` are scanned axiom by axiom."""
+    def require_valid(self) -> None:
+        """Raise :class:`ValidationError` naming every structural problem, in
+        sorted order: the defensive full scan that ``aieo parse`` and
+        ``materialize`` run, though ``add``, ``declare`` and ``update``
+        already refuse what it finds. Only the axiom types whose references
+        fail the set check of ``update`` are scanned axiom by axiom."""
         problems: list[str] = []
         declared_twice: dict[Iri, set[EntityKind]] = defaultdict(set)
         for ax in self.axioms_of(Declaration):
@@ -759,15 +785,8 @@ class OntologyStore:
                             f"{row.tag} needs {iri} to be {required.value}, "
                             f"found {actual.value}"
                         )
-        return problems
-
-    def require_valid(self) -> None:
-        """Raise :class:`ValidationError` with :meth:`validate`'s problems: the
-        defensive full scan that ``aieo parse`` and ``materialize`` run, though
-        ``add``, ``declare`` and ``update`` already refuse what it finds."""
-        problems = self.validate()
         if problems:
-            raise ValidationError("; ".join(problems))
+            raise ValidationError("; ".join(sorted(problems)))
 
 
 # ---------------------------------------------------------------------------

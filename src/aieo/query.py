@@ -19,6 +19,7 @@ import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import MissingArgument, UnknownConcept
 from .jsonio import canonical_json
@@ -176,7 +177,7 @@ def _is_word(tok: Token, keyword: str) -> bool:
     return tok[0] == "word" and tok[1].upper() == keyword
 
 
-def parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
+def parse_query(text: str, prefixes: Mapping[str, str] | None = None) -> Query:
     """Parse ``SELECT [DISTINCT] ?vars WHERE { patterns }``.
 
     Prefixed names resolve against ``prefixes`` (defaults to the ontology's

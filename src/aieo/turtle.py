@@ -37,6 +37,7 @@ from .model import (
     OntologyStore,
     axiom_subject,
     axiom_type,
+    check_prefix,
     render_literal,
     term_key,
 )
@@ -82,7 +83,10 @@ def _document(cur: Cursor) -> list[_Triple]:
             if local:
                 cur.fail("prefix declaration must end in ':'")
             base = cur.expect("iri", "an IRI reference")[1]
-            cur.iri(base)  # rejects a base the writers could not write back
+            try:
+                check_prefix(prefix, base)
+            except ValueError as exc:
+                cur.fail(str(exc))
             cur.expect(".", "'.' after prefix directive")
             cur.declare(prefix, base)
             continue

@@ -641,7 +641,7 @@ def reference_store_to_json(store: OntologyStore) -> str:
     canonical order."""
     axioms = sorted(store.axioms, key=reference_sort_key)
     return reference_json(
-        {"prefixes": store.prefixes, "axioms": [reference_axiom_obj(ax) for ax in axioms]}
+        {"prefixes": dict(store.prefixes), "axioms": [reference_axiom_obj(ax) for ax in axioms]}
     )
 
 
@@ -1051,6 +1051,13 @@ def random_small_store(seed: int, *, max_axioms: int = 60) -> OntologyStore:
             store.add(SameIndividual(*rng.sample(individuals, 2)))
     assert len(store.axioms) <= max_axioms
     return store
+
+
+def with_prefixes(store: OntologyStore, prefixes: dict[str, str]) -> OntologyStore:
+    """A new store with the prefix map ``prefixes`` and the axioms of
+    ``store``: a store's prefixes are fixed when it is built."""
+    out = OntologyStore(prefixes).update(store.axioms_of(Declaration))
+    return out.update(ax for ax in store if type(ax) is not Declaration)
 
 
 def random_query(rng: random.Random) -> tuple[list[TriplePattern], tuple[Variable, ...], bool]:

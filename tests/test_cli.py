@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import collections
 import copy
 import json
 import os
@@ -12,8 +13,14 @@ import pytest
 
 from aieo import cli
 from aieo.cli import ExitStatus, main
-from aieo.jsonio import parse_config, parse_framework_document
-from aieo.model import ClassAssertion, EntityKind, ObjectPropertyAssertion
+from aieo.jsonio import parse_config, parse_framework_document, store_to_json
+from aieo.model import (
+    ClassAssertion,
+    EntityKind,
+    ObjectPropertyAssertion,
+    OntologyStore,
+    SameIndividual,
+)
 from aieo.pipeline import detect_saturation, run_iteration
 from aieo.schema import aieo, seed_schema
 from aieo.turtle import serialize_turtle
@@ -170,6 +177,53 @@ def test_damaged_json_inputs_exit_with_a_documented_status(run, tmp_path):
         assert code in (0, 1, 2), (damaged.name, damaged.read_text())
         codes.add(code)
     assert codes == {0, 2}
+
+
+# Byte strings a damaged Turtle file may gain: directives, blank node
+# labels, a carriage return, a byte that is not UTF-8, a numeral that is
+# no digit, and the punctuation of the grammar.
+_TURTLE_SNIPPETS = (b"@prefix ", b"@prefix x: <https://e/> .\n", b"_:", b"\r", b"\xff",
+                    "\u00b2".encode(), b"<", b">", b'"', b"\\", b".", b";", b",", b":",
+                    b"#", b" ", b"\n", b"a", b"x:", b"@", b"^^", b"[", b"(")
+
+
+def _damage_bytes(rng: random.Random, data: bytes) -> bytes:
+    """The bytes with one to three edits: an insert of a snippet, a delete
+    of a short run, or one byte swapped for another."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(data) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            data = data[:at] + rng.choice(_TURTLE_SNIPPETS) + data[at:]
+        elif roll < 0.7:
+            data = data[:at] + data[at + rng.randint(1, 8):]
+        else:  # any byte, or the first byte of a snippet
+            byte = rng.choice((bytes([rng.randrange(256)]), rng.choice(_TURTLE_SNIPPETS)[:1]))
+            data = data[:at] + byte + data[at + 1:]
+    return data
+
+
+def test_damaged_turtle_inputs_exit_with_a_documented_status(run, tmp_path):
+    # A framework the same as a principle: inconsistent, so check exits 3.
+    store = seed_schema()
+    for name, cls in (("x", "Principle"), ("y", "Framework"), ("z", "Requirement")):
+        store.declare(aieo(name), EntityKind.NAMED_INDIVIDUAL)
+        store.add(ClassAssertion(aieo(cls), aieo(name)))
+    store.add(SameIndividual(aieo("x"), aieo("y")))
+    base = serialize_turtle(store).encode()
+    path, out = tmp_path / "store.ttl", str(tmp_path / "out.ttl")
+    commands = (("parse",), ("check",), ("export", "--level", "3", "--format", "json"),
+                ("reason", "--out", out))
+    rng = random.Random(21)
+    codes = collections.Counter()
+    for _ in range(200):
+        path.write_bytes(_damage_bytes(rng, base))
+        for command, *options in commands:
+            code, _, err = run(command, str(path), *options)
+            assert code in (0, 1, 2, 3, 4), (command, path.read_bytes())
+            assert "Traceback" not in err, (command, path.read_bytes())
+            codes[code] += 1
+    assert set(codes) == {0, 1, 2, 3}, codes
 
 
 @pytest.mark.parametrize("name,text", [
@@ -455,6 +509,26 @@ def test_canned_query_resolves_curie_argument(run, tmp_path):
     code, out, _ = run("query", path, "--ask", "scenarios_for", "--arg", "aieo:fair")
     assert code == 0
     assert out == "?scenario\nhttps://w3id.org/aieo#hiring\n"
+
+
+def test_query_flags_resolve_against_the_store_prefixes_only(run, tmp_path):
+    # A store without prefixes: neither flag falls back to the standard map.
+    store = OntologyStore()
+    store.declare(aieo("Principle"), EntityKind.OWL_CLASS)
+    store.declare(aieo("c1"), EntityKind.NAMED_INDIVIDUAL)
+    store.add(ClassAssertion(aieo("Principle"), aieo("c1")))
+    path = tmp_path / "bare.json"
+    path.write_text(store_to_json(store), encoding="utf-8")
+    code, out, err = run("query", str(path), "--text", "SELECT ?x WHERE { ?x a aieo:Principle }")
+    assert (code, out, err) == (1, "", "1:24: error: unknown prefix 'aieo:'\n")
+    code, out, err = run("query", str(path), "--ask", "scenarios_for", "--arg", "aieo:c1")
+    assert (code, out, err) == (2, "", "error: aieo:c1 is not a declared individual\n")
+    code, out, _ = run("query", str(path), "--text",
+                       "SELECT ?x WHERE { ?x a <https://w3id.org/aieo#Principle> }")
+    assert (code, out) == (0, "?x\nhttps://w3id.org/aieo#c1\n")
+    code, out, _ = run("query", str(path), "--ask", "scenarios_for",
+                       "--arg", "https://w3id.org/aieo#c1")
+    assert (code, out) == (0, "?scenario\n")
 
 
 def test_canned_query_principles_by_framework(run, tmp_path):

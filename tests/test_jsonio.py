@@ -54,6 +54,7 @@ from oracles import (
     reference_store_from_json,
     reference_store_to_json,
     reference_traces_to_json,
+    with_prefixes,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -228,7 +229,29 @@ def test_json_prefix_names_are_the_ones_turtle_reads():
             accepted = True
         except SchemaViolation:
             accepted = False
-        assert accepted == read, repr(name)
+        try:
+            OntologyStore({name: "https://e/"})
+            built = True
+        except ValueError:
+            built = False
+        assert accepted == read == built, repr(name)
+
+
+def test_every_prefix_a_store_accepts_round_trips_through_both_writers():
+    built = 0
+    for name in _PREFIX_NAMES:
+        for tail in _IRI_TAILS:
+            try:
+                store = OntologyStore({name: "https://e/" + tail})
+            except ValueError:
+                continue
+            built += 1
+            store.declare(Iri("https://e/" + tail + "i"), EntityKind.NAMED_INDIVIDUAL)
+            for back in (parse_turtle(serialize_turtle(store)),
+                         store_from_json(store_to_json(store))):
+                assert back.prefixes == store.prefixes, (name, tail)
+                assert set(back.axioms) == set(store.axioms), (name, tail)
+    assert built == 5 * 8  # the five names and eight tails both readers take
 
 
 @pytest.mark.parametrize("read", [store_from_json, parse_framework_document, parse_config])
@@ -611,7 +634,7 @@ def _with_odd_text(store: OntologyStore, seed: int) -> OntologyStore:
     """The store plus a non-ASCII prefix and individual, and labels drawn
     from the texts and language tags above."""
     rng = random.Random(seed)
-    store.prefixes["z\u00e9"] = "https://example.org/zo\u00eb/"
+    store = with_prefixes(store, {**store.prefixes, "z\u00e9": "https://example.org/zo\u00eb/"})
     store.declare(Iri("https://example.org/zo\u00eb/\u4e2d"), EntityKind.NAMED_INDIVIDUAL)
     store.declare(RDFS_LABEL, EntityKind.ANNOTATION_PROPERTY)
     subjects = store.declared(EntityKind.OWL_CLASS) + store.declared(EntityKind.NAMED_INDIVIDUAL)
@@ -681,21 +704,25 @@ def test_canonical_json_matches_the_stdlib_encoder(make):
 def test_canonical_json_edge_stores():
     _assert_canonical(OntologyStore(), 0)
     assert store_to_json(OntologyStore()) == '{\n  "axioms": [],\n  "prefixes": {}\n}\n'
-    bare = _with_odd_text(random_small_store(3), 3)
-    bare.prefixes.clear()
+    bare = with_prefixes(_with_odd_text(random_small_store(3), 3), {})
     _assert_canonical(bare, 3)
     assert store_to_json(bare).endswith('  "prefixes": {}\n}\n')
     _assert_canonical(seed_schema(), 0)  # consistent, nothing inferred
 
 
 def test_prefix_maps_with_odd_text_write_as_the_stdlib_does():
-    odd = _TEXTS + ("100%", "%s %% %(k)s", "", "ctl\x01\x1f\x08\x0c")
-    for i, text in enumerate(odd):
+    # Names are what a store admits, non-ASCII ones included; the odd text
+    # (JSON's escapes, '%', control characters, U+2028) goes into bases.
+    names = ("caf\u00e9", "\u4e2d\u6587", "", "_x", "a-1")
+    bases = ("100%", "%s %% %(k)s", 'say "hi"', "back\\slash", "tab\tnul\x00 bell\x07 \x7f",
+             "ctl\x01\x1f\x08\x0c", "line\u2028para\u2029", "rocket \U0001F680", "caf\u00e9")
+    for i, text in enumerate(bases):
+        name = names[i % len(names)]
         store = random_small_store(i)
-        store.prefixes[text] = "https://e/" + text
-        store.prefixes["p" + text] = text or "x"
+        prefixes = {**store.prefixes, name: "https://e/" + text, "p" + name: text}
+        store = with_prefixes(store, prefixes)
         assert store_to_json(store) == reference_store_to_json(store), text
-    only_prefixes = OntologyStore(dict(zip(odd, reversed(odd))))
+    only_prefixes = OntologyStore(dict(zip(names, reversed(bases))))
     assert store_to_json(only_prefixes) == reference_store_to_json(only_prefixes)
 
 

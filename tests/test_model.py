@@ -238,6 +238,41 @@ def test_copy_is_independent():
     assert store.prefixes == clone.prefixes
 
 
+_BAD_NAME = "expected a prefix name: a letter or '_', then letters, digits, '_' or '-'"
+
+
+@pytest.mark.parametrize(
+    "prefixes, message",
+    [
+        ({"x.y": "https://e/"}, _BAD_NAME),
+        ({"_": "https://e/"}, _BAD_NAME),
+        ({1: "https://e/"}, _BAD_NAME),
+        ({"e": ""}, "expected a non-empty string"),
+        ({"e": 5}, "expected a non-empty string"),
+        ({"e": "https://e/a>"}, "an IRI cannot contain '>' or a line break"),
+        # The base's type, then the name, then the base as an IRI.
+        ({"x.y": ""}, "expected a non-empty string"),
+        ({"x.y": "https://e/\r"}, _BAD_NAME),
+        ({"ok": "https://e/", "x.y": "https://e/"}, _BAD_NAME),
+    ],
+)
+def test_store_checks_each_prefix_at_construction(prefixes, message):
+    with pytest.raises(ValueError) as exc:
+        OntologyStore(prefixes)
+    assert str(exc.value) == message
+
+
+def test_store_prefixes_are_read_only():
+    store = seed_schema()
+    with pytest.raises(TypeError):
+        store.prefixes["x"] = "https://e/"
+    with pytest.raises(TypeError):
+        del store.prefixes["aieo"]
+    with pytest.raises(AttributeError):
+        store.prefixes = {}
+    assert store.copy().prefixes == store.prefixes == seed_schema().prefixes
+
+
 def test_indexes_track_mutation():
     store = _store()
     ca = ClassAssertion(ex("A"), ex("x"))
@@ -633,12 +668,12 @@ def test_validation_catches_corrupted_store():
     # one axiom references an undeclared entity, one an entity of the wrong kind
     store._by_type[ClassAssertion].add(ClassAssertion(ex("A"), ex("ghost")))
     store._by_type[ClassAssertion].add(ClassAssertion(ex("A"), ex("B")))
-    assert sorted(store.validate()) == [
-        "ClassAssertion needs https://example.org/B to be NamedIndividual, found OwlClass",
-        "ClassAssertion references undeclared https://example.org/ghost",
-    ]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         store.require_valid()
+    assert str(exc.value) == (
+        "ClassAssertion needs https://example.org/B to be NamedIndividual, found OwlClass; "
+        "ClassAssertion references undeclared https://example.org/ghost"
+    )
 
 
 def test_metrics_match_recount_on_seed():

@@ -27,6 +27,7 @@ from oracles import (
     random_store,
     reference_axiom_line,
     reference_serialize_turtle,
+    with_prefixes,
 )
 
 HEADER = """\
@@ -241,13 +242,12 @@ def _decorated(store: OntologyStore, seed: int) -> OntologyStore:
     with quotes, backslashes, line breaks, tabs and language tags; and
     merged equivalences."""
     rng = random.Random(seed)
-    store = store.copy()
     base = store.prefixes.get("ex") or store.prefixes["aieo"]
     under = sorted(iri for iri in store.declared() if iri.startswith(base) and iri != base)
     nested = rng.choice(under)[: len(base) + 1]
     prefixes = list(store.prefixes.items()) + [("deep", nested), ("aa", base)]
     rng.shuffle(prefixes)
-    store.prefixes = dict(prefixes)
+    store = with_prefixes(store, dict(prefixes))
     note, link = Iri(base + "note"), Iri(base + "link")
     store.declare(note, EntityKind.ANNOTATION_PROPERTY)
     store.declare(link, EntityKind.OBJECT_PROPERTY)
