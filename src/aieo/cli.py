@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
+import stat
 import sys
 import tempfile
 import warnings
@@ -71,12 +73,25 @@ def _read(path: str) -> str:
         raise
 
 
+def _write_mode(target: Path) -> int:
+    """The target's own mode, or for a new file the one ``open()`` would
+    give it: ``0o666`` less the umask."""
+    try:
+        return stat.S_IMODE(target.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: str, text: str) -> None:
     target = Path(path)
+    mode = _write_mode(target)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".aieo-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)  # mkstemp always creates 0600
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -300,7 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns its exit status as a plain int, which prints
-    alike on every Python version (an IntEnum member does not before 3.11)."""
+    alike on every Python version (an IntEnum member does not before 3.11).
+
+    The cyclic garbage collector is paused for the command and switched back
+    on afterwards only if it was on. Stores and closures hold no reference
+    cycles (facts are tuples of IRIs), so its passes over every tracked
+    ``Iri`` and axiom find nothing; the only cyclic garbage a command leaves
+    is argparse's parser, the same size for every store."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

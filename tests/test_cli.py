@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import collections
+import contextlib
 import copy
+import gc
+import io
 import json
 import os
 import random
@@ -24,6 +27,8 @@ from aieo.model import (
 from aieo.pipeline import detect_saturation, run_iteration
 from aieo.schema import aieo, seed_schema
 from aieo.turtle import serialize_turtle
+
+from oracles import random_store
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -736,6 +741,129 @@ def test_write_to_missing_directory_is_io_error(run, tmp_path):
     code, _, err = run("seed", "--out", str(tmp_path / "nodir" / "x.ttl"))
     assert code == 4
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# output file modes
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _mode(path):
+    return os.stat(path).st_mode & 0o777
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)],
+                         ids=["022", "027", "077"])
+def test_new_out_files_get_the_mode_open_gives(run, tmp_path, mask, mode):
+    closed = tmp_path / "closed.ttl"
+    with _umask(mask):
+        assert run("seed", "--out", str(tmp_path / "seed.ttl"))[0] == 0
+        assert run("reason", str(tmp_path / "seed.ttl"), "--out", str(closed), "--trace")[0] == 0
+    assert _mode(tmp_path / "seed.ttl") == mode
+    assert _mode(closed) == _mode(tmp_path / "closed.trace.json") == mode
+
+
+def test_rewritten_out_files_keep_their_mode(run, seed_file, tmp_path):
+    out, report = tmp_path / "au.ttl", tmp_path / "au.json"
+    for path in (out, report):
+        path.write_text("old\n", encoding="utf-8")
+        path.chmod(0o604)
+    with _umask(0o077):
+        code, _, _ = run("ingest", seed_file, str(DATA / "au_framework.json"),
+                         "--config", str(DATA / "pipeline_config.json"),
+                         "--out", str(out), "--report", str(report))
+    assert code == 0
+    assert out.read_text(encoding="utf-8") != "old\n"
+    assert _mode(out) == _mode(report) == 0o604
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_every_exit_path_restores_the_collector_state(
+    enabled, collector, tmp_path, seed_file, monkeypatch, capsys
+):
+    broken = tmp_path / "broken.ttl"
+    broken.write_text("aieo:x", encoding="utf-8")
+
+    seen = []
+
+    def fault(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("index out of step")
+
+    monkeypatch.setattr(cli, "_cmd_metrics", fault)
+    for argv, status, err_start in [
+        (("seed",), 0, ""),
+        (("parse", str(broken)), 1, "1:"),
+        (("frobnicate",), 1, "usage:"),  # SystemExit inside parse_args
+        (("reason", seed_file, "--trace"), 1, "error: --trace needs --out"),
+        (("query", seed_file, "--ask", "describe_concept"), 2, "error:"),
+        (("check", _inconsistent_store(tmp_path)), 3, ""),
+        (("parse", str(tmp_path / "missing.ttl")), 4, "error:"),
+        (("metrics", seed_file), 1, "error: internal error: RuntimeError"),
+    ]:
+        (gc.enable if enabled else gc.disable)()
+        code = main(list(argv))
+        assert gc.isenabled() is enabled, argv
+        assert code == status, argv
+        assert capsys.readouterr().err.startswith(err_start), argv
+    assert seen == [False]  # the command itself ran with the collector paused
+
+
+def _cyclic_garbage(argv):
+    """The number of unreachable objects one command leaves for the collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_the_store(tmp_path):
+    # What main leaves while the collector is paused must not scale with the
+    # store: facts are tuples of IRIs, so only argparse's parser is cyclic.
+    small = random_store(1)
+    large = random_store(1, max_individuals=100, max_assertions=400)
+    assert 3.5 < len(large.axioms) / len(small.axioms) < 5
+    counts = []
+    for name, store in (("small", small), ("large", large)):
+        (tmp_path / name).mkdir()
+        src = _write_store(tmp_path / name, store)
+        closed = str(tmp_path / name / "closed.ttl")
+        counts.append([_cyclic_garbage(argv) for argv in (
+            ["reason", src, "--out", closed, "--trace"],
+            ["check", src],
+            ["export", src, "--level", "3", "--format", "json"],
+            ["diff", src, closed],
+        )])
+    assert counts[0] == counts[1]
+    assert all(counts[0])  # the parser's cycles are there to be counted
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,22 @@ def test_every_definition_is_read_or_exported():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     exported = _exported(ast.parse(sources["__init__"]))
     assert unread_definitions(sources, exported) == []
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The top-level names of every module the tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_cli_imports_gc():
+    # The CLI owns its process and pauses the collector for each command; a
+    # library call leaves the caller's collector as it is.
+    importers = [path.name for path in MODULES
+                 if "gc" in _imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == ["cli.py"]
