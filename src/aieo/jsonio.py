@@ -9,7 +9,10 @@ prefixes (falling back to the standard map).
 Each axiom type has one reader and one writer, both built once at import
 from its :data:`AXIOM_TYPES` row. Every JSON object read, in a store, a
 framework document or a config, is checked in the one fault order that
-:func:`axiom_from_obj` describes.
+:func:`axiom_from_obj` describes. The store reader first tries each axiom
+object with its type's compiled reader, which takes only an object that
+the walk accepts, and reads it to the same axiom; any other object goes to
+the walk, so the store and the first fault reported are the walk's.
 
 Every JSON text written here has the bytes of
 ``json.dumps(value, indent=2, sort_keys=True)`` plus a newline. Free-form
@@ -64,25 +67,34 @@ def _loads(text: str) -> Any:
         raise ParseError([ParseDiagnostic(1, 1, "document nested too deeply")]) from None
 
 
-def _resolver(prefixes: dict[str, str]) -> Callable[[str, str], Iri]:
-    table = dict(DEFAULT_PREFIXES)
-    table.update(prefixes)
-    memo: dict[str, Iri] = {}
+class _IriTable(dict):
+    """A document's IRI and CURIE strings -> their ``Iri``: each is resolved
+    against the document's prefixes (then the standard map) on its first
+    lookup. Looking up any other value raises ``ValueError``, or
+    ``TypeError`` when it is unhashable; so does a string no ``Iri``
+    accepts."""
 
-    def resolve(name: str, path: str) -> Iri:
+    __slots__ = ("_table",)
+
+    def __init__(self, prefixes: dict[str, str]):
+        super().__init__()
+        self._table = {**DEFAULT_PREFIXES, **prefixes}
+
+    def __missing__(self, name: str) -> Iri:
+        if not isinstance(name, str) or not name:
+            raise ValueError("expected a non-empty IRI string")
+        iri = self[name] = resolve_curie(name, self._table) if ":" in name else aieo(name)
+        return iri
+
+    def resolve(self, name: str, path: str) -> Iri:
+        """The name's ``Iri``, or :class:`SchemaViolation` at ``path``."""
         # Checked first: a malformed value may be an unhashable list.
         if not isinstance(name, str) or not name:
             raise SchemaViolation(path, "expected a non-empty IRI string")
-        iri = memo.get(name)
-        if iri is None:
-            try:
-                iri = resolve_curie(name, table) if ":" in name else aieo(name)
-            except ValueError as exc:
-                raise SchemaViolation(path, str(exc)) from None
-            memo[name] = iri
-        return iri
-
-    return resolve
+        try:
+            return self[name]
+        except ValueError as exc:
+            raise SchemaViolation(path, str(exc)) from None
 
 
 _MISSING = object()
@@ -173,6 +185,56 @@ _AXIOM_READERS = {
 }
 
 
+def _iri_set(value: Any, iris: _IriTable) -> frozenset[Iri]:
+    if type(value) is not list:
+        raise TypeError("expected list")
+    return frozenset(map(iris.__getitem__, value))
+
+
+def _literal(value: Any) -> AnnotationValue:
+    if type(value) is not dict or type(value["text"]) is not str:
+        raise TypeError("expected a literal object")
+    if len(value) == 1:
+        return AnnotationValue(value["text"], None)
+    tag = value["languageTag"]  # null is a fault, as an absent tag is not
+    if len(value) != 2 or type(tag) is not str:
+        raise TypeError("expected a literal object")
+    return AnnotationValue(value["text"], tag)
+
+
+# A field's value, read whole or not at all, by shape: the expression that
+# reads it from the member's JSON value (``{}``) and the document's IRI
+# table ``iris``.
+_FIELD_CODE = {
+    Iri: "iris[{}]",
+    frozenset: "iri_set({}, iris)",
+    EntityKind: "kinds[{}]",
+    AnnotationValue: "literal({})",
+}
+
+
+def _compiled_reader(row: AxiomType) -> Callable[[dict, _IriTable], Axiom]:
+    """The reader of the common case for the row's JSON kind: an object that
+    has its kind, every field and no other member -> its axiom, as
+    :func:`axiom_from_obj` reads it. It is one generated function that
+    builds no path and reads each field by key; any other object raises
+    ``KeyError``, ``TypeError`` or ``ValueError``."""
+    fields = ", ".join(_FIELD_CODE[f.shape].format(f"obj[{f.json!r}]") for f in row.fields)
+    # Each field is read by key, and "kind" was read already: a size that
+    # matches means no other member.
+    source = (f"def read(obj, iris):\n"
+              f"    if len(obj) != {len(row.fields) + 1}:\n"
+              f"        raise KeyError('a member missing or unknown')\n"
+              f"    return cls({fields})\n")
+    namespace = {"cls": row.cls, "iri_set": _iri_set, "kinds": _ENTITY_KIND_VALUES,
+                 "literal": _literal}
+    exec(source, namespace)
+    return namespace["read"]
+
+
+_COMPILED_READERS = {row.tag: _compiled_reader(row) for row in AXIOM_TYPES.values()}
+
+
 def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> Axiom:
     """The axiom an interchange object describes; ``path`` names the object
     in messages (``$.axioms[3]``, say). ``resolve(name, path)`` turns an IRI
@@ -206,9 +268,16 @@ def store_from_json(text: str) -> OntologyStore:
             check_prefix(prefix, base)
         except ValueError as exc:
             raise SchemaViolation(f"$.prefixes.{prefix}", str(exc)) from None
-    resolve = _resolver(prefixes)
-    axioms = [axiom_from_obj(obj, resolve, f"$.axioms[{i}]")
-              for i, obj in enumerate(_field(doc, "axioms", list, "$", []))]
+    iris = _IriTable(prefixes)
+    axioms = []
+    for i, obj in enumerate(_field(doc, "axioms", list, "$", [])):
+        try:
+            ax = _COMPILED_READERS[obj["kind"]](obj, iris)
+        except (KeyError, TypeError, ValueError):
+            # Not the common case: the fault-order walk reads the object,
+            # to the same axiom or to its first fault.
+            ax = axiom_from_obj(obj, iris.resolve, f"$.axioms[{i}]")
+        axioms.append(ax)
     # Declarations first; file order must not matter.
     declarations = [ax for ax in axioms if type(ax) is Declaration]
     rest = [ax for ax in axioms if type(ax) is not Declaration]
@@ -322,7 +391,7 @@ def store_to_json(store: OntologyStore) -> str:
 
 def parse_framework_document(text: str) -> FrameworkDocument:
     obj = _object(_loads(text), "$", {"id", "title", "sections", "conceptDeclarations"})
-    resolve = _resolver({})
+    resolve = _IriTable({}).resolve
     doc_id = resolve(_field(obj, "id", str, "$"), "$.id")
     title = _field(obj, "title", str, "$")
     sections = []
@@ -360,7 +429,7 @@ def parse_config(text: str) -> PipelineConfig:
     obj = _object(
         _loads(text), "$", {"extraction", "classificationMap", "confirmations", "threshold"}
     )
-    resolve = _resolver({})
+    resolve = _IriTable({}).resolve
 
     extraction = ExtractionConfig()
     if "extraction" in obj:

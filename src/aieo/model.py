@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -54,6 +54,11 @@ class EntityKind(Enum):
     ANNOTATION_PROPERTY = "AnnotationProperty"
     DATA_PROPERTY = "DataProperty"
     NAMED_INDIVIDUAL = "NamedIndividual"
+
+    # A member is equal only to itself, so its identity hash will do, in C:
+    # Enum's own hashes the name in Python, once per set or dict operation
+    # on a kind or on a declaration that holds one.
+    __hash__ = object.__hash__
 
 
 _LITERAL_ESCAPES = str.maketrans(
@@ -348,14 +353,6 @@ class AnnotationAssertion(Axiom, fields=(
 # Axiom-type table
 # ---------------------------------------------------------------------------
 
-# How a field value enters the sort key; IRIs enter as they are.
-_SORT_PART: dict[type, Callable] = {
-    frozenset: lambda v: tuple(sorted(v)),
-    EntityKind: attrgetter("value"),
-    AnnotationValue: lambda v: (v.text, v.language_tag or ""),
-}
-
-
 @dataclass(frozen=True, slots=True)
 class AxiomType:
     """Everything the library knows about one axiom type beyond its fields,
@@ -388,7 +385,7 @@ class AxiomType:
     subject_of: Callable[[Axiom], Iri] = field(init=False)
     triple: Callable[[Axiom], tuple] | None = field(init=False)  # if not symmetric
     pair: Callable[[Axiom], Iterable[Iri]] | None = field(init=False)  # if symmetric
-    sort_key: Callable[[Axiom], tuple] = field(init=False)
+    sort_key: Callable[[Axiom], tuple] = field(init=False)  # within the type
     # The axiom whose triple is ``subject predicate obj``; None when the
     # axiom has a field beyond the pair (its own ``prop``).
     from_pair: Callable[[Iri, Iri], Axiom] | None = field(init=False)
@@ -429,16 +426,26 @@ class AxiomType:
         return lambda ax: (s(ax), p, o(ax))
 
     def _make_sort_key(self) -> Callable[[Axiom], tuple]:
-        tag = self.tag
-        names = tuple(f.name for f in self.fields)
-        parts = tuple(_SORT_PART.get(f.shape) for f in self.fields)
-        if len(names) > 1 and not any(parts):  # IRIs only: the values are the key
-            values = attrgetter(*names)
-            return lambda ax: (tag, values(ax))
-        pairs = tuple(zip(names, parts))
-        return lambda ax: (tag, tuple(
-            getattr(ax, n) if part is None else part(getattr(ax, n)) for n, part in pairs
-        ))
+        """The key of the order within the type: the fields in field order,
+        a set as its sorted tuple, an entity kind by its value and a literal
+        as its text, then its language tag or "". An ``attrgetter`` wherever
+        no value needs more than reading."""
+        paths, tag = [], None
+        for f in self.fields:
+            if f.shape is frozenset:  # an equivalence: its set is its only field
+                members = attrgetter(f.name)
+                return lambda ax: tuple(sorted(members(ax)))
+            if f.shape is EntityKind:
+                paths.append(f"{f.name}._value_")  # Enum's .value is a Python property
+            elif f.shape is AnnotationValue:  # the last field
+                paths.append(f"{f.name}.text")
+                tag = attrgetter(f"{f.name}.language_tag")
+            else:
+                paths.append(f.name)
+        values = attrgetter(*paths)
+        if tag is None:
+            return values
+        return lambda ax: (*values(ax), tag(ax) or "")
 
     def _make_from_pair(self) -> Callable[[Iri, Iri], Axiom] | None:
         cls = self.cls
@@ -491,12 +498,16 @@ _RESERVED_PREDICATES = frozenset(
 )
 
 
+def _row_of(cls: type) -> AxiomType:
+    try:
+        return AXIOM_TYPES[cls]
+    except KeyError:
+        raise TypeError(f"unknown axiom type {cls.__name__}") from None
+
+
 def axiom_type(ax: Axiom) -> AxiomType:
     """The table row of the axiom's type."""
-    try:
-        return AXIOM_TYPES[type(ax)]
-    except KeyError:
-        raise TypeError(f"unknown axiom type {type(ax).__name__}") from None
+    return _row_of(type(ax))
 
 
 def axiom_subject(ax: Axiom) -> Iri:
@@ -505,25 +516,44 @@ def axiom_subject(ax: Axiom) -> Iri:
 
 
 def axiom_sort_key(ax: Axiom) -> tuple:
-    """Key of the deterministic total order: type name, then field values."""
-    return axiom_type(ax).sort_key(ax)
+    """Key of the deterministic total order over axioms. Axioms are ordered
+    by type name, then field by field in field order: IRIs as strings, a
+    set of IRIs as its sorted sequence, an entity kind by its value, and a
+    literal by its text, then its language tag, an untagged literal first."""
+    row = axiom_type(ax)
+    return (row.tag, row.sort_key(ax))
 
 
 def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:
-    """Deterministic total order over axioms, for output and diffing."""
-    return sorted(axioms, key=axiom_sort_key)
+    """The axioms in the order of :func:`axiom_sort_key`, for output and
+    diffing: grouped by type, the groups in type-name order, each sorted
+    with its row's key."""
+    groups: dict[type, list[Axiom]] = {}
+    for cls, run in groupby(axioms, type):  # a store yields one run per type
+        group = groups.get(cls)
+        if group is None:
+            groups[cls] = list(run)
+        else:
+            group.extend(run)
+    out: list[Axiom] = []
+    for row in sorted(map(_row_of, groups), key=attrgetter("tag")):
+        out += sorted(groups[row.cls], key=row.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
 
-def _index_under(index: dict[Iri, set[Axiom]], subject: Iri, ax: Axiom) -> None:
-    entry = index.get(subject)
-    if entry is None:
-        index[subject] = {ax}
-    else:
-        entry.add(ax)
+def _index_under(index: dict[Iri, set[Axiom]], subjects: Iterable[Iri],
+                 axioms: Iterable[Axiom]) -> None:
+    """Add each axiom to the index under its subject, taken in step."""
+    for subject, ax in zip(subjects, axioms):
+        entry = index.get(subject)
+        if entry is None:
+            index[subject] = {ax}
+        else:
+            entry.add(ax)
 
 
 class OntologyStore:
@@ -564,7 +594,8 @@ class OntologyStore:
     def declare(self, iri: Iri, kind: EntityKind) -> "OntologyStore":
         """Add a Declaration axiom. Idempotent; punning is rejected, and so
         are the predicates that axioms render to, which no entity may reuse."""
-        iri = Iri(iri)
+        if type(iri) is not Iri:
+            iri = Iri(iri)
         if iri in _RESERVED_PREDICATES:
             raise ValidationError(f"{iri} is a reserved predicate and cannot be declared")
         existing = self._kinds.get(iri)
@@ -621,7 +652,6 @@ class OntologyStore:
             for ax in axioms:  # raises the error the first failing add raises
                 self.add(ax)
             return
-        index = self._by_subject
         for row in rows:
             group = groups[row.cls]
             if row.members is not None:  # equivalence axioms merge one by one
@@ -629,9 +659,7 @@ class OntologyStore:
                     self.add(ax)
                 continue
             self._by_type[row.cls].update(group)
-            subject_of = row.subject_of
-            for ax in group:
-                _index_under(index, subject_of(ax), ax)
+            _index_under(self._by_subject, map(row.subject_of, group), group)
 
     def _references_declared(self, row: AxiomType, group: Iterable[Axiom]) -> bool:
         """Whether every IRI the axioms reference is declared with the kind
@@ -678,7 +706,7 @@ class OntologyStore:
         axioms.add(ax)
         if len(axioms) == size:
             return
-        _index_under(self._by_subject, row.subject_of(ax), ax)
+        _index_under(self._by_subject, (row.subject_of(ax),), (ax,))
         if row.members is not None:
             for iri in getattr(ax, row.members):
                 self._equivalence[iri] = ax

@@ -57,6 +57,10 @@ class RuleId(Enum):
     D1_DISJOINT_TYPING = "D1_DisjointTyping"
     D2_SAMEAS_DISJOINT = "D2_SameAsDisjoint"
 
+    # As for EntityKind: a member is equal only to itself, and Enum's own
+    # hash runs in Python, once per trace the sidecar writer looks up.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class _Rule:
@@ -114,9 +118,15 @@ class ConsistencyViolation:
     traces: tuple[InferenceTrace, ...]
 
 
-def _row_key(row: tuple[RuleId, tuple[Axiom, ...]]) -> tuple:
-    rule, premises = row
-    return (rule.value, tuple(map(axiom_sort_key, premises)))
+class _SortKeys(dict):
+    """Each axiom looked up -> its :func:`axiom_sort_key`, computed on the
+    first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, ax: Axiom) -> tuple:
+        key = self[ax] = axiom_sort_key(ax)
+        return key
 
 
 class Traces(Mapping):
@@ -126,18 +136,26 @@ class Traces(Mapping):
     per fact; the first read of a fact builds and sorts its traces and keeps
     them in place of the rows. Every derivation is found whatever the
     discovery order, so sorting makes equal stores yield identical tuples.
+    Rows are ordered by rule value, then premise by premise; each distinct
+    premise's sort key is computed once.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_premise_keys")
 
     def __init__(self, rows: dict[Axiom, list[tuple[RuleId, tuple[Axiom, ...]]]]):
         self._rows: dict[Axiom, list | tuple[InferenceTrace, ...]] = rows
+        self._premise_keys = _SortKeys()
+
+    def _row_key(self, row: tuple[RuleId, tuple[Axiom, ...]]) -> tuple:
+        rule, premises = row
+        # Enum's .value is a Python property; _value_ is a plain attribute.
+        return (rule._value_, tuple(map(self._premise_keys.__getitem__, premises)))
 
     def __getitem__(self, fact: Axiom) -> tuple[InferenceTrace, ...]:
         rows = self._rows[fact]
         if type(rows) is list:
             if len(rows) > 1:
-                rows.sort(key=_row_key)
+                rows.sort(key=self._row_key)
             rows = self._rows[fact] = tuple(
                 [InferenceTrace(fact, rule, premises) for rule, premises in rows]
             )

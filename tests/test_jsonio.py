@@ -445,6 +445,136 @@ def test_store_reader_matches_the_fault_order_reference():
             "unknown axiom kind", "expected a non-empty IRI string"} <= outcomes, outcomes
 
 
+# A valid document with an object of every kind: objects a reader of the
+# common case takes whole, each a base for one fault.
+_EVERY_KIND = (
+    {"kind": "Declaration", "iri": "A", "entityKind": "OwlClass"},
+    {"kind": "Declaration", "iri": "ex:B", "entityKind": "OwlClass"},
+    {"kind": "Declaration", "iri": "https://example.org/C", "entityKind": "OwlClass"},
+    {"kind": "Declaration", "iri": "p", "entityKind": "ObjectProperty"},
+    {"kind": "Declaration", "iri": "q", "entityKind": "ObjectProperty"},
+    {"kind": "Declaration", "iri": "x", "entityKind": "NamedIndividual"},
+    {"kind": "Declaration", "iri": "y", "entityKind": "NamedIndividual"},
+    {"kind": "Declaration", "iri": "note", "entityKind": "AnnotationProperty"},
+    {"kind": "SubClassOf", "sub": "A", "sup": "ex:B"},
+    {"kind": "EquivalentClasses", "classes": ["A", "ex:C"]},
+    {"kind": "DisjointClasses", "a": "ex:B", "b": "ex:C"},
+    {"kind": "SubObjectPropertyOf", "sub": "p", "sup": "q"},
+    {"kind": "EquivalentObjectProperties", "properties": ["q", "p"]},
+    {"kind": "ObjectPropertyRange", "prop": "p", "cls": "A"},
+    {"kind": "ObjectPropertyDomain", "prop": "p", "cls": "ex:B"},
+    {"kind": "ClassAssertion", "cls": "A", "ind": "x"},
+    {"kind": "ObjectPropertyAssertion", "subject": "x", "prop": "p", "object": "y"},
+    {"kind": "SameIndividual", "a": "y", "b": "x"},
+    {"kind": "AnnotationAssertion", "subject": "x", "annProp": "note", "value": {"text": "t"}},
+    {"kind": "AnnotationAssertion", "subject": "ex:C", "annProp": "note",
+     "value": {"text": "t", "languageTag": "en"}},
+)
+_EX = {"ex": "https://example.org/"}
+
+
+def _every_kind_with(i: int, change) -> str:
+    """The document with ``change`` applied to a copy of object ``i``."""
+    axioms = copy.deepcopy(list(_EVERY_KIND))
+    change(axioms[i])
+    return _doc_with_axioms(*axioms, prefixes=_EX)
+
+
+def _as_the_reference_reads(text: str):
+    outcome = _read_outcome(store_from_json, text)
+    assert outcome == _read_outcome(reference_store_from_json, text), text
+    return outcome
+
+
+def _set(key, value, inside=None):
+    def change(obj):
+        (obj if inside is None else obj[inside])[key] = value
+    return change
+
+
+def test_every_kind_document_reads_as_the_reference_does():
+    outcome = _as_the_reference_reads(_doc_with_axioms(*_EVERY_KIND, prefixes=_EX))
+    assert len(outcome[0]) == len(_EVERY_KIND)
+
+
+def test_a_null_language_tag_is_a_fault_where_an_absent_one_is_not():
+    for i in (18, 19):
+        outcome = _as_the_reference_reads(_every_kind_with(i, _set("languageTag", None, "value")))
+        assert outcome == ("SchemaViolation", f"$.axioms[{i}].value.languageTag: expected str")
+
+
+@pytest.mark.parametrize("value", [True, 1, 0, False, None, 2.5])
+def test_a_non_string_where_a_string_is_expected(value):
+    for i, obj in enumerate(_EVERY_KIND):
+        for key in obj:
+            assert _as_the_reference_reads(_every_kind_with(i, _set(key, value)))[0] == (
+                "SchemaViolation")
+        if "value" in obj:
+            for key in ("text", "languageTag"):
+                assert _as_the_reference_reads(
+                    _every_kind_with(i, _set(key, value, "value")))[0] == "SchemaViolation"
+
+
+@pytest.mark.parametrize("key", ["kind", "entityKind"])
+@pytest.mark.parametrize("value", [["Declaration"], ["OwlClass"], [], {"kind": "Declaration"}])
+def test_a_list_or_object_as_a_kind(key, value):
+    for i in range(len(_EVERY_KIND)):
+        outcome = _as_the_reference_reads(_every_kind_with(i, _set(key, value)))
+        assert outcome[0] == "SchemaViolation"
+
+
+@pytest.mark.parametrize("member", [1, True, None, 2.5, "", ["A"], {"iri": "A"}, "a>b"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_bad_member_of_an_equivalence_list(member, at):
+    for i, key in ((9, "classes"), (12, "properties")):
+        def change(obj, key=key):
+            obj[key].insert(at, member)
+        outcome = _as_the_reference_reads(_every_kind_with(i, change))
+        assert outcome[0] == "SchemaViolation" and outcome[1].startswith(f"$.axioms[{i}].{key}[")
+
+
+@pytest.mark.parametrize("value", ["A", "AC", {"A": 1, "ex:C": 2}, ("A", "ex:C")])
+def test_a_string_or_an_object_where_a_list_is_expected(value):
+    # Each iterates as a list of strings would; a tuple is written as a list.
+    for i, key in ((9, "classes"), (12, "properties")):
+        outcome = _as_the_reference_reads(_every_kind_with(i, _set(key, value)))
+        if isinstance(value, tuple):
+            assert outcome[0] != "SchemaViolation"
+        else:
+            assert outcome == ("SchemaViolation", f"$.axioms[{i}].{key}: expected list")
+
+
+@pytest.mark.parametrize("extra", ["x", "", "Kind", "iri", "text"])
+def test_an_extra_member_on_an_otherwise_valid_object(extra):
+    for i, obj in enumerate(_EVERY_KIND):
+        if extra not in obj:
+            assert _as_the_reference_reads(_every_kind_with(i, _set(extra, "A"))) == (
+                "SchemaViolation", f"$.axioms[{i}].{extra}: unknown field")
+        if extra not in obj.get("value", {extra: None}):
+            assert _as_the_reference_reads(_every_kind_with(i, _set(extra, "t", "value"))) == (
+                "SchemaViolation", f"$.axioms[{i}].value.{extra}: unknown field")
+
+
+@pytest.mark.parametrize("first", [
+    {"kind": "SubClassOf", "sub": "D", "sup": 5},  # D resolved, then a fault
+    {"kind": "SubClassOf", "sub": "D", "sup": "A", "x": 1},
+    {"kind": "DisjointClasses", "a": "D", "b": "D"},  # a constructor fault
+    {"kind": "EquivalentClasses", "classes": ["D", "A", None]},
+    {"kind": "AnnotationAssertion", "subject": "D", "annProp": "note", "value": {"text": ""}},
+    {"kind": "ClassAssertion", "cls": "D", "ind": "z"},  # z is never declared
+    {"kind": "ClassAssertion", "cls": "D>", "ind": "x"},
+    {"kind": "Declaration", "iri": "D", "entityKind": "Class"},
+])
+def test_an_iri_seen_first_in_a_faulty_object_then_in_a_valid_one(first):
+    later = ({"kind": "Declaration", "iri": "D", "entityKind": "OwlClass"},
+             {"kind": "SubClassOf", "sub": "D", "sup": "A"},
+             {"kind": "ClassAssertion", "cls": "D", "ind": "x"})
+    text = _doc_with_axioms(first, *_EVERY_KIND, *later, prefixes=_EX)
+    assert _as_the_reference_reads(text)[0] in ("SchemaViolation", "UndeclaredEntity")
+    valid = _doc_with_axioms(*_EVERY_KIND, *later, prefixes=_EX)
+    assert ClassAssertion(aieo("D"), aieo("x")) in _as_the_reference_reads(valid)[0]
+
+
 # ---------------------------------------------------------------------------
 # Framework documents
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from aieo.model import (
     SameIndividual,
     SubClassOf,
     SubObjectPropertyOf,
+    axiom_sort_key,
     compute_metrics,
     sorted_axioms,
 )
@@ -442,18 +443,32 @@ def test_sorted_axioms_is_insertion_order_free():
     assert orders[0] == orders[1] == orders[2]
 
 
-# Annotations that differ only in their literal's language tag.
+# Annotations whose literals have equal text, tagged and untagged, under
+# subjects and properties that tie and that do not.
 _TAGGED = {
-    AnnotationAssertion(ex("x"), ex("note"), AnnotationValue("v", tag))
-    for tag in (None, "de", "en")
+    AnnotationAssertion(ex(subject), ex(prop), AnnotationValue(text, tag))
+    for subject in ("x", "y") for prop in ("note", "label")
+    for text in ("v", "v-", "w") for tag in (None, "de", "en", "en-GB")
+}
+# Equivalences whose sets share their least member, and so tie on it.
+_SHARED_LEAST = {
+    cls(frozenset(map(ex, names)))
+    for cls in (EquivalentClasses, EquivalentObjectProperties)
+    for names in ("AB", "AC", "ABC", "ABD", "AD", "BC", "AZ", "ABCD")
 }
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sorted_axioms_matches_reference_order(seed):
     for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
-        facts = store.axioms | materialize(store).inferred | _TAGGED
-        assert sorted_axioms(facts) == sorted(facts, key=reference_sort_key)
+        facts = store.axioms | materialize(store).inferred | _TAGGED | _SHARED_LEAST
+        expected = sorted(facts, key=reference_sort_key)
+        assert sorted_axioms(facts) == expected
+        assert sorted(facts, key=axiom_sort_key) == expected
+        # Types interleaved, with repeats, as a list rather than a store.
+        shuffled = list(facts) + random.Random(seed).sample(sorted(facts, key=repr), 20)
+        random.Random(seed).shuffle(shuffled)
+        assert sorted_axioms(shuffled) == sorted(shuffled, key=reference_sort_key)
 
 
 def _concrete_axiom_types() -> set[type]:
