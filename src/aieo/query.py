@@ -265,24 +265,30 @@ class _TripleIndex:
             by_obj[t[2]].append(t)
         self.by_position = (by_subj, by_pred, by_obj)
 
-    def candidates(self, pattern: TriplePattern, binding: Binding) -> list[Triple]:
-        """The shortest posting list among the positions the pattern or the
-        binding fixes; every triple when none is fixed."""
-        best = self.all
-        for postings, term in zip(
-            self.by_position, (pattern.subject, pattern.predicate, pattern.object)
-        ):
-            if isinstance(term, Variable):
-                term = binding.get(term)
-                if term is None:
-                    continue
-            found = postings.get(term, ())
+    def candidates(self, fixed: list[tuple[int, "Iri | AnnotationValue"]]) -> list[Triple]:
+        """Exactly the triples that hold each ``(position, term)`` of
+        ``fixed``: the shortest of their posting lists (every triple when
+        none is fixed), filtered on the other positions."""
+        best, best_at = self.all, None
+        for at, term in fixed:
+            found = self.by_position[at].get(term, ())
             if len(found) < len(best):
-                best = found
+                best, best_at = found, at
+        for at, term in fixed:
+            if at != best_at:
+                best = [t for t in best if t[at] == term]
         return best
 
     def count(self, pattern: TriplePattern) -> int:
-        return len(self.candidates(pattern, {}))
+        """The length of the shortest posting list among the pattern's
+        constant positions (every triple when it has none)."""
+        return min(
+            (len(postings.get(term, ()))
+             for postings, term in zip(
+                 self.by_position, (pattern.subject, pattern.predicate, pattern.object))
+             if not isinstance(term, Variable)),
+            default=len(self.all),
+        )
 
 
 def _index_of(mat: Materialization) -> _TripleIndex:
@@ -294,22 +300,25 @@ def _index_of(mat: Materialization) -> _TripleIndex:
     return mat._triple_index
 
 
-def _match(pattern: TriplePattern, triple: Triple, binding: Binding) -> Binding | None:
-    extended = binding
-    for term, value in zip(
-        (pattern.subject, pattern.predicate, pattern.object), triple
-    ):
-        if isinstance(term, Variable):
-            bound = extended.get(term)
-            if bound is None:
-                if extended is binding:
-                    extended = dict(binding)
-                extended[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return extended if extended is not binding else dict(binding)
+def _plan(pattern: TriplePattern, bound: set[Variable]) -> tuple[list, list, list, list]:
+    """What the pattern needs at its join level, given the variables that
+    earlier patterns bound (the same for every binding at that level): its
+    constant ``(position, term)`` pairs, its joined ``(position, variable)``
+    pairs, its free ``(variable, position)`` pairs, and the
+    ``(first, again)`` positions of a free variable that it repeats."""
+    constants, joined, free, repeats = [], [], [], []
+    first: dict[Variable, int] = {}
+    for at, term in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+        if not isinstance(term, Variable):
+            constants.append((at, term))
+        elif term in bound:
+            joined.append((at, term))
+        elif term in first:
+            repeats.append((first[term], at))
+        else:
+            first[term] = at
+            free.append((term, at))
+    return constants, joined, free, repeats
 
 
 def evaluate(query: Query, mat: Materialization) -> ResultSet:
@@ -319,25 +328,34 @@ def evaluate(query: Query, mat: Materialization) -> ResultSet:
     # Most-selective-first: joins are commutative, so any order is sound.
     patterns = sorted(query.patterns, key=index.count)
     bindings: list[Binding] = [{}]
+    bound: set[Variable] = set()
     for pattern in patterns:
-        next_bindings: list[Binding] = []
+        constants, joined, free, repeats = _plan(pattern, bound)
+        bound.update(v for v, _ in free)
+        grown: list[Binding] = []
         for binding in bindings:
-            for triple in index.candidates(pattern, binding):
-                extended = _match(pattern, triple, binding)
-                if extended is not None:
-                    next_bindings.append(extended)
-        bindings = next_bindings
+            triples = index.candidates(constants + [(at, binding[v]) for at, v in joined])
+            for first, again in repeats:
+                triples = [t for t in triples if t[first] == t[again]]
+            for t in triples:
+                extended = binding.copy()
+                for v, at in free:
+                    extended[v] = t[at]
+                grown.append(extended)
+        bindings = grown
         if not bindings:
             break
-    rows = [
-        {v: b[v] for v in query.projected_variables}
-        for b in bindings
-    ]
+    projected = query.projected_variables
+    rows = [{v: b[v] for v in projected} for b in bindings]
+    key_of = {term: term_key(term) for term in {t for row in rows for t in row.values()}}
+
+    def row_key(row: Binding) -> tuple:
+        return tuple([key_of[row[v]] for v in projected])
+
     if query.distinct:
-        unique = {tuple(term_key(r[v]) for v in query.projected_variables): r for r in rows}
-        rows = list(unique.values())
-    rows.sort(key=lambda r: tuple(term_key(r[v]) for v in query.projected_variables))
-    return ResultSet(query.projected_variables, tuple(rows))
+        rows = list({row_key(r): r for r in rows}.values())
+    rows.sort(key=row_key)
+    return ResultSet(projected, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,15 @@ def _mutate_members(rng: random.Random, obj: dict) -> None:
 
 def _mutate_axiom(rng: random.Random, axioms: list, i: int) -> None:
     ax = axioms[i]
+    lists = [key for key, value in ax.items() if type(value) is list] if type(ax) is dict else []
+    if lists and rng.random() < 0.5:
+        # A whole list-valued member becomes a string or an object, each of
+        # which iterates as a list of strings would.
+        key = rng.choice(lists)
+        items = [str(item) for item in ax[key]]
+        ax[key] = rng.choice(("".join(items), "".join(item[-1:] for item in items),
+                              dict.fromkeys(items, 1)))
+        return
     op = rng.randrange(8)
     if not isinstance(ax, dict) or op == 3:
         axioms[i] = _other_value(rng)
@@ -427,6 +436,7 @@ def test_store_reader_matches_the_fault_order_reference():
     bases += [store_to_json(_with_odd_text(random_small_store(seed, max_axioms=20), seed))
               for seed in range(4, 6)]
     bases.append(store_to_json(random_linked_store(1)))
+    bases.append(_doc_with_axioms(*_EVERY_KIND, prefixes=_EX))  # list-valued members
     rng = random.Random(1812)
     outcomes = set()
     for n in range(3000):

@@ -20,6 +20,7 @@ from aieo.model import (
     ObjectPropertyAssertion,
     SameIndividual,
     render_literal,
+    term_key,
 )
 from aieo.query import (
     CANNED_QUERY_NAMES,
@@ -39,6 +40,7 @@ from aieo.schema import (
     CONCEPT_LINK_PROPERTIES,
     OWL_SAME_AS,
     RDF_TYPE,
+    RDFS_SUBCLASSOF,
     REFERENCE,
     SHORT_DESCRIPTION,
     aieo,
@@ -412,6 +414,12 @@ def test_evaluation_matches_brute_force():
             got_keys = Counter(frozenset(row.items()) for row in got.rows)
             want_keys = Counter(frozenset(row) for row in want)
             assert got_keys == want_keys, (seed, query)
+            _assert_rows_in_term_key_order(got)
+
+
+def _assert_rows_in_term_key_order(rs):
+    keys = [tuple(term_key(row[v]) for v in rs.variables) for row in rs.rows]
+    assert keys == sorted(keys)
 
 
 def _index_path_queries(rng, triples):
@@ -439,6 +447,58 @@ def _index_path_queries(rng, triples):
     return queries
 
 
+def _join_shape_queries(rng, triples):
+    """Three- and four-pattern stars, chains and cycles, and the pattern
+    kinds a join plan treats apart: a variable predicate shared by two
+    patterns, a variable repeated in a pattern whose other position an
+    earlier pattern binds, a pattern every position of which is fixed by
+    its turn, and one with none fixed. Constant predicates follow a walk
+    through the triples, so most shapes match."""
+    x, y, z, w, v, c, d, e, p, q = (Variable(n) for n in "xyzwvcdepq")
+    ordered = sorted(triples, key=repr)
+    by_subject = {}
+    for t in ordered:
+        by_subject.setdefault(t[0], []).append(t)
+    first = rng.choice(ordered)
+    second = rng.choice(by_subject.get(first[2], ordered))
+    third = rng.choice(by_subject.get(second[2], ordered))
+    p1, p2 = first[1], second[1]
+    p3 = rng.choice(by_subject[first[0]])[1]
+    s0, o0 = first[0], first[2]
+    loop = rng.choice([t for t in ordered if t[0] == t[2]] or ordered)
+    into_loop = rng.choice([t for t in ordered if t[2] == loop[0]] or ordered)
+    return [
+        # chains
+        ((x, z), [TriplePattern(x, p1, y), TriplePattern(y, p2, z), TriplePattern(z, p, w)]),
+        ((x, w, v), [TriplePattern(x, p1, y), TriplePattern(y, p2, z),
+                     TriplePattern(z, third[1], w), TriplePattern(w, p, v)]),
+        # stars
+        ((x, y, z), [TriplePattern(x, p1, y), TriplePattern(x, p3, z),
+                     TriplePattern(x, RDF_TYPE, c)]),
+        ((x, w), [TriplePattern(x, p1, o0), TriplePattern(x, p3, z),
+                  TriplePattern(x, RDF_TYPE, c), TriplePattern(x, p, w)]),
+        # cycles
+        ((x, c, d), [TriplePattern(x, RDF_TYPE, c), TriplePattern(c, RDFS_SUBCLASSOF, d),
+                     TriplePattern(x, RDF_TYPE, d)]),
+        ((x, d, e), [TriplePattern(x, RDF_TYPE, c), TriplePattern(c, RDFS_SUBCLASSOF, d),
+                     TriplePattern(e, RDFS_SUBCLASSOF, d), TriplePattern(x, RDF_TYPE, e)]),
+        ((x, y, z), [TriplePattern(x, p1, y), TriplePattern(y, p2, z), TriplePattern(z, q, x)]),
+        # a variable predicate shared by two patterns
+        ((p, y, x), [TriplePattern(s0, p, y), TriplePattern(x, p, o0)]),
+        ((x, p, z), [TriplePattern(x, p, y), TriplePattern(y, p, z)]),
+        # a repeated variable beside a position bound earlier (?p joins, ?z
+        # repeats), a variable joined at two positions, and a reflexive triple
+        ((x, p, z), [TriplePattern(x, p, y), TriplePattern(z, p, z)]),
+        ((x, y, q), [TriplePattern(x, p1, y), TriplePattern(y, q, y)]),
+        ((x, y), [TriplePattern(x, into_loop[1], y), TriplePattern(y, loop[1], y)]),
+        # every position fixed: by constants, then by earlier patterns
+        ((x,), [TriplePattern(s0, p1, o0), TriplePattern(x, p1, o0)]),
+        ((y, q), [TriplePattern(s0, p1, y), TriplePattern(s0, q, z), TriplePattern(y, q, z)]),
+        # none fixed: the second pattern shares nothing
+        ((x, q), [TriplePattern(x, p1, o0), TriplePattern(y, q, z)]),
+    ]
+
+
 def test_index_paths_match_brute_force():
     matched = set()
     for seed in range(8):
@@ -446,19 +506,22 @@ def test_index_paths_match_brute_force():
             mat = materialize(store)
             triples = flatten_triples(store, _assertion_facts(mat))
             rng = random.Random(seed + 9100)
-            for n, (projected, patterns) in enumerate(_index_path_queries(rng, triples)):
+            queries = [*_join_shape_queries(rng, triples), *_index_path_queries(rng, triples)]
+            for n, (projected, patterns) in enumerate(queries):
                 distinct = (seed + n) % 2 == 0
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                    warnings.simplefilter("ignore")  # some shapes are cartesian products
                     query = Query(projected, tuple(patterns), distinct=distinct)
                 got = evaluate(query, mat)
                 want = brute_force_evaluate(patterns, projected, triples, distinct)
                 assert Counter(frozenset(r.items()) for r in got.rows) == Counter(
                     frozenset(r) for r in want
                 ), (seed, query)
+                _assert_rows_in_term_key_order(got)
                 if want:
-                    matched.add(n)
-    assert matched == set(range(9))  # every query shape matched somewhere
+                    matched.add((n, distinct))
+    # every query shape matched somewhere, with DISTINCT and without
+    assert matched == {(n, d) for n in range(24) for d in (False, True)}
 
 
 def test_index_is_built_once_per_materialization(monkeypatch):
