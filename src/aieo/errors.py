@@ -12,10 +12,9 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: str = "error"  # "error" or "warning"
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class AieoError(Exception):

@@ -26,17 +26,18 @@ from .errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationErro
 
 class Iri(str):
     """An absolute IRI. Behaves as a string; the subclass marks intent and
-    admits only what the Turtle and JSON writers can write back: a
-    non-empty text without '>' or a line break, a carriage return included
-    (a file read takes it for one)."""
+    admits only what the Turtle and JSON writers can write back, and what
+    query TSV can print in one field: a non-empty text without '>', a tab
+    or a line break, a carriage return included (a file read takes it for
+    one)."""
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
         if not value:
             raise ValueError("IRI must be non-empty")
-        if ">" in value or "\n" in value or "\r" in value:
-            raise ValueError("an IRI cannot contain '>' or a line break")
+        if ">" in value or "\t" in value or "\n" in value or "\r" in value:
+            raise ValueError("an IRI cannot contain '>', a tab or a line break")
         return super().__new__(cls, value)
 
     @property

@@ -279,52 +279,47 @@ def explain(mat: Materialization, fact: Axiom) -> list[InferenceTrace]:
 
 def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     """One violation per (sameAs-merged individual, asserted disjoint pair)
-    whose merged membership covers both classes."""
+    whose merged membership covers both classes.
+
+    R6 copies every class assertion across a sameAs block, so each member's
+    closed membership is the block's merged one: the check walks the
+    classes of each block's least member against ``partners`` (each class
+    -> the greater class of each disjoint pair it is the lesser of), so it
+    costs Σ memberships × partners.
+    """
+    partners: dict[Iri, list[Iri]] = defaultdict(list)
+    for dj in mat.base.axioms_of(DisjointClasses):
+        partners[dj.a].append(dj.b)
     memberships: dict[Iri, set[Iri]] = defaultdict(set)
     for fact in mat.class_assertions():
         memberships[fact.ind].add(fact.cls)
-    if not memberships:
-        return []
 
     def free_membership(cls: Iri, ind: Iri) -> bool:
         fact = ClassAssertion(cls, ind)
         return fact in mat.base or fact in mat.sameas_free
 
     violations: list[ConsistencyViolation] = []
-    disjoints = sorted(mat.base.axioms_of(DisjointClasses), key=lambda d: (d.a, d.b))
     for members in equivalence_classes(mat.base, EntityKind.NAMED_INDIVIDUAL):
-        block = sorted(m for m in members if m in memberships)
-        if not block:
-            continue
-        merged: set[Iri] = set()
-        for ind in block:
-            merged |= memberships[ind]
-        for dj in disjoints:
-            if dj.a not in merged or dj.b not in merged:
-                continue
-            witnesses = [
-                ind
-                for ind in block
-                if free_membership(dj.a, ind) and free_membership(dj.b, ind)
-            ]
-            if witnesses:
-                rule, individual = RuleId.D1_DISJOINT_TYPING, witnesses[0]
-            else:
-                rule, individual = RuleId.D2_SAMEAS_DISJOINT, block[0]
-            support = [
-                trace
-                for cls in (dj.a, dj.b)
-                for trace in explain(mat, ClassAssertion(cls, individual))
-            ]
-            violations.append(
-                ConsistencyViolation(
-                    individual=individual,
-                    class_a=dj.a,
-                    class_b=dj.b,
-                    rule=rule,
-                    traces=tuple(support),
+        block = sorted(members)
+        classes = memberships.get(block[0], ())
+        for a in classes:
+            for b in partners.get(a, ()):
+                if b not in classes:
+                    continue
+                # D1 at the least member in both classes without sameAs,
+                # else D2 at the block's least member.
+                witness = next(
+                    (ind for ind in block if free_membership(a, ind) and free_membership(b, ind)),
+                    None,
                 )
-            )
+                rule = RuleId.D1_DISJOINT_TYPING if witness else RuleId.D2_SAMEAS_DISJOINT
+                individual = witness or block[0]
+                support = [
+                    trace
+                    for cls in (a, b)
+                    for trace in explain(mat, ClassAssertion(cls, individual))
+                ]
+                violations.append(ConsistencyViolation(individual, a, b, rule, tuple(support)))
     violations.sort(key=lambda v: (v.individual, v.class_a, v.class_b))
     return violations
 

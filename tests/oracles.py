@@ -1053,6 +1053,38 @@ def random_small_store(seed: int, *, max_axioms: int = 60) -> OntologyStore:
     return store
 
 
+def random_wide_store(seed: int) -> OntologyStore:
+    """A from-scratch store with a wide schema: 20-40 classes in a random
+    subclass forest, many disjoint pairs, one or two types per individual,
+    and sameAs links, some of which join an individual typed with one half
+    of a disjoint pair to one typed with the other."""
+    rng = random.Random(seed)
+    store = OntologyStore({"ex": "https://example.org/"})
+    ex = lambda n: Iri(f"https://example.org/{n}")
+    classes = [ex(f"C{n:02d}") for n in range(rng.randint(20, 40))]
+    individuals = [ex(f"x{n:02d}") for n in range(rng.randint(8, 16))]
+    for iri in classes:
+        store.declare(iri, EntityKind.OWL_CLASS)
+    for iri in individuals:
+        store.declare(iri, EntityKind.NAMED_INDIVIDUAL)
+    for n, sub in enumerate(classes[1:], 1):
+        if rng.random() < 0.6:
+            store.add(SubClassOf(sub, rng.choice(classes[:n])))
+    pairs = [DisjointClasses(*rng.sample(classes, 2)) for _ in range(rng.randint(10, 60))]
+    store.update(pairs)
+    for ind in individuals:
+        for cls in rng.sample(classes, rng.randint(1, 2)):
+            store.add(ClassAssertion(cls, ind))
+    for _ in range(rng.randint(1, 4)):
+        pair, (x, y) = rng.choice(pairs), rng.sample(individuals, 2)
+        store.add(ClassAssertion(pair.a, x))
+        store.add(ClassAssertion(pair.b, y))
+        store.add(SameIndividual(x, y))
+    for _ in range(rng.randint(0, 4)):
+        store.add(SameIndividual(*rng.sample(individuals, 2)))
+    return store
+
+
 def with_prefixes(store: OntologyStore, prefixes: dict[str, str]) -> OntologyStore:
     """A new store with the prefix map ``prefixes`` and the axioms of
     ``store``: a store's prefixes are fixed when it is built."""

@@ -441,6 +441,20 @@ def test_query_json_format(run, seed_file):
     assert len(json.loads(out)) == 19
 
 
+def test_an_iri_holding_a_tab_exits_parse_error_before_any_row(run, tmp_path):
+    # A tab in an IRI would split its TSV field in two.
+    path = tmp_path / "tab.ttl"
+    path.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "<https://e/a\tb> a owl:Class .\n<https://e/c> a owl:Class .\n"
+    )
+    code, out, err = run(
+        "query", str(path), "--text", "SELECT ?x ?y WHERE { ?x a owl:Class . ?y a owl:Class }"
+    )
+    assert (code, out) == (ExitStatus.PARSE_ERROR, "")
+    assert err == "2:1: error: an IRI cannot contain '>', a tab or a line break\n"
+
+
 def test_query_bad_text_exits_parse_error(run, seed_file):
     code, _, err = run("query", seed_file, "--text", "SELECT bogus")
     assert code == 1 and "1:" in err
@@ -502,7 +516,10 @@ def test_internal_error_is_one_stderr_line(seed_file, monkeypatch, capsys):
 def test_canned_query_argument_that_is_no_iri_exits_validation_error(run, seed_file):
     code, _, err = run("query", seed_file, "--ask", "describe_concept", "--arg", "https://e/a\rb")
     assert code == ExitStatus.VALIDATION_ERROR
-    assert err == "error: an IRI cannot contain '>' or a line break\n"
+    assert err == "error: an IRI cannot contain '>', a tab or a line break\n"
+    code, _, err = run("query", seed_file, "--ask", "describe_concept", "--arg", "https://e/a\tb")
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert err == "error: an IRI cannot contain '>', a tab or a line break\n"
 
 
 def test_canned_query_resolves_curie_argument(run, tmp_path):

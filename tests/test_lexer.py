@@ -31,6 +31,7 @@ from oracles import (
 )
 
 P = "@prefix ex: <https://example.org/> .\n"
+_NO_IRI = "an IRI cannot contain '>', a tab or a line break"
 
 TURTLE_DIAGNOSTICS = [
     # (text, exception, message, line, column)
@@ -91,6 +92,8 @@ TURTLE_DIAGNOSTICS = [
     (P + "ex:a . ex:b", ParseError, "expected a predicate", 2, 6),
     (P + '"x" ex:p ex:b .', ParseError, "a literal cannot be a subject", 2, 1),
     (P + 'ex:a ex:p "" .', ParseError, "empty literal", 2, 11),
+    (P + "ex:a ex:p <https://example.org/a\tb> .", ParseError, _NO_IRI, 2, 11),
+    ("@prefix ex: <https://example.org/\t> .", ParseError, _NO_IRI, 1, 13),
     # An axiom that cannot be built is reported at its object.
     ("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n" + P
      + "ex:A a owl:Class . ex:B a owl:Class .\nex:A owl:disjointWith ex:B ,\n  ex:A .",
@@ -136,6 +139,7 @@ QUERY_DIAGNOSTICS = [
     ("SELECT ?x WHERE { ?x . ?y }", ParseError, "expected a predicate", 1, 22),
     ('SELECT ?x WHERE { "x" a ?x }', ParseError, "a literal cannot be a subject", 1, 19),
     ('SELECT ?x WHERE { ?x a "" }', ParseError, "empty literal", 1, 24),
+    ("SELECT ?x WHERE { ?x a <https://e/a\tb> }", ParseError, _NO_IRI, 1, 24),
 ]
 
 
@@ -154,6 +158,16 @@ def test_turtle_diagnostics_are_pinned(text, exc, message, line, column):
 @pytest.mark.parametrize("text,exc,message,line,column", QUERY_DIAGNOSTICS)
 def test_query_diagnostics_are_pinned(text, exc, message, line, column):
     assert _diagnostic(parse_query, text) == (exc, message, line, column)
+
+
+@pytest.mark.parametrize("parse, reference, text", [
+    (parse_turtle, reference_parse_turtle, P + "ex:a ex:p <https://example.org/a\tb> ."),
+    (parse_turtle, reference_parse_turtle, "@prefix ex: <https://example.org/\t> ."),
+    (parse_query, reference_parse_query, "SELECT ?x WHERE { ?x a <https://e/a\tb> }"),
+])
+def test_a_tab_in_an_iri_reads_as_the_reference_reads_it(parse, reference, text):
+    # Turtle's IRIREF excludes the tab though the scanner's IRI token takes it.
+    assert _outcome(parse, text) == _outcome(reference, text)
 
 
 def test_scan_yields_offsets_and_decoded_values():

@@ -66,9 +66,11 @@ def test_iri_local_name():
     assert Iri("https://example.org/just/path").local == "path"
 
 
-@pytest.mark.parametrize("text", ["https://e/a>b", "https://e/a\nb", "https://e/a\rb"])
+@pytest.mark.parametrize(
+    "text", ["https://e/a>b", "https://e/a\nb", "https://e/a\rb", "https://e/a\tb"]
+)
 def test_iri_rejects_what_the_writers_cannot_write_back(text):
-    with pytest.raises(ValueError, match="an IRI cannot contain '>' or a line break"):
+    with pytest.raises(ValueError, match="an IRI cannot contain '>', a tab or a line break"):
         Iri(text)
 
 
@@ -250,11 +252,12 @@ _BAD_NAME = "expected a prefix name: a letter or '_', then letters, digits, '_' 
         ({1: "https://e/"}, _BAD_NAME),
         ({"e": ""}, "expected a non-empty string"),
         ({"e": 5}, "expected a non-empty string"),
-        ({"e": "https://e/a>"}, "an IRI cannot contain '>' or a line break"),
+        ({"e": "https://e/a>"}, "an IRI cannot contain '>', a tab or a line break"),
         # The base's type, then the name, then the base as an IRI.
         ({"x.y": ""}, "expected a non-empty string"),
         ({"x.y": "https://e/\r"}, _BAD_NAME),
         ({"ok": "https://e/", "x.y": "https://e/"}, _BAD_NAME),
+        ({"e": "https://e/a\tb"}, "an IRI cannot contain '>', a tab or a line break"),
     ],
 )
 def test_store_checks_each_prefix_at_construction(prefixes, message):

@@ -126,7 +126,8 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_query(text)
     diag = exc.value.diagnostics[0]
-    assert (diag.line, diag.severity) == (2, "error")
+    assert diag.line == 2
+    assert str(diag) == "2:6: error: unexpected character '='"
 
 
 @pytest.mark.parametrize(

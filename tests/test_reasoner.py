@@ -34,6 +34,7 @@ from oracles import (
     random_linked_store,
     random_small_store,
     random_store,
+    random_wide_store,
     reference_traces_to_json,
 )
 
@@ -252,9 +253,12 @@ def test_violations_sorted_and_counted_per_pair():
     assert len(got) == 2
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_violations_match_naive_scan(seed):
-    store = random_store(seed)
+@pytest.mark.parametrize("make, seed", [
+    *(pytest.param(random_store, seed, id=str(seed)) for seed in range(20)),
+    *(pytest.param(random_wide_store, seed, id=f"wide-{seed}") for seed in range(20)),
+])
+def test_violations_match_naive_scan(make, seed):
+    store = make(seed)
     mat = materialize(store)
     got = [(v.individual, v.class_a, v.class_b, v.rule.value) for v in mat.violations]
     assert got == naive_violations(store)
@@ -292,10 +296,10 @@ def test_d1_found_although_its_sameas_free_derivation_comes_late():
     assert got == naive_violations(store)
 
 
-def test_long_sameas_chain_beside_a_deep_subclass_chain():
-    # A 2,000-long sameAs chain whose ends carry Y and C499, hence C500 (a
-    # D2 clash), and one individual outside it that climbs a 500-deep
-    # subclass chain to C500 while asserted Y (a D1 clash).
+def _long_chain_store() -> OntologyStore:
+    """A 2,000-long sameAs chain whose ends carry Y and C499, hence C500 (a
+    D2 clash), and one individual outside it that climbs a 500-deep
+    subclass chain to C500 while asserted Y (a D1 clash)."""
     classes = [f"C{k:03d}" for k in range(501)]
     chain = [f"x{k:04d}" for k in range(2000)]
     store = _chain_store(classes, chain + ["w"])
@@ -307,6 +311,11 @@ def test_long_sameas_chain_beside_a_deep_subclass_chain():
     store.add(ClassAssertion(_ex("C499"), _ex("x1999")))
     store.add(ClassAssertion(_ex("C000"), _ex("w")))
     store.add(ClassAssertion(_ex("Y"), _ex("w")))
+    return store
+
+
+def test_long_sameas_chain_beside_a_deep_subclass_chain():
+    store = _long_chain_store()
     mat = materialize(store)
     got = [(v.individual, v.class_a, v.class_b, v.rule.value) for v in mat.violations]
     assert got == [
@@ -314,6 +323,23 @@ def test_long_sameas_chain_beside_a_deep_subclass_chain():
         (_ex("x0000"), _ex("C500"), _ex("Y"), "D2_SameAsDisjoint"),
     ]
     assert got == naive_violations(store)
+
+
+@pytest.mark.parametrize("make, seed", [
+    *((make, seed) for make in (random_linked_store, random_small_store, random_wide_store)
+      for seed in range(20)),
+    pytest.param(lambda seed: _long_chain_store(), 0, id="long_chain"),
+])
+def test_sameas_block_members_share_one_closed_membership(make, seed):
+    # check_consistency reads a block's merged membership off its least
+    # member alone, which holds because R6 copies each class assertion
+    # across the block.
+    mat = materialize(make(seed))
+    memberships: dict[Iri, set[Iri]] = {}
+    for fact in mat.class_assertions():
+        memberships.setdefault(fact.ind, set()).add(fact.cls)
+    for block in equivalence_classes(mat.base, EntityKind.NAMED_INDIVIDUAL):
+        assert len({frozenset(memberships.get(ind, ())) for ind in block}) == 1
 
 
 def test_check_consistency_matches_materialize():

@@ -119,15 +119,15 @@ def test_a_carriage_return_in_an_iri_is_a_positioned_error(text, position):
         parse_turtle(text)
     [diag] = err.value.diagnostics
     assert (diag.line, diag.column) == position
-    assert diag.message == "an IRI cannot contain '>' or a line break"
+    assert diag.message == "an IRI cannot contain '>', a tab or a line break"
 
 
 def test_diagnostics_carry_position():
     with pytest.raises(ParseError) as err:
         parse_turtle(HEADER + "\naieo:x rdf:type\n")
     diag = err.value.diagnostics[0]
-    assert (diag.line, diag.severity) == (7, "error")
-    assert str(diag).startswith("7:")
+    assert diag.line == 7
+    assert str(diag) == "7:1: error: expected an object"
 
 
 @pytest.mark.parametrize(
