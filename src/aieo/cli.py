@@ -3,8 +3,10 @@ metrics, export, diff.
 
 Results go to stdout, diagnostics to stderr; the exit code is the machine
 signal (0 ok, 1 usage/parse or internal error, 2 validation, 3 inconsistent,
-4 I/O). Output files are written atomically (temp file + rename) so failures
-never leave partial files behind.
+4 I/O). A parse error names its input, as ``FILE:line:column: error:
+message`` with ``<query>`` for ``query --text``. Output files are written
+atomically (temp file + rename) so failures never leave partial files
+behind.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import stat
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     AieoError,
@@ -37,7 +41,7 @@ from .lexer import fail
 from .model import OntologyStore, compute_metrics, sorted_axioms
 from .pipeline import detect_saturation, run_iteration
 from .query import CANNED_QUERY_NAMES, canned_query, evaluate, parse_query
-from .reasoner import materialize
+from .reasoner import Materialization, materialize
 from .schema import seed_schema
 from .turtle import TermText, axiom_line, parse_turtle, serialize_turtle
 
@@ -49,6 +53,19 @@ class ExitStatus(IntEnum):
     VALIDATION_ERROR = 2
     INCONSISTENT = 3
     IO_ERROR = 4
+
+
+class _InputError(Exception):
+    """A parse error, its text prefixed with the name of its input."""
+
+
+@contextmanager
+def _input(name: str) -> Iterator[None]:
+    """Report a parse error raised in the block as one in input ``name``."""
+    try:
+        yield
+    except ParseError as exc:
+        raise _InputError(f"{name}:{exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,10 +126,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_store(path: str) -> OntologyStore:
-    text = _read(path)
-    if path.endswith(".json"):
-        return store_from_json(text)
-    return parse_turtle(text)
+    with _input(path):
+        text = _read(path)
+        return store_from_json(text) if path.endswith(".json") else parse_turtle(text)
+
+
+def _closure(path: str) -> Materialization:
+    return materialize(_load_store(path))
 
 
 def _serialize_store(store: OntologyStore, path: str | None) -> str:
@@ -139,9 +159,8 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_reason(args: argparse.Namespace) -> int:
-    store = _load_store(args.file)
-    mat = materialize(store)
-    closed = store.copy().update(mat.inferred)
+    mat = _closure(args.file)
+    closed = mat.base.copy().update(mat.inferred)
     _emit(_serialize_store(closed, args.out), args.out)
     if args.trace:
         sidecar = str(Path(args.out).with_suffix(".trace.json"))
@@ -155,34 +174,32 @@ def _cmd_reason(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    store = _load_store(args.file)
-    mat = materialize(store)
+    mat = _closure(args.file)
     if mat.consistent:
         sys.stdout.write("consistent: no disjointness violations\n")
         return ExitStatus.SUCCESS
     sys.stdout.write(f"inconsistent: {len(mat.violations)} violation(s)\n")
+    compact = mat.base.compact
     for v in mat.violations:
         sys.stdout.write(
-            f"{store.compact(v.individual)} {store.compact(v.class_a)} "
-            f"{store.compact(v.class_b)} [{v.rule.value}]\n"
+            f"{compact(v.individual)} {compact(v.class_a)} {compact(v.class_b)} [{v.rule.value}]\n"
         )
     return ExitStatus.INCONSISTENT
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    store = _load_store(args.file)
-    mat = materialize(store)
+    mat = _closure(args.file)
     # Both --text and --arg resolve CURIEs against the store's own prefixes.
     if args.text is not None:
         # The library warns; the CLI reports each warning as one line.
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, _input("<query>"):
             warnings.simplefilter("always")
-            query = parse_query(args.text, store.prefixes)
+            query = parse_query(args.text, mat.base.prefixes)
         for message in dict.fromkeys(str(w.message) for w in caught):
             sys.stderr.write(f"warning: {message}\n")
         result = evaluate(query, mat)
     else:
-        arg = store.resolve(args.arg) if args.arg else None
+        arg = mat.base.resolve(args.arg) if args.arg else None
         result = canned_query(args.ask, mat, arg)
     sys.stdout.write(result.to_json() if args.format == "json" else result.to_tsv())
     return ExitStatus.SUCCESS
@@ -190,8 +207,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     store = _load_store(args.store)
-    doc = parse_framework_document(_read(args.doc))
-    result, record = run_iteration(store, doc, parse_config(_read(args.config)))
+    with _input(args.doc):
+        doc = parse_framework_document(_read(args.doc))
+    with _input(args.config):
+        config = parse_config(_read(args.config))
+    result, record = run_iteration(store, doc, config)
     saturated = detect_saturation([record], args.saturation_threshold)[0]
     record = dataclasses.replace(record, saturated=saturated)
     _emit(_serialize_store(result, args.out), args.out)
@@ -216,8 +236,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    store = _load_store(args.file)
-    mat = materialize(store)
+    mat = _closure(args.file)
     graph = export_graph(mat, DetailLevel(args.level))
     rendered = render_dot(graph) if args.format == "dot" else render_json(graph)
     _emit(rendered, args.out)
@@ -342,9 +361,8 @@ def _run(argv: list[str] | None) -> int:
         return int(ExitStatus.PARSE_ERROR)
     try:
         return int(args.func(args))
-    except ParseError as exc:  # includes UnsupportedFeature
-        for diag in exc.diagnostics:
-            sys.stderr.write(f"{diag}\n")
+    except (_InputError, ParseError) as exc:
+        sys.stderr.write(f"{exc}\n")
         return int(ExitStatus.PARSE_ERROR)
     except (AieoError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

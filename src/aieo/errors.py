@@ -1,20 +1,6 @@
-"""Exception hierarchy and parse diagnostics shared across the package."""
+"""Exception hierarchy shared across the package."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    """A positioned message from a parser. Lines and columns are 1-based."""
-
-    line: int
-    column: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class AieoError(Exception):
@@ -45,21 +31,15 @@ class UnknownFact(AieoError):
     """explain() was asked about a fact that is not in the materialization."""
 
 
-@dataclass
 class ParseError(AieoError):
-    """A parse failed; carries at least one error diagnostic."""
+    """A parse failed at ``line`` and ``column`` (both 1-based)."""
 
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        super().__init__(self.message)
-
-    @property
-    def message(self) -> str:
-        return "; ".join(str(d) for d in self.diagnostics) or "parse error"
+    def __init__(self, line: int, column: int, message: str):
+        super().__init__(line, column, message)
+        self.line, self.column, self.message = line, column, message
 
     def __str__(self) -> str:
-        return self.message
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class UnsupportedFeature(ParseError):

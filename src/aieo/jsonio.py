@@ -31,7 +31,7 @@ import json
 from operator import attrgetter
 from typing import Any, Callable
 
-from .errors import ParseDiagnostic, ParseError, SchemaViolation
+from .errors import ParseError, SchemaViolation
 from .model import (
     AXIOM_TYPES,
     AnnotationValue,
@@ -62,9 +62,9 @@ def _loads(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError([ParseDiagnostic(exc.lineno, exc.colno, exc.msg)]) from None
+        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
     except RecursionError:  # the decoder recurses once per nested array/object
-        raise ParseError([ParseDiagnostic(1, 1, "document nested too deeply")]) from None
+        raise ParseError(1, 1, "document nested too deeply") from None
 
 
 class _IriTable(dict):

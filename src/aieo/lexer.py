@@ -34,7 +34,7 @@ import re
 from itertools import islice
 from typing import Callable, Mapping, NoReturn
 
-from .errors import ParseDiagnostic, ParseError, UnsupportedFeature
+from .errors import ParseError, UnsupportedFeature
 from .model import RDF_TYPE, AnnotationValue, Iri
 
 # The token alternatives, in the order they are tried. Character classes,
@@ -109,13 +109,11 @@ def unexpected(tok: Token) -> None:
 
 
 def fail(text: str, offset: int, message: str, unsupported: bool = False) -> NoReturn:
-    """Raise a one-diagnostic ParseError (or UnsupportedFeature) positioned
-    at ``offset`` in ``text``; lines and columns are 1-based."""
+    """Raise a ParseError (or UnsupportedFeature) positioned at ``offset``
+    in ``text``; lines and columns are 1-based."""
     line = text.count("\n", 0, offset) + 1
     col = offset - text.rfind("\n", 0, offset)
-    raise (UnsupportedFeature if unsupported else ParseError)(
-        [ParseDiagnostic(line, col, message)]
-    )
+    raise (UnsupportedFeature if unsupported else ParseError)(line, col, message)
 
 
 def fail_at(text: str, index: int, message: str, unsupported: bool = False, at: int = 0) -> NoReturn:

@@ -32,7 +32,6 @@ from .model import (
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
-    OWL_SAME_AS,
     render_literal,
     term_key,
 )
@@ -402,21 +401,6 @@ def _require_individual(mat: Materialization, concept: Iri) -> None:
         raise UnknownConcept(f"{concept} is not a declared individual")
 
 
-def _peers(mat: Materialization, concept: Iri) -> list[Iri]:
-    """The sameAs closure of the concept, concept included, sorted. Every
-    ``owl:sameAs`` triple is a SameIndividual axiom: the store rejects
-    declaring that IRI, and the closure infers no sameAs facts."""
-    by_subject = _index_of(mat).by_position[0]
-    block, todo = {concept}, [concept]
-    while todo:
-        s = todo.pop()
-        for _, p, o in by_subject.get(s, ()):
-            if p == OWL_SAME_AS and o not in block:
-                block.add(o)
-                todo.append(o)
-    return sorted(block)
-
-
 def _framework_links(mat: Materialization, concept: Iri) -> set[Iri]:
     """The frameworks whose base assertions link to the concept (asserted
     only, so sameAs propagation does not blur which framework said what)."""
@@ -433,7 +417,7 @@ def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
     _require_individual(mat, concept)
     variables = tuple(Variable(v) for v in ("framework", "concept", "property", "value"))
     rows: list[Binding] = []
-    for peer in _peers(mat, concept):
+    for peer in mat.sameas_blocks[concept]:
         annotations = [
             ax
             for ax in mat.base.by_subject.get(peer, ())
@@ -480,7 +464,7 @@ def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
     for concept in sorted(own):
         foreign = {
             fw
-            for peer in _peers(mat, concept)
+            for peer in mat.sameas_blocks[concept]
             if peer != concept
             for fw in _framework_links(mat, peer)
         }

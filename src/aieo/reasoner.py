@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
 from .errors import IterationLimitExceeded, UnknownFact
@@ -177,6 +178,8 @@ class Materialization:
     traces: Traces
     # The inferred facts that some derivation without R6 reaches.
     sameas_free: frozenset[Axiom]
+    # Each declared individual -> its sameAs block, sorted (read-only).
+    sameas_blocks: Mapping[Iri, tuple[Iri, ...]]
     violations: tuple[ConsistencyViolation, ...]
     # Built by the query layer on first use and kept for later queries.
     _triple_index: object = field(default=None, init=False, compare=False, repr=False)
@@ -258,11 +261,16 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
                     queue.append((conclusion, derived_rows))
                 traces[conclusion].append((row.rule, (fact, schema_ax)))
 
+    blocks: dict[Iri, tuple[Iri, ...]] = {}
+    for members in equivalence_classes(store, EntityKind.NAMED_INDIVIDUAL):
+        block = tuple(sorted(members))
+        blocks.update(dict.fromkeys(block, block))
     mat = Materialization(
         base=store,
         inferred=frozenset(inferred),
         traces=Traces(traces),
         sameas_free=sameas_free,
+        sameas_blocks=MappingProxyType(blocks),
         violations=(),
     )
     return replace(mat, violations=tuple(check_consistency(mat)))
@@ -283,7 +291,8 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
 
     R6 copies every class assertion across a sameAs block, so each member's
     closed membership is the block's merged one: the check walks the
-    classes of each block's least member against ``partners`` (each class
+    classes of the least member of each block of ``mat.sameas_blocks``
+    against ``partners`` (each class
     -> the greater class of each disjoint pair it is the lesser of), so it
     costs Σ memberships × partners.
     """
@@ -299,9 +308,10 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
         return fact in mat.base or fact in mat.sameas_free
 
     violations: list[ConsistencyViolation] = []
-    for members in equivalence_classes(mat.base, EntityKind.NAMED_INDIVIDUAL):
-        block = sorted(members)
-        classes = memberships.get(block[0], ())
+    for least, block in mat.sameas_blocks.items():
+        if block[0] != least:  # each block once, from its least member
+            continue
+        classes = memberships.get(least, ())
         for a in classes:
             for b in partners.get(a, ()):
                 if b not in classes:
@@ -313,7 +323,7 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
                     None,
                 )
                 rule = RuleId.D1_DISJOINT_TYPING if witness else RuleId.D2_SAMEAS_DISJOINT
-                individual = witness or block[0]
+                individual = witness or least
                 support = [
                     trace
                     for cls in (a, b)

@@ -23,7 +23,6 @@ import pyparsing as pp
 from aieo import query as _query, turtle as _turtle
 from aieo.errors import (
     KindMismatch,
-    ParseDiagnostic,
     ParseError,
     SchemaViolation,
     UndeclaredEntity,
@@ -1124,9 +1123,7 @@ def random_query(rng: random.Random) -> tuple[list[TriplePattern], tuple[Variabl
 def _reference_fail(text: str, offset: int, message: str, unsupported: bool = False):
     line = text[:offset].count("\n") + 1
     column = offset - (text[:offset].rfind("\n") + 1) + 1
-    raise (UnsupportedFeature if unsupported else ParseError)(
-        [ParseDiagnostic(line, column, message)]
-    )
+    raise (UnsupportedFeature if unsupported else ParseError)(line, column, message)
 
 
 def scan(text: str, checks: dict = {}):

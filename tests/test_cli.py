@@ -25,6 +25,7 @@ from aieo.model import (
     SameIndividual,
 )
 from aieo.pipeline import detect_saturation, run_iteration
+from aieo.query import PRINCIPLES_BY_FRAMEWORK_QUERY
 from aieo.schema import aieo, seed_schema
 from aieo.turtle import serialize_turtle
 
@@ -130,7 +131,7 @@ def test_deeply_nested_json_exits_parse_error(run, tmp_path, opener):
     path.write_text(opener * 200_000)
     code, out, err = run("metrics", str(path))
     assert code == ExitStatus.PARSE_ERROR
-    assert out == "" and err == "1:1: error: document nested too deeply\n"
+    assert out == "" and err == f"{path}:1:1: error: document nested too deeply\n"
 
 
 _SWAP_VALUES = (None, True, 0, -1, 2.5, "", "x", "aieo:x", [], ["x", 1], {}, {"a": None})
@@ -264,7 +265,7 @@ def test_non_utf8_store_exits_parse_error(run, tmp_path, name):
     _with_bad_byte(good, tmp_path / name)
     code, out, err = run("parse", str(tmp_path / name))
     assert code == ExitStatus.PARSE_ERROR
-    assert out == "" and err == _BAD_BYTE_ERROR
+    assert out == "" and err == f"{tmp_path / name}:{_BAD_BYTE_ERROR}"
 
 
 @pytest.mark.parametrize("bad", ["doc", "config"])
@@ -277,7 +278,7 @@ def test_non_utf8_ingest_input_exits_parse_error(run, seed_file, tmp_path, bad):
         "--out", str(tmp_path / "out.ttl"),
     )
     assert code == ExitStatus.PARSE_ERROR
-    assert err == _BAD_BYTE_ERROR
+    assert err == f"{paths[bad]}:{_BAD_BYTE_ERROR}"
     assert not (tmp_path / "out.ttl").exists()
 
 
@@ -452,7 +453,75 @@ def test_an_iri_holding_a_tab_exits_parse_error_before_any_row(run, tmp_path):
         "query", str(path), "--text", "SELECT ?x ?y WHERE { ?x a owl:Class . ?y a owl:Class }"
     )
     assert (code, out) == (ExitStatus.PARSE_ERROR, "")
-    assert err == "2:1: error: an IRI cannot contain '>', a tab or a line break\n"
+    assert err == f"{path}:2:1: error: an IRI cannot contain '>', a tab or a line break\n"
+
+
+def test_a_parse_error_names_its_input(run, tmp_path, seed_file):
+    # The same bad IRI at line 2 of the store and of the query text.
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+                   "<https://e/a\tb> a owl:Class .\n")
+    query = "SELECT ?x WHERE {\n  ?x a <https://e/a\tb> }"
+    message = "error: an IRI cannot contain '>', a tab or a line break\n"
+    assert run("query", str(bad), "--text", query) == (1, "", f"{bad}:2:1: {message}")
+    assert run("query", seed_file, "--text", query) == (1, "", f"<query>:2:8: {message}")
+    for argv in (("diff", seed_file, str(bad)), ("diff", str(bad), seed_file),
+                 ("ingest", str(bad), str(DATA / "au_framework.json"),
+                  "--config", str(DATA / "pipeline_config.json"))):
+        assert run(*argv) == (1, "", f"{bad}:2:1: {message}"), argv
+
+
+# Text a damaged query may gain: keywords, terms, the punctuation of the
+# grammar, and constructs outside the query subset.
+_QUERY_SNIPPETS = ("SELECT ", "DISTINCT ", "WHERE ", "FILTER ", "?", "?x", "{", "}", ".",
+                   ";", ",", '"', "@en", "^^", "<", ">", "<https://e/a>", ":", "aieo:",
+                   "nope:", "a", "owl:Class", " ", "\n", "\t", "\r", "#", "\\", "[", "(",
+                   "_:b", "\u00b2")
+
+
+def _damage_text(rng: random.Random, text: str) -> str:
+    """The text with one or two edits: an insert of a snippet, a delete
+    of a short run, or one character swapped for another."""
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            text = text[:at] + rng.choice(_QUERY_SNIPPETS) + text[at:]
+        elif roll < 0.7:
+            text = text[:at] + text[at + rng.randint(1, 8):]
+        else:
+            char = rng.choice((chr(rng.randrange(0x20, 0x3000)), rng.choice(_QUERY_SNIPPETS)[:1]))
+            text = text[:at] + char + text[at + 1:]
+    return text
+
+
+def test_damaged_query_text_exits_with_a_documented_status(run, seed_file, tmp_path):
+    queries = (
+        PRINCIPLES_BY_FRAMEWORK_QUERY,
+        "SELECT ?x WHERE { ?x a owl:Class }",
+        'SELECT DISTINCT ?sub ?sup WHERE {\n  ?sub rdfs:subClassOf ?sup . # c\n'
+        '  ?sup a owl:Class . ?sup rdfs:label "Requirements"\n}',
+    )
+    rng = random.Random(26)
+    codes = collections.Counter()
+    for n in range(200):
+        text = _damage_text(rng, queries[n % len(queries)])
+        code, _, err = run("query", seed_file, f"--text={text}")
+        assert code in (0, 1, 2), text
+        if code == 1:
+            assert err.startswith("<query>:") and err.count("\n") == 1, (text, err)
+        codes[code] += 1
+    assert set(codes) >= {0, 1}, codes
+    # A damaged --arg is not parsed: it names no individual, or no IRI at all.
+    for _ in range(40):
+        arg = _damage_text(rng, "aieo:Principle")
+        code, _, err = run("query", seed_file, "--ask", "scenarios_for", f"--arg={arg}")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (arg, err)
+    # Both inputs damaged: the store is read first, so it is the one named.
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("aieo:x")
+    code, out, err = run("query", str(bad), "--text", "SELECT ?x WHERE { ?x a nope:C ")
+    assert (code, out) == (1, "") and err.startswith(f"{bad}:1:")
 
 
 def test_query_bad_text_exits_parse_error(run, seed_file):
@@ -542,7 +611,7 @@ def test_query_flags_resolve_against_the_store_prefixes_only(run, tmp_path):
     path = tmp_path / "bare.json"
     path.write_text(store_to_json(store), encoding="utf-8")
     code, out, err = run("query", str(path), "--text", "SELECT ?x WHERE { ?x a aieo:Principle }")
-    assert (code, out, err) == (1, "", "1:24: error: unknown prefix 'aieo:'\n")
+    assert (code, out, err) == (1, "", "<query>:1:24: error: unknown prefix 'aieo:'\n")
     code, out, err = run("query", str(path), "--ask", "scenarios_for", "--arg", "aieo:c1")
     assert (code, out, err) == (2, "", "error: aieo:c1 is not a declared individual\n")
     code, out, _ = run("query", str(path), "--text",
@@ -832,7 +901,7 @@ def test_every_exit_path_restores_the_collector_state(
     monkeypatch.setattr(cli, "_cmd_metrics", fault)
     for argv, status, err_start in [
         (("seed",), 0, ""),
-        (("parse", str(broken)), 1, "1:"),
+        (("parse", str(broken)), 1, f"{broken}:1:"),
         (("frobnicate",), 1, "usage:"),  # SystemExit inside parse_args
         (("reason", seed_file, "--trace"), 1, "error: --trace needs --out"),
         (("query", seed_file, "--ask", "describe_concept"), 2, "error:"),

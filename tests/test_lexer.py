@@ -146,8 +146,7 @@ QUERY_DIAGNOSTICS = [
 def _diagnostic(parse, text):
     with pytest.raises(ParseError) as err:
         parse(text)
-    [diag] = err.value.diagnostics
-    return type(err.value), diag.message, diag.line, diag.column
+    return type(err.value), err.value.message, err.value.line, err.value.column
 
 
 @pytest.mark.parametrize("text,exc,message,line,column", TURTLE_DIAGNOSTICS)
@@ -308,9 +307,9 @@ def test_mutated_inputs_fail_only_with_positioned_package_errors():
                 parse(text)
             except AieoError as exc:
                 failures += 1
-                for diag in getattr(exc, "diagnostics", ()):
-                    assert _inside(text, diag.line, diag.column), (text, diag)
-                    messages.add(diag.message)
+                if isinstance(exc, ParseError):
+                    assert _inside(text, exc.line, exc.column), (text, exc)
+                    messages.add(exc.message)
     assert failures > 2000
     assert "document nested too deeply" in messages
 
@@ -321,8 +320,8 @@ def _outcome(parse, text):
     try:
         result = parse(text)
     except AieoError as exc:
-        diagnostics = [(d.line, d.column, d.message) for d in getattr(exc, "diagnostics", ())]
-        return type(exc), str(exc), diagnostics
+        position = (exc.line, exc.column, exc.message) if isinstance(exc, ParseError) else None
+        return type(exc), str(exc), position
     if isinstance(result, OntologyStore):
         return OntologyStore, serialize_turtle(result)
     terms = [result.projected_variables]

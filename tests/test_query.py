@@ -125,9 +125,8 @@ def test_parse_error_carries_position():
     text = "SELECT ?x WHERE {\n  ?x == ?y\n}"
     with pytest.raises(ParseError) as exc:
         parse_query(text)
-    diag = exc.value.diagnostics[0]
-    assert diag.line == 2
-    assert str(diag) == "2:6: error: unexpected character '='"
+    assert exc.value.line == 2
+    assert str(exc.value) == "2:6: error: unexpected character '='"
 
 
 @pytest.mark.parametrize(
@@ -180,8 +179,7 @@ def test_parse_malformed_queries(text, fragment):
 def _diagnostic(parse, text):
     with pytest.raises(ParseError) as err:
         parse(text)
-    [diag] = err.value.diagnostics
-    return type(err.value), diag.message, diag.line, diag.column
+    return type(err.value), err.value.message, err.value.line, err.value.column
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from aieo.schema import aieo, seed_schema
 from oracles import (
     naive_closure,
     naive_inferred,
+    naive_peers,
     naive_traces,
     naive_violations,
     random_linked_store,
@@ -340,6 +341,23 @@ def test_sameas_block_members_share_one_closed_membership(make, seed):
         memberships.setdefault(fact.ind, set()).add(fact.cls)
     for block in equivalence_classes(mat.base, EntityKind.NAMED_INDIVIDUAL):
         assert len({frozenset(memberships.get(ind, ())) for ind in block}) == 1
+
+
+@pytest.mark.parametrize("make, seed", [
+    *((make, seed) for make in (random_linked_store, random_small_store) for seed in range(20)),
+    pytest.param(lambda seed: _long_chain_store(), 0, id="long_chain"),
+])
+def test_sameas_blocks_are_the_naive_peers(make, seed):
+    store = make(seed)
+    mat = materialize(store)
+    expected: dict[Iri, tuple[Iri, ...]] = {}
+    for ind in store.declared(EntityKind.NAMED_INDIVIDUAL):
+        if ind not in expected:  # one slow oracle call per block
+            block = tuple(sorted(naive_peers(store, ind)))
+            expected.update(dict.fromkeys(block, block))
+    assert dict(mat.sameas_blocks) == expected
+    with pytest.raises(TypeError):
+        mat.sameas_blocks[next(iter(expected))] = ()
 
 
 def test_check_consistency_matches_materialize():

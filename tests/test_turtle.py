@@ -105,9 +105,8 @@ def test_literal_escapes_round_trip():
 def test_unknown_prefix_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_turtle(HEADER + "\nmissing:x rdf:type owl:NamedIndividual .\n")
-    diag = err.value.diagnostics[0]
-    assert diag.line == 6
-    assert "missing" in diag.message
+    assert err.value.line == 6
+    assert "missing" in err.value.message
 
 
 @pytest.mark.parametrize("text, position", [
@@ -117,17 +116,15 @@ def test_unknown_prefix_is_a_parse_error():
 def test_a_carriage_return_in_an_iri_is_a_positioned_error(text, position):
     with pytest.raises(ParseError) as err:
         parse_turtle(text)
-    [diag] = err.value.diagnostics
-    assert (diag.line, diag.column) == position
-    assert diag.message == "an IRI cannot contain '>', a tab or a line break"
+    assert (err.value.line, err.value.column) == position
+    assert err.value.message == "an IRI cannot contain '>', a tab or a line break"
 
 
 def test_diagnostics_carry_position():
     with pytest.raises(ParseError) as err:
         parse_turtle(HEADER + "\naieo:x rdf:type\n")
-    diag = err.value.diagnostics[0]
-    assert diag.line == 7
-    assert str(diag) == "7:1: error: expected an object"
+    assert err.value.line == 7
+    assert str(err.value) == "7:1: error: expected an object"
 
 
 @pytest.mark.parametrize(
@@ -147,7 +144,7 @@ def test_diagnostics_carry_position():
 def test_constructs_outside_subset_are_rejected_with_position(snippet):
     with pytest.raises(UnsupportedFeature) as err:
         parse_turtle(HEADER + "\n" + snippet + "\n")
-    assert err.value.diagnostics[0].line >= 1
+    assert err.value.line >= 1
 
 
 def test_undeclared_subject_fails_validation():
