@@ -19,6 +19,8 @@ import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import MissingArgument, UnknownConcept
@@ -124,9 +126,9 @@ class ResultSet:
         return [row[var] for row in self.rows]
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(f"?{v}" for v in self.variables)]
-        for row in self.rows:
-            lines.append("\t".join(_render_term(row[v]) for v in self.variables))
+        variables = self.variables
+        lines = ["\t".join([f"?{v}" for v in variables])]
+        lines += ["\t".join([_render_term(row[v]) for v in variables]) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -140,7 +142,7 @@ class ResultSet:
 def _render_term(term: "Iri | AnnotationValue") -> str:
     if isinstance(term, AnnotationValue):
         return render_literal(term)
-    return str(term)
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +283,13 @@ class _TripleIndex:
     def count(self, pattern: TriplePattern) -> int:
         """The length of the shortest posting list among the pattern's
         constant positions (every triple when it has none)."""
-        return min(
-            (len(postings.get(term, ()))
-             for postings, term in zip(
-                 self.by_position, (pattern.subject, pattern.predicate, pattern.object))
-             if not isinstance(term, Variable)),
-            default=len(self.all),
-        )
+        best = len(self.all)
+        for postings, term in zip(
+            self.by_position, (pattern.subject, pattern.predicate, pattern.object)
+        ):
+            if not isinstance(term, Variable):
+                best = min(best, len(postings.get(term, ())))
+        return best
 
 
 def _index_of(mat: Materialization) -> _TripleIndex:
@@ -299,62 +301,131 @@ def _index_of(mat: Materialization) -> _TripleIndex:
     return mat._triple_index
 
 
-def _plan(pattern: TriplePattern, bound: set[Variable]) -> tuple[list, list, list, list]:
-    """What the pattern needs at its join level, given the variables that
-    earlier patterns bound (the same for every binding at that level): its
-    constant ``(position, term)`` pairs, its joined ``(position, variable)``
-    pairs, its free ``(variable, position)`` pairs, and the
-    ``(first, again)`` positions of a free variable that it repeats."""
+def _join_order(patterns: tuple[TriplePattern, ...], index: _TripleIndex) -> list[tuple]:
+    """Greedy connected order, as ``(count, n, pattern)`` triples with the
+    pattern's :meth:`_TripleIndex.count` and its place in the query: first
+    the cheapest pattern, then each time the cheapest that shares a variable
+    with those already placed, or the cheapest left when none does; ties go
+    to query order. Joins are commutative, so any order gives the same
+    rows."""
+    left = sorted([(index.count(p), n, p) for n, p in enumerate(patterns)])
+    order: list[tuple] = []
+    bound: set[Variable] = set()
+    while len(left) > 1:
+        best = next((e for e in left if bound and not bound.isdisjoint(e[2].variables())), left[0])
+        left.remove(best)
+        order.append(best)
+        bound |= best[2].variables()
+    return order + left
+
+
+def _plan(pattern: TriplePattern, slot: dict[Variable, int]) -> tuple[list, list, list, list]:
+    """What the pattern needs at its join level, given the binding slot of
+    each variable that earlier patterns bound (the same for every binding at
+    that level): its constant ``(position, term)`` pairs, its joined
+    ``(position, slot)`` pairs, the positions of its free variables (which
+    take the next slots, in this order), and the ``(first, again)``
+    positions of a free variable that it repeats."""
     constants, joined, free, repeats = [], [], [], []
     first: dict[Variable, int] = {}
     for at, term in enumerate((pattern.subject, pattern.predicate, pattern.object)):
         if not isinstance(term, Variable):
             constants.append((at, term))
-        elif term in bound:
-            joined.append((at, term))
         elif term in first:
             repeats.append((first[term], at))
+        elif term in slot:
+            joined.append((at, slot[term]))
         else:
             first[term] = at
-            free.append((term, at))
+            free.append(at)
+            slot[term] = len(slot)
     return constants, joined, free, repeats
+
+
+def _pick(rows: list[tuple], positions: list[int]) -> list[tuple]:
+    """The terms at ``positions`` of each row, as one tuple per row."""
+    if len(positions) == 1:
+        at = positions[0]
+        return [(row[at],) for row in rows]
+    if positions:
+        return list(map(itemgetter(*positions), rows))
+    return [()] * len(rows)
 
 
 def evaluate(query: Query, mat: Materialization) -> ResultSet:
     """All pattern homomorphisms into the materialization's triples view,
     projected, optionally deduplicated, and sorted for determinism."""
     index = _index_of(mat)
-    # Most-selective-first: joins are commutative, so any order is sound.
-    patterns = sorted(query.patterns, key=index.count)
-    bindings: list[Binding] = [{}]
-    bound: set[Variable] = set()
-    for pattern in patterns:
-        constants, joined, free, repeats = _plan(pattern, bound)
-        bound.update(v for v, _ in free)
-        grown: list[Binding] = []
-        for binding in bindings:
-            triples = index.candidates(constants + [(at, binding[v]) for at, v in joined])
+    slot: dict[Variable, int] = {}
+    bindings: list[tuple] = [()]
+    for count, _, pattern in _join_order(query.patterns, index):
+        constants, joined, free, repeats = _plan(pattern, slot)
+        # Probing reads about the mean posting length at the shortest joined
+        # position, len(index.all) / width, once per binding; a table reads
+        # the constant candidates once. With nothing joined, width is 0.
+        width = max([len(index.by_position[at]) for at, _ in joined], default=0)
+        if count * width <= len(bindings) * len(index.all):
+            triples = index.candidates(constants)
             for first, again in repeats:
                 triples = [t for t in triples if t[first] == t[again]]
-            for t in triples:
-                extended = binding.copy()
-                for v, at in free:
-                    extended[v] = t[at]
-                grown.append(extended)
-        bindings = grown
+            values = _pick(triples, free)
+            if joined:
+                # Group the candidates on the joined positions, then look
+                # each binding up by its terms for them.
+                table = defaultdict(list)
+                for key, value in zip(map(itemgetter(*[at for at, _ in joined]), triples), values):
+                    table[key].append(value)
+                key_of = itemgetter(*[s for _, s in joined])
+                bindings = [b + v for b in bindings for v in table.get(key_of(b), ())]
+            else:
+                bindings = [b + v for b in bindings for v in values]
+        else:
+            grown: list[tuple] = []
+            one = free[0] if len(free) == 1 else None
+            for b in bindings:
+                triples = index.candidates(constants + [(at, b[s]) for at, s in joined])
+                for first, again in repeats:
+                    triples = [t for t in triples if t[first] == t[again]]
+                if one is None:
+                    grown += [b + v for v in _pick(triples, free)]
+                else:  # one free variable, bound inline
+                    for t in triples:
+                        grown.append(b + (t[one],))
+            bindings = grown
         if not bindings:
-            break
+            return ResultSet(query.projected_variables, ())
     projected = query.projected_variables
-    rows = [{v: b[v] for v in projected} for b in bindings]
-    key_of = {term: term_key(term) for term in {t for row in rows for t in row.values()}}
+    slots = [slot[v] for v in projected]
+    if slots != list(range(len(slot))):  # else the bindings are the rows
+        bindings = _pick(bindings, slots)
+    # Only an object position can bind a literal.
+    objects = {p.object for p in query.patterns}
+    literal_columns = [n for n, v in enumerate(projected) if v in objects]
+    return _result(projected, bindings, query.distinct, literal_columns)
 
-    def row_key(row: Binding) -> tuple:
-        return tuple([key_of[row[v]] for v in projected])
 
-    if query.distinct:
-        rows = list({row_key(r): r for r in rows}.values())
-    rows.sort(key=row_key)
-    return ResultSet(projected, tuple(rows))
+def _result(
+    variables: tuple[Variable, ...], rows: list[tuple], distinct: bool, literal_columns: list[int]
+) -> ResultSet:
+    """The rows, one term per variable, deduplicated when ``distinct`` and
+    sorted in :func:`term_key` order of their terms, first column first.
+    IRIs compare as their text, which is that order, so rows of IRIs sort as
+    they are; a literal in one of ``literal_columns`` (the only columns that
+    may hold one) falls back to one rank per distinct term: IRIs sorted,
+    then literals by ``term_key``."""
+    if distinct:
+        rows = list(set(rows))
+    if not any(AnnotationValue in set(map(type, map(itemgetter(n), rows)))
+               for n in literal_columns):
+        # A one-term key skips the tuple comparison's equality pass.
+        rows.sort(key=itemgetter(0) if len(variables) == 1 else None)
+    else:
+        terms = set(chain.from_iterable(rows))
+        literals = {t for t in terms if isinstance(t, AnnotationValue)}
+        ranked = sorted(terms - literals) + sorted(literals, key=term_key)
+        rank = dict(zip(ranked, range(len(ranked)))).__getitem__
+        rows.sort(key=lambda row: tuple(map(rank, row)))
+    return ResultSet(variables, tuple([dict(zip(variables, row)) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +487,7 @@ def _framework_links(mat: Materialization, concept: Iri) -> set[Iri]:
 def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
     _require_individual(mat, concept)
     variables = tuple(Variable(v) for v in ("framework", "concept", "property", "value"))
-    rows: list[Binding] = []
+    rows: list[tuple] = []
     for peer in mat.sameas_blocks[concept]:
         annotations = [
             ax
@@ -424,19 +495,9 @@ def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
             if isinstance(ax, AnnotationAssertion)
             and ax.prop in (SHORT_DESCRIPTION, REFERENCE)
         ]
-        frameworks = sorted(_framework_links(mat, peer))
-        for ax in annotations:
-            for fw in frameworks:
-                rows.append(
-                    {
-                        variables[0]: fw,
-                        variables[1]: peer,
-                        variables[2]: ax.prop,
-                        variables[3]: ax.value,
-                    }
-                )
-    rows.sort(key=lambda r: tuple(term_key(r[v]) for v in variables))
-    return ResultSet(variables, tuple(rows))
+        frameworks = _framework_links(mat, peer)
+        rows += [(fw, peer, ax.prop, ax.value) for ax in annotations for fw in frameworks]
+    return _result(variables, rows, False, [3])
 
 
 def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:

@@ -371,6 +371,52 @@ def test_rows_are_sorted():
     assert rs.values("k") == sorted(rs.values("k"))
 
 
+def test_a_column_mixing_iris_and_literals_sorts_iris_first():
+    store = _individuals(seed_schema(), "fair", "just", "audit")
+    store.add(ObjectPropertyAssertion(aieo("fair"), aieo("requirement"), aieo("audit")))
+    for name in ("fair", "just"):
+        store.add(ClassAssertion(aieo("Principle"), aieo(name)))
+        for value in (AnnotationValue("b"), AnnotationValue("a", "en"), AnnotationValue("a")):
+            store.add(AnnotationAssertion(aieo(name), SHORT_DESCRIPTION, value))
+    mat = _mat(store)
+    triples = flatten_triples(store, _assertion_facts(mat))
+    s, p, o = Variable("s"), Variable("p"), Variable("o")
+    # ?o of both Principles, where each row comes once per Principle except
+    # the object only one of them has, and ?p ?o of one of them
+    for projected, patterns, plain_rows, distinct_rows in (
+        ((o,), [TriplePattern(s, p, o), TriplePattern(s, RDF_TYPE, aieo("Principle"))], 11, 6),
+        ((p, o), [TriplePattern(aieo("fair"), p, o)], 6, 6),
+    ):
+        sizes = []
+        for distinct in (False, True):
+            got = evaluate(Query(projected, tuple(patterns), distinct=distinct), mat)
+            want = brute_force_evaluate(patterns, projected, triples, distinct)
+            assert Counter(frozenset(r.items()) for r in got.rows) == Counter(
+                frozenset(r) for r in want
+            )
+            _assert_rows_in_term_key_order(got)
+            assert {type(t) for t in got.values(o)} == {Iri, AnnotationValue}
+            sizes.append(len(got))
+        assert sizes == [plain_rows, distinct_rows]
+
+
+def test_join_order_follows_the_bindings():
+    store = _individuals(seed_schema(), "fair", "just", "audit")
+    store.add(ClassAssertion(aieo("Principle"), aieo("fair")))
+    store.add(ClassAssertion(aieo("Principle"), aieo("just")))
+    store.add(ObjectPropertyAssertion(aieo("fair"), aieo("requirement"), aieo("audit")))
+    mat = _mat(store)
+    query = parse_query(
+        "SELECT ?x ?p ?y WHERE { ?x a aieo:Principle . ?y a aieo:Requirement . ?x ?p ?y . }"
+    )
+    order = query_module._join_order(query.patterns, query_module._index_of(mat))
+    assert [pattern for _, _, pattern in order][1] == query.patterns[2]
+    x, p, y = (Variable(v) for v in "xpy")
+    assert evaluate(query, mat).rows == (
+        {x: aieo("fair"), p: aieo("requirement"), y: aieo("audit")},
+    )
+
+
 def test_empty_result_keeps_header():
     rs = evaluate(
         parse_query("SELECT ?x WHERE { ?x a aieo:Framework }"), _mat(seed_schema())
@@ -498,8 +544,41 @@ def _join_shape_queries(rng, triples):
     ]
 
 
-def test_index_paths_match_brute_force():
+def _level_kinds(query, mat, triples, calls):
+    """How many joined levels of one evaluation that ran every level read
+    their constant candidates once into a table, and how many probed once
+    per binding, from its ``candidates`` calls in order: a level reads once
+    with its constants alone, or probes with its joined positions fixed too,
+    once for each of the brute-force rows of the patterns placed before it."""
+    index = query_module._index_of(mat)
+    order = [p for _, _, p in query_module._join_order(query.patterns, index)]
+    tables = probes = at = 0
+    bound = set()
+    for n, pattern in enumerate(order):
+        constants = sum(not isinstance(t, Variable)
+                        for t in (pattern.subject, pattern.predicate, pattern.object))
+        if bound & pattern.variables() and len(calls[at]) > constants:
+            probes += 1
+            at += len(brute_force_evaluate(order[:n], (), triples, False))
+        else:
+            tables += bool(bound & pattern.variables())
+            at += 1
+        bound |= pattern.variables()
+    assert at == len(calls)
+    return tables, probes
+
+
+def test_index_paths_match_brute_force(monkeypatch):
+    calls = []
+    candidates = query_module._TripleIndex.candidates
+
+    def recording(index, fixed):
+        calls.append(list(fixed))
+        return candidates(index, fixed)
+
+    monkeypatch.setattr(query_module._TripleIndex, "candidates", recording)
     matched = set()
+    tables = probes = 0
     for seed in range(8):
         for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
             mat = materialize(store)
@@ -511,6 +590,7 @@ def test_index_paths_match_brute_force():
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # some shapes are cartesian products
                     query = Query(projected, tuple(patterns), distinct=distinct)
+                calls.clear()
                 got = evaluate(query, mat)
                 want = brute_force_evaluate(patterns, projected, triples, distinct)
                 assert Counter(frozenset(r.items()) for r in got.rows) == Counter(
@@ -519,8 +599,12 @@ def test_index_paths_match_brute_force():
                 _assert_rows_in_term_key_order(got)
                 if want:
                     matched.add((n, distinct))
+                    table, probe = _level_kinds(query, mat, triples, calls)
+                    tables, probes = tables + table, probes + probe
     # every query shape matched somewhere, with DISTINCT and without
     assert matched == {(n, d) for n in range(24) for d in (False, True)}
+    # the inputs took both sides of the table-or-probe rule
+    assert tables > 0 and probes > 0, (tables, probes)
 
 
 def test_index_is_built_once_per_materialization(monkeypatch):
