@@ -108,13 +108,13 @@ def _stacklevel_outside_package() -> int:
     return level
 
 
-Binding = dict  # Variable -> Iri | AnnotationValue
-
-
 @dataclass(frozen=True)
 class ResultSet:
+    """Rows of terms, one tuple per row with one term per variable, in
+    ``variables`` order."""
+
     variables: tuple[Variable, ...]
-    rows: tuple[Binding, ...]
+    rows: tuple[tuple, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -123,20 +123,19 @@ class ResultSet:
         return iter(self.rows)
 
     def values(self, var: str) -> list:
-        return [row[var] for row in self.rows]
+        """The column of ``var``; a ``KeyError`` if it is not a variable."""
+        if var not in self.variables:
+            raise KeyError(var)
+        return list(map(itemgetter(self.variables.index(var)), self.rows))
 
     def to_tsv(self) -> str:
-        variables = self.variables
-        lines = ["\t".join([f"?{v}" for v in variables])]
-        lines += ["\t".join([_render_term(row[v]) for v in variables]) for row in self.rows]
+        lines = ["\t".join([f"?{v}" for v in self.variables])]
+        lines += ["\t".join(map(_render_term, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = [
-            {str(v): _render_term(row[v]) for v in self.variables}
-            for row in self.rows
-        ]
-        return canonical_json(payload)
+        names = list(map(str, self.variables))
+        return canonical_json([dict(zip(names, map(_render_term, row))) for row in self.rows])
 
 
 def _render_term(term: "Iri | AnnotationValue") -> str:
@@ -393,7 +392,7 @@ def evaluate(query: Query, mat: Materialization) -> ResultSet:
                         grown.append(b + (t[one],))
             bindings = grown
         if not bindings:
-            return ResultSet(query.projected_variables, ())
+            return _result(query.projected_variables, [], False, [])
     projected = query.projected_variables
     slots = [slot[v] for v in projected]
     if slots != list(range(len(slot))):  # else the bindings are the rows
@@ -425,7 +424,7 @@ def _result(
         ranked = sorted(terms - literals) + sorted(literals, key=term_key)
         rank = dict(zip(ranked, range(len(ranked)))).__getitem__
         rows.sort(key=lambda row: tuple(map(rank, row)))
-    return ResultSet(variables, tuple([dict(zip(variables, row)) for row in rows]))
+    return ResultSet(variables, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +506,7 @@ def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:
         o for _, p, o in _index_of(mat).by_position[0].get(concept, ())
         if p in _SCENARIO_PROPERTIES
     }
-    var = Variable("scenario")
-    rows = tuple({var: o} for o in sorted(objects))
-    return ResultSet((var,), rows)
+    return _result((Variable("scenario"),), [(o,) for o in objects], False, [0])
 
 
 def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
@@ -520,9 +517,8 @@ def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
         if isinstance(ax, ObjectPropertyAssertion)
         and ax.prop in (aieo("principle"), aieo("requirement"))
     }
-    var = Variable("concept")
     rows = []
-    for concept in sorted(own):
+    for concept in own:
         foreign = {
             fw
             for peer in mat.sameas_blocks[concept]
@@ -530,5 +526,5 @@ def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
             for fw in _framework_links(mat, peer)
         }
         if not (foreign - {framework}):
-            rows.append({var: concept})
-    return ResultSet((var,), tuple(rows))
+            rows.append((concept,))
+    return _result((Variable("concept"),), rows, False, [])

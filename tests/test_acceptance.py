@@ -103,7 +103,7 @@ def test_criterion_3_equivalence_semantics(capsys):
         mat = materialize(store)
         for concept in ("AU_Fairness", "AU_Accountability"):
             result = canned_query("describe_concept", mat, aieo(concept))
-            frameworks = {row["framework"] for row in result.rows}
+            frameworks = set(result.values("framework"))
             assert frameworks == {aieo("AU"), aieo("EU")}, concept
         assert mat.consistent
         assert mat.violations == ()
@@ -165,9 +165,8 @@ def test_criterion_6_query_correctness(capsys):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     query = Query(projected, patterns, distinct=distinct)
-                got = Counter(
-                    frozenset(row.items()) for row in evaluate(query, mat).rows
-                )
+                result = evaluate(query, mat)
+                got = Counter(frozenset(zip(result.variables, row)) for row in result.rows)
                 want = Counter(
                     frozenset(row)
                     for row in brute_force_evaluate(patterns, projected, triples, distinct)

@@ -602,6 +602,31 @@ def test_canned_query_resolves_curie_argument(run, tmp_path):
     assert out == "?scenario\nhttps://w3id.org/aieo#hiring\n"
 
 
+@pytest.mark.parametrize("links, lines", [
+    ('aieo:x aieo:scenario aieo:loans .\naieo:x aieo:application "hiring" , "hiring"@en , "audit" .',
+     ["https://w3id.org/aieo#loans", '"audit"', '"hiring"', '"hiring"@en']),
+    ('aieo:x aieo:application "hiring"@en , "hiring" .', ['"hiring"', '"hiring"@en']),
+])
+def test_scenarios_for_with_literal_scenarios(run, tmp_path, links, lines):
+    # aieo:application is an annotation property here, so a concept's
+    # scenarios mix IRIs and literals: IRIs come first, then literals in
+    # term order.
+    path = tmp_path / "mixed.ttl"
+    path.write_text(
+        "@prefix aieo: <https://w3id.org/aieo#> .\n"
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "aieo:application a owl:AnnotationProperty .\n"
+        "aieo:scenario a owl:ObjectProperty .\n"
+        "aieo:x a owl:NamedIndividual .\n"
+        "aieo:loans a owl:NamedIndividual .\n"
+        f"{links}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run("query", str(path), "--ask", "scenarios_for", "--arg", "aieo:x")
+    assert code == 0
+    assert out.splitlines() == ["?scenario", *lines]
+
+
 def test_query_flags_resolve_against_the_store_prefixes_only(run, tmp_path):
     # A store without prefixes: neither flag falls back to the standard map.
     store = OntologyStore()

@@ -802,7 +802,7 @@ def _graph_obj(graph) -> dict:
 def _rows_obj(result) -> list:
     return [
         {str(v): render_literal(t) if isinstance(t, AnnotationValue) else str(t)
-         for v, t in row.items()}
+         for v, t in zip(result.variables, row)}
         for row in result.rows
     ]
 

@@ -305,9 +305,7 @@ def test_join_across_two_patterns():
     store.add(ObjectPropertyAssertion(aieo("fw"), aieo("principle"), aieo("fair")))
     store.add(ObjectPropertyAssertion(aieo("other"), aieo("principle"), aieo("fair")))
     rs = evaluate(parse_query(PRINCIPLES_BY_FRAMEWORK_QUERY), _mat(store))
-    assert rs.rows == (
-        {Variable("framework"): aieo("fw"), Variable("principle"): aieo("fair")},
-    )
+    assert rs.rows == ((aieo("fw"), aieo("fair")),)
 
 
 def test_query_sees_inferred_facts():
@@ -391,9 +389,7 @@ def test_a_column_mixing_iris_and_literals_sorts_iris_first():
         for distinct in (False, True):
             got = evaluate(Query(projected, tuple(patterns), distinct=distinct), mat)
             want = brute_force_evaluate(patterns, projected, triples, distinct)
-            assert Counter(frozenset(r.items()) for r in got.rows) == Counter(
-                frozenset(r) for r in want
-            )
+            assert _bound(got) == Counter(frozenset(r) for r in want)
             _assert_rows_in_term_key_order(got)
             assert {type(t) for t in got.values(o)} == {Iri, AnnotationValue}
             sizes.append(len(got))
@@ -411,10 +407,7 @@ def test_join_order_follows_the_bindings():
     )
     order = query_module._join_order(query.patterns, query_module._index_of(mat))
     assert [pattern for _, _, pattern in order][1] == query.patterns[2]
-    x, p, y = (Variable(v) for v in "xpy")
-    assert evaluate(query, mat).rows == (
-        {x: aieo("fair"), p: aieo("requirement"), y: aieo("audit")},
-    )
+    assert evaluate(query, mat).rows == ((aieo("fair"), aieo("requirement"), aieo("audit")),)
 
 
 def test_empty_result_keeps_header():
@@ -456,14 +449,18 @@ def test_evaluation_matches_brute_force():
                 query = Query(projected, patterns, distinct=distinct)
             got = evaluate(query, mat)
             want = brute_force_evaluate(patterns, projected, triples, distinct)
-            got_keys = Counter(frozenset(row.items()) for row in got.rows)
-            want_keys = Counter(frozenset(row) for row in want)
-            assert got_keys == want_keys, (seed, query)
+            assert _bound(got) == Counter(frozenset(row) for row in want), (seed, query)
             _assert_rows_in_term_key_order(got)
 
 
+def _bound(rs):
+    """Each row as its set of ``(variable, term)`` pairs, the shape of
+    :func:`brute_force_evaluate`'s rows, counted."""
+    return Counter(frozenset(zip(rs.variables, row)) for row in rs.rows)
+
+
 def _assert_rows_in_term_key_order(rs):
-    keys = [tuple(term_key(row[v]) for v in rs.variables) for row in rs.rows]
+    keys = [tuple(map(term_key, row)) for row in rs.rows]
     assert keys == sorted(keys)
 
 
@@ -593,9 +590,7 @@ def test_index_paths_match_brute_force(monkeypatch):
                 calls.clear()
                 got = evaluate(query, mat)
                 want = brute_force_evaluate(patterns, projected, triples, distinct)
-                assert Counter(frozenset(r.items()) for r in got.rows) == Counter(
-                    frozenset(r) for r in want
-                ), (seed, query)
+                assert _bound(got) == Counter(frozenset(r) for r in want), (seed, query)
                 _assert_rows_in_term_key_order(got)
                 if want:
                     matched.add((n, distinct))
@@ -623,7 +618,7 @@ def test_index_is_built_once_per_materialization(monkeypatch):
     mat = _mat(store)
     first, second = evaluate(query, mat), evaluate(query, mat)
     assert first == second
-    assert first.rows == ({Variable("framework"): aieo("fw"), Variable("principle"): aieo("fair")},)
+    assert first.rows == ((aieo("fw"), aieo("fair")),)
     assert calls == [mat]
 
     # a new materialization of the grown store sees the new facts
@@ -639,11 +634,13 @@ def test_evaluation_is_monotone_under_growth():
     store = _individuals(seed_schema(), "fw", "fair")
     store.add(ObjectPropertyAssertion(aieo("fw"), aieo("principle"), aieo("fair")))
     query = parse_query(PRINCIPLES_BY_FRAMEWORK_QUERY)
-    before = {frozenset(r.items()) for r in evaluate(query, _mat(store)).rows}
+    store.add(ClassAssertion(aieo("Framework"), aieo("fw")))
+    before = set(evaluate(query, _mat(store)).rows)
     store.declare(aieo("fw2"), EntityKind.NAMED_INDIVIDUAL)
     store.add(ClassAssertion(aieo("Framework"), aieo("fw2")))
-    after = {frozenset(r.items()) for r in evaluate(query, _mat(store)).rows}
-    assert before <= after
+    store.add(ObjectPropertyAssertion(aieo("fw2"), aieo("principle"), aieo("fair")))
+    after = set(evaluate(query, _mat(store)).rows)
+    assert before and before < after
 
 
 def test_triples_view_has_no_duplicate_blowup():
@@ -666,7 +663,7 @@ def test_triples_view_has_no_duplicate_blowup():
 def test_tsv_rendering():
     rs = ResultSet(
         (Variable("a"), Variable("b")),
-        ({Variable("a"): aieo("x"), Variable("b"): AnnotationValue("two\nlines")},),
+        ((aieo("x"), AnnotationValue("two\nlines")),),
     )
     assert rs.to_tsv() == (
         "?a\t?b\n"
@@ -677,7 +674,7 @@ def test_tsv_rendering():
 def test_json_rendering():
     rs = ResultSet(
         (Variable("a"),),
-        ({Variable("a"): AnnotationValue("hi", "en")},),
+        ((AnnotationValue("hi", "en"),),),
     )
     assert rs.to_json() == '[\n  {\n    "a": "\\"hi\\"@en"\n  }\n]\n'
 
@@ -727,8 +724,7 @@ def test_describe_concept_joins_annotations_from_both_frameworks():
     assert rs.variables == tuple(
         Variable(v) for v in ("framework", "concept", "property", "value")
     )
-    rows = {tuple(r[v] for v in rs.variables) for r in rs.rows}
-    assert rows == {
+    assert set(rs.rows) == {
         (aieo("fw1"), aieo("fair1"), SHORT_DESCRIPTION, AnnotationValue("be fair")),
         (aieo("fw2"), aieo("fair2"), REFERENCE, AnnotationValue("ch. 2")),
     }
@@ -745,7 +741,7 @@ def test_describe_concept_without_merge_stays_local():
         AnnotationAssertion(aieo("fair1"), SHORT_DESCRIPTION, AnnotationValue("be fair"))
     )
     rs = canned_query("describe_concept", _mat(unmerged), aieo("fair1"))
-    assert [r[Variable("framework")] for r in rs.rows] == [aieo("fw1")]
+    assert rs.values("framework") == [aieo("fw1")]
     # the owl:sameAs IRI cannot become an object property that merges nothing
     with pytest.raises(ValidationError, match="reserved predicate"):
         unmerged.declare(OWL_SAME_AS, EntityKind.OBJECT_PROPERTY)
@@ -773,6 +769,70 @@ def test_scenarios_for_reaches_peers_and_equivalent_properties():
     rs = canned_query("scenarios_for", _mat(store), aieo("fair1"))
     assert rs.variables == (Variable("scenario"),)
     assert rs.values("scenario") == [aieo("hiring"), aieo("loans")]
+
+
+# aieo:application declared an annotation property: a concept then holds
+# an IRI and literal scenarios at once, or literals that differ only in
+# their language tag.
+_LITERAL_SCENARIOS = {
+    "iri_and_literals": (
+        'aieo:loans a owl:NamedIndividual .\n'
+        'aieo:x aieo:scenario aieo:loans .\n'
+        'aieo:x aieo:application "hiring" , "hiring"@en , "audit" .\n',
+        [aieo("loans"), AnnotationValue("audit"), AnnotationValue("hiring"),
+         AnnotationValue("hiring", "en")],
+    ),
+    "literals_only": (
+        'aieo:x aieo:application "hiring"@en , "hiring" .\n',
+        [AnnotationValue("hiring"), AnnotationValue("hiring", "en")],
+    ),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(_LITERAL_SCENARIOS))
+def test_scenarios_for_sorts_iris_then_literals(mix):
+    body, want = _LITERAL_SCENARIOS[mix]
+    store = parse_turtle(
+        f"@prefix aieo: <{AIEO_NS}> .\n"
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "aieo:application a owl:AnnotationProperty .\n"
+        "aieo:scenario a owl:ObjectProperty .\n"
+        "aieo:x a owl:NamedIndividual .\n" + body
+    )
+    rs = canned_query("scenarios_for", _mat(store), aieo("x"))
+    assert rs.values("scenario") == want
+    _assert_rows_in_term_key_order(rs)
+
+
+@pytest.mark.parametrize("name, arg", [
+    ("evaluate", None),
+    ("principles_by_framework", None),
+    ("describe_concept", aieo("fair1")),
+    ("scenarios_for", aieo("fair1")),
+    ("unique_concepts", aieo("fw1")),
+])
+def test_rows_are_term_tuples_aligned_with_variables(name, arg):
+    store = _individuals(_two_framework_store(), "hiring")
+    store.add(ObjectPropertyAssertion(aieo("fair2"), aieo("useCase"), aieo("hiring")))
+    mat = _mat(store)
+    if name == "evaluate":
+        text = "SELECT ?c ?p ?v WHERE { ?c a aieo:Principle . ?c ?p ?v }"
+        rs = evaluate(parse_query(text), mat)
+    else:
+        rs = canned_query(name, mat, arg)
+    assert rs.rows and list(rs) == list(rs.rows)
+    for row in rs.rows:
+        assert type(row) is tuple and len(row) == len(rs.variables)
+        assert all(isinstance(t, (Iri, AnnotationValue)) for t in row)
+    for n, var in enumerate(rs.variables):
+        assert rs.values(var) == [row[n] for row in rs.rows]
+    with pytest.raises(KeyError):
+        rs.values("nope")
+
+
+def test_values_of_an_unknown_variable_raise_even_without_rows():
+    with pytest.raises(KeyError):
+        ResultSet((Variable("a"),), ()).values("b")
 
 
 def test_unique_concepts_drops_shared_ones():
@@ -882,8 +942,7 @@ def _assert_canned_match_oracles(store, mat, concepts, frameworks, peers_of):
         block = peers_of(concept)
         rs = canned_query("describe_concept", mat, concept)
         want = _oracle_describe(store, links, block)
-        got = [tuple(r[v] for v in rs.variables) for r in rs.rows]
-        assert len(got) == len(want) and set(got) == want, concept
+        assert len(rs.rows) == len(want) and set(rs.rows) == want, concept
         assert canned_query("scenarios_for", mat, concept).values("scenario") == (
             _oracle_scenarios(mat, block)
         ), concept
