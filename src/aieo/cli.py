@@ -101,13 +101,19 @@ def _write_mode(target: Path) -> int:
         return 0o666 & ~umask
 
 
+# Characters encoded per write: a file's encoded bytes are never all in
+# memory at once beside its text.
+_WRITE_SLICE = 1 << 20
+
+
 def _atomic_write(path: str, text: str) -> None:
     target = Path(path)
     mode = _write_mode(target)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".aieo-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         os.chmod(tmp, mode)  # mkstemp always creates 0600
         os.replace(tmp, target)
     except BaseException:

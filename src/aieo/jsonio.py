@@ -424,12 +424,23 @@ def parse_framework_document(text: str) -> FrameworkDocument:
 # Pipeline configuration
 # ---------------------------------------------------------------------------
 
+def _confirmation(raw: Any, path: str, resolve: Callable[[str, str], Iri]) -> frozenset[Iri]:
+    """The pair of IRIs a confirmation names, or its first fault."""
+    _object(raw, path, {"left", "right"})
+    left = resolve(_field(raw, "left", str, path), f"{path}.left")
+    right = resolve(_field(raw, "right", str, path), f"{path}.right")
+    if left == right:
+        raise SchemaViolation(path, "left and right must differ")
+    return frozenset((left, right))
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse a pipeline config; every field is optional and defaulted."""
     obj = _object(
         _loads(text), "$", {"extraction", "classificationMap", "confirmations", "threshold"}
     )
-    resolve = _IriTable({}).resolve
+    table = _IriTable({})
+    resolve = table.resolve
 
     extraction = ExtractionConfig()
     if "extraction" in obj:
@@ -468,13 +479,15 @@ def parse_config(text: str) -> PipelineConfig:
 
     confirmations = []
     for i, raw in enumerate(_field(obj, "confirmations", list, "$", [])):
-        cpath = f"$.confirmations[{i}]"
-        _object(raw, cpath, {"left", "right"})
-        left = resolve(_field(raw, "left", str, cpath), f"{cpath}.left")
-        right = resolve(_field(raw, "right", str, cpath), f"{cpath}.right")
-        if left == right:
-            raise SchemaViolation(cpath, "left and right must differ")
-        confirmations.append(frozenset((left, right)))
+        # A well-formed member is read without building its paths; any other
+        # goes to _confirmation, which reports its first fault.
+        try:
+            pair = frozenset((table[raw["left"]], table[raw["right"]]))
+        except (KeyError, TypeError, ValueError):
+            pair = None
+        if pair is None or len(pair) != 2 or type(raw) is not dict or len(raw) != 2:
+            pair = _confirmation(raw, f"$.confirmations[{i}]", resolve)
+        confirmations.append(pair)
 
     threshold = obj.get("threshold", 0.5)
     if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
@@ -519,4 +532,11 @@ def traces_to_json(mat: Materialization) -> str:
         ]
         facts.append(_FACT % (_AXIOM_WRITERS[type(fact)](fact, "\n    "),
                               array_text(traces, "\n    ")))
-    return array_text(facts, "\n") + "\n"
+    if not facts:
+        return "[]\n"
+    # The text of array_text(facts, "\n") + "\n", made by one join: the
+    # sidecar can be the largest text the CLI writes, and a "+" would copy
+    # all of it.
+    facts[0] = "[\n  " + facts[0]
+    facts[-1] += "\n]\n"
+    return ",\n  ".join(facts)

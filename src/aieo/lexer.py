@@ -3,18 +3,25 @@
 A text is read in one pass: one compiled regular expression splits it into
 the texts of its tokens (a C-level ``findall``), and each *distinct* token
 text is then read once, in order of first appearance, into a ``(kind,
-value)`` pair. The reader knows the union of both token sets and rejects
+value)`` pair: most kinds by their first character, a string literal
+through the string alternative alone, the rest through the whole
+alternation. The reader knows the union of both token sets and rejects
 what neither language accepts; each language passes in checks that reject
 the tokens it lacks and read bare words its own way. Since a token's reading
 depends on its text alone, the first token that fails is the earliest one,
 so token errors come first, earliest first, before any grammar error.
 
-Both parsers then run their grammar over the token texts through a
-:class:`Cursor`: one token of lookahead, and one :meth:`Cursor.term`
-reader for IRIs, prefixed names, ``a`` and literals, so a term gets the
-same diagnostic in either language. Resolved terms are memoized per token
-text. Tokens are known by their index; the line and column of a
-diagnostic are worked out from the text only when it is raised.
+Both parsers then run their grammar over the token texts of a
+:class:`Cursor`, which resolves IRIs, prefixed names, ``a`` and literals
+in one place, :meth:`Cursor.resolve`, so a term gets the same diagnostic
+in either language. Resolved terms are memoized per position of a triple
+and token text. The query grammar steps through the cursor's methods: one
+token of lookahead, and :meth:`Cursor.term` for a term. The Turtle
+grammar, which reads far longer texts, is one loop over the token list
+with local indexes that reads each term from its position's memo and calls
+:meth:`Cursor.resolve` only on the first sight of a text there. Tokens
+are known by their index; the line and column of a diagnostic are worked
+out from the text only when it is raised.
 
 Token kinds and values:
 
@@ -45,14 +52,17 @@ from .model import RDF_TYPE, AnnotationValue, Iri
 # the matched text. An unterminated string takes the backslash it stopped
 # at, and a stray '+' or '-' the character after it, so that every token
 # is read from its own text.
+_STRING_ALTERNATIVE = r"""
+      (?P<string>"(?P<body>[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*)
+                  (?:(?P<close>"(?:@(?P<lang>(?:[^\W_]|-)*))?)|(?P<escape>\\))?)
+"""
 _ALTERNATIVES = r"""
       (?P<label>_:)
     | (?P<pname>(?P<prefix>(?:[^\W\d][\w-]*)?):(?P<local>[\w-]*))
     | (?P<word>[^\W\d][\w-]*)
     | (?P<punct>[.;,{}])
     | (?P<long>"{3})
-    | (?P<string>"(?P<body>[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*)
-                  (?:(?P<close>"(?:@(?P<lang>(?:[^\W_]|-)*))?)|(?P<escape>\\))?)
+    | """ + _STRING_ALTERNATIVE + r"""
     | (?P<iri><[^>\n]*>?)
     | (?P<var>\?\w*)
     | (?P<at>@[^\W\d_]*)
@@ -62,8 +72,12 @@ _ALTERNATIVES = r"""
     | (?P<eof>\Z)
     | (?P<other>[+-]?.)
 """
-# Reads one token's text.
+# Reads one token's text. A string, most of the tokens that need a match in
+# a store, is read through its own alternative: after the split, a text
+# that starts with a quote is a string unless it is the three quotes of
+# ``long``. Its groups, in order: string, body, close, lang, escape.
 _TOKEN = re.compile(_ALTERNATIVES, re.VERBOSE | re.DOTALL)
+_STRING = re.compile(_STRING_ALTERNATIVE, re.VERBOSE | re.DOTALL)
 # Splits a text into its token texts: the same alternatives as one group,
 # after the whitespace and comments before the token. The last match is the
 # empty text at the end; trailing whitespace adds a second one.
@@ -141,7 +155,8 @@ def _letters(word: str) -> str:
 def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
     """The ``(kind, value)`` of the token whose text is ``raw``, which a
     language's ``checks`` accept; raises :class:`_Rejected` otherwise."""
-    # The kinds that their first character gives are read without a match.
+    # The kinds that their first character gives are read without a match,
+    # a string with the match of its own alternative.
     first = raw[:1]
     if raw in _PUNCTUATION:
         kind = value = raw
@@ -155,6 +170,17 @@ def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
             reject("empty IRI reference")
     elif not first:
         return "eof", None
+    elif first == '"' and raw != '"""':
+        _, body, close, lang, escape = _STRING.match(raw).groups()
+        if close is None:
+            if escape:
+                reject("unknown escape sequence in string")
+            reject("unterminated string literal")
+        if lang == "":
+            reject("empty language tag")
+        if "\\" in body:
+            body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
+        kind, value = "string", (body, lang)
     else:
         m = _TOKEN.match(raw)
         kind = m.lastgroup
@@ -162,17 +188,6 @@ def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
             if not (raw[0].isalpha() or raw[0] in "_:"):
                 _reject_character(raw)
             value = m.group("prefix", "local")
-        elif kind == "string":
-            if m.group("close") is None:
-                if m.group("escape"):
-                    reject("unknown escape sequence in string")
-                reject("unterminated string literal")
-            body, lang = m.group("body", "lang")
-            if lang == "":
-                reject("empty language tag")
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
-            value = body, lang
         elif kind == "word":
             if not (raw[0].isalpha() or raw[0] == "_"):
                 _reject_character(raw)
@@ -258,35 +273,37 @@ class Cursor:
         object."""
         at = self.at
         self.at = at + 1
-        raw = self.tokens[at]
-        memo = self.terms[position]
-        term = memo.get(raw)
-        if term is None:
-            term = memo[raw] = self._resolve(raw, position)
-        return term
+        return self.terms[position].get(self.tokens[at]) or self.resolve(at, position)
 
-    def _resolve(self, raw: str, position: str) -> "Iri | AnnotationValue":
+    def resolve(self, at: int, position: str) -> "Iri | AnnotationValue":
+        """The ``at``-th token as the term at ``position`` (see
+        :meth:`term`), stored under its text in the memo
+        ``terms[position]``, which a grammar reads first. No term is falsy,
+        so ``memo.get(text) or resolve(at, position)`` reads one."""
+        raw = self.tokens[at]
         kind, value = self.kinds[raw]
         if kind == "iri" or kind == "pname":
-            iri = self.iris.get(raw)
-            if iri is None:
+            term = self.iris.get(raw)
+            if term is None:
                 if kind == "pname":
                     prefix, local = value
                     base = self.prefixes.get(prefix)
                     if base is None:
-                        self.fail(self.unknown_prefix.format(prefix))
+                        self.fail(self.unknown_prefix.format(prefix), at)
                     value = base + local
                 try:
-                    iri = self.iris[raw] = Iri(value)
+                    term = self.iris[raw] = Iri(value)
                 except ValueError as exc:  # a diagnostic at this token
-                    self.fail(str(exc))
-            return iri
-        if kind == "string":
+                    self.fail(str(exc), at)
+        elif kind == "string":
             if position != "object":
-                self.fail(f"a literal cannot be a {position}")
+                self.fail(f"a literal cannot be a {position}", at)
             if not value[0]:
-                self.fail("empty literal")
-            return AnnotationValue(*value)
-        if kind == "word" and value == "a" and position == "predicate":
-            return RDF_TYPE
-        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}")
+                self.fail("empty literal", at)
+            term = AnnotationValue(*value)
+        elif kind == "word" and value == "a" and position == "predicate":
+            term = RDF_TYPE
+        else:
+            self.fail(f"expected {'an' if position == 'object' else 'a'} {position}", at)
+        self.terms[position][raw] = term
+        return term

@@ -511,11 +511,6 @@ def axiom_type(ax: Axiom) -> AxiomType:
     return _row_of(type(ax))
 
 
-def axiom_subject(ax: Axiom) -> Iri:
-    """The IRI an axiom is grouped under when serialized or indexed."""
-    return axiom_type(ax).subject_of(ax)
-
-
 def axiom_sort_key(ax: Axiom) -> tuple:
     """Key of the deterministic total order over axioms. Axioms are ordered
     by type name, then field by field in field order: IRIs as strings, a
@@ -707,7 +702,12 @@ class OntologyStore:
         axioms.add(ax)
         if len(axioms) == size:
             return
-        _index_under(self._by_subject, (row.subject_of(ax),), (ax,))
+        subject = row.subject_of(ax)
+        entry = self._by_subject.get(subject)
+        if entry is None:
+            self._by_subject[subject] = {ax}
+        else:
+            entry.add(ax)
         if row.members is not None:
             for iri in getattr(ax, row.members):
                 self._equivalence[iri] = ax

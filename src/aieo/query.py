@@ -500,10 +500,13 @@ def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
 
 
 def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:
-    # R6 copies every sameAs peer's assertions onto the concept itself.
+    # R6 copies every sameAs peer's object property assertions onto the
+    # concept itself, but not its annotations, so a peer's literal scenarios
+    # are read from the peer.
     _require_individual(mat, concept)
+    by_subject = _index_of(mat).by_position[0]
     objects = {
-        o for _, p, o in _index_of(mat).by_position[0].get(concept, ())
+        o for peer in mat.sameas_blocks[concept] for _, p, o in by_subject.get(peer, ())
         if p in _SCENARIO_PROPERTIES
     }
     return _result((Variable("scenario"),), [(o,) for o in objects], False, [0])

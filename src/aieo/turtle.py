@@ -9,17 +9,25 @@ unsupported features with a position. The text is read through the
 into tokens, each distinct token is read once, a bad token anywhere is
 reported before any grammar error, and a diagnostic's line and column are
 worked out only when it is raised. This module reads ``@prefix``
-directives and the statement structure; a triple keeps the index of its
-object token, not an offset, for the errors of mapping it to an axiom.
+directives and the statement structure in one loop over the token list,
+with local indexes and the cursor's per-position term memos; the same loop
+sets aside the typings with a meta-class as declarations. A triple keeps
+the index of its object token, not an offset, for the errors of mapping it
+to an axiom. The axiom constructor of each distinct predicate (and object
+kind, IRI or literal) is chosen once, at its first triple, which also
+raises that predicate's error, so errors keep document order.
 
 Serialization is canonical: prefixes sorted, subjects sorted by absolute
 IRI, predicates in a fixed order, object lists sorted. Two serializations
-of equal stores are byte-identical.
+of equal stores are byte-identical. Each axiom type has one entry
+function, built at import, that turns its axioms into the rows they are
+written as, for the whole store and for :func:`axiom_line` alike.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable, Iterable
 
 from .errors import KindMismatch, UndeclaredEntity
 from .lexer import Cursor, Token, fail_at, reject, unexpected
@@ -30,13 +38,12 @@ from .model import (
     AnnotationAssertion,
     AnnotationValue,
     Axiom,
+    AxiomType,
     Declaration,
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
     OntologyStore,
-    axiom_subject,
-    axiom_type,
     check_prefix,
     render_literal,
     term_key,
@@ -72,13 +79,21 @@ _CHECKS = {"word": _word, "@": _directive, "?": unexpected, "{": unexpected, "}"
 _Triple = tuple[Iri, Iri, "Iri | AnnotationValue", int]
 
 
-def _document(cur: Cursor) -> list[_Triple]:
-    """The triples of the document, in order; ``@prefix`` directives go
-    into the cursor's prefixes."""
+def _document(cur: Cursor) -> tuple[list[_Triple], list[tuple[Iri, EntityKind]]]:
+    """The triples of the document, in order, but for the typings with a
+    meta-class, which come out as the ``(IRI, kind)`` they declare; ``@prefix``
+    directives go into the cursor's prefixes. One loop over the token
+    texts: a term is read from its position's memo, and resolved through
+    the cursor only on the first sight of its text there."""
+    tokens, kinds, terms, resolve = cur.tokens, cur.kinds, cur.terms, cur.resolve
+    subjects, predicates, objects = terms["subject"], terms["predicate"], terms["object"]
     triples: list[_Triple] = []
-    while (kind := cur.peek()) != "eof":
+    declarations: list[tuple[Iri, EntityKind]] = []
+    append = triples.append
+    at = 0
+    while (kind := kinds[tokens[at]][0]) != "eof":
         if kind == "@":  # @prefix, the one directive _CHECKS lets through
-            cur.take()
+            cur.at = at + 1
             prefix, local = cur.expect("pname", "a prefix name ending in ':'")[1]
             if local:
                 cur.fail("prefix declaration must end in ':'")
@@ -89,98 +104,132 @@ def _document(cur: Cursor) -> list[_Triple]:
                 cur.fail(str(exc))
             cur.expect(".", "'.' after prefix directive")
             cur.declare(prefix, base)
+            at = cur.at
             continue
-        subject = cur.term("subject")
+        subject = subjects.get(tokens[at]) or resolve(at, "subject")
         while True:
-            predicate = cur.term("predicate")
+            at += 1
+            predicate = predicates.get(tokens[at]) or resolve(at, "predicate")
+            typing = predicate == RDF_TYPE
             while True:
-                at = cur.at
-                triples.append((subject, predicate, cur.term("object"), at))
-                if cur.peek() != ",":
+                at += 1
+                obj = objects.get(tokens[at]) or resolve(at, "object")
+                if typing and obj in META_CLASS_KINDS:
+                    declarations.append((subject, META_CLASS_KINDS[obj]))
+                else:
+                    append((subject, predicate, obj, at))
+                at += 1
+                sep = tokens[at]  # a punctuation token's text is its kind
+                if sep != ",":
                     break
-                cur.take()
-            sep = cur.take()[0]
             if sep == ";":
-                if cur.peek() != ".":
+                if tokens[at + 1] != ".":
                     continue
-                cur.take()  # tolerate trailing ';'
+                at += 1  # tolerate trailing ';'
             elif sep != ".":
-                cur.fail("expected ';', ',' or '.'")
+                cur.fail("expected ';', ',' or '.'", at)
+            at += 1
             break
-    return triples
+    return triples, declarations
 
 
 def parse_turtle(text: str) -> OntologyStore:
     """Parse a document in the subset into a validated store."""
     cur = Cursor(text, _CHECKS, {}, "prefix '{}:' used before declaration")
-    triples = _document(cur)
+    triples, declarations = _document(cur)
     store = OntologyStore(cur.prefixes)
     del cur  # the token list is not needed from here on
     # Declarations first so statement order inside the file never matters.
-    rest: list[_Triple] = []
-    for triple in triples:
-        s, p, o, _ = triple
-        if p == RDF_TYPE and isinstance(o, Iri) and o in META_CLASS_KINDS:
-            store.declare(s, META_CLASS_KINDS[o])
-        else:
-            rest.append(triple)
+    for iri, kind in declarations:
+        store.declare(iri, kind)
+    # The constructor of each predicate's axioms, chosen at its first triple
+    # with an IRI object (or a literal one), which raises its error if any.
+    makers: dict[Iri, Callable] = {}
+    literal_makers: dict[Iri, Callable] = {}
     axioms: list[Axiom] = []
-    for s, p, o, at in rest:
-        try:
-            axioms.append(_map_triple(store, s, p, o))
-        except (ValueError, UndeclaredEntity, KindMismatch) as exc:
-            store.update(axioms)  # an earlier axiom's own error comes first
-            if isinstance(exc, ValueError):  # degenerate pair/set axioms
-                fail_at(text, at, str(exc))
-            raise
+    try:
+        for s, p, o, at in triples:
+            if type(o) is AnnotationValue:
+                make = literal_makers.get(p)
+                if make is None:
+                    make = literal_makers[p] = _literal_constructor(store, p)
+            else:
+                make = makers.get(p)
+                if make is None:
+                    make = makers[p] = _constructor(store, p)
+            axioms.append(make(s, p, o))
+    except (ValueError, UndeclaredEntity, KindMismatch) as exc:
+        store.update(axioms)  # an earlier axiom's own error comes first
+        if isinstance(exc, ValueError):  # degenerate pair/set axioms
+            fail_at(text, at, str(exc))
+        raise
     return store.update(axioms)
 
 
-# Axiom types by their fixed predicate. An rdf:type triple is a class
-# assertion here: typings with a meta-class were taken as declarations first.
-_TYPE_OF_PREDICATE = {
-    row.predicate: row
+def _from_pair(row: AxiomType) -> Callable[[Iri, Iri, Iri], Axiom]:
+    make = row.from_pair
+    return lambda s, _, o: make(s, o)
+
+
+# The axioms of a triple with an IRI object, by its fixed predicate. An
+# rdf:type triple is a class assertion here: typings with a meta-class were
+# taken as declarations already.
+_CONSTRUCTORS = {
+    row.predicate: _from_pair(row)
     for row in AXIOM_TYPES.values()
     if row.predicate is not None and row.cls is not Declaration
 }
 
 
-def _map_triple(store: OntologyStore, s: Iri, p: Iri, o: Iri | AnnotationValue) -> Axiom:
-    if isinstance(o, AnnotationValue):
-        kind = store.kind_of(p)
-        if kind is EntityKind.ANNOTATION_PROPERTY:
-            return AnnotationAssertion(s, p, o)
-        if kind is None:
-            raise UndeclaredEntity(f"{p} is not declared")
-        raise KindMismatch(f"literal object requires {p} to be an annotation property")
-    row = _TYPE_OF_PREDICATE.get(p)
-    if row is not None:
-        return row.from_pair(s, o)
+def _constructor(store: OntologyStore, p: Iri) -> Callable[[Iri, Iri, Iri], Axiom]:
+    """What a triple with predicate ``p`` and an IRI object maps to."""
+    make = _CONSTRUCTORS.get(p)
+    if make is not None:
+        return make
     kind = store.kind_of(p)
+    if kind is EntityKind.OBJECT_PROPERTY:
+        return ObjectPropertyAssertion
     if kind is None:
         raise UndeclaredEntity(f"{p} is not declared")
     if kind is EntityKind.ANNOTATION_PROPERTY:
         raise KindMismatch(f"annotation property {p} requires a literal object")
-    if kind is not EntityKind.OBJECT_PROPERTY:
-        raise KindMismatch(f"{p} is declared as {kind.value}, not usable as a predicate")
-    return ObjectPropertyAssertion(s, p, o)
+    raise KindMismatch(f"{p} is declared as {kind.value}, not usable as a predicate")
+
+
+def _literal_constructor(
+    store: OntologyStore, p: Iri
+) -> Callable[[Iri, Iri, AnnotationValue], Axiom]:
+    """What a triple with predicate ``p`` and a literal object maps to."""
+    kind = store.kind_of(p)
+    if kind is EntityKind.ANNOTATION_PROPERTY:
+        return AnnotationAssertion
+    if kind is None:
+        raise UndeclaredEntity(f"{p} is not declared")
+    raise KindMismatch(f"literal object requires {p} to be an annotation property")
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _entries(ax: Axiom) -> list[tuple[int, Iri, "Iri | AnnotationValue"]]:
-    """(order, predicate, object) rows contributed by one axiom. A symmetric
-    axiom is written once, from its least member to each of the others."""
-    row = axiom_type(ax)
+def _entry_function(row: AxiomType) -> Callable[[Iterable[Axiom]], list[tuple]]:
+    """The function from axioms of the row's type to the ``(subject,
+    predicate, object)`` rows they are written as. A symmetric axiom is
+    written once, from its least member to each of the others."""
     if row.symmetric:
-        rest = sorted(row.pair(ax))[1:]
-        return [(row.order, row.predicate, o) for o in rest]
-    _, pred, obj = row.triple(ax)
-    return [(row.order, pred, obj)]
+        pair, pred = row.pair, row.predicate
+        return lambda axioms: [
+            (members[0], pred, other)
+            for members in map(sorted, map(pair, axioms)) for other in members[1:]
+        ]
+    triple = row.triple
+    return lambda axioms: list(map(triple, axioms))
 
 
+_ENTRIES = {cls: _entry_function(row) for cls, row in AXIOM_TYPES.items()}
+
+
+_GROUPS = " ;\n    "  # between a subject's predicate groups
 _LOCAL_SAFE = re.compile(r"[A-Za-z0-9_-]*")
 
 
@@ -207,33 +256,44 @@ class TermText(dict):
         return text
 
 
-def _objects(objects: list) -> list:
-    """Objects in term_key order: IRIs, by their text, before literals."""
-    return sorted(objects, key=term_key) if len(objects) > 1 else objects
-
-
 def serialize_turtle(store: OntologyStore) -> str:
     """Canonical, byte-deterministic text for the store's axiom set."""
+    # Each subject's (order, predicate) groups of objects.
+    blocks: dict[Iri, dict[tuple[int, Iri], list]] = {}
+    for cls, row in AXIOM_TYPES.items():
+        order = row.order
+        for subject, pred, obj in _ENTRIES[cls](store.axioms_of(cls)):
+            key = order, pred
+            groups = blocks.get(subject)
+            if groups is None:
+                blocks[subject] = {key: [obj]}
+            elif key in groups:
+                groups[key].append(obj)
+            else:
+                groups[key] = [obj]
     text = TermText(store)
+    heads = {RDF_TYPE: "a "}  # each predicate's text and a space
     lines = [
         f"@prefix {prefix}: <{base}> ."
         for prefix, base in sorted(store.prefixes.items())
     ]
-    subjects = sorted(store.by_subject)
+    subjects = sorted(blocks)
     if lines and subjects:
         lines.append("")
     for subject in subjects:
-        groups: dict[tuple[int, Iri], list[Iri | AnnotationValue]] = {}
-        for ax in store.by_subject[subject]:
-            for order, pred, obj in _entries(ax):
-                groups.setdefault((order, pred), []).append(obj)
-        parts = [
-            f"{'a' if pred == RDF_TYPE else text[pred]} "
-            + ", ".join([text[o] for o in _objects(groups[order, pred])])
-            for order, pred in sorted(groups)
-        ]
-        body = " ;\n    ".join(parts)
-        lines.append(f"{text[subject]} {body} .")
+        groups = blocks[subject]
+        parts = []
+        for key in sorted(groups):
+            objects = groups[key]
+            head = heads.get(key[1]) or heads.setdefault(key[1], text[key[1]] + " ")
+            if len(objects) == 1:
+                parts.append(head + text[objects[0]])
+                continue
+            # IRIs sort as their text, which is term_key order; a group holds
+            # IRIs only or literals only.
+            objects.sort(key=term_key if type(objects[0]) is AnnotationValue else None)
+            parts.append(head + ", ".join(map(text.__getitem__, objects)))
+        lines.append(f"{text[subject]} {_GROUPS.join(parts)} .")
     return "\n".join(lines) + "\n"
 
 
@@ -242,8 +302,9 @@ def axiom_line(store: OntologyStore, ax: Axiom, text: TermText | None = None) ->
     over one store can share the ``text`` of its terms."""
     if text is None:
         text = TermText(store)
+    rows = _ENTRIES[type(ax)]((ax,))
     parts = [
         f"{'a' if pred == RDF_TYPE else text[pred]} {text[obj]}"
-        for _, pred, obj in _entries(ax)
+        for _, pred, obj in rows
     ]
-    return f"{text[axiom_subject(ax)]} {' ; '.join(parts)} ."
+    return f"{text[rows[0][0]]} {' ; '.join(parts)} ."

@@ -1003,6 +1003,31 @@ def random_linked_store(seed: int) -> OntologyStore:
     return store
 
 
+def random_literal_scenario_store(seed: int) -> OntologyStore:
+    """``random_linked_store(seed)`` with ``aieo:example`` declared an
+    annotation property instead: every axiom naming it is left out, and a
+    few individuals get literal scenarios through it, some texts with and
+    without a language tag. Its other draws are those of
+    ``random_linked_store(seed)``."""
+    rng = random.Random(seed + 20_000)
+    example = aieo("example")
+    linked = random_linked_store(seed)
+    kept = [
+        ax for ax in linked
+        if not any(v == example or (isinstance(v, frozenset) and example in v)
+                   for v in (getattr(ax, f) for f in ax._fields))
+    ]
+    store = OntologyStore(linked.prefixes)
+    store.update(ax for ax in kept if isinstance(ax, Declaration))  # declarations first
+    store.update(ax for ax in kept if not isinstance(ax, Declaration))
+    store.declare(example, EntityKind.ANNOTATION_PROPERTY)
+    individuals = store.declared(EntityKind.NAMED_INDIVIDUAL)
+    for _ in range(rng.randint(1, 6)):
+        text = AnnotationValue(rng.choice(("hiring", "audit")), rng.choice((None, "en")))
+        store.add(AnnotationAssertion(rng.choice(individuals), example, text))
+    return store
+
+
 def random_small_store(seed: int, *, max_axioms: int = 60) -> OntologyStore:
     """A from-scratch store (no bundled schema) of at most ``max_axioms``
     axioms with an arbitrary mix of every axiom type."""

@@ -897,6 +897,14 @@ def test_rewritten_out_files_keep_their_mode(run, seed_file, tmp_path):
     assert _mode(out) == _mode(report) == 0o604
 
 
+def test_output_written_in_slices_has_the_bytes_of_the_whole_text(monkeypatch, tmp_path):
+    text = "é\n€ab" * 5 + "𝒜\n"  # slices of 3 characters end on characters of 2-4 bytes
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 3)
+    for size in (0, 1, 3, len(text)):
+        cli._atomic_write(str(tmp_path / "out.txt"), text[:size])
+        assert (tmp_path / "out.txt").read_bytes() == text[:size].encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # the cyclic garbage collector
 # ---------------------------------------------------------------------------

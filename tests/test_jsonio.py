@@ -693,6 +693,37 @@ def test_parse_config_violations_carry_paths(doc, path):
     assert exc.value.field_name == path
 
 
+_IRI_ERROR = "an IRI cannot contain '>', a tab or a line break"
+
+
+@pytest.mark.parametrize(
+    "member,message",
+    [
+        (5, ": expected a JSON object"),
+        ("ab", ": expected a JSON object"),
+        (["left"], ": expected a JSON object"),
+        (None, ": expected a JSON object"),
+        ({}, ".left: required field is missing"),
+        ({"left": "a"}, ".right: required field is missing"),
+        ({"left": "a", "x": "b"}, ".x: unknown field"),
+        ({"left": "a", "right": "b", "x": 1}, ".x: unknown field"),
+        ({"left": 5, "right": "b"}, ".left: expected str"),
+        ({"left": [1], "right": "b"}, ".left: expected str"),
+        ({"left": "a", "right": {"x": 1}}, ".right: expected str"),
+        ({"left": "", "right": "b"}, ".left: expected a non-empty IRI string"),
+        ({"left": "a>b", "right": "b"}, f".left: {_IRI_ERROR}"),
+        ({"left": "a", "right": "a\tb"}, f".right: {_IRI_ERROR}"),
+        ({"left": "a", "right": "a"}, ": left and right must differ"),
+        ({"right": "b", "left": "aieo:b"}, ": left and right must differ"),
+    ],
+)
+def test_a_faulty_confirmation_after_a_good_one_reports_its_first_fault(member, message):
+    doc = json.dumps({"confirmations": [{"left": "a", "right": "b"}, member]})
+    with pytest.raises(SchemaViolation) as exc:
+        parse_config(doc)
+    assert str(exc.value) == "$.confirmations[1]" + message
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

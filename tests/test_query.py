@@ -53,6 +53,7 @@ from oracles import (
     flatten_triples,
     naive_peers,
     random_linked_store,
+    random_literal_scenario_store,
     random_query,
     random_small_store,
     random_store,
@@ -906,15 +907,19 @@ def _oracle_describe(store, links, block):
 
 
 def _oracle_scenarios(mat, block):
-    """scenarios_for values: scenario-like objects of any block member."""
-    return sorted({
-        fact.object
-        for fact in mat.facts()
-        if isinstance(fact, ObjectPropertyAssertion)
-        and fact.subject in block
-        and fact.prop in (aieo("application"), aieo("example"),
-                          aieo("scenario"), aieo("useCase"))
-    })
+    """scenarios_for values: scenario-like objects of any block member,
+    IRIs by their text, then literals by text and language tag, an
+    untagged literal first."""
+    scenario = (aieo("application"), aieo("example"), aieo("scenario"), aieo("useCase"))
+    iris, literals = set(), set()
+    for fact in mat.facts():
+        if isinstance(fact, ObjectPropertyAssertion):
+            if fact.subject in block and fact.prop in scenario:
+                iris.add(fact.object)
+        elif isinstance(fact, AnnotationAssertion):
+            if fact.subject in block and fact.prop in scenario:
+                literals.add(fact.value)
+    return sorted(iris) + sorted(literals, key=lambda v: (v.text, v.language_tag or ""))
 
 
 def _oracle_unique(store, links, framework, peers_of):
@@ -973,6 +978,23 @@ def test_canned_queries_on_random_stores_match_oracles():
             store, _mat(store), individuals, individuals,
             lambda ind: naive_peers(store, ind),
         )
+
+
+def test_canned_queries_on_random_stores_with_literal_scenarios_match_oracles():
+    literal = 0
+    for seed in range(30):
+        store = random_literal_scenario_store(seed)
+        individuals = store.declared(EntityKind.NAMED_INDIVIDUAL)
+        _assert_canned_match_oracles(
+            store, _mat(store), individuals, individuals,
+            lambda ind: naive_peers(store, ind),
+        )
+        literal += any(
+            isinstance(v, AnnotationValue)
+            for ind in individuals
+            for v in canned_query("scenarios_for", _mat(store), ind).values("scenario")
+        )
+    assert literal == 30
 
 
 @pytest.mark.parametrize("name", ["describe_concept", "scenarios_for", "unique_concepts"])

@@ -224,6 +224,21 @@ def test_round_trip_preserves_object_property_assertions():
     assert ObjectPropertyAssertion(aieo("f"), aieo("keyword"), aieo("k")) in again.axioms
 
 
+def test_only_a_typing_with_a_meta_class_is_a_declaration():
+    # owl:Class named as an individual, and the object of another predicate.
+    text = HEADER + (
+        "aieo:keyword a owl:ObjectProperty .\n"
+        "owl:Class a owl:NamedIndividual .\n"
+        "aieo:x a owl:NamedIndividual ; aieo:keyword owl:Class .\n"
+    )
+    store = parse_turtle(text)
+    owl_class = Iri("http://www.w3.org/2002/07/owl#Class")
+    assert ObjectPropertyAssertion(aieo("x"), aieo("keyword"), owl_class) in store
+    assert store.kind_of(aieo("x")) is EntityKind.NAMED_INDIVIDUAL
+    assert store.kind_of(owl_class) is EntityKind.NAMED_INDIVIDUAL
+    assert len(store) == 4
+
+
 # ---------------------------------------------------------------------------
 # The writer against the reference serializer
 # ---------------------------------------------------------------------------
