@@ -3,8 +3,9 @@ metrics, export, diff.
 
 Results go to stdout, diagnostics to stderr; the exit code is the machine
 signal (0 ok, 1 usage/parse or internal error, 2 validation, 3 inconsistent,
-4 I/O). A parse error names its input, as ``FILE:line:column: error:
-message`` with ``<query>`` for ``query --text``. Output files are written
+4 I/O). An error in one input names it: a parse error as
+``FILE:line:column: error: message`` with ``<query>`` for ``query --text``,
+a validation error as ``FILE: error: message``. Output files are written
 atomically (temp file + rename) so failures never leave partial files
 behind.
 """
@@ -56,16 +57,24 @@ class ExitStatus(IntEnum):
 
 
 class _InputError(Exception):
-    """A parse error, its text prefixed with the name of its input."""
+    """A parse or validation error, its text prefixed with the name of its
+    input; ``status`` is the exit status of the error it stands for."""
+
+    def __init__(self, text: str, status: ExitStatus):
+        super().__init__(text)
+        self.status = status
 
 
 @contextmanager
 def _input(name: str) -> Iterator[None]:
-    """Report a parse error raised in the block as one in input ``name``."""
+    """Report a parse or validation error raised in the block as one in
+    input ``name``."""
     try:
         yield
     except ParseError as exc:
-        raise _InputError(f"{name}:{exc}") from None
+        raise _InputError(f"{name}:{exc}", ExitStatus.PARSE_ERROR) from None
+    except (AieoError, ValueError) as exc:
+        raise _InputError(f"{name}: error: {exc}", ExitStatus.VALIDATION_ERROR) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,7 +168,8 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     store = _load_store(args.file)
-    store.require_valid()
+    with _input(args.file):
+        store.require_valid()
     sys.stdout.write(compute_metrics(store).as_table() + "\n")
     return ExitStatus.SUCCESS
 
@@ -367,7 +377,10 @@ def _run(argv: list[str] | None) -> int:
         return int(ExitStatus.PARSE_ERROR)
     try:
         return int(args.func(args))
-    except (_InputError, ParseError) as exc:
+    except _InputError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return int(exc.status)
+    except ParseError as exc:
         sys.stderr.write(f"{exc}\n")
         return int(ExitStatus.PARSE_ERROR)
     except (AieoError, ValueError) as exc:

@@ -7,7 +7,7 @@ most specific classes; L3 adds asserted relationships between individuals.
 A node's id is its IRI as a CURIE under the declared prefix with the longest
 base (``OntologyStore.compact``), or the IRI itself when no prefix covers
 it. Its annotation is its display label: the least text of its
-``rdfs:label`` assertions (``schema.label_of``, the label consolidation
+``rdfs:label`` assertions (``schema.labels``, the label consolidation
 scores), or empty when it has none.
 """
 
@@ -29,7 +29,7 @@ from .model import (
     SubObjectPropertyOf,
 )
 from .reasoner import Materialization, equivalence_classes
-from .schema import label_of
+from .schema import labels
 
 
 class DetailLevel(IntEnum):
@@ -99,6 +99,7 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
     )
     # Every node id and edge end is read from here.
     ids = {iri: store.compact(iri) for iri in chain(classes, individuals)}
+    display = labels(store)
 
     memberships: dict[Iri, set[Iri]] = defaultdict(set)
     members_per_class: dict[Iri, set[Iri]] = defaultdict(set)
@@ -110,7 +111,7 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
     # sorted before them.
     nodes = [
         GraphNode(ids[cls], f"{cls.local} [{len(members_per_class.get(cls, ()))}]", "class",
-                  label_of(store, cls) or "")
+                  display.get(cls, ""))
         for cls in classes
     ]
     edges = [
@@ -131,7 +132,7 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
         for ax in store.axioms_of(SubClassOf):
             rep_supers[rep[ax.sub]].add(rep[ax.sup])
         for ind in individuals:
-            nodes.append(GraphNode(ids[ind], ind.local, "individual", label_of(store, ind) or ""))
+            nodes.append(GraphNode(ids[ind], ind.local, "individual", display.get(ind, "")))
             reps = {rep[c] for c in memberships.get(ind, ())}
             implied = {c for d in reps for c in rep_supers.get(d, ()) if c != d}
             for cls in reps - implied:

@@ -383,7 +383,6 @@ class AxiomType:
     tag: str = field(init=False)  # the type's name, also its JSON "kind"
     members: str | None = field(init=False)  # the set-valued field, if any
     refs: tuple[Field, ...] = field(init=False)  # fields naming other entities
-    subject_of: Callable[[Axiom], Iri] = field(init=False)
     triple: Callable[[Axiom], tuple] | None = field(init=False)  # if not symmetric
     pair: Callable[[Axiom], Iterable[Iri]] | None = field(init=False)  # if symmetric
     sort_key: Callable[[Axiom], tuple] = field(init=False)  # within the type
@@ -399,15 +398,11 @@ class AxiomType:
         refs = () if declares else tuple(
             f for f in fields if f.shape is Iri or f.shape is frozenset
         )
-        subject_of: Callable = attrgetter(self.subject)
-        if self.subject == members:
-            subject_of = lambda ax, get=subject_of: min(get(ax))  # noqa: E731
         set_ = object.__setattr__
         set_(self, "fields", fields)
         set_(self, "tag", self.cls.__name__)
         set_(self, "members", members)
         set_(self, "refs", refs)
-        set_(self, "subject_of", subject_of)
         if self.symmetric:
             set_(self, "triple", None)
             set_(self, "pair", attrgetter(self.subject) if self.subject == self.obj
@@ -541,26 +536,12 @@ def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:
 # Store
 # ---------------------------------------------------------------------------
 
-def _index_under(index: dict[Iri, set[Axiom]], subjects: Iterable[Iri],
-                 axioms: Iterable[Axiom]) -> None:
-    """Add each axiom to the index under its subject, taken in step."""
-    for subject, ax in zip(subjects, axioms):
-        entry = index.get(subject)
-        if entry is None:
-            index[subject] = {ax}
-        else:
-            entry.add(ax)
-
-
 class OntologyStore:
-    """Declared entities plus a normalized axiom set, indexed by type and by
-    subject.
+    """Declared entities plus a normalized axiom set, indexed by type.
 
     ``add``, its batch form ``update``, and ``declare`` are the only writers.
-    Readers use ``ax in store``, iteration, ``len(store)``, ``axioms_of``
-    and the read-only ``by_subject`` index, which holds a key only while
-    some axiom has that subject; ``axioms`` is a frozen snapshot for set
-    algebra.
+    Readers use ``ax in store``, iteration, ``len(store)`` and
+    ``axioms_of``; ``axioms`` is a frozen snapshot for set algebra.
     Mutations are single-writer; hand a ``copy()`` to other threads of
     control for concurrent reads. Normalization folds overlapping
     EquivalentClasses / EquivalentObjectProperties axioms into one maximal
@@ -580,8 +561,6 @@ class OntologyStore:
         # The axioms themselves: one set per AXIOM_TYPES row.
         self._by_type: dict[type, set[Axiom]] = {cls: set() for cls in AXIOM_TYPES}
         self._kinds: dict[Iri, EntityKind] = {}
-        self._by_subject: dict[Iri, set[Axiom]] = {}
-        self.by_subject = MappingProxyType(self._by_subject)
         # Each member of a stored equivalence axiom, mapped to that axiom.
         self._equivalence: dict[Iri, Axiom] = {}
 
@@ -655,7 +634,6 @@ class OntologyStore:
                     self.add(ax)
                 continue
             self._by_type[row.cls].update(group)
-            _index_under(self._by_subject, map(row.subject_of, group), group)
 
     def _references_declared(self, row: AxiomType, group: Iterable[Axiom]) -> bool:
         """Whether every IRI the axioms reference is declared with the kind
@@ -702,23 +680,12 @@ class OntologyStore:
         axioms.add(ax)
         if len(axioms) == size:
             return
-        subject = row.subject_of(ax)
-        entry = self._by_subject.get(subject)
-        if entry is None:
-            self._by_subject[subject] = {ax}
-        else:
-            entry.add(ax)
         if row.members is not None:
             for iri in getattr(ax, row.members):
                 self._equivalence[iri] = ax
 
     def _remove(self, ax: Axiom, row: AxiomType) -> None:
         self._by_type[row.cls].discard(ax)
-        subject = row.subject_of(ax)
-        entry = self._by_subject[subject]
-        entry.discard(ax)
-        if not entry:
-            del self._by_subject[subject]
         for iri in getattr(ax, row.members):
             del self._equivalence[iri]
 
@@ -784,8 +751,6 @@ class OntologyStore:
         dup._by_type = {cls: set(axioms) for cls, axioms in self._by_type.items()}
         dup._kinds = dict(self._kinds)
         dup._equivalence = dict(self._equivalence)
-        dup._by_subject = {k: set(v) for k, v in self._by_subject.items()}
-        dup.by_subject = MappingProxyType(dup._by_subject)
         return dup
 
     def require_valid(self) -> None:

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateFramework,
@@ -44,7 +44,7 @@ from .schema import (
     REFERENCE,
     SHORT_DESCRIPTION,
     aieo,
-    label_of,
+    labels,
 )
 
 DEFAULT_STOPWORDS = frozenset(
@@ -337,8 +337,10 @@ def label_similarity(a: str, b: str) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _concept_label(store: OntologyStore, ind: Iri) -> str:
-    label = label_of(store, ind)
+def _concept_label(display: Mapping[Iri, str], ind: Iri) -> str:
+    """The concept's display label (``schema.labels``), or else its local
+    name with spaces for underscores."""
+    label = display.get(ind)
     return ind.local.replace("_", " ") if label is None else label
 
 
@@ -384,12 +386,13 @@ def propose_equivalences(
         )
     if new_framework not in by_framework:
         raise UnknownFramework(f"framework not ingested: {new_framework}")
-    labels: dict[Iri, tuple[str, frozenset[str]]] = {}
+    display = labels(store)
+    scored: dict[Iri, tuple[str, frozenset[str]]] = {}
     for concepts in by_framework.values():
         for concept in concepts:
-            if concept not in labels:
-                label = _concept_label(store, concept)
-                labels[concept] = label, _label_tokens(label)
+            if concept not in scored:
+                label = _concept_label(display, concept)
+                scored[concept] = label, _label_tokens(label)
     # One entry per (framework, peer) link, so a peer linked from two other
     # frameworks is proposed twice, as scoring every pair does.
     entries: list[Iri] = []
@@ -398,17 +401,17 @@ def propose_equivalences(
         if other_fw == new_framework:
             continue
         for peer in peers:
-            for token in labels[peer][1]:
+            for token in scored[peer][1]:
                 by_token.setdefault(token, []).append(len(entries))
             entries.append(peer)
     proposals = []
     for concept in by_framework[new_framework]:
-        label, tokens = labels[concept]
+        label, tokens = scored[concept]
         n = len(tokens)
         shared = Counter(chain.from_iterable(by_token.get(t, ()) for t in tokens))
         for entry, k in shared.items():
             peer = entries[entry]
-            peer_label, peer_tokens = labels[peer]
+            peer_label, peer_tokens = scored[peer]
             if k / (n + len(peer_tokens) - k) >= threshold:
                 score = label_similarity(label, peer_label)
                 proposals.append(EquivalenceProposal(concept, peer, score))

@@ -28,7 +28,6 @@ from .jsonio import canonical_json
 from .lexer import Cursor, Token, reject, unexpected
 from .model import (
     AXIOM_TYPES,
-    AnnotationAssertion,
     AnnotationValue,
     ClassAssertion,
     EntityKind,
@@ -445,6 +444,8 @@ PRINCIPLES_BY_FRAMEWORK_QUERY = (
 
 _SCENARIO_PROPERTIES = (aieo("application"), aieo("example"), aieo("scenario"), aieo("useCase"))
 _CONCEPT_LINK_PROPERTIES = frozenset(aieo(p) for p in CONCEPT_LINK_PROPERTIES.values())
+_DESCRIPTION_PROPERTIES = (SHORT_DESCRIPTION, REFERENCE)
+_OWN_CONCEPT_PROPERTIES = (aieo("principle"), aieo("requirement"))
 
 
 def canned_query(name: str, mat: Materialization, arg: Iri | None = None) -> ResultSet:
@@ -486,16 +487,16 @@ def _framework_links(mat: Materialization, concept: Iri) -> set[Iri]:
 def _describe_concept(mat: Materialization, concept: Iri) -> ResultSet:
     _require_individual(mat, concept)
     variables = tuple(Variable(v) for v in ("framework", "concept", "property", "value"))
+    by_subj = _index_of(mat).by_position[0]
     rows: list[tuple] = []
     for peer in mat.sameas_blocks[concept]:
+        # The peer's annotations: no rule infers one, so they are asserted.
         annotations = [
-            ax
-            for ax in mat.base.by_subject.get(peer, ())
-            if isinstance(ax, AnnotationAssertion)
-            and ax.prop in (SHORT_DESCRIPTION, REFERENCE)
+            (p, o) for _, p, o in by_subj.get(peer, ())
+            if p in _DESCRIPTION_PROPERTIES and type(o) is AnnotationValue
         ]
         frameworks = _framework_links(mat, peer)
-        rows += [(fw, peer, ax.prop, ax.value) for ax in annotations for fw in frameworks]
+        rows += [(fw, peer, p, o) for p, o in annotations for fw in frameworks]
     return _result(variables, rows, False, [3])
 
 
@@ -504,9 +505,9 @@ def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:
     # concept itself, but not its annotations, so a peer's literal scenarios
     # are read from the peer.
     _require_individual(mat, concept)
-    by_subject = _index_of(mat).by_position[0]
+    by_subj = _index_of(mat).by_position[0]
     objects = {
-        o for peer in mat.sameas_blocks[concept] for _, p, o in by_subject.get(peer, ())
+        o for peer in mat.sameas_blocks[concept] for _, p, o in by_subj.get(peer, ())
         if p in _SCENARIO_PROPERTIES
     }
     return _result((Variable("scenario"),), [(o,) for o in objects], False, [0])
@@ -514,11 +515,10 @@ def _scenarios_for(mat: Materialization, concept: Iri) -> ResultSet:
 
 def _unique_concepts(mat: Materialization, framework: Iri) -> ResultSet:
     _require_individual(mat, framework)
+    base = mat.base
     own = {
-        ax.object
-        for ax in mat.base.by_subject.get(framework, ())
-        if isinstance(ax, ObjectPropertyAssertion)
-        and ax.prop in (aieo("principle"), aieo("requirement"))
+        o for s, p, o in _index_of(mat).by_position[0].get(framework, ())
+        if p in _OWN_CONCEPT_PROPERTIES and ObjectPropertyAssertion(s, p, o) in base
     }
     rows = []
     for concept in own:

@@ -229,7 +229,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     asserted = sorted_axioms(store.axioms_of(ClassAssertion, ObjectPropertyAssertion))
     # Every conclusion is a class or property assertion.
     asserted_set = set(asserted)
-    inferred: set[Axiom] = set()
+    # Each inferred fact -> its derivations: the one record of those facts.
     traces: dict[Axiom, list[tuple[RuleId, tuple[Axiom, ...]]]] = {}
     sameas_free: frozenset[Axiom] | None = None
     # Each entry is a fact and the rows it has still to meet; what it
@@ -241,7 +241,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
             # The first pass closed the asserted facts under R1-R5. The
             # second runs R6 on every fact known so far, and every rule on
             # each fact that R6 derives, so each fact meets each row once.
-            sameas_free = frozenset(inferred)
+            sameas_free = frozenset(traces)
             derived_rows = every_row
             queue.extend((fact, r6_rows) for fact in (*asserted, *sameas_free))
             continue
@@ -251,15 +251,15 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
                 conclusion = row.conclude(fact, joined)
                 if conclusion in asserted_set:  # asserted facts carry no traces
                     continue
-                if conclusion not in inferred:
-                    if len(inferred) >= fact_limit:
+                derivations = traces.get(conclusion)
+                if derivations is None:
+                    if len(traces) >= fact_limit:
                         raise IterationLimitExceeded(
                             f"materialization exceeded {fact_limit} derived facts"
                         )
-                    inferred.add(conclusion)
-                    traces[conclusion] = []
+                    derivations = traces[conclusion] = []
                     queue.append((conclusion, derived_rows))
-                traces[conclusion].append((row.rule, (fact, schema_ax)))
+                derivations.append((row.rule, (fact, schema_ax)))
 
     blocks: dict[Iri, tuple[Iri, ...]] = {}
     for members in equivalence_classes(store, EntityKind.NAMED_INDIVIDUAL):
@@ -267,7 +267,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
         blocks.update(dict.fromkeys(block, block))
     mat = Materialization(
         base=store,
-        inferred=frozenset(inferred),
+        inferred=frozenset(traces),
         traces=Traces(traces),
         sameas_free=sameas_free,
         sameas_blocks=MappingProxyType(blocks),

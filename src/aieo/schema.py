@@ -54,14 +54,17 @@ def aieo(local: str) -> Iri:
     return Iri(AIEO_NS + local)
 
 
-def label_of(store: OntologyStore, iri: Iri) -> str | None:
-    """The entity's display label: the least text of its ``rdfs:label``
-    assertions, or None when it has none."""
-    return min(
-        (ax.value.text for ax in store.by_subject.get(iri, ())
-         if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL),
-        default=None,
-    )
+def labels(store: OntologyStore) -> dict[Iri, str]:
+    """Each labelled entity's display label: the least text of its
+    ``rdfs:label`` assertions. An entity without one has no key."""
+    out: dict[Iri, str] = {}
+    for ax in store.axioms_of(AnnotationAssertion):
+        if ax.prop == RDFS_LABEL:
+            text = ax.value.text
+            least = out.get(ax.subject)
+            if least is None or text < least:
+                out[ax.subject] = text
+    return out
 
 
 CENTRAL_CLASSES = (

@@ -425,8 +425,9 @@ def naive_label_similarity(a: str, b: str) -> float:
 def _naive_concept_label(store: OntologyStore, ind: Iri) -> str:
     labels = sorted(
         ax.value.text
-        for ax in store.by_subject.get(ind, ())
+        for ax in store.axioms
         if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL
+        and ax.subject == ind
     )
     return labels[0] if labels else ind.local.replace("_", " ")
 

@@ -243,7 +243,7 @@ def test_declaring_a_structural_predicate_exits_validation_error(run, tmp_path, 
     path.write_text(text)
     code, out, err = run("parse", str(path))
     assert code == ExitStatus.VALIDATION_ERROR
-    assert out == "" and err.startswith("error: ") and "reserved predicate" in err
+    assert out == "" and err.startswith(f"{path}: error: ") and "reserved predicate" in err
     assert "Traceback" not in err
 
 
@@ -469,6 +469,32 @@ def test_a_parse_error_names_its_input(run, tmp_path, seed_file):
                  ("ingest", str(bad), str(DATA / "au_framework.json"),
                   "--config", str(DATA / "pipeline_config.json"))):
         assert run(*argv) == (1, "", f"{bad}:2:1: {message}"), argv
+
+
+def test_a_validation_error_names_its_input(run, tmp_path, seed_file):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("@prefix ex: <https://example.org/> .\nex:a ex:p ex:b .\n")
+    doc, config = str(DATA / "au_framework.json"), str(DATA / "pipeline_config.json")
+    message = "error: https://example.org/p is not declared\n"
+    for argv in (("diff", seed_file, str(bad)), ("diff", str(bad), seed_file),
+                 ("parse", str(bad)), ("ingest", str(bad), doc, "--config", config)):
+        assert run(*argv) == (2, "", f"{bad}: {message}"), argv
+    store = tmp_path / "store.json"
+    store.write_text('{"axioms": [{"kind": "Declaration", "iri": 5, "entityKind": "Class"}]}')
+    assert run("metrics", str(store)) == (
+        2, "", f"{store}: error: $.axioms[0].iri: expected str\n")
+    bad_doc, bad_config = tmp_path / "doc.json", tmp_path / "config.json"
+    bad_doc.write_text('{"id": 5}')
+    bad_config.write_text('{"x": 1}')
+    assert run("ingest", seed_file, str(bad_doc), "--config", config) == (
+        2, "", f"{bad_doc}: error: $.id: expected str\n")
+    assert run("ingest", seed_file, doc, "--config", str(bad_config)) == (
+        2, "", f"{bad_config}: error: $.x: unknown field\n")
+    # An error of no single input keeps the plain prefix.
+    first = tmp_path / "au.ttl"
+    assert run("ingest", seed_file, doc, "--config", config, "--out", str(first))[0] == 0
+    code, out, err = run("ingest", str(first), doc, "--config", config)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "already ingested" in err
 
 
 # Text a damaged query may gain: keywords, terms, the punctuation of the

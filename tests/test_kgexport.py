@@ -30,7 +30,7 @@ from aieo.model import (
 )
 from aieo.pipeline import _concept_label
 from aieo.reasoner import materialize
-from aieo.schema import RDFS_LABEL, aieo, seed_schema
+from aieo.schema import RDFS_LABEL, aieo, labels, seed_schema
 
 from oracles import (
     _naive_concept_label,
@@ -379,13 +379,18 @@ def test_dot_output_parses_for_random_stores():
 _LABEL_TEXTS = ("b", "a", "B", "a b", "\u00c9quit\u00e9", "\u00e9quit\u00e9", "z")
 
 
+def _label_texts(store, iri):
+    """The texts of the ``rdfs:label`` assertions on ``iri``, found by a scan
+    of every axiom."""
+    return {ax.value.text for ax in store.axioms
+            if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL
+            and ax.subject == iri}
+
+
 def _least_label(store, iri):
-    """The least text of the ``rdfs:label`` assertions on ``iri``, found by a
-    scan of every axiom, or "" when there are none."""
-    texts = [ax.value.text for ax in store.axioms
-             if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL
-             and ax.subject == iri]
-    return min(texts, default="")
+    """The least text of the ``rdfs:label`` assertions on ``iri``, or ""
+    when there are none."""
+    return min(_label_texts(store, iri), default="")
 
 
 def test_annotations_and_concept_labels_are_the_least_rdfs_label():
@@ -400,15 +405,15 @@ def test_annotations_and_concept_labels_are_the_least_rdfs_label():
                 value = AnnotationValue(rng.choice(_LABEL_TEXTS), rng.choice((None, "en", "fr")))
                 store.add(AnnotationAssertion(rng.choice(nodes), prop, value))
             by_id = {store.compact(iri): iri for iri in nodes}
+            display = labels(store)
             graph = _export(store, 2)
             assert len(graph.nodes) == len(nodes)
             for node in graph.nodes:
                 iri = by_id[node.id]
                 assert node.annotation == _least_label(store, iri), (seed, iri)
-                assert _concept_label(store, iri) == _naive_concept_label(store, iri), (seed, iri)
-                texts = {ax.value.text for ax in store.by_subject.get(iri, ())
-                         if isinstance(ax, AnnotationAssertion) and ax.prop == RDFS_LABEL}
-                several += len(texts) > 1
+                assert (_concept_label(display, iri)
+                        == _naive_concept_label(store, iri)), (seed, iri)
+                several += len(_label_texts(store, iri)) > 1
     assert several  # some node has labels to choose between
 
 

@@ -166,13 +166,10 @@ def _stored_sets(store: OntologyStore) -> set[frozenset]:
 
 
 def _assert_indexed(store: OntologyStore) -> None:
-    """by_subject holds every axiom once, under its subject."""
-    indexed = [(s, ax) for s, axioms in store.by_subject.items() for ax in axioms]
+    """The type index holds every axiom once, under its own type."""
+    indexed = [(cls, ax) for cls in AXIOM_TYPES for ax in store.axioms_of(cls)]
     assert {ax for _, ax in indexed} == store.axioms and len(indexed) == len(store.axioms)
-    assert all(store.by_subject.values())  # no key outlives its last axiom
-    for subject, ax in indexed:
-        if isinstance(ax, EquivalentClasses):
-            assert subject == min(ax.classes)
+    assert all(type(ax) is cls for cls, ax in indexed)
 
 
 def test_a_merge_can_join_three_sets():
@@ -236,6 +233,7 @@ def test_compact_takes_the_longest_base_then_the_least_prefix_name():
 def test_copy_is_independent():
     store = _store()
     clone = store.copy()
+    assert _state(clone) == _state(store)
     clone.add(ClassAssertion(ex("A"), ex("x")))
     assert ClassAssertion(ex("A"), ex("x")) not in store.axioms
     assert store.prefixes == clone.prefixes
@@ -282,37 +280,15 @@ def test_indexes_track_mutation():
     ca = ClassAssertion(ex("A"), ex("x"))
     opa = ObjectPropertyAssertion(ex("x"), ex("p"), ex("y"))
     store.add(ca).add(opa)
-    assert opa in store.by_subject[ex("x")]
-    # An equivalence merge replaces the old axiom under its subject.
+    assert ca in store.axioms_of(ClassAssertion) and opa in store.axioms_of(ObjectPropertyAssertion)
+    # An equivalence merge replaces the old axiom.
     old = EquivalentClasses(frozenset({ex("B"), ex("C")}))
     store.add(old).add(EquivalentClasses(frozenset({ex("A"), ex("B")})))
-    assert old not in store.by_subject[ex("B")]
-    assert store.by_subject[ex("A")] == {
-        Declaration(ex("A"), EntityKind.OWL_CLASS),
+    assert old not in store
+    assert set(store.axioms_of(EquivalentClasses)) == {
         EquivalentClasses(frozenset({ex("A"), ex("B"), ex("C")})),
     }
-
-
-def test_a_merge_that_moves_an_axiom_leaves_no_empty_entry():
-    store = _store()
-    old = EquivalentClasses(frozenset({ex("B"), ex("C")}))
-    store.add(old).add(EquivalentClasses(frozenset({ex("A"), ex("C")})))
-    # The merged set lives under its least member; B keeps only its own
-    # declaration, since every subject is a declared IRI.
-    assert store.by_subject.get(ex("B"), ()) == {Declaration(ex("B"), EntityKind.OWL_CLASS)}
     _assert_indexed(store)
-
-
-def test_by_subject_is_read_only():
-    store = _store()
-    with pytest.raises(TypeError):
-        store.by_subject[ex("x")] = set()
-    with pytest.raises(TypeError):
-        del store.by_subject[ex("x")]
-    with pytest.raises(AttributeError):
-        store.by_subject.setdefault(ex("w"), set())
-    assert ex("w") not in store.by_subject
-    assert store.copy().by_subject == store.by_subject
 
 
 def _state(store: OntologyStore) -> tuple:
@@ -320,7 +296,6 @@ def _state(store: OntologyStore) -> tuple:
     return (
         {cls: set(store.axioms_of(cls)) for cls in AXIOM_TYPES},
         {iri: store.kind_of(iri) for iri in store.declared()},
-        dict(store.by_subject),
         len(store),
     )
 

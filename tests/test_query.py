@@ -18,6 +18,7 @@ from aieo.model import (
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
+    OntologyStore,
     SameIndividual,
     render_literal,
     term_key,
@@ -38,6 +39,7 @@ from aieo.reasoner import materialize
 from aieo.schema import (
     AIEO_NS,
     CONCEPT_LINK_PROPERTIES,
+    DEFAULT_PREFIXES,
     OWL_SAME_AS,
     RDF_TYPE,
     RDFS_SUBCLASSOF,
@@ -731,6 +733,25 @@ def test_describe_concept_joins_annotations_from_both_frameworks():
     }
     # the merged peer answers the same question
     assert canned_query("describe_concept", mat, aieo("fair2")) == rs
+
+
+def test_describe_concept_reads_only_literal_descriptions():
+    # Without the seed schema, aieo:shortDescription may be an object
+    # property; its assertions, asserted or copied over sameAs, are no
+    # descriptions.
+    store = OntologyStore(DEFAULT_PREFIXES)
+    store.declare(aieo("Framework"), EntityKind.OWL_CLASS)
+    for prop in ("principle", "shortDescription"):
+        store.declare(aieo(prop), EntityKind.OBJECT_PROPERTY)
+    store.declare(REFERENCE, EntityKind.ANNOTATION_PROPERTY)
+    _individuals(store, "fw1", "fair1", "fair2", "note")
+    store.add(ClassAssertion(aieo("Framework"), aieo("fw1")))
+    store.add(ObjectPropertyAssertion(aieo("fw1"), aieo("principle"), aieo("fair1")))
+    store.add(ObjectPropertyAssertion(aieo("fair2"), SHORT_DESCRIPTION, aieo("note")))
+    store.add(SameIndividual(aieo("fair1"), aieo("fair2")))
+    store.add(AnnotationAssertion(aieo("fair1"), REFERENCE, AnnotationValue("s. 3")))
+    rs = canned_query("describe_concept", _mat(store), aieo("fair1"))
+    assert rs.rows == ((aieo("fw1"), aieo("fair1"), REFERENCE, AnnotationValue("s. 3")),)
 
 
 def test_describe_concept_without_merge_stays_local():
