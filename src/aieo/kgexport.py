@@ -3,12 +3,17 @@
 Levels nest: L1 shows classes (with individual-count badges), the subclass
 hierarchy, and class equivalences; L2 adds individuals with edges to their
 most specific classes; L3 adds asserted relationships between individuals.
+An individual's type edges and an L3 edge's property name representatives:
+each class or property stands for the least member of the stored
+equivalence axiom that has it (the store keeps those axioms maximal, so
+that is its whole block), or for itself when no such axiom has it.
 
 A node's id is its IRI as a CURIE under the declared prefix with the longest
 base (``OntologyStore.compact``), or the IRI itself when no prefix covers
-it. Its annotation is its display label: the least text of its
-``rdfs:label`` assertions (``schema.labels``, the label consolidation
-scores), or empty when it has none.
+it or when that CURIE is the id of another node that is its own IRI. Its
+annotation is its display label: the least text of its ``rdfs:label``
+assertions (``schema.labels``, the label consolidation scores), or empty
+when it has none.
 """
 
 from __future__ import annotations
@@ -17,18 +22,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
+from typing import Callable
 
 from .jsonio import array_text, encode_string, object_template
 from .model import (
+    AXIOM_TYPES,
     EntityKind,
     EquivalentClasses,
+    EquivalentObjectProperties,
     Iri,
     ObjectPropertyAssertion,
     OntologyStore,
     SubClassOf,
     SubObjectPropertyOf,
 )
-from .reasoner import Materialization, equivalence_classes
+from .reasoner import Materialization
 from .schema import labels
 
 
@@ -84,9 +92,12 @@ def _strict_supers(edges: dict[Iri, set[Iri]], start: Iri) -> set[Iri]:
     return reached
 
 
-def _representatives(store: OntologyStore, kind: EntityKind) -> dict[Iri, Iri]:
-    """Each declared IRI of the kind -> the least member of its equivalence block."""
-    return {m: min(block) for block in equivalence_classes(store, kind) for m in block}
+def _representative(store: OntologyStore, equivalence: type) -> Callable[[Iri], Iri]:
+    """An IRI -> the least member of the stored ``equivalence`` axiom that
+    has it, or the IRI itself when none has it."""
+    members = AXIOM_TYPES[equivalence].pair
+    least = {m: min(block) for block in map(members, store.axioms_of(equivalence)) for m in block}
+    return lambda iri: least.get(iri, iri)
 
 
 def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
@@ -99,6 +110,13 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
     )
     # Every node id and edge end is read from here.
     ids = {iri: store.compact(iri) for iri in chain(classes, individuals)}
+    # A CURIE can be the text of another node's IRI that is its id, as
+    # "ex:a" is for <ex:a>. Such a node's id is its full IRI instead, which
+    # may in turn be a CURIE of a third node, so this repeats.
+    full = {text for iri, text in ids.items() if text == iri}
+    while clashes := [iri for iri, text in ids.items() if text != iri and text in full]:
+        ids.update((iri, str(iri)) for iri in clashes)
+        full.update(clashes)
     display = labels(store)
 
     memberships: dict[Iri, set[Iri]] = defaultdict(set)
@@ -127,19 +145,19 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
     if level >= DetailLevel.L2_PLUS_INDIVIDUALS:
         # Memberships are closed under R2/R3, so a type is implied by a more
         # specific one exactly when another type has a direct edge to it.
-        rep = _representatives(store, EntityKind.OWL_CLASS)
+        rep = _representative(store, EquivalentClasses)
         rep_supers: dict[Iri, set[Iri]] = defaultdict(set)
         for ax in store.axioms_of(SubClassOf):
-            rep_supers[rep[ax.sub]].add(rep[ax.sup])
+            rep_supers[rep(ax.sub)].add(rep(ax.sup))
         for ind in individuals:
             nodes.append(GraphNode(ids[ind], ind.local, "individual", display.get(ind, "")))
-            reps = {rep[c] for c in memberships.get(ind, ())}
+            reps = {rep(c) for c in memberships.get(ind, ())}
             implied = {c for d in reps for c in rep_supers.get(d, ()) if c != d}
             for cls in reps - implied:
                 edges.append(GraphEdge(ids[ind], ids[cls], "type", "membership"))
 
     if level >= DetailLevel.L3_PLUS_INSTANCE_RELATIONSHIPS:
-        prop_rep = _representatives(store, EntityKind.OBJECT_PROPERTY)
+        prop_rep = _representative(store, EquivalentObjectProperties)
         prop_supers: dict[Iri, set[Iri]] = defaultdict(set)
         for ax in store.axioms_of(SubObjectPropertyOf):
             prop_supers[ax.sub].add(ax.sup)
@@ -157,7 +175,7 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
                 for q in props:
                     kept -= _strict_supers(prop_supers, q)
             for p in kept:
-                rendered.add((subj, prop_rep[p], obj))
+                rendered.add((subj, prop_rep(p), obj))
         for subj, prop, obj in rendered:
             edges.append(GraphEdge(ids[subj], ids[obj], prop.local, "assertion"))
 

@@ -18,7 +18,7 @@ about.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import Mapping
+from collections.abc import KeysView, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
@@ -162,6 +162,9 @@ class Traces(Mapping):
             )
         return rows
 
+    def __contains__(self, fact: object) -> bool:  # Mapping's would build traces
+        return fact in self._rows
+
     def __iter__(self) -> Iterator[Axiom]:
         return iter(self._rows)
 
@@ -174,7 +177,8 @@ class Materialization:
     """An immutable closure of ``base`` under the inference rules."""
 
     base: OntologyStore
-    inferred: frozenset[Axiom]
+    # A read-only set view of the facts that ``traces`` maps.
+    inferred: KeysView[Axiom]
     traces: Traces
     # The inferred facts that some derivation without R6 reaches.
     sameas_free: frozenset[Axiom]
@@ -188,9 +192,6 @@ class Materialization:
     def consistent(self) -> bool:
         return not self.violations
 
-    def has(self, fact: Axiom) -> bool:
-        return fact in self.base or fact in self.inferred
-
     def facts(self) -> Iterable[Axiom]:
         yield from self.base
         yield from self.inferred
@@ -201,6 +202,27 @@ class Materialization:
         for fact in self.inferred:
             if type(fact) is ClassAssertion:
                 yield fact
+
+
+def _sameas_blocks(store: OntologyStore) -> dict[Iri, tuple[Iri, ...]]:
+    """Each declared individual -> its sameAs block, sorted."""
+    # Union-find; each root is the least member of its block.
+    parent = {ind: ind for ind in store.declared(EntityKind.NAMED_INDIVIDUAL)}
+
+    def find(x: Iri) -> Iri:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ax in store.axioms_of(SameIndividual):
+        ra, rb = find(ax.a), find(ax.b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    members: dict[Iri, list[Iri]] = defaultdict(list)
+    for ind in parent:  # in sorted order, so each list is sorted
+        members[find(ind)].append(ind)
+    return {ind: block for block in map(tuple, members.values()) for ind in block}
 
 
 def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materialization:
@@ -231,46 +253,38 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     asserted_set = set(asserted)
     # Each inferred fact -> its derivations: the one record of those facts.
     traces: dict[Axiom, list[tuple[RuleId, tuple[Axiom, ...]]]] = {}
-    sameas_free: frozenset[Axiom] | None = None
-    # Each entry is a fact and the rows it has still to meet; what it
-    # derives meets the rows of the current pass.
-    queue: deque[tuple[Axiom, dict]] = deque((fact, free_rows) for fact in asserted)
-    derived_rows = free_rows
-    while queue or sameas_free is None:
-        if not queue:
-            # The first pass closed the asserted facts under R1-R5. The
-            # second runs R6 on every fact known so far, and every rule on
-            # each fact that R6 derives, so each fact meets each row once.
-            sameas_free = frozenset(traces)
-            derived_rows = every_row
-            queue.extend((fact, r6_rows) for fact in (*asserted, *sameas_free))
-            continue
-        fact, rows = queue.popleft()
-        for row, key, join in rows[type(fact)]:
-            for joined, schema_ax in join.get(key(fact), ()):
-                conclusion = row.conclude(fact, joined)
-                if conclusion in asserted_set:  # asserted facts carry no traces
-                    continue
-                derivations = traces.get(conclusion)
-                if derivations is None:
-                    if len(traces) >= fact_limit:
-                        raise IterationLimitExceeded(
-                            f"materialization exceeded {fact_limit} derived facts"
-                        )
-                    derivations = traces[conclusion] = []
-                    queue.append((conclusion, derived_rows))
-                derivations.append((row.rule, (fact, schema_ax)))
 
-    blocks: dict[Iri, tuple[Iri, ...]] = {}
-    for members in equivalence_classes(store, EntityKind.NAMED_INDIVIDUAL):
-        block = tuple(sorted(members))
-        blocks.update(dict.fromkeys(block, block))
+    def close(seeds: Iterable[Axiom], seed_rows: dict, derived_rows: dict) -> None:
+        """Meet each seed with ``seed_rows`` and each fact derived on the
+        way with ``derived_rows``, so each fact meets each row once."""
+        queue = deque((fact, seed_rows) for fact in seeds)
+        while queue:
+            fact, rows = queue.popleft()
+            for row, key, join in rows[type(fact)]:
+                for joined, schema_ax in join.get(key(fact), ()):
+                    conclusion = row.conclude(fact, joined)
+                    if conclusion in asserted_set:  # asserted facts carry no traces
+                        continue
+                    derivations = traces.get(conclusion)
+                    if derivations is None:
+                        if len(traces) >= fact_limit:
+                            raise IterationLimitExceeded(
+                                f"materialization exceeded {fact_limit} derived facts"
+                            )
+                        derivations = traces[conclusion] = []
+                        queue.append((conclusion, derived_rows))
+                    derivations.append((row.rule, (fact, schema_ax)))
+
+    close(asserted, free_rows, free_rows)
+    sameas_free = frozenset(traces)
+    # R6 on every fact known so far, and every rule on what R6 derives.
+    close((*asserted, *sameas_free), r6_rows, every_row)
     mat = Materialization(
         base=store,
-        inferred=frozenset(traces),
+        inferred=traces.keys(),
         traces=Traces(traces),
         sameas_free=sameas_free,
-        sameas_blocks=MappingProxyType(blocks),
+        sameas_blocks=MappingProxyType(_sameas_blocks(store)),
         violations=(),
     )
     return replace(mat, violations=tuple(check_consistency(mat)))
@@ -332,37 +346,3 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
                 violations.append(ConsistencyViolation(individual, a, b, rule, tuple(support)))
     violations.sort(key=lambda v: (v.individual, v.class_a, v.class_b))
     return violations
-
-
-_AXIOM_BY_KIND: dict[EntityKind, type] = {
-    EntityKind.OWL_CLASS: EquivalentClasses,
-    EntityKind.OBJECT_PROPERTY: EquivalentObjectProperties,
-    EntityKind.NAMED_INDIVIDUAL: SameIndividual,
-}
-
-
-def equivalence_classes(store: OntologyStore, kind: EntityKind) -> list[frozenset[Iri]]:
-    """Partition of the declared IRIs of one kind under its equivalence
-    axioms; entities without any equivalence axiom form singleton blocks."""
-    if kind not in _AXIOM_BY_KIND:
-        raise ValueError(f"no equivalence axioms exist for kind {kind.value}")
-
-    # Union-find; each root is the least member of its block.
-    parent: dict[Iri, Iri] = {m: m for m in store.declared(kind)}
-
-    def find(x: Iri) -> Iri:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ax in store.axioms_of(_AXIOM_BY_KIND[kind]):
-        first, *rest = AXIOM_TYPES[type(ax)].pair(ax)
-        for other in rest:
-            ra, rb = find(first), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    blocks: dict[Iri, set[Iri]] = defaultdict(set)
-    for m in parent:
-        blocks[find(m)].add(m)
-    return [frozenset(blocks[root]) for root in sorted(blocks)]

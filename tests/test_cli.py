@@ -823,6 +823,20 @@ def test_export_json_to_file(run, seed_file, tmp_path):
     assert set(doc) == {"nodes", "edges"}
 
 
+def test_export_gives_a_node_whose_curie_is_another_iri_its_full_iri(run, tmp_path):
+    path = tmp_path / "clash.ttl"
+    path.write_text(
+        "@prefix ex: <https://e/> .\n"
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "ex:a a owl:Class .\n"
+        "<ex:a> a owl:Class .\n",
+        encoding="utf-8",
+    )
+    code, out, err = run("export", str(path), "--level", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert [n["id"] for n in json.loads(out)["nodes"]] == ["ex:a", "https://e/a"]
+
+
 def test_export_rejects_bad_level(run, seed_file):
     code, _, _ = run("export", seed_file, "--level", "4", "--format", "dot")
     assert code == 1

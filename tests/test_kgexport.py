@@ -23,6 +23,7 @@ from aieo.model import (
     EntityKind,
     EquivalentClasses,
     EquivalentObjectProperties,
+    Iri,
     ObjectPropertyAssertion,
     OntologyStore,
     SubClassOf,
@@ -67,6 +68,24 @@ def test_graphdoc_rejects_dangling_edges():
     node = GraphNode("x", "x", "class", "")
     with pytest.raises(ValueError, match="endpoint"):
         GraphDoc((node,), (GraphEdge("x", "y", "l", "subclass"),))
+
+
+def test_a_curie_that_is_another_nodes_iri_gives_way_to_the_full_iri():
+    # "ex:a" is the CURIE of https://e/a and the text of the IRI <ex:a>;
+    # https://e/a is in turn the CURIE of urn:q//e/a under "https:".
+    store = OntologyStore({"ex": "https://e/", "https": "urn:q"})
+    for iri in ("https://e/a", "ex:a", "urn:q//e/a", "urn:q//e/b"):
+        store.declare(Iri(iri), EntityKind.OWL_CLASS)
+    store.declare(Iri("https://e/x"), EntityKind.NAMED_INDIVIDUAL)
+    store.add(SubClassOf(Iri("https://e/a"), Iri("ex:a")))
+    store.add(ClassAssertion(Iri("https://e/a"), Iri("https://e/x")))
+    g = _export(store, 3)
+    assert [n.id for n in g.nodes] == [
+        "ex:a", "https://e/a", "https://e/b", "urn:q//e/a", "ex:x",
+    ]
+    assert [(e.src, e.dst) for e in g.edges] == [
+        ("https://e/a", "ex:a"), ("ex:x", "https://e/a"),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from aieo.reasoner import (
     InferenceTrace,
     RuleId,
     check_consistency,
-    equivalence_classes,
     explain,
     materialize,
 )
@@ -51,7 +50,7 @@ def test_range_types_the_object_only():
     store = _with_individuals("fairness", "AI_system")
     store.add(ObjectPropertyAssertion(aieo("fairness"), aieo("keyword"), aieo("AI_system")))
     mat = materialize(store)
-    assert mat.has(ClassAssertion(aieo("Keyword"), aieo("AI_system")))
+    assert ClassAssertion(aieo("Keyword"), aieo("AI_system")) in mat.inferred
     fairness_types = [
         f for f in mat.inferred
         if isinstance(f, ClassAssertion) and f.ind == aieo("fairness")
@@ -74,7 +73,7 @@ def test_subclass_membership_propagates():
     store = _with_individuals("b")
     store.add(ClassAssertion(aieo("Risk_keyword"), aieo("b")))
     mat = materialize(store)
-    assert mat.has(ClassAssertion(aieo("Keyword"), aieo("b")))
+    assert ClassAssertion(aieo("Keyword"), aieo("b")) in mat.inferred
     [trace] = explain(mat, ClassAssertion(aieo("Keyword"), aieo("b")))
     assert trace.rule is RuleId.R2_SUBCLASS
 
@@ -83,8 +82,8 @@ def test_class_equivalence_spreads_membership():
     store = _with_individuals("u")
     store.add(ClassAssertion(aieo("UseCase"), aieo("u")))
     mat = materialize(store)
-    assert mat.has(ClassAssertion(aieo("Application"), aieo("u")))
-    assert mat.has(ClassAssertion(aieo("Scenario"), aieo("u")))
+    assert ClassAssertion(aieo("Application"), aieo("u")) in mat.inferred
+    assert ClassAssertion(aieo("Scenario"), aieo("u")) in mat.inferred
 
 
 def test_property_equivalence_and_subproperty_spread_assertions():
@@ -92,9 +91,9 @@ def test_property_equivalence_and_subproperty_spread_assertions():
     store.add(ObjectPropertyAssertion(aieo("f"), aieo("useCase"), aieo("u")))
     store.add(ObjectPropertyAssertion(aieo("f"), aieo("relevantKeyword"), aieo("k")))
     mat = materialize(store)
-    assert mat.has(ObjectPropertyAssertion(aieo("f"), aieo("application"), aieo("u")))
-    assert mat.has(ObjectPropertyAssertion(aieo("f"), aieo("scenario"), aieo("u")))
-    assert mat.has(ObjectPropertyAssertion(aieo("f"), aieo("keyword"), aieo("k")))
+    assert ObjectPropertyAssertion(aieo("f"), aieo("application"), aieo("u")) in mat.inferred
+    assert ObjectPropertyAssertion(aieo("f"), aieo("scenario"), aieo("u")) in mat.inferred
+    assert ObjectPropertyAssertion(aieo("f"), aieo("keyword"), aieo("k")) in mat.inferred
 
 
 def test_sameas_copies_types_and_assertions_both_ways():
@@ -103,8 +102,8 @@ def test_sameas_copies_types_and_assertions_both_ways():
     store.add(ClassAssertion(aieo("Principle"), aieo("a")))
     store.add(ObjectPropertyAssertion(aieo("b"), aieo("keyword"), aieo("k")))
     mat = materialize(store)
-    assert mat.has(ClassAssertion(aieo("Principle"), aieo("b")))
-    assert mat.has(ObjectPropertyAssertion(aieo("a"), aieo("keyword"), aieo("k")))
+    assert ClassAssertion(aieo("Principle"), aieo("b")) in mat.inferred
+    assert ObjectPropertyAssertion(aieo("a"), aieo("keyword"), aieo("k")) in mat.inferred
 
 
 def test_explain_asserted_fact_is_empty_list():
@@ -257,6 +256,8 @@ def test_violations_sorted_and_counted_per_pair():
 @pytest.mark.parametrize("make, seed", [
     *(pytest.param(random_store, seed, id=str(seed)) for seed in range(20)),
     *(pytest.param(random_wide_store, seed, id=f"wide-{seed}") for seed in range(20)),
+    *(pytest.param(random_linked_store, seed, id=f"linked-{seed}") for seed in range(20)),
+    *(pytest.param(random_small_store, seed, id=f"small-{seed}") for seed in range(20)),
 ])
 def test_violations_match_naive_scan(make, seed):
     store = make(seed)
@@ -339,7 +340,7 @@ def test_sameas_block_members_share_one_closed_membership(make, seed):
     memberships: dict[Iri, set[Iri]] = {}
     for fact in mat.class_assertions():
         memberships.setdefault(fact.ind, set()).add(fact.cls)
-    for block in equivalence_classes(mat.base, EntityKind.NAMED_INDIVIDUAL):
+    for block in set(mat.sameas_blocks.values()):
         assert len({frozenset(memberships.get(ind, ())) for ind in block}) == 1
 
 
@@ -366,28 +367,6 @@ def test_check_consistency_matches_materialize():
     store.add(ClassAssertion(aieo("Principle"), aieo("x")))
     mat = materialize(store)
     assert list(check_consistency(mat)) == list(mat.violations)
-
-
-def test_equivalence_classes_partitions_individuals():
-    store = _with_individuals("a", "b", "c", "d")
-    store.add(SameIndividual(aieo("a"), aieo("b")))
-    store.add(SameIndividual(aieo("b"), aieo("c")))
-    got = equivalence_classes(store, EntityKind.NAMED_INDIVIDUAL)
-    assert got == [
-        frozenset({aieo("a"), aieo("b"), aieo("c")}),
-        frozenset({aieo("d")}),
-    ]
-
-
-def test_equivalence_classes_rejects_a_kind_without_equivalence_axioms():
-    with pytest.raises(ValueError, match="no equivalence axioms"):
-        equivalence_classes(seed_schema(), EntityKind.DATA_PROPERTY)
-
-
-def test_equivalence_classes_for_classes_uses_equivalence_axioms():
-    got = equivalence_classes(seed_schema(), EntityKind.OWL_CLASS)
-    multi = [c for c in got if len(c) > 1]
-    assert multi == [frozenset({aieo("Application"), aieo("Scenario"), aieo("UseCase")})]
 
 
 def test_materialization_is_deterministic():
@@ -418,7 +397,8 @@ def test_traces_are_read_only_and_render_as_the_reference(make, seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_traces_are_built_only_when_read(make, seed, monkeypatch):
     """materialize builds the InferenceTrace objects of the violations it
-    explains and of no other fact; a read builds one fact's, once."""
+    explains and of no other fact; a membership test builds none, and a
+    read builds one fact's, once."""
     built: list[Axiom] = []
 
     def counting(conclusion, rule, premises):
@@ -431,6 +411,7 @@ def test_traces_are_built_only_when_read(make, seed, monkeypatch):
     assert set(built) == explained
     for fact in sorted(set(mat.inferred) - explained, key=axiom_sort_key)[:3]:
         del built[:]
+        assert fact in mat.traces and built == []
         first = mat.traces[fact]
         assert built == [fact] * len(first)
         assert mat.traces[fact] is first and len(built) == len(first)
