@@ -8,11 +8,13 @@ prefixes (falling back to the standard map).
 
 Each axiom type has one reader and one writer, both built once at import
 from its :data:`AXIOM_TYPES` row. Every JSON object read, in a store, a
-framework document or a config, is checked in the one fault order that
-:func:`axiom_from_obj` describes. The store reader first tries each axiom
-object with its type's compiled reader, which takes only an object that
-the walk accepts, and reads it to the same axiom; any other object goes to
-the walk, so the store and the first fault reported are the walk's.
+framework document or a config, is read by one function, which checks it
+in the one fault order that :func:`_axiom` describes. A fault is raised
+with its path relative to the object being read (``.sup``,
+``.classes[2]``, ``.value.text``); each reader it passes through puts its
+own step in front (``.axioms[3]``), and the document reader reports it as
+a :class:`SchemaViolation` at ``$`` and that path. So a member that reads
+cleanly builds no path.
 
 Every JSON text written here has the bytes of
 ``json.dumps(value, indent=2, sort_keys=True)`` plus a newline. Free-form
@@ -28,6 +30,7 @@ text its type's template writes, so the object and the text cannot differ.
 from __future__ import annotations
 
 import json
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -67,12 +70,21 @@ def _loads(text: str) -> Any:
         raise ParseError(1, 1, "document nested too deeply") from None
 
 
+class _Fault(Exception):
+    """A fault in a JSON value being read, at ``path`` relative to that
+    value (``""`` for the value itself)."""
+
+    def __init__(self, path: str, message: str):
+        self.path, self.message = path, message
+
+
 class _IriTable(dict):
     """A document's IRI and CURIE strings -> their ``Iri``: each is resolved
     against the document's prefixes (then the standard map) on its first
-    lookup. Looking up any other value raises ``ValueError``, or
-    ``TypeError`` when it is unhashable; so does a string no ``Iri``
-    accepts."""
+    lookup. A lookup reads the value of a member that holds an IRI string:
+    looking up any other value (``_MISSING`` for an absent member), or a
+    string no ``Iri`` accepts, raises a :class:`_Fault` at the value
+    (``TypeError`` when the value is unhashable)."""
 
     __slots__ = ("_table",)
 
@@ -80,49 +92,96 @@ class _IriTable(dict):
         super().__init__()
         self._table = {**DEFAULT_PREFIXES, **prefixes}
 
-    def __missing__(self, name: str) -> Iri:
-        if not isinstance(name, str) or not name:
-            raise ValueError("expected a non-empty IRI string")
-        iri = self[name] = resolve_curie(name, self._table) if ":" in name else aieo(name)
-        return iri
-
-    def resolve(self, name: str, path: str) -> Iri:
-        """The name's ``Iri``, or :class:`SchemaViolation` at ``path``."""
-        # Checked first: a malformed value may be an unhashable list.
-        if not isinstance(name, str) or not name:
-            raise SchemaViolation(path, "expected a non-empty IRI string")
+    def __missing__(self, name: Any) -> Iri:
+        if type(name) is not str:
+            raise _shape_fault(name, str)
+        if not name:
+            raise _Fault("", "expected a non-empty IRI string")
         try:
-            return self[name]
+            iri = resolve_curie(name, self._table) if ":" in name else aieo(name)
         except ValueError as exc:
-            raise SchemaViolation(path, str(exc)) from None
+            raise _Fault("", str(exc)) from None
+        self[name] = iri
+        return iri
 
 
 _MISSING = object()
 
 
-def _object(value: Any, path: str, members: set[str] | frozenset[str] | None = None) -> dict:
+def _object(value: Any, members: set[str] | frozenset[str] | None = None) -> dict:
     """The value, checked to be a JSON object and, when ``members`` is
     given, to have no member outside them: the first unknown one is
     reported."""
-    if not isinstance(value, dict):
-        raise SchemaViolation(path, "expected a JSON object")
-    if members is not None and not value.keys() <= members:
-        key = next(key for key in value if key not in members)
-        raise SchemaViolation(f"{path}.{key}", "unknown field")
+    if type(value) is not dict:
+        raise _Fault("", "expected a JSON object")
+    if members is not None and not members.issuperset(value):
+        raise _unknown_member(value, members)
     return value
 
 
-def _field(obj: dict, name: str, typ: type, path: str, default: Any = _MISSING) -> Any:
+def _unknown_member(obj: dict, members: set[str] | frozenset[str]) -> _Fault:
+    """The fault of the first member of ``obj`` outside ``members``."""
+    return _Fault(f".{next(key for key in obj if key not in members)}", "unknown field")
+
+
+def _shape_fault(value: Any, typ: type, path: str = "") -> _Fault:
+    """The fault of a member that is absent (``value`` is ``_MISSING``) or
+    holds no JSON value of type ``typ``."""
+    return _Fault(path, "required field is missing" if value is _MISSING
+                  else f"expected {typ.__name__}")
+
+
+def _field(obj: dict, name: str, typ: type, default: Any = _MISSING) -> Any:
+    """The member ``name`` of ``obj``, a JSON value of type ``typ`` (``true``
+    is no int), or ``default`` when the member is absent and one is given."""
     value = obj.get(name, _MISSING)
     if type(value) is typ:
         return value
-    if value is _MISSING:
-        if default is _MISSING:
-            raise SchemaViolation(f"{path}.{name}", "required field is missing")
+    if value is _MISSING and default is not _MISSING:
         return default
-    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-        raise SchemaViolation(f"{path}.{name}", f"expected {typ.__name__}")
-    return value
+    raise _shape_fault(value, typ, f".{name}")
+
+
+def _made(path: str, make: Callable, *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, its ``ValueError`` a fault at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _Fault(path, str(exc)) from None
+
+
+def _member(obj: dict, name: str, read: Callable[[Any], Any]) -> Any:
+    """``read(value)`` of the member ``name`` of ``obj``, which is present;
+    a fault in it is put under ``.name``."""
+    try:
+        return read(obj[name])
+    except _Fault as fault:
+        fault.path = f".{name}{fault.path}"
+        raise
+
+
+def _items(obj: dict, name: str, read: Callable[[Any], Any]) -> list:
+    """``read(item)`` of each item of the optional array member ``name`` of
+    ``obj``; a fault in item ``i`` is put under ``.name[i]``."""
+    items, values = _field(obj, name, list, []), []
+    try:
+        for item in items:
+            values.append(read(item))
+    except _Fault as fault:
+        fault.path = f".{name}[{len(values)}]{fault.path}"
+        raise
+    return values
+
+
+def _iri(obj: dict, name: str, iris: _IriTable) -> Iri:
+    """The member ``name`` of ``obj``, an IRI string, looked up in ``iris``."""
+    try:
+        return iris[obj.get(name, _MISSING)]
+    except TypeError:  # an unhashable value
+        raise _Fault(f".{name}", "expected str") from None
+    except _Fault as fault:
+        fault.path = f".{name}"
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +189,7 @@ def _field(obj: dict, name: str, typ: type, path: str, default: Any = _MISSING) 
 # ---------------------------------------------------------------------------
 
 _ENTITY_KIND_VALUES = {k.value: k for k in EntityKind}
+_LITERAL_MEMBERS = frozenset({"text", "languageTag"})
 
 
 def axiom_to_obj(ax: Axiom) -> dict:
@@ -139,145 +199,104 @@ def axiom_to_obj(ax: Axiom) -> dict:
     return json.loads(_AXIOM_WRITERS[axiom_type(ax).cls](ax, "\n"))
 
 
-def _iri_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> Iri:
-    return resolve(_field(obj, key, str, path), f"{path}.{key}")
+def _iri_set(value: Any, iris: _IriTable) -> frozenset[Iri]:
+    """An array of IRI strings, each looked up in ``iris``."""
+    if type(value) is not list:
+        raise _shape_fault(value, list)
+    members = []
+    for i, item in enumerate(value):
+        if type(item) is not str:
+            raise _Fault(f"[{i}]", "expected a non-empty IRI string")
+        try:
+            members.append(iris[item])
+        except _Fault as fault:
+            fault.path = f"[{i}]"
+            raise
+    return frozenset(members)
 
 
-def _iris_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> frozenset[Iri]:
-    raw = _field(obj, key, list, path)
-    return frozenset(resolve(item, f"{path}.{key}[{i}]") for i, item in enumerate(raw))
+def _entity_kind(value: Any) -> EntityKind:
+    if type(value) is not str:
+        raise _shape_fault(value, str)
+    kind = _ENTITY_KIND_VALUES.get(value)
+    if kind is None:
+        raise _Fault("", f"expected one of {sorted(_ENTITY_KIND_VALUES)}")
+    return kind
 
 
-def _kind_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> EntityKind:
-    value = _field(obj, key, str, path)
-    if value not in _ENTITY_KIND_VALUES:
-        raise SchemaViolation(f"{path}.{key}", f"expected one of {sorted(_ENTITY_KIND_VALUES)}")
-    return _ENTITY_KIND_VALUES[value]
+def _literal(value: Any) -> AnnotationValue:
+    """A literal object; the axiom's reader reports its ``ValueError``."""
+    if type(value) is not dict:
+        raise _shape_fault(value, dict)
+    _object(value, _LITERAL_MEMBERS)
+    return AnnotationValue(_field(value, "text", str), _field(value, "languageTag", str, None))
 
 
-def _literal_from_obj(obj: dict, key: str, resolve: Callable, path: str) -> AnnotationValue:
-    vpath = f"{path}.{key}"
-    value = _object(_field(obj, key, dict, path), vpath, {"text", "languageTag"})
-    return AnnotationValue(
-        _field(value, "text", str, vpath), _field(value, "languageTag", str, vpath, None)
-    )
-
-
-# A field's reader by shape: (the axiom object, the field's JSON key,
-# resolve, the object's path) -> the field's value.
-_FROM_JSON: dict[type, Callable[[dict, str, Callable, str], Any]] = {
-    Iri: _iri_from_obj,
-    frozenset: _iris_from_obj,
-    EntityKind: _kind_from_obj,
-    AnnotationValue: _literal_from_obj,
+# The reader of a field that holds neither an IRI nor a set of IRIs, by
+# shape: the member's value or _MISSING -> the field's value.
+_FIELD_READERS: dict[type, Callable[[Any], Any]] = {
+    EntityKind: _entity_kind,
+    AnnotationValue: _literal,
 }
 
 # One reader per AXIOM_TYPES row, by JSON kind: the class, the members an
-# object of the kind may have, and each field's JSON key and reader in
-# field order.
+# object of the kind may have, and each field's JSON key and shape in field
+# order.
 _AXIOM_READERS = {
-    row.tag: (
-        row.cls,
-        frozenset({"kind", *(f.json for f in row.fields)}),
-        tuple((f.json, _FROM_JSON[f.shape]) for f in row.fields),
-    )
+    row.tag: (row.cls, frozenset({"kind", *(f.json for f in row.fields)}),
+              tuple((f.json, f.shape) for f in row.fields))
     for row in AXIOM_TYPES.values()
 }
 
 
-def _iri_set(value: Any, iris: _IriTable) -> frozenset[Iri]:
-    if type(value) is not list:
-        raise TypeError("expected list")
-    return frozenset(map(iris.__getitem__, value))
-
-
-def _literal(value: Any) -> AnnotationValue:
-    if type(value) is not dict or type(value["text"]) is not str:
-        raise TypeError("expected a literal object")
-    if len(value) == 1:
-        return AnnotationValue(value["text"], None)
-    tag = value["languageTag"]  # null is a fault, as an absent tag is not
-    if len(value) != 2 or type(tag) is not str:
-        raise TypeError("expected a literal object")
-    return AnnotationValue(value["text"], tag)
-
-
-# A field's value, read whole or not at all, by shape: the expression that
-# reads it from the member's JSON value (``{}``) and the document's IRI
-# table ``iris``.
-_FIELD_CODE = {
-    Iri: "iris[{}]",
-    frozenset: "iri_set({}, iris)",
-    EntityKind: "kinds[{}]",
-    AnnotationValue: "literal({})",
-}
-
-
-def _compiled_reader(row: AxiomType) -> Callable[[dict, _IriTable], Axiom]:
-    """The reader of the common case for the row's JSON kind: an object that
-    has its kind, every field and no other member -> its axiom, as
-    :func:`axiom_from_obj` reads it. It is one generated function that
-    builds no path and reads each field by key; any other object raises
-    ``KeyError``, ``TypeError`` or ``ValueError``."""
-    fields = ", ".join(_FIELD_CODE[f.shape].format(f"obj[{f.json!r}]") for f in row.fields)
-    # Each field is read by key, and "kind" was read already: a size that
-    # matches means no other member.
-    source = (f"def read(obj, iris):\n"
-              f"    if len(obj) != {len(row.fields) + 1}:\n"
-              f"        raise KeyError('a member missing or unknown')\n"
-              f"    return cls({fields})\n")
-    namespace = {"cls": row.cls, "iri_set": _iri_set, "kinds": _ENTITY_KIND_VALUES,
-                 "literal": _literal}
-    exec(source, namespace)
-    return namespace["read"]
-
-
-_COMPILED_READERS = {row.tag: _compiled_reader(row) for row in AXIOM_TYPES.values()}
-
-
-def axiom_from_obj(obj: dict, resolve: Callable[[str, str], Iri], path: str) -> Axiom:
-    """The axiom an interchange object describes; ``path`` names the object
-    in messages (``$.axioms[3]``, say). ``resolve(name, path)`` turns an IRI
-    or CURIE string into an ``Iri``, or raises :class:`SchemaViolation` at
-    ``path``; it is also handed non-string values, and must reject them.
-
-    Of several faults, the one reported is the first in this order, which
-    every JSON object read here follows: the value is not an object; its
-    ``kind``, which decides the members allowed; an unknown member; each
-    field in field order (a literal's object checked in this same order,
-    its constructor's ``ValueError`` reported at ``path``); then the axiom
-    constructor's ``ValueError``, at ``path``.
-    """
-    tag = _field(_object(obj, path), "kind", str, path)
+def _axiom(iris: _IriTable, obj: Any) -> Axiom:
+    """The axiom an interchange object describes, its IRIs looked up in
+    ``iris``. Of several faults, the one reported is the first in this
+    order, which every JSON object read here follows: the value is not an
+    object; its ``kind``, which decides the members allowed; an unknown
+    member; each field in field order (a literal's object checked in this
+    same order); then a constructor's ``ValueError``, the literal's
+    included, at the object itself."""
+    if type(obj) is not dict:
+        raise _Fault("", "expected a JSON object")
+    tag = obj.get("kind", _MISSING)
+    if type(tag) is not str:
+        raise _shape_fault(tag, str, ".kind")
     reader = _AXIOM_READERS.get(tag)
     if reader is None:
-        raise SchemaViolation(f"{path}.kind", f"unknown axiom kind {tag!r}")
+        raise _Fault(".kind", f"unknown axiom kind {tag!r}")
     cls, members, fields = reader
-    _object(obj, path, members)
+    if not members.issuperset(obj):
+        raise _unknown_member(obj, members)
+    values = []
     try:
-        return cls(*[read(obj, key, resolve, path) for key, read in fields])
+        for key, shape in fields:
+            value = obj.get(key, _MISSING)
+            values.append(iris[value] if shape is Iri
+                          else _iri_set(value, iris) if shape is frozenset
+                          else _FIELD_READERS[shape](value))
+        return cls(*values)
+    except _Fault as fault:
+        fault.path = f".{fields[len(values)][0]}{fault.path}"
+        raise
+    except TypeError:  # an unhashable value where an IRI string belongs
+        raise _Fault(f".{fields[len(values)][0]}", "expected str") from None
     except ValueError as exc:
-        raise SchemaViolation(path, str(exc)) from None
+        raise _Fault("", str(exc)) from None
 
 
 def store_from_json(text: str) -> OntologyStore:
-    doc = _object(_loads(text), "$", {"prefixes", "axioms"})
-    prefixes = _field(doc, "prefixes", dict, "$", {})
-    for prefix, base in prefixes.items():
-        try:
-            check_prefix(prefix, base)
-        except ValueError as exc:
-            raise SchemaViolation(f"$.prefixes.{prefix}", str(exc)) from None
-    iris = _IriTable(prefixes)
-    axioms = []
-    for i, obj in enumerate(_field(doc, "axioms", list, "$", [])):
-        try:
-            ax = _COMPILED_READERS[obj["kind"]](obj, iris)
-        except (KeyError, TypeError, ValueError):
-            # Not the common case: the fault-order walk reads the object,
-            # to the same axiom or to its first fault.
-            ax = axiom_from_obj(obj, iris.resolve, f"$.axioms[{i}]")
-        axioms.append(ax)
+    try:
+        doc = _object(_loads(text), {"prefixes", "axioms"})
+        prefixes = _field(doc, "prefixes", dict, {})
+        for prefix, base in prefixes.items():
+            try:
+                check_prefix(prefix, base)
+            except ValueError as exc:
+                raise _Fault(f".prefixes.{prefix}", str(exc)) from None
+        axioms = _items(doc, "axioms", partial(_axiom, _IriTable(prefixes)))
+    except _Fault as fault:
+        raise SchemaViolation("$" + fault.path, fault.message) from None
     # Declarations first; file order must not matter.
     declarations = [ax for ax in axioms if type(ax) is Declaration]
     rest = [ax for ax in axioms if type(ax) is not Declaration]
@@ -389,119 +408,90 @@ def store_to_json(store: OntologyStore) -> str:
 # Framework documents
 # ---------------------------------------------------------------------------
 
+_SECTION_MEMBERS = frozenset({"heading", "body"})
+_CONCEPT_MEMBERS = frozenset({"name", "kind", "shortDescription", "reference"})
+
+
+def _section(raw: Any) -> Section:
+    _object(raw, _SECTION_MEMBERS)
+    return Section(_field(raw, "heading", str), _field(raw, "body", str))
+
+
+def _concept(raw: Any) -> ConceptDeclaration:
+    _object(raw, _CONCEPT_MEMBERS)
+    return _made("", ConceptDeclaration, _field(raw, "name", str), _field(raw, "kind", str),
+                 _field(raw, "shortDescription", str, None), _field(raw, "reference", str, None))
+
+
 def parse_framework_document(text: str) -> FrameworkDocument:
-    obj = _object(_loads(text), "$", {"id", "title", "sections", "conceptDeclarations"})
-    resolve = _IriTable({}).resolve
-    doc_id = resolve(_field(obj, "id", str, "$"), "$.id")
-    title = _field(obj, "title", str, "$")
-    sections = []
-    for i, raw in enumerate(_field(obj, "sections", list, "$", [])):
-        spath = f"$.sections[{i}]"
-        _object(raw, spath, {"heading", "body"})
-        sections.append(
-            Section(_field(raw, "heading", str, spath), _field(raw, "body", str, spath))
-        )
-    concepts = []
-    for i, raw in enumerate(_field(obj, "conceptDeclarations", list, "$", [])):
-        cpath = f"$.conceptDeclarations[{i}]"
-        _object(raw, cpath, {"name", "kind", "shortDescription", "reference"})
-        try:
-            concepts.append(ConceptDeclaration(
-                name=_field(raw, "name", str, cpath),
-                kind=_field(raw, "kind", str, cpath),
-                short_description=_field(raw, "shortDescription", str, cpath, None),
-                reference=_field(raw, "reference", str, cpath, None),
-            ))
-        except ValueError as exc:
-            raise SchemaViolation(cpath, str(exc)) from None
     try:
-        return FrameworkDocument(doc_id, title, tuple(sections), tuple(concepts))
-    except ValueError as exc:
-        raise SchemaViolation("$.conceptDeclarations", str(exc)) from None
+        obj = _object(_loads(text), {"id", "title", "sections", "conceptDeclarations"})
+        doc_id = _iri(obj, "id", _IriTable({}))
+        title = _field(obj, "title", str)
+        sections = _items(obj, "sections", _section)
+        concepts = _items(obj, "conceptDeclarations", _concept)
+        return _made(".conceptDeclarations", FrameworkDocument,
+                     doc_id, title, tuple(sections), tuple(concepts))
+    except _Fault as fault:
+        raise SchemaViolation("$" + fault.path, fault.message) from None
 
 
 # ---------------------------------------------------------------------------
 # Pipeline configuration
 # ---------------------------------------------------------------------------
 
-def _confirmation(raw: Any, path: str, resolve: Callable[[str, str], Iri]) -> frozenset[Iri]:
-    """The pair of IRIs a confirmation names, or its first fault."""
-    _object(raw, path, {"left", "right"})
-    left = resolve(_field(raw, "left", str, path), f"{path}.left")
-    right = resolve(_field(raw, "right", str, path), f"{path}.right")
+def _extraction(raw: Any) -> ExtractionConfig:
+    _object(raw, {"stopwords", "minTokenLength", "topK", "relevantTopK"})
+    kwargs: dict = {}
+    if "stopwords" in raw:
+        words = _field(raw, "stopwords", list)
+        for i, w in enumerate(words):
+            if type(w) is not str:
+                raise _Fault(f".stopwords[{i}]", "expected str")
+        kwargs["stopwords"] = frozenset(w.lower() for w in words)
+    for key, name in (("minTokenLength", "min_token_length"), ("topK", "top_k"),
+                      ("relevantTopK", "relevant_top_k")):
+        if key in raw:
+            kwargs[name] = _field(raw, key, int)
+    return _made("", ExtractionConfig, **kwargs)
+
+
+def _classification(iris: _IriTable, raw: Any) -> ClassificationMap:
+    entries = {keyword: _iri(raw, keyword, iris) for keyword in _object(raw)}
+    return _made("", ClassificationMap, entries)
+
+
+_CONFIRMATION_MEMBERS = frozenset({"left", "right"})
+
+
+def _confirmation(iris: _IriTable, raw: Any) -> frozenset[Iri]:
+    """The pair of IRIs a confirmation names."""
+    _object(raw, _CONFIRMATION_MEMBERS)
+    left, right = _iri(raw, "left", iris), _iri(raw, "right", iris)
     if left == right:
-        raise SchemaViolation(path, "left and right must differ")
+        raise _Fault("", "left and right must differ")
     return frozenset((left, right))
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse a pipeline config; every field is optional and defaulted."""
-    obj = _object(
-        _loads(text), "$", {"extraction", "classificationMap", "confirmations", "threshold"}
-    )
-    table = _IriTable({})
-    resolve = table.resolve
-
-    extraction = ExtractionConfig()
-    if "extraction" in obj:
-        raw = _object(
-            obj["extraction"], "$.extraction",
-            {"stopwords", "minTokenLength", "topK", "relevantTopK"},
-        )
-        kwargs: dict = {}
-        if "stopwords" in raw:
-            words = _field(raw, "stopwords", list, "$.extraction")
-            for i, w in enumerate(words):
-                if not isinstance(w, str):
-                    raise SchemaViolation(f"$.extraction.stopwords[{i}]", "expected str")
-            kwargs["stopwords"] = frozenset(w.lower() for w in words)
-        for key, name in (("minTokenLength", "min_token_length"), ("topK", "top_k"),
-                          ("relevantTopK", "relevant_top_k")):
-            if key in raw:
-                kwargs[name] = _field(raw, key, int, "$.extraction")
-        try:
-            extraction = ExtractionConfig(**kwargs)
-        except ValueError as exc:
-            raise SchemaViolation("$.extraction", str(exc)) from None
-
-    classification = ClassificationMap()
-    if "classificationMap" in obj:
-        raw = _object(obj["classificationMap"], "$.classificationMap")
-        entries = {}
-        for keyword, target in raw.items():
-            if not isinstance(target, str):
-                raise SchemaViolation(f"$.classificationMap.{keyword}", "expected str")
-            entries[keyword] = resolve(target, f"$.classificationMap.{keyword}")
-        try:
-            classification = ClassificationMap(entries)
-        except ValueError as exc:
-            raise SchemaViolation("$.classificationMap", str(exc)) from None
-
-    confirmations = []
-    for i, raw in enumerate(_field(obj, "confirmations", list, "$", [])):
-        # A well-formed member is read without building its paths; any other
-        # goes to _confirmation, which reports its first fault.
-        try:
-            pair = frozenset((table[raw["left"]], table[raw["right"]]))
-        except (KeyError, TypeError, ValueError):
-            pair = None
-        if pair is None or len(pair) != 2 or type(raw) is not dict or len(raw) != 2:
-            pair = _confirmation(raw, f"$.confirmations[{i}]", resolve)
-        confirmations.append(pair)
-
-    threshold = obj.get("threshold", 0.5)
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        raise SchemaViolation("$.threshold", "expected a number")
-
     try:
-        return PipelineConfig(
-            extraction=extraction,
-            classification=classification,
-            confirmations=tuple(confirmations),
-            threshold=float(threshold),
-        )
-    except ValueError as exc:
-        raise SchemaViolation("$.threshold", str(exc)) from None
+        members = {"extraction", "classificationMap", "confirmations", "threshold"}
+        obj = _object(_loads(text), members)
+        iris = _IriTable({})
+        extraction = (_member(obj, "extraction", _extraction) if "extraction" in obj
+                      else ExtractionConfig())
+        classification = (_member(obj, "classificationMap", partial(_classification, iris))
+                          if "classificationMap" in obj else ClassificationMap())
+        confirmations = _items(obj, "confirmations", partial(_confirmation, iris))
+        threshold = obj.get("threshold", 0.5)
+        if type(threshold) is not int and type(threshold) is not float:
+            raise _Fault(".threshold", "expected a number")
+        return _made(".threshold", PipelineConfig, extraction=extraction,
+                     classification=classification, confirmations=tuple(confirmations),
+                     threshold=float(threshold))
+    except _Fault as fault:
+        raise SchemaViolation("$" + fault.path, fault.message) from None
 
 
 # ---------------------------------------------------------------------------

@@ -569,8 +569,14 @@ class OntologyStore:
     def declare(self, iri: Iri, kind: EntityKind) -> "OntologyStore":
         """Add a Declaration axiom. Idempotent; punning is rejected, and so
         are the predicates that axioms render to, which no entity may reuse."""
-        if type(iri) is not Iri:
-            iri = Iri(iri)
+        return self._declare(Declaration(iri, kind))
+
+    def _declare(self, ax: Declaration) -> "OntologyStore":
+        """:meth:`declare` of a built declaration, kept as built unless its
+        IRI is not an ``Iri``."""
+        if type(ax.iri) is not Iri:
+            ax = Declaration(Iri(ax.iri), ax.kind)
+        iri, kind = ax.iri, ax.kind
         if iri in _RESERVED_PREDICATES:
             raise ValidationError(f"{iri} is a reserved predicate and cannot be declared")
         existing = self._kinds.get(iri)
@@ -580,7 +586,7 @@ class OntologyStore:
             )
         if existing is None:
             self._kinds[iri] = kind
-            self._insert(Declaration(iri, kind), _DECLARATION)
+            self._insert(ax, _DECLARATION)
         return self
 
     def add(self, ax: Axiom) -> "OntologyStore":
@@ -588,7 +594,7 @@ class OntologyStore:
         with the kind its position requires."""
         row = axiom_type(ax)
         if row.cls is Declaration:
-            return self.declare(ax.iri, ax.kind)
+            return self._declare(ax)
         for iri, required, actual in self._bad_references(ax, row):
             if actual is None:
                 raise UndeclaredEntity(f"{iri} is not declared")
@@ -611,7 +617,7 @@ class OntologyStore:
                 if batch:
                     self._add_batch(batch)
                     batch = []
-                self.declare(ax.iri, ax.kind)
+                self._declare(ax)
             else:
                 batch.append(ax)
         self._add_batch(batch)

@@ -5,11 +5,10 @@ no-change loops, scans over full cross products, recount-from-scratch
 tallies, and a standalone grammar. Agreement between these and the library is the main
 correctness evidence, so nothing in this file may share logic with the
 library modules (only data types and vocabulary constants are imported).
-The one exception is the token-at-a-time reader (:func:`scan` and
-:class:`ReferenceCursor`), which splits text with the lexer's own regular
-expression and reads each token through the lexer's ``_read_token`` and
-the languages' checks on purpose: it pins how the library reads repeated
-tokens, memoizes terms and positions diagnostics, not how one token is read.
+The token-at-a-time reader (:func:`scan` and :class:`ReferenceCursor`)
+reads each token a character at a time with ``str`` predicates, and each
+language's token rules are restated here, so the lexer's regular
+expressions and checks are pinned too.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from itertools import combinations, permutations
 
 import pyparsing as pp
 
-from aieo import query as _query, turtle as _turtle
 from aieo.errors import (
     KindMismatch,
     ParseError,
@@ -28,7 +26,6 @@ from aieo.errors import (
     UndeclaredEntity,
     UnsupportedFeature,
 )
-from aieo.lexer import _SPLIT, _Rejected, _letters, _read_token
 from aieo.model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -48,7 +45,15 @@ from aieo.model import (
     SubClassOf,
     SubObjectPropertyOf,
 )
-from aieo.pipeline import EquivalenceProposal
+from aieo.pipeline import (
+    ClassificationMap,
+    ConceptDeclaration,
+    EquivalenceProposal,
+    ExtractionConfig,
+    FrameworkDocument,
+    PipelineConfig,
+    Section,
+)
 from aieo.query import Query, TriplePattern, Variable
 from aieo.schema import (
     CONCEPT_LINK_PROPERTIES,
@@ -662,7 +667,7 @@ def reference_traces_to_json(mat) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON store reader
+# JSON readers: stores, framework documents, pipeline configs
 # ---------------------------------------------------------------------------
 
 # Each axiom kind's class and members after ``kind``, in the order they are
@@ -806,6 +811,106 @@ def reference_store_from_json(text: str) -> OntologyStore:
         if not isinstance(ax, Declaration):
             store.add(ax)
     return store
+
+
+def _reference_checked(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` a violation at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaViolation(path, str(exc)) from None
+
+
+def _reference_json_string_iri(obj: dict, key: str, path: str) -> Iri:
+    """A member holding a string, read as an IRI against the standard
+    prefixes."""
+    value = _reference_json_member(obj, key, str, path)
+    return _reference_json_iri(value, DEFAULT_PREFIXES, f"{path}.{key}")
+
+
+def reference_parse_framework_document(text: str) -> FrameworkDocument:
+    """A framework document read member by member in the documented fault
+    order: ``id``, ``title``, each section, each concept declaration (its
+    constructor's ``ValueError`` at the declaration), then duplicate concept
+    names at ``$.conceptDeclarations``."""
+    doc = _reference_json_object(
+        json.loads(text), "$", ("id", "title", "sections", "conceptDeclarations"))
+    doc_id = _reference_json_string_iri(doc, "id", "$")
+    title = _reference_json_member(doc, "title", str, "$")
+    sections = []
+    raw = _reference_json_member(doc, "sections", list, "$", optional=True) or []
+    for i, section in enumerate(raw):
+        path = f"$.sections[{i}]"
+        _reference_json_object(section, path, ("heading", "body"))
+        sections.append(Section(_reference_json_member(section, "heading", str, path),
+                                _reference_json_member(section, "body", str, path)))
+    concepts = []
+    raw = _reference_json_member(doc, "conceptDeclarations", list, "$", optional=True) or []
+    for i, concept in enumerate(raw):
+        path = f"$.conceptDeclarations[{i}]"
+        keys = ("name", "kind", "shortDescription", "reference")
+        _reference_json_object(concept, path, keys)
+        values = [_reference_json_member(concept, key, str, path, optional=n > 1)
+                  for n, key in enumerate(keys)]
+        concepts.append(_reference_checked(path, ConceptDeclaration, *values))
+    return _reference_checked("$.conceptDeclarations", FrameworkDocument,
+                              doc_id, title, tuple(sections), tuple(concepts))
+
+
+_REFERENCE_EXTRACTION_KEYS = {
+    "minTokenLength": "min_token_length", "topK": "top_k", "relevantTopK": "relevant_top_k",
+}
+
+
+def reference_parse_config(text: str) -> PipelineConfig:
+    """A pipeline config read member by member in the documented fault
+    order: ``extraction`` (its stopwords, then its integers, then their
+    check at ``$.extraction``), ``classificationMap`` (each target, then
+    the map's check), each confirmation (``left``, ``right``, then equal
+    sides at the confirmation), ``threshold``'s type, then its range."""
+    doc = _reference_json_object(
+        json.loads(text), "$", ("extraction", "classificationMap", "confirmations", "threshold"))
+    extraction = ExtractionConfig()
+    if "extraction" in doc:
+        path = "$.extraction"
+        raw = _reference_json_object(doc["extraction"], path,
+                                     ("stopwords", *_REFERENCE_EXTRACTION_KEYS))
+        kwargs = {}
+        words = _reference_json_member(raw, "stopwords", list, path, optional=True)
+        if words is not None:
+            for i, word in enumerate(words):
+                if type(word) is not str:
+                    raise SchemaViolation(f"{path}.stopwords[{i}]", "expected str")
+            kwargs["stopwords"] = frozenset(word.lower() for word in words)
+        for key, name in _REFERENCE_EXTRACTION_KEYS.items():
+            value = _reference_json_member(raw, key, int, path, optional=True)
+            if value is not None:
+                kwargs[name] = value
+        extraction = _reference_checked(path, ExtractionConfig, **kwargs)
+    classification = ClassificationMap()
+    if "classificationMap" in doc:
+        path = "$.classificationMap"
+        raw = doc["classificationMap"]
+        if type(raw) is not dict:
+            raise SchemaViolation(path, "expected a JSON object")
+        entries = {keyword: _reference_json_string_iri(raw, keyword, path) for keyword in raw}
+        classification = _reference_checked(path, ClassificationMap, entries)
+    confirmations = []
+    raw = _reference_json_member(doc, "confirmations", list, "$", optional=True) or []
+    for i, confirmation in enumerate(raw):
+        path = f"$.confirmations[{i}]"
+        _reference_json_object(confirmation, path, ("left", "right"))
+        left = _reference_json_string_iri(confirmation, "left", path)
+        right = _reference_json_string_iri(confirmation, "right", path)
+        if left == right:
+            raise SchemaViolation(path, "left and right must differ")
+        confirmations.append(frozenset((left, right)))
+    threshold = doc.get("threshold", 0.5)
+    if type(threshold) not in (int, float):
+        raise SchemaViolation("$.threshold", "expected a number")
+    return _reference_checked(
+        "$.threshold", PipelineConfig, extraction=extraction, classification=classification,
+        confirmations=tuple(confirmations), threshold=float(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -1152,36 +1257,186 @@ def _reference_fail(text: str, offset: int, message: str, unsupported: bool = Fa
     raise (UnsupportedFeature if unsupported else ParseError)(line, column, message)
 
 
-def scan(text: str, checks: dict = {}):
+class _TokenFault(Exception):
+    """A token's own error, reported at the token's start."""
+
+    def __init__(self, message: str, unsupported: bool = False):
+        super().__init__(message)
+        self.message, self.unsupported = message, unsupported
+
+
+def _bad_character(c: str, after: str) -> _TokenFault:
+    """The error of a token that starts with ``c``, then ``after``, and is
+    no token of either language."""
+    if c.isdigit() or (c in "+-" and after.isdigit()):
+        return _TokenFault("numeric literals are not supported", unsupported=True)
+    return _TokenFault(f"unexpected character {c!r}")
+
+
+def _is_name_character(c: str) -> bool:
+    return c.isalnum() or c in "_-"
+
+
+def _skip_blanks(text: str, pos: int) -> int:
+    """The offset of the first character at or after ``pos`` that is not
+    whitespace (``str.isspace``) or inside a ``#`` comment."""
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+        elif text[pos] == "#":
+            end = text.find("\n", pos)
+            pos = len(text) if end < 0 else end
+        else:
+            break
+    return pos
+
+
+def _reference_string(text: str, start: int) -> tuple[tuple[str, str | None], int]:
+    """The ``(text, language tag)`` of the string literal at ``start`` and
+    the offset after it."""
+    body, i = [], start + 1
+    while i < len(text) and text[i] not in '"\n':
+        if text[i] == "\\":
+            if text[i + 1:i + 2] not in ('"', "\\", "n", "r", "t"):
+                raise _TokenFault("unknown escape sequence in string")
+            body.append({"n": "\n", "r": "\r", "t": "\t"}.get(text[i + 1], text[i + 1]))
+            i += 2
+        else:
+            body.append(text[i])
+            i += 1
+    if i == len(text) or text[i] == "\n":
+        raise _TokenFault("unterminated string literal")
+    i += 1
+    tag = None
+    if text[i:i + 1] == "@":
+        end = i + 1
+        while end < len(text) and (text[end].isalnum() or text[end] == "-"):
+            end += 1
+        tag, i = text[i + 1:end], end
+        if not tag:
+            raise _TokenFault("empty language tag")
+    return ("".join(body), tag), i
+
+
+def _reference_token(text: str, start: int) -> tuple[str, object, int]:
+    """The kind and value of the token at ``start``, and the offset after
+    it, read a character at a time."""
+    if start == len(text):
+        return "eof", None, start
+    c, after = text[start], text[start + 1:start + 2]
+    if c == "_" and after == ":":
+        raise _TokenFault("blank node labels are not supported", unsupported=True)
+    if c == ":" or ((c.isalnum() or c == "_") and not c.isdecimal()):
+        # A prefix or word: name characters, a prefix also ':' and more.
+        end = start
+        while end < len(text) and _is_name_character(text[end]):
+            end += 1
+        if not (c.isalpha() or c in "_:"):
+            raise _bad_character(c, after)
+        if text[end:end + 1] != ":":
+            return "word", text[start:end], end
+        local = end + 1
+        while local < len(text) and _is_name_character(text[local]):
+            local += 1
+        return "pname", (text[start:end], text[end + 1:local]), local
+    if c in ".;,{}":
+        return c, c, start + 1
+    if text.startswith('"""', start):
+        raise _TokenFault("long string literals are not supported", unsupported=True)
+    if c == '"':
+        value, end = _reference_string(text, start)
+        return "string", value, end
+    if c == "<":
+        end = start + 1
+        while end < len(text) and text[end] not in ">\n":
+            end += 1
+        if text[end:end + 1] != ">":
+            raise _TokenFault("unterminated IRI reference")
+        if end == start + 1:
+            raise _TokenFault("empty IRI reference")
+        return "iri", text[start + 1:end], end + 1
+    if c == "?":
+        end = start + 1
+        while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+            end += 1
+        return "?", text[start + 1:end], end
+    if c == "@":  # a directive ends at its last letter
+        end = start + 1
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        return "@", text[start + 1:end], end
+    if c in "[]":
+        raise _TokenFault("blank nodes are not supported", unsupported=True)
+    if c in "()":
+        raise _TokenFault("collections are not supported", unsupported=True)
+    if c + after == "^^":
+        raise _TokenFault("datatyped literals are not supported", unsupported=True)
+    raise _bad_character(c, after)
+
+
+def reference_turtle_check(kind: str, value) -> None:
+    """Turtle's reading of the tokens it lacks or reads its own way."""
+    if kind == "word" and value != "a":
+        if value.lower() in ("true", "false"):
+            raise _TokenFault("boolean literals are not supported", unsupported=True)
+        if value.upper() in ("PREFIX", "BASE"):
+            raise _TokenFault("SPARQL-style directives are not supported", unsupported=True)
+        raise _TokenFault(f"expected a prefixed name, found '{value}'")
+    if kind == "@" and value == "base":
+        raise _TokenFault("@base is not supported", unsupported=True)
+    if kind == "@" and value != "prefix":
+        raise _TokenFault(f"unexpected directive '@{value}'")
+    if kind in ("?", "{", "}"):
+        raise _TokenFault(f"unexpected character {kind!r}")
+
+
+_REFERENCE_OUTSIDE_QUERIES = (
+    "OPTIONAL", "FILTER", "UNION", "GRAPH", "SERVICE", "PREFIX", "BASE",
+    "ORDER", "GROUP", "LIMIT", "OFFSET", "MINUS", "BIND", "VALUES",
+)
+
+
+def reference_query_check(kind: str, value) -> None:
+    """The query language's reading of the tokens it lacks or reads its
+    own way."""
+    if kind == "word":
+        if value.upper() in _REFERENCE_OUTSIDE_QUERIES:
+            raise _TokenFault(f"{value.upper()} is outside the query subset", unsupported=True)
+        if value.upper() not in ("SELECT", "DISTINCT", "WHERE") and value != "a":
+            raise _TokenFault(f"unexpected token '{value}'")
+    if kind == "?" and not value:
+        raise _TokenFault("empty variable name")
+    if kind in ("@", ";", ","):
+        raise _TokenFault(f"unexpected character {kind!r}")
+
+
+def scan(text: str, check=None):
     """Yield the ``(kind, value, offset)`` of each token of ``text`` in
-    order, one at a time, ending with ``eof``: the tokens a ``Cursor``
-    reads, through the same ``checks``."""
+    order, one at a time, ending with ``eof``, each read a character at a
+    time and then by ``check(kind, value)``, a language's own check."""
     pos = 0
     while True:
-        m = _SPLIT.match(text, pos)
-        raw = m.group(1)
-        start, pos = m.span(1)
-        if raw[:1] == "@":  # a directive ends at its last letter
-            raw = "@" + _letters(raw[1:])
-            pos = start + len(raw)
+        start = _skip_blanks(text, pos)
         try:
-            kind, value = _read_token(raw, checks)
-        except _Rejected as r:
-            _reference_fail(text, start + r.at, r.message, r.unsupported)
+            kind, value, pos = _reference_token(text, start)
+            if check is not None:
+                check(kind, value)
+        except _TokenFault as fault:
+            _reference_fail(text, start, fault.message, fault.unsupported)
         yield kind, value, start
         if kind == "eof":
             return
 
 
 class ReferenceCursor:
-    """The tokens of ``scan(text, checks)``, pulled one at a time with one
+    """The tokens of ``scan(text, check)``, pulled one at a time with one
     of lookahead; every token carries its offset, every term is resolved
     where it stands, and a grammar error first scans the rest of the text
     so that a token error anywhere wins."""
 
-    def __init__(self, text, checks, prefixes, unknown_prefix):
+    def __init__(self, text, check, prefixes, unknown_prefix):
         self.text = text
-        self.tokens = scan(text, checks)
+        self.tokens = scan(text, check)
         self.tok = next(self.tokens)
         self.prefixes = prefixes
         self.unknown_prefix = unknown_prefix
@@ -1307,7 +1562,7 @@ def _reference_axiom(store: OntologyStore, s, p, o) -> Axiom:
 def reference_parse_turtle(text: str) -> OntologyStore:
     """``parse_turtle`` read one token at a time: declarations first, then
     every other triple as an axiom, in document order."""
-    cur = ReferenceCursor(text, _turtle._CHECKS, {}, "prefix '{}:' used before declaration")
+    cur = ReferenceCursor(text, reference_turtle_check, {}, "prefix '{}:' used before declaration")
     triples = cur.read(_reference_document)
     store = OntologyStore(cur.prefixes)
     for s, p, o, _ in triples:
@@ -1382,5 +1637,5 @@ def _reference_query(cur: ReferenceCursor) -> Query:
 def reference_parse_query(text: str, prefixes: dict[str, str] | None = None) -> Query:
     """``parse_query`` read one token at a time."""
     prefix_map = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-    cur = ReferenceCursor(text, _query._CHECKS, prefix_map, "unknown prefix '{}:'")
+    cur = ReferenceCursor(text, reference_query_check, prefix_map, "unknown prefix '{}:'")
     return cur.read(_reference_query)

@@ -51,6 +51,8 @@ from oracles import (
     random_store,
     reference_axiom_obj,
     reference_json,
+    reference_parse_config,
+    reference_parse_framework_document,
     reference_store_from_json,
     reference_store_to_json,
     reference_traces_to_json,
@@ -313,6 +315,9 @@ def _config(obj):
         (_axiom, {"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",
                   "value": {"languageTag": "en US"}},
          "$.axioms[0].value.text: required field is missing"),
+        (_axiom, {"kind": "AnnotationAssertion", "subject": "s", "annProp": "p",
+                  "value": {"text": 5, "languageTag": 5}},
+         "$.axioms[0].value.text: expected str"),
         # The kind decides the members allowed, so it comes first.
         (_axiom, {"x": 1}, "$.axioms[0].kind: required field is missing"),
         (_axiom, {"kind": "Nope", "x": 1}, "$.axioms[0].kind: unknown axiom kind 'Nope'"),
@@ -736,6 +741,104 @@ def test_parse_config_type_messages(doc, message):
     with pytest.raises(SchemaViolation) as exc:
         parse_config(doc)
     assert str(exc.value) == message
+
+
+# Bases with every member of each form, for the document and config
+# differentials below.
+_FULL_DOCUMENT = {
+    "id": "aieo:ZZ",
+    "title": "Full",
+    "sections": [{"heading": "Scope", "body": "Risk."}, {"heading": "", "body": ""}],
+    "conceptDeclarations": [
+        {"name": "Fairness", "kind": "Principle", "shortDescription": "d", "reference": "r"},
+        {"name": "a b", "kind": "Requirement"},
+        {"name": "Safety", "kind": "Nope", "reference": ""},
+    ],
+}
+_FULL_CONFIG = {
+    "extraction": {"stopwords": ["The", "and"], "minTokenLength": 2, "topK": 5,
+                   "relevantTopK": 5},
+    "classificationMap": {"risk": "Risk_keyword", "x": "aieo:Characteristic_keyword"},
+    "confirmations": [{"left": "a", "right": "aieo:b"}, {"left": "https://e/x", "right": "c"}],
+    "threshold": 1,
+}
+_TREE_VALUES = _OTHER_VALUES + (
+    -1, 1, 0.75, "a>b", "zz:q", "Principle", "Risk_keyword", "aieo:AU_Fairness",
+    ["The", 5], {"left": "a", "right": "a"},
+)
+_TREE_NAMES = ("x", "", "id", "kind", "name", "left", "right", "topK", "stopwords", "heading")
+
+
+def _containers(value, out: list) -> list:
+    """Every object and array inside ``value``, itself first."""
+    if isinstance(value, (dict, list)):
+        out.append(value)
+        for item in value.values() if isinstance(value, dict) else value:
+            _containers(item, out)
+    return out
+
+
+def _mutate_tree(rng: random.Random, doc):
+    """One fault anywhere in the document: a member or item deleted,
+    replaced by another value, copied over another, or added. Returns the
+    document, which the fault may replace whole."""
+    containers = _containers(doc, [])
+    if not containers or rng.random() < 0.03:
+        return copy.deepcopy(rng.choice(_TREE_VALUES))
+    target = rng.choice(containers)
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    value = copy.deepcopy(rng.choice(_TREE_VALUES))
+    op = rng.randrange(4) if keys else 3
+    if op == 0:
+        del target[rng.choice(keys)]
+    elif op == 1:
+        target[rng.choice(keys)] = value
+    elif op == 2:  # equal sides, duplicate names, an item twice
+        target[rng.choice(keys)] = copy.deepcopy(target[rng.choice(keys)])
+    elif isinstance(target, dict):
+        target[rng.choice(_TREE_NAMES)] = value
+    else:
+        target.insert(rng.randint(0, len(target)), value)
+    return doc
+
+
+def _reader_outcome(read, text: str):
+    try:
+        return read(text)
+    except AieoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("read,reference,bases,checks", [
+    (parse_framework_document, reference_parse_framework_document,
+     [(DATA / "au_framework.json").read_text(), (DATA / "eu_framework.json").read_text(),
+      json.dumps(_FULL_DOCUMENT)],
+     {"duplicate concept name in document:", "concept name must be non-empty"}),
+    (parse_config, reference_parse_config,
+     [(DATA / "pipeline_config.json").read_text(), json.dumps(_FULL_CONFIG)],
+     {"expected int", "expected a number", "left and right must differ",
+      "classification target for", "topK must be >= 1", "threshold must be in (0, 1]"}),
+], ids=["document", "config"])
+def test_document_and_config_readers_match_the_fault_order_reference(
+    read, reference, bases, checks
+):
+    rng = random.Random(2032)
+    outcomes = set()
+    for n in range(1500):
+        doc = _mutate_tree(rng, json.loads(bases[n % len(bases)]))
+        if n % 2:
+            doc = _mutate_tree(rng, doc)
+        text = json.dumps(doc)
+        outcome = _reader_outcome(read, text)
+        assert outcome == _reader_outcome(reference, text), text
+        if isinstance(outcome, tuple):
+            outcomes.add(outcome[1].split(": ", 1)[1].split(" '")[0])
+        else:
+            outcomes.add("read")
+    # Every kind of fault, the checks across members included, is met.
+    assert {"read", "unknown field", "required field is missing", "expected str",
+            "expected list", "expected a JSON object",
+            "expected a non-empty IRI string"} | checks <= outcomes, outcomes
 
 
 def test_shipped_sample_files_parse_and_ingest():

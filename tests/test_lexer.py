@@ -17,6 +17,7 @@ import pytest
 
 from aieo.errors import AieoError, ParseError, UndeclaredEntity, UnsupportedFeature
 from aieo.jsonio import store_from_json, store_to_json
+from aieo.lexer import Cursor
 from aieo.model import OntologyStore
 from aieo.query import PRINCIPLES_BY_FRAMEWORK_QUERY, Query, parse_query
 from aieo.schema import seed_schema
@@ -169,9 +170,37 @@ def test_a_tab_in_an_iri_reads_as_the_reference_reads_it(parse, reference, text)
     assert _outcome(parse, text) == _outcome(reference, text)
 
 
+def _library_tokens(text):
+    """The ``(kind, value)`` of each token of ``text`` through ``eof``, as
+    the library's :class:`Cursor` reads them with no language's checks."""
+    cur = Cursor(text, {}, {}, "")
+    tokens = [cur.take()]
+    while tokens[-1][0] != "eof":
+        tokens.append(cur.take())
+    return tokens
+
+
+def _library_offset(text, index):
+    """The offset in ``text`` where the library puts a diagnostic at its
+    ``index``-th token."""
+    with pytest.raises(ParseError) as err:
+        Cursor(text, {}, {}, "").fail("", index)
+    lines = text.split("\n")[: err.value.line - 1]
+    return sum(len(line) + 1 for line in lines) + err.value.column - 1
+
+
+def _scanned(text):
+    """``scan(text)``, checked to be the tokens the library reads: the same
+    kinds and values, each at the offset of the library's diagnostics."""
+    tokens = list(scan(text))
+    assert _library_tokens(text) == [(kind, value) for kind, value, _ in tokens]
+    assert [_library_offset(text, i) for i in range(len(tokens))] == [o for *_, o in tokens]
+    return tokens
+
+
 def test_scan_yields_offsets_and_decoded_values():
     text = '@prefix ex: <https://e/> .\nex:a a ex:B ; ex:l "t\\"x\\n"@en-GB , "y" . ?v { } SELECT'
-    assert list(scan(text)) == [
+    assert _scanned(text) == [
         ("@", "prefix", 0),
         ("pname", ("ex", ""), 8),
         ("iri", "https://e/", 12),
@@ -192,9 +221,10 @@ def test_scan_yields_offsets_and_decoded_values():
         ("eof", None, 82),
     ]
     # Whitespace and comments before a token, or before the end, are skipped.
-    assert list(scan(" ex:a # c\n.")) == [("pname", ("ex", "a"), 1), (".", ".", 10), ("eof", None, 11)]
-    assert list(scan("# only a comment\n  \t# another")) == [("eof", None, 29)]
-    assert list(scan("")) == [("eof", None, 0)]
+    assert _scanned(" ex:a # c\n.") == [("pname", ("ex", "a"), 1), (".", ".", 10), ("eof", None, 11)]
+    assert _scanned("# only a comment\n  \t# another") == [("eof", None, 29)]
+    assert _scanned("ex:a \n ") == [("pname", ("ex", "a"), 0), ("eof", None, 7)]
+    assert _scanned("") == [("eof", None, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +247,36 @@ def test_character_classes_match_str_predicates(pattern, predicate):
     assert re.findall(pattern, EVERY_CODE_POINT) == list(filter(predicate, EVERY_CODE_POINT))
 
 
+def _scan_diagnostic(text):
+    return _diagnostic(lambda t: list(scan(t)), text)
+
+
+def _library_diagnostic(text):
+    return _diagnostic(lambda t: Cursor(t, {}, {}, ""), text)
+
+
 def test_names_and_directives_start_with_str_isalpha_letters():
+    # Each check runs on the library's Cursor and on the reference scan.
     candidates = re.findall(r"[^\W\d]", EVERY_CODE_POINT)  # the lexer's name start
     letters = [c for c in candidates if c.isalpha() or c == "_"]
     assert set(filter(str.isalpha, EVERY_CODE_POINT)) <= set(letters)
-    words = [value for kind, value, _ in scan(" ".join(letters)) if kind != "eof"]
-    assert words == letters
+    text = " ".join(letters)
+    words = [("word", c) for c in letters]
+    assert _library_tokens(text)[:-1] == words
+    assert [(kind, value) for kind, value, _ in scan(text)][:-1] == words
     directive = "".join(c for c in letters if c != "_")
+    expected = [("@", directive), ("eof", None)]
+    assert _library_tokens("@" + directive) == expected
     assert list(scan("@" + directive)) == [("@", directive, 0), ("eof", None, len(directive) + 1)]
     numerals = [c for c in candidates if not (c.isalpha() or c == "_")]
     assert len(numerals) > 100  # '²', '½', Roman numerals, ...
     for c in numerals:
-        expected = "numeric literals are not supported" if c.isdigit() else f"unexpected character {c!r}"
-        with pytest.raises(ParseError, match=re.escape(expected)):
-            list(scan(c + "x"))
+        error = (UnsupportedFeature, "numeric literals are not supported") if c.isdigit() \
+            else (ParseError, f"unexpected character {c!r}")
+        assert _library_diagnostic(c + "x") == _scan_diagnostic(c + "x") == (*error, 1, 1)
+        assert _library_diagnostic("@prefix" + c) == _scan_diagnostic("@prefix" + c) == (*error, 1, 8)
         tokens = scan("@prefix" + c)
         assert next(tokens) == ("@", "prefix", 0)
-        with pytest.raises(ParseError, match=re.escape(expected)):
-            next(tokens)
 
 
 # ---------------------------------------------------------------------------

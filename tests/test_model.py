@@ -90,14 +90,34 @@ def test_equivalent_classes_is_a_set():
         EquivalentClasses(frozenset({ex("A")}))
 
 
-def test_declare_rejects_punning():
+# The three writers that take a declaration, each given an IRI and a kind.
+_DECLARING = {
+    "declare": lambda store, iri, kind: store.declare(iri, kind),
+    "add": lambda store, iri, kind: store.add(Declaration(iri, kind)),
+    "update": lambda store, iri, kind: store.update([Declaration(iri, kind)]),
+}
+
+
+@pytest.mark.parametrize("declare", _DECLARING.values(), ids=_DECLARING)
+def test_declare_rejects_punning(declare):
     store = _store()
     with pytest.raises(KindConflict):
-        store.declare(ex("A"), EntityKind.NAMED_INDIVIDUAL)
+        declare(store, ex("A"), EntityKind.NAMED_INDIVIDUAL)
     # re-declaring with the same kind is a no-op
     before = len(store.axioms)
-    store.declare(ex("A"), EntityKind.OWL_CLASS)
+    declare(store, ex("A"), EntityKind.OWL_CLASS)
     assert len(store.axioms) == before
+
+
+def test_a_built_declaration_is_stored_as_built_with_an_iri():
+    store = OntologyStore()
+    built = Declaration(ex("A"), EntityKind.OWL_CLASS)
+    store.update([built])
+    assert next(store.axioms_of(Declaration)) is built
+    for declare in _DECLARING.values():  # a plain string becomes an Iri
+        declare(store, "https://example.org/B", EntityKind.OWL_CLASS)
+    assert {type(ax.iri) for ax in store.axioms_of(Declaration)} == {Iri}
+    assert len(store) == 2
 
 
 _STRUCTURAL_PREDICATES = [
@@ -118,8 +138,9 @@ def test_declare_rejects_structural_predicates(iri):
     store = _store()
     before = set(store.axioms)
     for kind in EntityKind:
-        with pytest.raises(ValidationError, match="reserved predicate"):
-            store.declare(Iri(iri), kind)
+        for declare in _DECLARING.values():
+            with pytest.raises(ValidationError, match="reserved predicate"):
+                declare(store, Iri(iri), kind)
     assert store.axioms == before and store.kind_of(Iri(iri)) is None
 
 
