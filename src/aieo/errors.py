@@ -66,10 +66,6 @@ class DuplicateFramework(AieoError):
     """A framework document with this id has already been ingested."""
 
 
-class UnknownKind(AieoError):
-    """A concept declaration names a kind outside the supported set."""
-
-
 class UnknownFramework(AieoError):
     """A pipeline stage references a framework that was never structured."""
 

@@ -30,6 +30,8 @@ text its type's template writes, so the object and the text cannot differ.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
@@ -68,6 +70,16 @@ def _loads(text: str) -> Any:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from None
     except RecursionError:  # the decoder recurses once per nested array/object
         raise ParseError(1, 1, "document nested too deeply") from None
+    except ValueError:  # int() refuses a long integer, and the decoder says not where
+        limit = sys.get_int_max_str_digits()
+        at = next((m.start() for m in _STRING_OR_NUMBER.finditer(text)
+                   if m[1] and len(m[1].lstrip("-")) > limit), 0)
+        error = json.JSONDecodeError(f"integer longer than {limit} digits", text, at)
+        raise ParseError(error.lineno, error.colno, error.msg) from None
+
+
+# A JSON string, or a number; group 1 is a number without fraction or exponent.
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+[.eE][-+.\deE]*|(-?\d+)')
 
 
 class _Fault(Exception):
@@ -489,7 +501,7 @@ def parse_config(text: str) -> PipelineConfig:
             raise _Fault(".threshold", "expected a number")
         return _made(".threshold", PipelineConfig, extraction=extraction,
                      classification=classification, confirmations=tuple(confirmations),
-                     threshold=float(threshold))
+                     threshold=threshold)
     except _Fault as fault:
         raise SchemaViolation("$" + fault.path, fault.message) from None
 

@@ -382,7 +382,7 @@ class AxiomType:
     fields: tuple[Field, ...] = field(init=False)  # the class's own, in tuple order
     tag: str = field(init=False)  # the type's name, also its JSON "kind"
     members: str | None = field(init=False)  # the set-valued field, if any
-    refs: tuple[Field, ...] = field(init=False)  # fields naming other entities
+    refs: tuple[Field, ...] = field(init=False)  # fields naming other entities, in checking order
     triple: Callable[[Axiom], tuple] | None = field(init=False)  # if not symmetric
     pair: Callable[[Axiom], Iterable[Iri]] | None = field(init=False)  # if symmetric
     sort_key: Callable[[Axiom], tuple] = field(init=False)  # within the type
@@ -398,6 +398,8 @@ class AxiomType:
         refs = () if declares else tuple(
             f for f in fields if f.shape is Iri or f.shape is frozenset
         )
+        if self.predicate is None:  # a property assertion's predicate is checked first
+            refs = tuple(sorted(refs, key=lambda f: f.name != "prop"))
         set_ = object.__setattr__
         set_(self, "fields", fields)
         set_(self, "tag", self.cls.__name__)

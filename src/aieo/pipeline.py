@@ -19,7 +19,6 @@ from .errors import (
     UnconfirmedProposal,
     UnknownAnnotationProperty,
     UnknownFramework,
-    UnknownKind,
 )
 from .model import (
     AnnotationAssertion,
@@ -79,6 +78,8 @@ class ConceptDeclaration:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("concept name must be non-empty")
+        if self.kind not in CONCEPT_KINDS:
+            raise ValueError(f"concept kind must be one of {CONCEPT_KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +189,8 @@ class PipelineConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_threshold(self.threshold)
+        _check_threshold(self.threshold)  # before float(), which overflows on a huge int
+        object.__setattr__(self, "threshold", float(self.threshold))
 
 
 def _tokens(text: str) -> list[str]:
@@ -225,11 +227,6 @@ def structure_framework(store: OntologyStore, doc: FrameworkDocument) -> Ontolog
     concept, and the framework-to-concept link assertions."""
     if is_ingested(store, doc.id):
         raise DuplicateFramework(f"framework already ingested: {doc.id}")
-    for concept in doc.concept_declarations:
-        if concept.kind not in CONCEPT_KINDS:
-            raise UnknownKind(
-                f"concept kind must be one of {CONCEPT_KINDS}, got {concept.kind!r}"
-            )
     store.declare(doc.id, EntityKind.NAMED_INDIVIDUAL)
     store.add(ClassAssertion(FRAMEWORK, doc.id))
     if doc.title:

@@ -11,11 +11,9 @@ reported before any grammar error, and a diagnostic's line and column are
 worked out only when it is raised. This module reads ``@prefix``
 directives and the statement structure in one loop over the token list,
 with local indexes and the cursor's per-position term memos; the same loop
-sets aside the typings with a meta-class as declarations. A triple keeps
-the index of its object token, not an offset, for the errors of mapping it
-to an axiom. The axiom constructor of each distinct predicate (and object
-kind, IRI or literal) is chosen once, at its first triple, which also
-raises that predicate's error, so errors keep document order.
+sets aside the typings with a meta-class as declarations. Each other
+triple maps to its axiom by its shape alone; the store then reports an
+undeclared or wrong-kind entity as it does for JSON, in document order.
 
 Serialization is canonical: prefixes sorted, subjects sorted by absolute
 IRI, predicates in a fixed order, object lists sorted. Two serializations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable
 
-from .errors import KindMismatch, UndeclaredEntity
 from .lexer import Cursor, Token, fail_at, reject, unexpected
 from .model import (
     AXIOM_TYPES,
@@ -142,70 +139,29 @@ def parse_turtle(text: str) -> OntologyStore:
     # Declarations first so statement order inside the file never matters.
     for iri, kind in declarations:
         store.declare(iri, kind)
-    # The constructor of each predicate's axioms, chosen at its first triple
-    # with an IRI object (or a literal one), which raises its error if any.
-    makers: dict[Iri, Callable] = {}
-    literal_makers: dict[Iri, Callable] = {}
     axioms: list[Axiom] = []
     try:
         for s, p, o, at in triples:
             if type(o) is AnnotationValue:
-                make = literal_makers.get(p)
-                if make is None:
-                    make = literal_makers[p] = _literal_constructor(store, p)
+                axioms.append(AnnotationAssertion(s, p, o))
+            elif (make := _FROM_PAIR.get(p)) is not None:
+                axioms.append(make(s, o))
             else:
-                make = makers.get(p)
-                if make is None:
-                    make = makers[p] = _constructor(store, p)
-            axioms.append(make(s, p, o))
-    except (ValueError, UndeclaredEntity, KindMismatch) as exc:
+                axioms.append(ObjectPropertyAssertion(s, p, o))
+    except ValueError as exc:  # degenerate pair/set axioms
         store.update(axioms)  # an earlier axiom's own error comes first
-        if isinstance(exc, ValueError):  # degenerate pair/set axioms
-            fail_at(text, at, str(exc))
-        raise
+        fail_at(text, at, str(exc))
     return store.update(axioms)
 
 
-def _from_pair(row: AxiomType) -> Callable[[Iri, Iri, Iri], Axiom]:
-    make = row.from_pair
-    return lambda s, _, o: make(s, o)
-
-
-# The axioms of a triple with an IRI object, by its fixed predicate. An
+# The axiom of a triple with an IRI object, by its fixed predicate. An
 # rdf:type triple is a class assertion here: typings with a meta-class were
 # taken as declarations already.
-_CONSTRUCTORS = {
-    row.predicate: _from_pair(row)
+_FROM_PAIR = {
+    row.predicate: row.from_pair
     for row in AXIOM_TYPES.values()
     if row.predicate is not None and row.cls is not Declaration
 }
-
-
-def _constructor(store: OntologyStore, p: Iri) -> Callable[[Iri, Iri, Iri], Axiom]:
-    """What a triple with predicate ``p`` and an IRI object maps to."""
-    make = _CONSTRUCTORS.get(p)
-    if make is not None:
-        return make
-    kind = store.kind_of(p)
-    if kind is EntityKind.OBJECT_PROPERTY:
-        return ObjectPropertyAssertion
-    if kind is None:
-        raise UndeclaredEntity(f"{p} is not declared")
-    if kind is EntityKind.ANNOTATION_PROPERTY:
-        raise KindMismatch(f"annotation property {p} requires a literal object")
-    raise KindMismatch(f"{p} is declared as {kind.value}, not usable as a predicate")
-
-
-def _literal_constructor(
-    store: OntologyStore, p: Iri
-) -> Callable[[Iri, Iri, AnnotationValue], Axiom]:
-    """What a triple with predicate ``p`` and a literal object maps to."""
-    kind = store.kind_of(p)
-    if kind is EntityKind.ANNOTATION_PROPERTY:
-        return AnnotationAssertion
-    if kind is None:
-        raise UndeclaredEntity(f"{p} is not declared")
-    raise KindMismatch(f"literal object requires {p} to be an annotation property")
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,8 @@ from itertools import combinations, permutations
 import pyparsing as pp
 
 from aieo.errors import (
-    KindMismatch,
     ParseError,
     SchemaViolation,
-    UndeclaredEntity,
     UnsupportedFeature,
 )
 from aieo.model import (
@@ -908,6 +906,8 @@ def reference_parse_config(text: str) -> PipelineConfig:
     threshold = doc.get("threshold", 0.5)
     if type(threshold) not in (int, float):
         raise SchemaViolation("$.threshold", "expected a number")
+    if not 0 < threshold <= 1:  # compared as read: float() overflows on a huge integer
+        raise SchemaViolation("$.threshold", "threshold must be in (0, 1]")
     return _reference_checked(
         "$.threshold", PipelineConfig, extraction=extraction, classification=classification,
         confirmations=tuple(confirmations), threshold=float(threshold))
@@ -1540,22 +1540,13 @@ _REFERENCE_PAIRS = {
 }
 
 
-def _reference_axiom(store: OntologyStore, s, p, o) -> Axiom:
-    kind = store.kind_of(p)
+def _reference_axiom(s, p, o) -> Axiom:
+    """The axiom of a triple by its shape alone: the store it goes into
+    reports an undeclared or wrong-kind entity."""
     if isinstance(o, AnnotationValue):
-        if kind is EntityKind.ANNOTATION_PROPERTY:
-            return AnnotationAssertion(s, p, o)
-        if kind is None:
-            raise UndeclaredEntity(f"{p} is not declared")
-        raise KindMismatch(f"literal object requires {p} to be an annotation property")
+        return AnnotationAssertion(s, p, o)
     if p in _REFERENCE_PAIRS:
         return _REFERENCE_PAIRS[p](s, o)
-    if kind is None:
-        raise UndeclaredEntity(f"{p} is not declared")
-    if kind is EntityKind.ANNOTATION_PROPERTY:
-        raise KindMismatch(f"annotation property {p} requires a literal object")
-    if kind is not EntityKind.OBJECT_PROPERTY:
-        raise KindMismatch(f"{p} is declared as {kind.value}, not usable as a predicate")
     return ObjectPropertyAssertion(s, p, o)
 
 
@@ -1573,12 +1564,10 @@ def reference_parse_turtle(text: str) -> OntologyStore:
         if p == RDF_TYPE and o in META_CLASS_KINDS:
             continue
         try:
-            axioms.append(_reference_axiom(store, s, p, o))
-        except (ValueError, UndeclaredEntity, KindMismatch) as exc:
+            axioms.append(_reference_axiom(s, p, o))
+        except ValueError as exc:
             store.update(axioms)
-            if isinstance(exc, ValueError):
-                _reference_fail(text, offset, str(exc))
-            raise
+            _reference_fail(text, offset, str(exc))
     return store.update(axioms)
 
 

@@ -134,6 +134,44 @@ def test_deeply_nested_json_exits_parse_error(run, tmp_path, opener):
     assert out == "" and err == f"{path}:1:1: error: document nested too deeply\n"
 
 
+def test_an_integer_too_long_for_int_exits_parse_error(run, tmp_path):
+    path = tmp_path / "huge.json"
+    limit = sys.get_int_max_str_digits()
+    path.write_text('{"axioms": [\n  1' + "0" * limit + "]}")
+    code, out, err = run("parse", str(path))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == "" and err == f"{path}:2:3: error: integer longer than {limit} digits\n"
+
+
+_NOTE_TURTLE = """\
+@prefix ex: <https://example.org/> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+ex:A a owl:Class .
+ex:B a owl:Class .
+ex:note a owl:AnnotationProperty .
+ex:A ex:note ex:B .
+"""
+_NOTE_JSON = json.dumps({"prefixes": {"ex": "https://example.org/"}, "axioms": [
+    {"kind": "Declaration", "iri": "ex:A", "entityKind": "OwlClass"},
+    {"kind": "Declaration", "iri": "ex:B", "entityKind": "OwlClass"},
+    {"kind": "Declaration", "iri": "ex:note", "entityKind": "AnnotationProperty"},
+    {"kind": "ObjectPropertyAssertion", "subject": "ex:A", "prop": "ex:note", "object": "ex:B"},
+]})
+
+
+@pytest.mark.parametrize("name,text", [("note.ttl", _NOTE_TURTLE), ("note.json", _NOTE_JSON)],
+                         ids=["turtle", "json"])
+def test_a_kind_fault_exits_with_one_message_for_both_formats(run, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run("parse", str(path))
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert out == "" and err == (
+        f"{path}: error: https://example.org/note is declared as AnnotationProperty; "
+        "ObjectPropertyAssertion requires ObjectProperty\n"
+    )
+
+
 _SWAP_VALUES = (None, True, 0, -1, 2.5, "", "x", "aieo:x", [], ["x", 1], {}, {"a": None})
 
 
@@ -762,6 +800,35 @@ def test_ingest_rejects_concept_names_with_one_iri(run, seed_file, tmp_path):
     )
     assert code == 2
     assert "both map to https://w3id.org/aieo#ZH_a_b" in err
+    assert not out.exists()
+
+
+def test_ingest_rejects_an_unknown_concept_kind_at_its_declaration(run, seed_file, tmp_path):
+    doc = json.loads((DATA / "au_framework.json").read_text())
+    doc["conceptDeclarations"][2]["kind"] = "Bogus"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "au.ttl"
+    code, _, err = run(
+        "ingest", seed_file, str(path),
+        "--config", str(DATA / "pipeline_config.json"), "--out", str(out),
+    )
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert err.startswith(f"{path}: error: $.conceptDeclarations[2]: concept kind must be one of ")
+    assert err.endswith(", got 'Bogus'\n")
+    assert not out.exists()
+
+
+def test_ingest_rejects_a_huge_integer_threshold(run, seed_file, tmp_path):
+    config = tmp_path / "big.json"
+    config.write_text('{"threshold": 1' + "0" * 400 + "}")
+    out = tmp_path / "au.ttl"
+    code, _, err = run(
+        "ingest", seed_file, str(DATA / "au_framework.json"),
+        "--config", str(config), "--out", str(out),
+    )
+    assert code == ExitStatus.VALIDATION_ERROR
+    assert err == f"{config}: error: $.threshold: threshold must be in (0, 1]\n"
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,19 @@ def test_deep_nesting_is_a_positioned_parse_error(read, opener):
         read(opener * 100_000)
     assert (exc.value.line, exc.value.column, exc.value.message) == (
         1, 1, "document nested too deeply"
+    )
+
+
+@pytest.mark.parametrize("read", [store_from_json, parse_framework_document, parse_config])
+def test_an_integer_too_long_for_int_is_a_positioned_parse_error(read):
+    limit = sys.get_int_max_str_digits()
+    digits = "9" * (limit + 1)
+    # Floats and a string with as many digits decode; the integer does not.
+    text = f'{{"a": [1{digits}.5, 0.{digits}, 1e{digits}, "{digits}",\n  -{digits}]}}'
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert (exc.value.line, exc.value.column, exc.value.message) == (
+        2, 3, f"integer longer than {limit} digits"
     )
 
 
@@ -628,6 +642,9 @@ def test_parse_framework_document_minimal():
          "$.conceptDeclarations[0].name"),
         ('{"id": "aieo:X", "title": "x", "conceptDeclarations": '
          '[{"name": "", "kind": "Principle"}]}', "$.conceptDeclarations[0]"),
+        ('{"id": "aieo:X", "title": "x", "conceptDeclarations": '
+         '[{"name": "a", "kind": "Principle"}, {"name": "b", "kind": "Bogus"}]}',
+         "$.conceptDeclarations[1]"),
     ],
 )
 def test_framework_document_violations_carry_paths(doc, path):
@@ -676,6 +693,7 @@ def test_parse_config_full():
     assert cfg.classification.entries == {"risk": aieo("Risk_keyword")}
     assert cfg.confirmations == (frozenset((aieo("a"), aieo("b"))),)
     assert cfg.threshold == 0.7
+    assert type(parse_config('{"threshold": 1}').threshold) is float
 
 
 @pytest.mark.parametrize(
@@ -735,6 +753,9 @@ def test_a_faulty_confirmation_after_a_good_one_reports_its_first_fault(member, 
         ('{"extraction": {"stopwords": ["the", 1]}}', "$.extraction.stopwords[1]: expected str"),
         ('{"classificationMap": {"risk": 3}}', "$.classificationMap.risk: expected str"),
         ('{"threshold": "0.5"}', "$.threshold: expected a number"),
+        # Too large for a float: the range is checked first.
+        *[(f'{{"threshold": {sign}1{"0" * 400}}}', "$.threshold: threshold must be in (0, 1]")
+          for sign in ("", "-")],
     ],
 )
 def test_parse_config_type_messages(doc, message):

@@ -15,7 +15,6 @@ from aieo.errors import (
     UnconfirmedProposal,
     UnknownAnnotationProperty,
     UnknownFramework,
-    UnknownKind,
 )
 from aieo.model import (
     AnnotationAssertion,
@@ -169,10 +168,9 @@ def test_structure_rejects_reingestion():
         structure_framework(store, _doc())
 
 
-def test_structure_rejects_unknown_concept_kind():
-    store = seed_schema()
-    with pytest.raises(UnknownKind, match="concept kind"):
-        structure_framework(store, _doc(concepts=[ConceptDeclaration("X", "Value")]))
+def test_concept_declaration_rejects_unknown_concept_kind():
+    with pytest.raises(ValueError, match="concept kind must be one of"):
+        ConceptDeclaration("X", "Value")
 
 
 def test_concept_and_keyword_iris_are_slugged():

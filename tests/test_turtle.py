@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from oracles import (
     random_small_store,
     random_store,
     reference_axiom_line,
+    reference_axiom_obj,
+    reference_parse_turtle,
     reference_serialize_turtle,
     with_prefixes,
 )
@@ -186,6 +189,58 @@ def test_the_first_faulty_statement_gives_the_error(first, second):
     with pytest.raises(_FAULTS[first][1]) as alone:
         parse_turtle(text + _FAULTS[first][0] + "\n")
     assert str(err.value).split(": ", 1)[-1] == str(alone.value).split(": ", 1)[-1]
+
+
+_PLANTED = Iri("https://example.org/planted/")
+
+
+def _planted_fault(rng: random.Random, store: OntologyStore, fault: str):
+    """One property assertion that ``store`` rejects for the kind of its
+    predicate; ``store`` gets the (valid) declarations the fault names."""
+    kinds = {kind: Iri(f"{_PLANTED}{kind.name}") for kind in EntityKind}
+    for kind, iri in kinds.items():
+        store.declare(iri, kind)
+    entities = store.declared()
+    s, o = rng.choice(entities), rng.choice(entities)
+    if fault == "undeclared-predicate":
+        return ObjectPropertyAssertion(s, Iri(f"{_PLANTED}nothing"), o)
+    if fault == "annotation-property-with-iri":
+        return ObjectPropertyAssertion(s, kinds[EntityKind.ANNOTATION_PROPERTY], o)
+    if fault == "object-property-with-literal":
+        prop = kinds[EntityKind.OBJECT_PROPERTY]
+        return AnnotationAssertion(s, prop, AnnotationValue(f"v{rng.randint(0, 9)}"))
+    if fault == "class-as-predicate":
+        return ObjectPropertyAssertion(s, rng.choice(store.declared(EntityKind.OWL_CLASS)), o)
+    bad = rng.choice((EntityKind.ANNOTATION_PROPERTY, EntityKind.OWL_CLASS))  # undeclared subject
+    return ObjectPropertyAssertion(Iri(f"{_PLANTED}ghost"), kinds[bad], o)
+
+
+@pytest.mark.parametrize("fault", [
+    "undeclared-predicate", "annotation-property-with-iri", "object-property-with-literal",
+    "class-as-predicate", "undeclared-subject-under-bad-predicate",
+])
+@pytest.mark.parametrize("seed", range(8))
+def test_a_kind_fault_reads_the_same_in_turtle_and_json(seed, fault):
+    """The store, not the reader, reports a wrong-kind or undeclared entity:
+    both forms of one faulty store raise one error, and it names the
+    predicate, which is checked before the subject and object."""
+    rng = random.Random(seed)
+    for store in (random_store(seed), random_linked_store(seed), random_small_store(seed)):
+        ax = _planted_fault(rng, store, fault)
+        lines = serialize_turtle(store).splitlines()
+        ends = [n for n, line in enumerate(lines) if line.endswith(" .")]
+        lines.insert(rng.choice(ends) + 1, reference_axiom_line(store, ax))
+        doc = json.loads(store_to_json(store))
+        doc["axioms"].insert(rng.randint(0, len(doc["axioms"])), reference_axiom_obj(ax))
+        errors = []
+        for read, text in ((parse_turtle, "\n".join(lines) + "\n"),
+                           (reference_parse_turtle, "\n".join(lines) + "\n"),
+                           (store_from_json, json.dumps(doc))):
+            with pytest.raises((UndeclaredEntity, KindMismatch)) as err:
+                read(text)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == errors[2], (seed, fault, ax)
+        assert errors[0][1].startswith(f"{ax.prop} is "), errors[0]
 
 
 def test_serialized_output_is_sorted_and_grouped():
