@@ -23,8 +23,7 @@ by ``json.dumps`` itself, through :func:`canonical_json`. Objects of a
 fixed shape are written from ``%`` templates built once at import: each
 axiom type's object, the store document, the trace sidecar's fact and
 trace rows, and, through :func:`object_template`, the graph nodes and
-edges of :mod:`aieo.kgexport`. :func:`axiom_to_obj` is the parse of the
-text its type's template writes, so the object and the text cannot differ.
+edges of :mod:`aieo.kgexport`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .model import (
     EntityKind,
     Iri,
     OntologyStore,
-    axiom_type,
     check_prefix,
     resolve_curie,
     sorted_axioms,
@@ -59,7 +57,7 @@ from .pipeline import (
     PipelineConfig,
     Section,
 )
-from .reasoner import Materialization, RuleId
+from .reasoner import Materialization, RuleId, explain
 from .schema import DEFAULT_PREFIXES, aieo
 
 
@@ -202,13 +200,6 @@ def _iri(obj: dict, name: str, iris: _IriTable) -> Iri:
 
 _ENTITY_KIND_VALUES = {k.value: k for k in EntityKind}
 _LITERAL_MEMBERS = frozenset({"text", "languageTag"})
-
-
-def axiom_to_obj(ax: Axiom) -> dict:
-    """The axiom's interchange object, as plain JSON values: the parse of
-    the text its type's template writes. No writer here calls it; it stays
-    public for library callers that build their own documents."""
-    return json.loads(_AXIOM_WRITERS[axiom_type(ax).cls](ax, "\n"))
 
 
 def _iri_set(value: Any, iris: _IriTable) -> frozenset[Iri]:
@@ -530,7 +521,7 @@ def traces_to_json(mat: Materialization) -> str:
         traces = [
             _TRACE % (array_text(list(map(premise, trace.premises)), "\n        "),
                       _RULE_TEXT[trace.rule])
-            for trace in mat.traces[fact]
+            for trace in explain(mat, fact)
         ]
         facts.append(_FACT % (_AXIOM_WRITERS[type(fact)](fact, "\n    "),
                               array_text(traces, "\n    ")))

@@ -763,10 +763,10 @@ class OntologyStore:
 
     def require_valid(self) -> None:
         """Raise :class:`ValidationError` naming every structural problem, in
-        sorted order: the defensive full scan that ``aieo parse`` and
-        ``materialize`` run, though ``add``, ``declare`` and ``update``
-        already refuse what it finds. Only the axiom types whose references
-        fail the set check of ``update`` are scanned axiom by axiom."""
+        sorted order: the defensive full scan that ``materialize`` runs,
+        though ``add``, ``declare`` and ``update`` already refuse what it
+        finds. Only the axiom types whose references fail the set check of
+        ``update`` are scanned axiom by axiom."""
         problems: list[str] = []
         declared_twice: dict[Iri, set[EntityKind]] = defaultdict(set)
         for ax in self.axioms_of(Declaration):

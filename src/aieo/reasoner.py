@@ -10,9 +10,9 @@ inferred fact.
 
 The closure records each derivation as a bare (rule, premises) row. A
 fact's :class:`InferenceTrace` tuple is built and put in canonical order the
-first time that fact's traces are read (:func:`explain`, or
-``jsonio.traces_to_json``), so the sort costs nothing for facts no one asks
-about.
+first time that fact's traces are read through :func:`explain`, their one
+reader, so the sort costs nothing for facts no one asks about: the closure
+and its consistency check build no trace.
 """
 
 from __future__ import annotations
@@ -110,13 +110,14 @@ class ConsistencyViolation:
 
     ``rule`` is D1 when some individual carries both memberships without
     any sameAs step, D2 when the clash only appears after sameAs merging.
+    Its support is read on demand: ``explain(mat, ClassAssertion(v.class_a,
+    v.individual)) + explain(mat, ClassAssertion(v.class_b, v.individual))``.
     """
 
     individual: Iri
     class_a: Iri
     class_b: Iri
     rule: RuleId
-    traces: tuple[InferenceTrace, ...]
 
 
 class _SortKeys(dict):
@@ -292,10 +293,10 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
 
 def explain(mat: Materialization, fact: Axiom) -> list[InferenceTrace]:
     """All one-step derivations of the fact; empty iff it is asserted."""
+    if fact in mat.inferred:  # disjoint from the base, and the case the sidecar reads
+        return list(mat.traces[fact])
     if fact in mat.base:
         return []
-    if fact in mat.inferred:
-        return list(mat.traces[fact])
     raise UnknownFact(f"fact is not part of the materialization: {fact}")
 
 
@@ -337,12 +338,6 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
                     None,
                 )
                 rule = RuleId.D1_DISJOINT_TYPING if witness else RuleId.D2_SAMEAS_DISJOINT
-                individual = witness or least
-                support = [
-                    trace
-                    for cls in (a, b)
-                    for trace in explain(mat, ClassAssertion(cls, individual))
-                ]
-                violations.append(ConsistencyViolation(individual, a, b, rule, tuple(support)))
+                violations.append(ConsistencyViolation(witness or least, a, b, rule))
     violations.sort(key=lambda v: (v.individual, v.class_a, v.class_b))
     return violations

@@ -95,6 +95,8 @@ TURTLE_DIAGNOSTICS = [
     (P + 'ex:a ex:p "" .', ParseError, "empty literal", 2, 11),
     (P + "ex:a ex:p <https://example.org/a\tb> .", ParseError, _NO_IRI, 2, 11),
     ("@prefix ex: <https://example.org/\t> .", ParseError, _NO_IRI, 1, 13),
+    ("@prefix ex:a <https://example.org/> .", ParseError,
+     "prefix declaration must end in ':'", 1, 9),
     # An axiom that cannot be built is reported at its object.
     ("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n" + P
      + "ex:A a owl:Class . ex:B a owl:Class .\nex:A owl:disjointWith ex:B ,\n  ex:A .",

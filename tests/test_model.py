@@ -679,14 +679,17 @@ def test_validation_catches_corrupted_store():
     store = _store()
     store.add(ClassAssertion(ex("A"), ex("x")))
     # add/declare are the only writers, so corruption has to go behind them:
-    # one axiom references an undeclared entity, one an entity of the wrong kind
+    # one axiom references an undeclared entity, one an entity of the wrong
+    # kind, and a declared class is declared a second time as an individual
     store._by_type[ClassAssertion].add(ClassAssertion(ex("A"), ex("ghost")))
     store._by_type[ClassAssertion].add(ClassAssertion(ex("A"), ex("B")))
+    store._by_type[Declaration].add(Declaration(ex("A"), EntityKind.NAMED_INDIVIDUAL))
     with pytest.raises(ValidationError) as exc:
         store.require_valid()
     assert str(exc.value) == (
         "ClassAssertion needs https://example.org/B to be NamedIndividual, found OwlClass; "
-        "ClassAssertion references undeclared https://example.org/ghost"
+        "ClassAssertion references undeclared https://example.org/ghost; "
+        "https://example.org/A declared with multiple kinds"
     )
 
 

@@ -40,6 +40,7 @@ from aieo.schema import (
     AIEO_NS,
     CONCEPT_LINK_PROPERTIES,
     DEFAULT_PREFIXES,
+    OWL_OBJECT_PROPERTY,
     OWL_SAME_AS,
     RDF_TYPE,
     RDFS_SUBCLASSOF,
@@ -536,6 +537,8 @@ def _join_shape_queries(rng, triples):
         ((x, p, z), [TriplePattern(x, p, y), TriplePattern(z, p, z)]),
         ((x, y, q), [TriplePattern(x, p1, y), TriplePattern(y, q, y)]),
         ((x, y), [TriplePattern(x, into_loop[1], y), TriplePattern(y, loop[1], y)]),
+        # a repeated variable in a level that probes on an earlier binding
+        ((p, y), [TriplePattern(p, RDF_TYPE, OWL_OBJECT_PROPERTY), TriplePattern(y, p, y)]),
         # every position fixed: by constants, then by earlier patterns
         ((x,), [TriplePattern(s0, p1, o0), TriplePattern(x, p1, o0)]),
         ((y, q), [TriplePattern(s0, p1, y), TriplePattern(s0, q, z), TriplePattern(y, q, z)]),
@@ -546,26 +549,29 @@ def _join_shape_queries(rng, triples):
 
 def _level_kinds(query, mat, triples, calls):
     """How many joined levels of one evaluation that ran every level read
-    their constant candidates once into a table, and how many probed once
-    per binding, from its ``candidates`` calls in order: a level reads once
-    with its constants alone, or probes with its joined positions fixed too,
-    once for each of the brute-force rows of the patterns placed before it."""
+    their constant candidates once into a table, how many probed once per
+    binding, and how many of those probes repeat a free variable, from its
+    ``candidates`` calls in order: a level reads once with its constants
+    alone, or probes with its joined positions fixed too, once for each of
+    the brute-force rows of the patterns placed before it."""
     index = query_module._index_of(mat)
     order = [p for _, _, p in query_module._join_order(query.patterns, index)]
-    tables = probes = at = 0
+    tables = probes = repeating = at = 0
     bound = set()
     for n, pattern in enumerate(order):
-        constants = sum(not isinstance(t, Variable)
-                        for t in (pattern.subject, pattern.predicate, pattern.object))
+        terms = (pattern.subject, pattern.predicate, pattern.object)
+        constants = sum(not isinstance(t, Variable) for t in terms)
         if bound & pattern.variables() and len(calls[at]) > constants:
             probes += 1
+            free = [t for t in terms if isinstance(t, Variable) and t not in bound]
+            repeating += len(free) > len(set(free))
             at += len(brute_force_evaluate(order[:n], (), triples, False))
         else:
             tables += bool(bound & pattern.variables())
             at += 1
         bound |= pattern.variables()
     assert at == len(calls)
-    return tables, probes
+    return tables, probes, repeating
 
 
 def test_index_paths_match_brute_force(monkeypatch):
@@ -578,7 +584,7 @@ def test_index_paths_match_brute_force(monkeypatch):
 
     monkeypatch.setattr(query_module._TripleIndex, "candidates", recording)
     matched = set()
-    tables = probes = 0
+    tables = probes = repeating = 0
     for seed in range(8):
         for store in (random_store(seed, schema_mutations=True), random_small_store(seed)):
             mat = materialize(store)
@@ -597,12 +603,14 @@ def test_index_paths_match_brute_force(monkeypatch):
                 _assert_rows_in_term_key_order(got)
                 if want:
                     matched.add((n, distinct))
-                    table, probe = _level_kinds(query, mat, triples, calls)
+                    table, probe, repeats = _level_kinds(query, mat, triples, calls)
                     tables, probes = tables + table, probes + probe
+                    repeating += repeats
     # every query shape matched somewhere, with DISTINCT and without
-    assert matched == {(n, d) for n in range(24) for d in (False, True)}
-    # the inputs took both sides of the table-or-probe rule
-    assert tables > 0 and probes > 0, (tables, probes)
+    assert matched == {(n, d) for n in range(25) for d in (False, True)}
+    # the inputs took both sides of the table-or-probe rule, and a probed
+    # level filtered its candidates on a repeated variable
+    assert tables > 0 and probes > 0 and repeating > 0, (tables, probes, repeating)
 
 
 def test_index_is_built_once_per_materialization(monkeypatch):
