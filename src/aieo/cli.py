@@ -13,7 +13,6 @@ behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import stat
@@ -116,20 +115,27 @@ _WRITE_SLICE = 1 << 20
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it to
+    ``path``. An ``OSError`` names ``path`` as given, never the temp file,
+    and leaves no temp file behind."""
     target = Path(path)
-    mode = _write_mode(target)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".aieo-tmp-")
+    tmp = None
     try:
+        mode = _write_mode(target)
+        fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".aieo-tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for start in range(0, len(text), _WRITE_SLICE):
                 fh.write(text[start:start + _WRITE_SLICE])
         os.chmod(tmp, mode)  # mkstemp always creates 0600
         os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -227,7 +233,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         config = parse_config(_read(args.config))
     result, record = run_iteration(store, doc, config)
     saturated = detect_saturation([record], args.saturation_threshold)[0]
-    record = dataclasses.replace(record, saturated=saturated)
+    record = record._replace(saturated=saturated)
     _emit(_serialize_store(result, args.out), args.out)
     if args.report is not None:
         _atomic_write(args.report, canonical_json(record.as_dict()))

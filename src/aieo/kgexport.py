@@ -19,7 +19,6 @@ when it has none.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
 from typing import Callable
@@ -35,6 +34,7 @@ from .model import (
     OntologyStore,
     SubClassOf,
     SubObjectPropertyOf,
+    _Record,
 )
 from .reasoner import Materialization
 from .schema import labels
@@ -46,35 +46,34 @@ class DetailLevel(IntEnum):
     L3_PLUS_INSTANCE_RELATIONSHIPS = 3
 
 
-@dataclass(frozen=True, slots=True)
-class GraphNode:
-    id: str
-    label: str
-    kind: str  # class | individual
-    annotation: str  # rdfs:label summary, may be empty
+class GraphNode(_Record, fields=(
+    "id", "label",
+    "kind",  # class | individual
+    "annotation",  # rdfs:label summary, may be empty
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class GraphEdge:
-    src: str
-    dst: str
-    label: str
-    kind: str  # subclass | equivalence | membership | assertion
+class GraphEdge(_Record, fields=(
+    "src", "dst", "label",
+    "kind",  # subclass | equivalence | membership | assertion
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GraphDoc:
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
+class GraphDoc(_Record, fields=("nodes", "edges")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
+    @staticmethod
+    def _normalize(nodes: tuple[GraphNode, ...], edges: tuple[GraphEdge, ...]) -> tuple:
+        ids = [n.id for n in nodes]
         if len(ids) != len(set(ids)):
             raise ValueError("node ids must be unique")
         known = set(ids)
-        for e in self.edges:
+        for e in edges:
             if e.src not in known or e.dst not in known:
                 raise ValueError(f"edge endpoint not among nodes: {e.src} -> {e.dst}")
+        return nodes, edges
 
 
 def _strict_supers(edges: dict[Iri, set[Iri]], start: Iri) -> set[Iri]:

@@ -3,18 +3,21 @@ ontology metrics.
 
 The store keeps a duplicate-free set of axioms over declared entities.
 Entities are plain absolute IRIs; CURIE resolution happens at the parsing
-boundaries (see :mod:`aieo.turtle` and :mod:`aieo.jsonio`). Axioms and
-literals are immutable tuples tagged by their type, so building, hashing
-and comparing one are C tuple operations. Each axiom class lists its fields
-once; what else each axiom type looks like (its triples, JSON form and sort
-order) is described once, in :data:`AXIOM_TYPES`, and every other module
-reads it from there.
+boundaries (see :mod:`aieo.turtle` and :mod:`aieo.jsonio`).
+
+Records: axioms, literals and every other value class of the package
+(traces, violations, queries, pipeline inputs and results, metrics, graphs)
+are immutable tuples tagged by their type, :class:`_Record`, so building,
+hashing and comparing one are C tuple operations, and defining one execs
+one function. ``record._replace(field=value)`` is the changed copy. Each
+axiom class lists its fields once; what else each axiom type looks like
+(its triples, JSON form and sort order) is described once, in
+:data:`AXIOM_TYPES`, and every other module reads it from there.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 from itertools import chain, groupby
 from operator import attrgetter
@@ -142,28 +145,23 @@ _META_CLASS_OF_KIND = {kind: iri for iri, kind in META_CLASS_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Records: axioms and literals
+# Records: every value class, axioms and literals first
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class Field:
-    """One field of a record type, in tuple order.
+    """One field of an axiom or literal type, in tuple order.
 
-    For an axiom field, ``shape`` is the type of its value: ``Iri``,
-    ``frozenset`` (of IRIs), ``EntityKind`` or ``AnnotationValue``. An IRI
-    here must be declared with ``kind``, or with any kind when ``kind`` is
-    None. ``json`` is its key in the JSON interchange form (the field name
-    unless given).
+    ``shape`` is the type of its value: ``Iri``, ``frozenset`` (of IRIs),
+    ``EntityKind``, ``AnnotationValue`` or ``str``. An IRI here must be
+    declared with ``kind``, or with any kind when ``kind`` is None. ``json``
+    is its key in the JSON interchange form (the field name unless given).
     """
 
-    name: str
-    shape: type = Iri
-    kind: EntityKind | None = None
-    json: str = ""
+    __slots__ = ("name", "shape", "kind", "json")
 
-    def __post_init__(self) -> None:
-        if not self.json:
-            object.__setattr__(self, "json", self.name)
+    def __init__(self, name: str, shape: type = Iri, kind: EntityKind | None = None,
+                 json: str = ""):
+        self.name, self.shape, self.kind, self.json = name, shape, kind, json or name
 
 
 def _value_repr(value: object) -> str:
@@ -178,34 +176,39 @@ class _Record(tuple):
     """An immutable value stored as a tuple tagged by its type: element 0 is
     the class, then the field values in ``_fields`` order. Equality and hash
     include the type, so records of two types are unequal even when their
-    fields agree.
+    fields agree. Every value class of the package is one: axioms, literals,
+    traces, queries, pipeline inputs and results, metrics and graphs.
 
-    A subclass lists its fields with the ``fields`` class keyword (and
-    trailing ``defaults``), declares ``__slots__ = ()``, and may define
+    A subclass lists its fields with the ``fields`` class keyword (a
+    :class:`Field` each for an axiom or literal, else the names), with
+    trailing ``defaults``, declares ``__slots__ = ()``, and may define
     ``_normalize``, which takes the field values and returns them normalized
     or raises ValueError. Construction is one ``tuple.__new__`` after
     ``_normalize``; hashing and equality are the C tuple operations; each
     field is read by name through the C getter of
     :func:`collections.namedtuple`. Read fields by name, never by index or
-    unpacking.
+    unpacking, and change them with :meth:`_replace`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()  # the field names, as in a namedtuple
-    _field_specs: tuple[Field, ...] = ()
+    _field_specs: tuple = ()  # the ``fields`` keyword as given
 
-    def __init_subclass__(cls, fields: tuple[Field, ...] = (), defaults: tuple = ()) -> None:
+    def __init_subclass__(cls, fields: tuple = (), defaults: tuple = ()) -> None:
         super().__init_subclass__()
         if not fields:  # an abstract base such as Axiom
             return
-        names = tuple(f.name for f in fields)
-        getters = vars(namedtuple(cls.__name__, ("tag", *names)))
+        names = tuple(getattr(f, "name", f) for f in fields)
+        # Held while its getters are read: a collected class's dict is cleared.
+        template = namedtuple(cls.__name__, ("tag", *names))
         for name in names:
-            setattr(cls, name, getters[name])
+            setattr(cls, name, vars(template)[name])
         normalize = getattr(cls, "_normalize", None)
         args = ", ".join(names)
         values = f"*_normalize({args})" if normalize else args
-        namespace = {"_new": tuple.__new__, "_normalize": normalize}
+        # __package__ keeps the constructor inside the package for
+        # query._stacklevel_outside_package.
+        namespace = {"_new": tuple.__new__, "_normalize": normalize, "__package__": __package__}
         exec(f"def __new__(_cls, {args}):\n    return _new(_cls, (_cls, {values}))", namespace)
         new = namespace["__new__"]
         new.__qualname__ = f"{cls.__qualname__}.__new__"
@@ -220,6 +223,10 @@ class _Record(tuple):
 
     def __getnewargs__(self) -> tuple:
         return self[1:]
+
+    def _replace(self, **changes: object) -> "_Record":
+        """A copy with the given fields changed, normalized again."""
+        return type(self)(**dict(zip(self._fields, self[1:]), **changes))
 
 
 class AnnotationValue(_Record, fields=(Field("text", str), Field("language_tag", str)),
@@ -354,7 +361,6 @@ class AnnotationAssertion(Axiom, fields=(
 # Axiom-type table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class AxiomType:
     """Everything the library knows about one axiom type beyond its fields,
     which the class itself lists.
@@ -368,52 +374,46 @@ class AxiomType:
     axioms are the ones counted by ``logicalAxiomCount``.
 
     The callables below are built once per type, so no per-axiom code
-    inspects the fields.
+    inspects the fields. A row is read, never changed.
     """
 
-    cls: type
-    subject: str
-    obj: str
-    predicate: Iri | None
-    symmetric: bool = False
-    order: int = 0
-    logical: bool = True
-    # Derived from the above in __post_init__.
-    fields: tuple[Field, ...] = field(init=False)  # the class's own, in tuple order
-    tag: str = field(init=False)  # the type's name, also its JSON "kind"
-    members: str | None = field(init=False)  # the set-valued field, if any
-    refs: tuple[Field, ...] = field(init=False)  # fields naming other entities, in checking order
-    triple: Callable[[Axiom], tuple] | None = field(init=False)  # if not symmetric
-    pair: Callable[[Axiom], Iterable[Iri]] | None = field(init=False)  # if symmetric
-    sort_key: Callable[[Axiom], tuple] = field(init=False)  # within the type
-    # The axiom whose triple is ``subject predicate obj``; None when the
-    # axiom has a field beyond the pair (its own ``prop``).
-    from_pair: Callable[[Iri, Iri], Axiom] | None = field(init=False)
+    __slots__ = (
+        "cls", "subject", "obj", "predicate", "symmetric", "order", "logical",
+        # Derived from the above.
+        "fields",  # the class's own, in tuple order
+        "tag",  # the type's name, also its JSON "kind"
+        "members",  # the set-valued field, if any
+        "refs",  # fields naming other entities, in checking order
+        "triple",  # if not symmetric
+        "pair",  # if symmetric
+        "sort_key",  # within the type
+        # The axiom whose triple is ``subject predicate obj``; None when the
+        # axiom has a field beyond the pair (its own ``prop``).
+        "from_pair",
+    )
 
-    def __post_init__(self) -> None:
-        fields = self.cls._field_specs
-        members = next((f.name for f in fields if f.shape is frozenset), None)
+    def __init__(self, cls: type, subject: str, obj: str, predicate: Iri | None,
+                 symmetric: bool = False, order: int = 0, logical: bool = True):
+        self.cls, self.subject, self.obj, self.predicate = cls, subject, obj, predicate
+        self.symmetric, self.order, self.logical = symmetric, order, logical
+        self.fields = fields = cls._field_specs
+        self.members = next((f.name for f in fields if f.shape is frozenset), None)
         # A declaration introduces its IRI rather than referencing it.
         declares = any(f.shape is EntityKind for f in fields)
         refs = () if declares else tuple(
             f for f in fields if f.shape is Iri or f.shape is frozenset
         )
-        if self.predicate is None:  # a property assertion's predicate is checked first
+        if predicate is None:  # a property assertion's predicate is checked first
             refs = tuple(sorted(refs, key=lambda f: f.name != "prop"))
-        set_ = object.__setattr__
-        set_(self, "fields", fields)
-        set_(self, "tag", self.cls.__name__)
-        set_(self, "members", members)
-        set_(self, "refs", refs)
-        if self.symmetric:
-            set_(self, "triple", None)
-            set_(self, "pair", attrgetter(self.subject) if self.subject == self.obj
-                 else attrgetter(self.subject, self.obj))
+        self.tag, self.refs = cls.__name__, refs
+        if symmetric:
+            self.triple = None
+            self.pair = (attrgetter(subject) if subject == obj
+                         else attrgetter(subject, obj))
         else:
-            set_(self, "triple", self._make_triple(declares))
-            set_(self, "pair", None)
-        set_(self, "sort_key", self._make_sort_key())
-        set_(self, "from_pair", self._make_from_pair())
+            self.triple, self.pair = self._make_triple(declares), None
+        self.sort_key = self._make_sort_key()
+        self.from_pair = self._make_from_pair()
 
     def _make_triple(self, declares: bool) -> Callable[[Axiom], tuple]:
         if self.predicate is None:
@@ -795,8 +795,11 @@ class OntologyStore:
 # Metrics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class MetricsReport:
+class MetricsReport(_Record, fields=(
+    "axiom_count", "logical_axiom_count", "declaration_axiom_count",
+    "annotation_assertion_count", "class_count", "object_property_count",
+    "data_property_count", "individual_count", "annotation_property_count",
+)):
     """Ontology statistics in the style of an editor's summary panel.
 
     The total follows the convention
@@ -804,15 +807,7 @@ class MetricsReport:
     counts are over asserted axioms only, never inferred ones.
     """
 
-    axiom_count: int
-    logical_axiom_count: int
-    declaration_axiom_count: int
-    annotation_assertion_count: int
-    class_count: int
-    object_property_count: int
-    data_property_count: int
-    individual_count: int
-    annotation_property_count: int
+    __slots__ = ()
 
     TABLE_ROWS = (
         ("Axiom", "axiom_count"),
@@ -835,9 +830,9 @@ class MetricsReport:
     def as_dict(self) -> dict[str, int]:
         """Each count under its field name in camelCase (``axiomCount``)."""
         out = {}
-        for f in dataclass_fields(self):
-            first, *rest = f.name.split("_")
-            out[first + "".join(map(str.capitalize, rest))] = getattr(self, f.name)
+        for name in self._fields:
+            first, *rest = name.split("_")
+            out[first + "".join(map(str.capitalize, rest))] = getattr(self, name)
         return out
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -26,10 +25,10 @@ from .model import (
     ClassAssertion,
     EntityKind,
     Iri,
-    MetricsReport,
     ObjectPropertyAssertion,
     OntologyStore,
     SameIndividual,
+    _Record,
     compute_metrics,
 )
 from .schema import (
@@ -62,107 +61,112 @@ DEFAULT_STOPWORDS = frozenset(
 CONCEPT_KINDS = tuple(sorted(CONCEPT_LINK_PROPERTIES))
 
 
-@dataclass(frozen=True, slots=True)
-class Section:
-    heading: str
-    body: str
+class Section(_Record, fields=("heading", "body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptDeclaration:
-    name: str
-    kind: str  # one of CONCEPT_KINDS
-    short_description: str | None = None
-    reference: str | None = None
+class ConceptDeclaration(_Record, fields=(
+    "name",
+    "kind",  # one of CONCEPT_KINDS
+    "short_description", "reference",
+), defaults=(None, None)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    @staticmethod
+    def _normalize(name: str, kind: str, short_description: str | None,
+                   reference: str | None) -> tuple:
+        if not name:
             raise ValueError("concept name must be non-empty")
-        if self.kind not in CONCEPT_KINDS:
-            raise ValueError(f"concept kind must be one of {CONCEPT_KINDS}, got {self.kind!r}")
+        if kind not in CONCEPT_KINDS:
+            raise ValueError(f"concept kind must be one of {CONCEPT_KINDS}, got {kind!r}")
+        return name, kind, short_description, reference
 
 
-@dataclass(frozen=True, slots=True)
-class FrameworkDocument:
-    id: Iri
-    title: str
-    sections: tuple[Section, ...] = ()
-    concept_declarations: tuple[ConceptDeclaration, ...] = ()
+class FrameworkDocument(_Record, fields=("id", "title", "sections", "concept_declarations"),
+                        defaults=((), ())):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @staticmethod
+    def _normalize(id: Iri, title: str, sections: tuple[Section, ...],
+                   concept_declarations: tuple[ConceptDeclaration, ...]) -> tuple:
         # Two names with one IRI would silently merge into one individual.
         seen: dict[Iri, str] = {}
-        for concept in self.concept_declarations:
-            iri = concept_iri(self.id, concept.name)
+        for concept in concept_declarations:
+            iri = concept_iri(id, concept.name)
             if iri in seen:
                 raise ValueError(
                     f"duplicate concept name in document: {seen[iri]!r} and "
                     f"{concept.name!r} both map to {iri}"
                 )
             seen[iri] = concept.name
+        return id, title, sections, concept_declarations
 
 
-@dataclass(frozen=True, slots=True)
-class ExtractionConfig:
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    min_token_length: int = 3
-    top_k: int = 10
-    relevant_top_k: int = 3
+class ExtractionConfig(_Record, fields=(
+    "stopwords", "min_token_length", "top_k", "relevant_top_k",
+), defaults=(DEFAULT_STOPWORDS, 3, 10, 3)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.min_token_length < 1:
+    @staticmethod
+    def _normalize(stopwords: frozenset[str], min_token_length: int, top_k: int,
+                   relevant_top_k: int) -> tuple:
+        if min_token_length < 1:
             raise ValueError("minTokenLength must be >= 1")
-        if self.top_k < 1:
+        if top_k < 1:
             raise ValueError("topK must be >= 1")
-        if not 0 <= self.relevant_top_k <= self.top_k:
+        if not 0 <= relevant_top_k <= top_k:
             raise ValueError("relevantTopK must be between 0 and topK")
+        return stopwords, min_token_length, top_k, relevant_top_k
 
     def method_label(self) -> str:
         return f"tf-topk(topK={self.top_k},minLen={self.min_token_length})"
 
 
 _KEYWORD_CLASS_IRIS = frozenset(aieo(name) for name in KEYWORD_SUBCLASSES)
+# The default of a field whose value is mutable: each record gets its own.
+_FRESH = object()
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationMap:
+class ClassificationMap(_Record, fields=("entries",), defaults=(_FRESH,)):
     """Supervised keyword -> Keyword-subclass assignments."""
 
-    entries: dict[str, Iri] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for keyword, target in self.entries.items():
+    @staticmethod
+    def _normalize(entries: dict[str, Iri]) -> tuple:
+        if entries is _FRESH:
+            entries = {}
+        for keyword, target in entries.items():
             if target not in _KEYWORD_CLASS_IRIS:
                 raise ValueError(
                     f"classification target for {keyword!r} must be one of the "
                     f"Keyword subclasses, got {target}"
                 )
+        return (entries,)
 
 
-@dataclass(frozen=True, slots=True)
-class EquivalenceProposal:
-    left: Iri
-    right: Iri
-    score: float
-    status: str = "proposed"  # proposed | confirmed | rejected
+class EquivalenceProposal(_Record, fields=(
+    "left", "right", "score",
+    "status",  # proposed | confirmed | rejected
+), defaults=("proposed",)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
+    @staticmethod
+    def _normalize(left: Iri, right: Iri, score: float, status: str) -> tuple:
+        if not 0.0 <= score <= 1.0:
             raise ValueError("score must be in [0, 1]")
-        if self.status not in ("proposed", "confirmed", "rejected"):
-            raise ValueError(f"unknown proposal status {self.status!r}")
+        if status not in ("proposed", "confirmed", "rejected"):
+            raise ValueError(f"unknown proposal status {status!r}")
+        return left, right, score, status
 
     def pair(self) -> frozenset[Iri]:
         return frozenset((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    iteration_index: int
-    before: MetricsReport
-    after: MetricsReport
-    increment: int
-    saturated: bool = False
+class IterationRecord(_Record, fields=(
+    "iteration_index", "before", "after", "increment", "saturated",
+), defaults=(False,)):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -179,18 +183,20 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineConfig:
+class PipelineConfig(_Record, fields=("extraction", "classification", "confirmations",
+                                      "threshold"),
+                     defaults=(ExtractionConfig(), _FRESH, (), 0.5)):
     """Everything an ingestion run needs beyond the document itself."""
 
-    extraction: ExtractionConfig = ExtractionConfig()
-    classification: ClassificationMap = field(default_factory=ClassificationMap)
-    confirmations: tuple[frozenset[Iri], ...] = ()
-    threshold: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_threshold(self.threshold)  # before float(), which overflows on a huge int
-        object.__setattr__(self, "threshold", float(self.threshold))
+    @staticmethod
+    def _normalize(extraction: ExtractionConfig, classification: ClassificationMap,
+                   confirmations: tuple[frozenset[Iri], ...], threshold: float) -> tuple:
+        if classification is _FRESH:
+            classification = ClassificationMap()
+        _check_threshold(threshold)  # before float(), which overflows on a huge int
+        return extraction, classification, confirmations, float(threshold)
 
 
 def _tokens(text: str) -> list[str]:
@@ -460,7 +466,7 @@ def run_iteration(
     if framework_count >= 2:
         confirmed_pairs = set(config.confirmations)
         to_apply = [
-            replace(p, status="confirmed")
+            p._replace(status="confirmed")
             for p in propose_equivalences(work, doc.id, config.threshold)
             if p.pair() in confirmed_pairs
         ]

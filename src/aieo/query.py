@@ -18,7 +18,6 @@ from __future__ import annotations
 import sys
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Mapping
@@ -33,6 +32,7 @@ from .model import (
     EntityKind,
     Iri,
     ObjectPropertyAssertion,
+    _Record,
     render_literal,
     term_key,
 )
@@ -58,11 +58,8 @@ class Variable(str):
         return super().__new__(cls, name)
 
 
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
-    subject: "Iri | Variable"
-    predicate: "Iri | Variable"
-    object: "Iri | AnnotationValue | Variable"
+class TriplePattern(_Record, fields=("subject", "predicate", "object")):
+    __slots__ = ()
 
     def variables(self) -> set[Variable]:
         return {
@@ -71,29 +68,29 @@ class TriplePattern:
         }
 
 
-@dataclass(frozen=True)
-class Query:
-    projected_variables: tuple[Variable, ...]
-    patterns: tuple[TriplePattern, ...]
-    distinct: bool = False
+class Query(_Record, fields=("projected_variables", "patterns", "distinct"), defaults=(False,)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @staticmethod
+    def _normalize(projected_variables: tuple[Variable, ...],
+                   patterns: tuple[TriplePattern, ...], distinct: bool) -> tuple:
         seen: set[Variable] = set()
-        for p in self.patterns:
+        for p in patterns:
             seen |= p.variables()
-        for v in self.projected_variables:
+        for v in projected_variables:
             if v not in seen:
                 raise ValueError(f"projected variable ?{v} occurs in no pattern")
-        projected = set(self.projected_variables)
-        for p in self.patterns:
+        projected = set(projected_variables)
+        for p in patterns:
             own = p.variables()
-            shared = {v for q in self.patterns if q is not p for v in q.variables()}
+            shared = {v for q in patterns if q is not p for v in q.variables()}
             if own and not (own & projected) and not (own & shared):
                 warnings.warn(
                     "pattern shares no variable with the projection or any "
                     "other pattern; result is a cartesian product",
                     stacklevel=_stacklevel_outside_package(),
                 )
+        return projected_variables, patterns, distinct
 
 
 def _stacklevel_outside_package() -> int:
@@ -107,13 +104,22 @@ def _stacklevel_outside_package() -> int:
     return level
 
 
-@dataclass(frozen=True)
 class ResultSet:
     """Rows of terms, one tuple per row with one term per variable, in
-    ``variables`` order."""
+    ``variables`` order. Its length and iteration are over the rows."""
 
-    variables: tuple[Variable, ...]
-    rows: tuple[tuple, ...]
+    __slots__ = ("variables", "rows")
+
+    def __init__(self, variables: tuple[Variable, ...], rows: tuple[tuple, ...]):
+        self.variables, self.rows = variables, rows
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ResultSet:
+            return NotImplemented
+        return (self.variables, self.rows) == (other.variables, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -295,7 +301,7 @@ def _index_of(mat: Materialization) -> _TripleIndex:
     it derives from is immutable except ``mat.base``, which must not be
     mutated once the materialization has been queried."""
     if mat._triple_index is None:
-        object.__setattr__(mat, "_triple_index", _TripleIndex(triples_view(mat)))
+        mat._triple_index = _TripleIndex(triples_view(mat))
     return mat._triple_index
 
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from collections.abc import KeysView, Mapping
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import IterationLimitExceeded, UnknownFact
 from .model import (
@@ -42,6 +41,7 @@ from .model import (
     SameIndividual,
     SubClassOf,
     SubObjectPropertyOf,
+    _Record,
     axiom_sort_key,
     sorted_axioms,
 )
@@ -63,16 +63,11 @@ class RuleId(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class _Rule:
+class _Rule(_Record, fields=("fact", "on", "schema", "rule", "conclude")):
     """From a ``fact`` whose field ``on`` is the subject of a triple of a
     ``schema`` axiom, ``conclude(fact, object of that triple)`` follows."""
 
-    fact: type
-    on: str
-    schema: type
-    rule: RuleId
-    conclude: Callable[[Axiom, Iri], Axiom]
+    __slots__ = ()
 
 
 _CA, _OPA = ClassAssertion, ObjectPropertyAssertion
@@ -95,17 +90,13 @@ _RULES: tuple[_Rule, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class InferenceTrace:
+class InferenceTrace(_Record, fields=("conclusion", "rule", "premises")):
     """One-step derivation: the conclusion follows from the premises by rule."""
 
-    conclusion: Axiom
-    rule: RuleId
-    premises: tuple[Axiom, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ConsistencyViolation:
+class ConsistencyViolation(_Record, fields=("individual", "class_a", "class_b", "rule")):
     """An individual typed with both halves of a disjoint class pair.
 
     ``rule`` is D1 when some individual carries both memberships without
@@ -114,10 +105,7 @@ class ConsistencyViolation:
     v.individual)) + explain(mat, ClassAssertion(v.class_b, v.individual))``.
     """
 
-    individual: Iri
-    class_a: Iri
-    class_b: Iri
-    rule: RuleId
+    __slots__ = ()
 
 
 class _SortKeys(dict):
@@ -173,21 +161,27 @@ class Traces(Mapping):
         return len(self._rows)
 
 
-@dataclass(frozen=True)
 class Materialization:
-    """An immutable closure of ``base`` under the inference rules."""
+    """The closure of ``base`` under the inference rules, with its
+    consistency violations (:func:`check_consistency`). Read-only: only the
+    query layer's ``_triple_index`` memo is set after construction."""
 
-    base: OntologyStore
-    # A read-only set view of the facts that ``traces`` maps.
-    inferred: KeysView[Axiom]
-    traces: Traces
-    # The inferred facts that some derivation without R6 reaches.
-    sameas_free: frozenset[Axiom]
-    # Each declared individual -> its sameAs block, sorted (read-only).
-    sameas_blocks: Mapping[Iri, tuple[Iri, ...]]
-    violations: tuple[ConsistencyViolation, ...]
-    # Built by the query layer on first use and kept for later queries.
-    _triple_index: object = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("base", "inferred", "traces", "sameas_free", "sameas_blocks", "violations",
+                 "_triple_index")
+
+    def __init__(self, base: OntologyStore, inferred: KeysView[Axiom], traces: Traces,
+                 sameas_free: frozenset[Axiom], sameas_blocks: Mapping[Iri, tuple[Iri, ...]]):
+        self.base = base
+        # A read-only set view of the facts that ``traces`` maps.
+        self.inferred = inferred
+        self.traces = traces
+        # The inferred facts that some derivation without R6 reaches.
+        self.sameas_free = sameas_free
+        # Each declared individual -> its sameAs block, sorted (read-only).
+        self.sameas_blocks = sameas_blocks
+        # Built by the query layer on first use and kept for later queries.
+        self._triple_index = None
+        self.violations: tuple[ConsistencyViolation, ...] = tuple(check_consistency(self))
 
     @property
     def consistent(self) -> bool:
@@ -244,7 +238,7 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
     def plan(rows: Iterable[_Rule]) -> dict[type, list[tuple]]:
         out: dict[type, list[tuple]] = {ClassAssertion: [], ObjectPropertyAssertion: []}
         for row in rows:
-            out[row.fact].append((row, attrgetter(row.on), joins[row.schema]))
+            out[row.fact].append((row.rule, row.conclude, attrgetter(row.on), joins[row.schema]))
         return out
 
     free_rows = plan(row for row in _RULES if row.rule is not _R6)
@@ -261,9 +255,9 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
         queue = deque((fact, seed_rows) for fact in seeds)
         while queue:
             fact, rows = queue.popleft()
-            for row, key, join in rows[type(fact)]:
+            for rule, conclude, key, join in rows[type(fact)]:
                 for joined, schema_ax in join.get(key(fact), ()):
-                    conclusion = row.conclude(fact, joined)
+                    conclusion = conclude(fact, joined)
                     if conclusion in asserted_set:  # asserted facts carry no traces
                         continue
                     derivations = traces.get(conclusion)
@@ -274,21 +268,14 @@ def materialize(store: OntologyStore, *, fact_limit: int = 1_000_000) -> Materia
                             )
                         derivations = traces[conclusion] = []
                         queue.append((conclusion, derived_rows))
-                    derivations.append((row.rule, (fact, schema_ax)))
+                    derivations.append((rule, (fact, schema_ax)))
 
     close(asserted, free_rows, free_rows)
     sameas_free = frozenset(traces)
     # R6 on every fact known so far, and every rule on what R6 derives.
     close((*asserted, *sameas_free), r6_rows, every_row)
-    mat = Materialization(
-        base=store,
-        inferred=traces.keys(),
-        traces=Traces(traces),
-        sameas_free=sameas_free,
-        sameas_blocks=MappingProxyType(_sameas_blocks(store)),
-        violations=(),
-    )
-    return replace(mat, violations=tuple(check_consistency(mat)))
+    return Materialization(store, traces.keys(), Traces(traces), sameas_free,
+                           MappingProxyType(_sameas_blocks(store)))
 
 
 def explain(mat: Materialization, fact: Axiom) -> list[InferenceTrace]:

@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import copy
+import errno
 import gc
 import io
 import json
@@ -959,6 +960,39 @@ def test_write_to_missing_directory_is_io_error(run, tmp_path):
     code, _, err = run("seed", "--out", str(tmp_path / "nodir" / "x.ttl"))
     assert code == 4
     assert "error:" in err
+
+
+def _io_error(number: int, path: str) -> str:
+    return f"error: [Errno {number}] {os.strerror(number)}: '{path}'\n"
+
+
+def test_an_unwritable_out_names_the_output_as_given(run, seed_file, tmp_path, monkeypatch):
+    missing = str(tmp_path / "nodir" / "x.json")
+    assert run("export", seed_file, "--level", "2", "--format", "json", "--out", missing) == (
+        4, "", _io_error(errno.ENOENT, missing))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert run("seed", "--out", "d") == (4, "", _io_error(errno.EISDIR, "d"))
+    assert not list((tmp_path / "d").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "seed.ttl"]  # no temp file
+
+
+def test_an_unwritable_trace_sidecar_names_it(run, seed_file, tmp_path):
+    sidecar = tmp_path / "closed.trace.json"
+    sidecar.mkdir()
+    out = str(tmp_path / "closed.ttl")
+    assert run("reason", seed_file, "--out", out, "--trace") == (
+        4, "", _io_error(errno.EISDIR, str(sidecar)))
+    assert not list(tmp_path.glob(".aieo-tmp-*"))
+
+
+def test_an_unwritable_report_names_it(run, seed_file, tmp_path):
+    report = str(tmp_path / "nodir" / "report.json")
+    code, _, err = run("ingest", seed_file, str(DATA / "au_framework.json"),
+                       "--config", str(DATA / "pipeline_config.json"),
+                       "--out", str(tmp_path / "au.ttl"), "--report", report)
+    assert (code, err) == (4, _io_error(errno.ENOENT, report))
+    assert not list(tmp_path.glob(".aieo-tmp-*"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Source hygiene checks over the package, using only the stdlib ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,32 @@ def test_only_the_cli_imports_gc():
     importers = [path.name for path in MODULES
                  if "gc" in _imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert importers == ["cli.py"]
+
+
+def test_no_module_imports_dataclasses():
+    # Every value class is a model._Record; the dataclasses module alone
+    # costs an import of inspect, ast, dis and tokenize.
+    importers = [path.name for path in MODULES
+                 if "dataclasses" in _imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
+
+
+def _fresh_python(code: str) -> str:
+    """The standard output of ``code`` run in a new interpreter that imports
+    this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_importing_the_package_and_cli_leaves_out_dataclasses():
+    assert _fresh_python(
+        "import sys, aieo, aieo.cli; print('dataclasses' in sys.modules)") == "False\n"
+
+
+def test_the_package_imports_whenever_the_collector_runs():
+    # A collection at every allocation: a record type whose field getters
+    # were read from an unreferenced namedtuple class found its dict cleared.
+    assert _fresh_python("import gc; gc.set_threshold(1); import aieo, aieo.cli; print('ok')"
+                         ) == "ok\n"

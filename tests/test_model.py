@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from aieo.errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
+from aieo.kgexport import GraphDoc, GraphEdge, GraphNode
 from aieo.model import (
     AXIOM_TYPES,
+    RDF_TYPE,
     AnnotationAssertion,
     AnnotationValue,
     Axiom,
@@ -21,6 +23,7 @@ from aieo.model import (
     EquivalentClasses,
     EquivalentObjectProperties,
     Iri,
+    MetricsReport,
     ObjectPropertyAssertion,
     ObjectPropertyDomain,
     ObjectPropertyRange,
@@ -28,11 +31,23 @@ from aieo.model import (
     SameIndividual,
     SubClassOf,
     SubObjectPropertyOf,
+    _Record,
     axiom_sort_key,
     compute_metrics,
     sorted_axioms,
 )
-from aieo.reasoner import materialize
+from aieo.pipeline import (
+    ClassificationMap,
+    ConceptDeclaration,
+    EquivalenceProposal,
+    ExtractionConfig,
+    FrameworkDocument,
+    IterationRecord,
+    PipelineConfig,
+    Section,
+)
+from aieo.query import Query, TriplePattern, Variable
+from aieo.reasoner import ConsistencyViolation, InferenceTrace, RuleId, materialize
 from aieo.schema import aieo, seed_schema
 from aieo.turtle import parse_turtle, serialize_turtle
 
@@ -517,11 +532,85 @@ _PINNED_REPRS = [
      "value=AnnotationValue(text='v', language_tag='en'))"),
     (AnnotationValue("v"), "AnnotationValue(text='v', language_tag=None)"),
 ]
+
+# One instance of each other public record type, with its repr as the
+# dataclass implementation printed it.
+_X = f"{_EX}x"
+_PATTERN = TriplePattern(Variable("x"), RDF_TYPE, ex("A"))
+_PATTERN_REPR = (f"TriplePattern(subject='x', predicate='{RDF_TYPE}', "
+                 f"object='{_EX}A')")
+_SECTION = Section("Intro", "Fairness matters.")
+_SECTION_REPR = "Section(heading='Intro', body='Fairness matters.')"
+_CONCEPT = ConceptDeclaration("Fairness", "Principle", "Treat alike.")
+_CONCEPT_REPR = ("ConceptDeclaration(name='Fairness', kind='Principle', "
+                 "short_description='Treat alike.', reference=None)")
+_EXTRACTION = ExtractionConfig(frozenset({"the"}), 2, 5, 1)
+_EXTRACTION_REPR = ("ExtractionConfig(stopwords=frozenset({'the'}), min_token_length=2, "
+                    "top_k=5, relevant_top_k=1)")
+_CLASSIFICATION = ClassificationMap({"risk": aieo("Risk_keyword")})
+_CLASSIFICATION_REPR = "ClassificationMap(entries={'risk': 'https://w3id.org/aieo#Risk_keyword'})"
+_METRICS = MetricsReport(*range(9))
+_METRICS_REPR = (
+    "MetricsReport(axiom_count=0, logical_axiom_count=1, declaration_axiom_count=2, "
+    "annotation_assertion_count=3, class_count=4, object_property_count=5, "
+    "data_property_count=6, individual_count=7, annotation_property_count=8)"
+)
+_NODES = (GraphNode("ex:A", "A [1]", "class", ""), GraphNode("ex:B", "B [0]", "class", "Bee"))
+_NODES_REPR = ("GraphNode(id='ex:A', label='A [1]', kind='class', annotation=''), "
+               "GraphNode(id='ex:B', label='B [0]', kind='class', annotation='Bee')")
+_EDGE = GraphEdge("ex:A", "ex:B", "subClassOf", "subclass")
+_EDGE_REPR = "GraphEdge(src='ex:A', dst='ex:B', label='subClassOf', kind='subclass')"
+_VALUE_REPRS = [
+    (InferenceTrace(ClassAssertion(ex("A"), ex("x")), RuleId.R2_SUBCLASS,
+                    (ClassAssertion(ex("B"), ex("x")), SubClassOf(ex("B"), ex("A")))),
+     f"InferenceTrace(conclusion=ClassAssertion(cls='{_EX}A', ind='{_X}'), "
+     "rule=<RuleId.R2_SUBCLASS: 'R2_SubClass'>, "
+     f"premises=(ClassAssertion(cls='{_EX}B', ind='{_X}'), "
+     f"SubClassOf(sub='{_EX}B', sup='{_EX}A')))"),
+    (ConsistencyViolation(ex("x"), ex("A"), ex("B"), RuleId.D1_DISJOINT_TYPING),
+     f"ConsistencyViolation(individual='{_X}', class_a='{_EX}A', class_b='{_EX}B', "
+     "rule=<RuleId.D1_DISJOINT_TYPING: 'D1_DisjointTyping'>)"),
+    (_PATTERN, _PATTERN_REPR),
+    (Query((Variable("x"),), (_PATTERN,), True),
+     f"Query(projected_variables=('x',), patterns=({_PATTERN_REPR},), distinct=True)"),
+    (_SECTION, _SECTION_REPR),
+    (_CONCEPT, _CONCEPT_REPR),
+    (FrameworkDocument(ex("FW"), "FW", (_SECTION,), (_CONCEPT,)),
+     f"FrameworkDocument(id='{_EX}FW', title='FW', sections=({_SECTION_REPR},), "
+     f"concept_declarations=({_CONCEPT_REPR},))"),
+    (_EXTRACTION, _EXTRACTION_REPR),
+    (_CLASSIFICATION, _CLASSIFICATION_REPR),
+    (EquivalenceProposal(ex("a"), ex("b"), 0.8, "confirmed"),
+     f"EquivalenceProposal(left='{_EX}a', right='{_EX}b', score=0.8, status='confirmed')"),
+    (IterationRecord(2, _METRICS, _METRICS, 0, True),
+     f"IterationRecord(iteration_index=2, before={_METRICS_REPR}, after={_METRICS_REPR}, "
+     "increment=0, saturated=True)"),
+    (PipelineConfig(_EXTRACTION, _CLASSIFICATION, (), 0.75),
+     f"PipelineConfig(extraction={_EXTRACTION_REPR}, classification={_CLASSIFICATION_REPR}, "
+     "confirmations=(), threshold=0.75)"),
+    (_METRICS, _METRICS_REPR),
+    (_NODES[0], "GraphNode(id='ex:A', label='A [1]', kind='class', annotation='')"),
+    (_EDGE, _EDGE_REPR),
+    (GraphDoc(_NODES, (_EDGE,)), f"GraphDoc(nodes=({_NODES_REPR}), edges=({_EDGE_REPR},))"),
+]
+_PINNED_REPRS += _VALUE_REPRS
 _VALUES = [pinned[0] for pinned in _PINNED_REPRS]
 
 
+def _public_record_types() -> set[type]:
+    """Every record type of the package with a public name."""
+    found, stack = set(), [_Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub._fields and not sub.__name__.startswith("_"):
+                found.add(sub)
+    return found
+
+
 def test_pinned_values_cover_every_type():
-    assert {type(v) for v in _VALUES} == set(AXIOM_TYPES) | {AnnotationValue}
+    assert {type(v) for v in _VALUES} == _public_record_types()
+    assert _public_record_types() >= set(AXIOM_TYPES) | {AnnotationValue}
 
 
 @pytest.mark.parametrize("pinned", _PINNED_REPRS, ids=lambda p: type(p[0]).__name__)
@@ -566,6 +655,10 @@ def test_keyword_and_positional_construction_agree(value):
     fields = {name: getattr(value, name) for name in names}
     by_keyword, by_position = cls(**fields), cls(*fields.values())
     assert by_keyword == by_position == value
+    if cls in (ClassificationMap, PipelineConfig):  # a dict of entries, so unhashable
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+        return
     assert hash(by_keyword) == hash(by_position) == hash(value)
     assert type(by_keyword) is type(by_position) is cls
 
@@ -619,6 +712,71 @@ def test_copy_and_pickle_round_trip(value):
                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for dup in copies:
         assert dup == value and type(dup) is type(value)
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_equality_includes_the_type(value):
+    class _Twin(_Record, fields=type(value)._fields):
+        __slots__ = ()
+
+    twin = _Twin(*(getattr(value, name) for name in type(value)._fields))
+    assert twin != value and value != twin and twin[1:] == value[1:]
+
+
+def test_value_class_errors_are_unchanged():
+    pattern = TriplePattern(Variable("x"), RDF_TYPE, ex("A"))
+    node = GraphNode("ex:A", "A", "class", "")
+    for build, message in [
+        (lambda: Query((Variable("y"),), (pattern,)), "projected variable ?y occurs in no pattern"),
+        (lambda: ConceptDeclaration("", "Principle"), "concept name must be non-empty"),
+        (lambda: ConceptDeclaration("F", "Rule"),
+         "concept kind must be one of ('AI_Dimension', 'FundamentalRight', 'Principle', "
+         "'Requirement'), got 'Rule'"),
+        (lambda: FrameworkDocument(ex("FW"), "FW", (), (ConceptDeclaration("a b", "Principle"),
+                                                        ConceptDeclaration("a-b", "Principle"))),
+         "duplicate concept name in document: 'a b' and 'a-b' both map to "
+         "https://w3id.org/aieo#FW_a_b"),
+        (lambda: ExtractionConfig(min_token_length=0), "minTokenLength must be >= 1"),
+        (lambda: ExtractionConfig(top_k=0), "topK must be >= 1"),
+        (lambda: ExtractionConfig(top_k=2, relevant_top_k=3),
+         "relevantTopK must be between 0 and topK"),
+        (lambda: ClassificationMap({"risk": ex("A")}),
+         f"classification target for 'risk' must be one of the Keyword subclasses, got {_EX}A"),
+        (lambda: EquivalenceProposal(ex("a"), ex("b"), 1.5), "score must be in [0, 1]"),
+        (lambda: EquivalenceProposal(ex("a"), ex("b"), 0.5, "maybe"),
+         "unknown proposal status 'maybe'"),
+        (lambda: PipelineConfig(threshold=0), "threshold must be in (0, 1]"),
+        (lambda: GraphDoc((node, node), ()), "node ids must be unique"),
+        (lambda: GraphDoc((node,), (GraphEdge("ex:A", "ex:B", "subClassOf", "subclass"),)),
+         "edge endpoint not among nodes: ex:A -> ex:B"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+    for build in (lambda: Section("Intro"), lambda: MetricsReport(*range(10)),
+                  lambda: GraphNode("ex:A", "A", "class", "", colour="red")):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_replace_changes_fields_and_normalizes_again():
+    proposal = EquivalenceProposal(ex("a"), ex("b"), 0.8)
+    confirmed = proposal._replace(status="confirmed")
+    assert confirmed == EquivalenceProposal(ex("a"), ex("b"), 0.8, "confirmed")
+    assert proposal.status == "proposed"
+    assert DisjointClasses(ex("A"), ex("B"))._replace(a=ex("C")) == DisjointClasses(
+        ex("B"), ex("C"))
+    assert type(PipelineConfig()._replace(threshold=1).threshold) is float
+    with pytest.raises(ValueError, match="unknown proposal status 'maybe'"):
+        proposal._replace(status="maybe")
+    with pytest.raises(TypeError):
+        proposal._replace(colour="red")
+
+
+def test_each_default_map_is_its_own():
+    first, second = ClassificationMap(), ClassificationMap()
+    assert first == second and first.entries == {} and first.entries is not second.entries
+    assert PipelineConfig().classification.entries is not PipelineConfig().classification.entries
 
 
 def test_random_generators_cover_every_axiom_type():

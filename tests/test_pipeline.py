@@ -539,11 +539,9 @@ def test_apply_rejects_unconfirmed():
 
 
 def test_apply_adds_same_individual():
-    from dataclasses import replace
-
     store = _aligned_pair_store()
     confirmed = [
-        replace(p, status="confirmed")
+        p._replace(status="confirmed")
         for p in propose_equivalences(store, aieo("FW2"))
         if p.score == 1.0
     ]
