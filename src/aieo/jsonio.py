@@ -21,9 +21,12 @@ Every JSON text written here has the bytes of
 values (reports, metrics, query rows, the store's prefix map) are written
 by ``json.dumps`` itself, through :func:`canonical_json`. Objects of a
 fixed shape are written from ``%`` templates built once at import: each
-axiom type's object, the store document, the trace sidecar's fact and
-trace rows, and, through :func:`object_template`, the graph nodes and
-edges of :mod:`aieo.kgexport`.
+axiom type's object, the store document, and, through
+:func:`object_template`, the graph nodes and edges of :mod:`aieo.kgexport`.
+The trace sidecar is one join over a flat list of pieces: the fixed text
+of its arrays and objects, cut once at import from the same templates;
+each conclusion's axiom text; and each distinct premise's text, written
+once per call and referenced from every trace that names it.
 """
 
 from __future__ import annotations
@@ -390,7 +393,7 @@ _AXIOM_WRITERS = {row.cls: _axiom_writer(row) for row in AXIOM_TYPES.values()}
 def canonical_json(value: Any) -> str:
     """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``: the writer of
     free-form values such as reports, metrics and query rows. Objects of a
-    fixed shape (axioms, the store document, trace sidecar rows, graph
+    fixed shape (axioms, the store document, the trace sidecar, graph
     nodes and edges) are written from templates built once at import, to
     the same bytes."""
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
@@ -501,35 +504,61 @@ def parse_config(text: str) -> PipelineConfig:
 # Reasoner trace sidecar
 # ---------------------------------------------------------------------------
 
-_FACT = object_template({"conclusion": None, "traces": None}, "\n  ")
-_TRACE = object_template({"premises": None, "rule": None}, "\n      ")
-_RULE_TEXT = {rule: encode_string(rule.value) for rule in RuleId}
+# The sidecar's fixed text, cut at import from the writers of its arrays
+# and objects so the bytes cannot drift: each array's opening, separator
+# and closing at its indent, and each object's text around its two slots.
+_FACTS = array_text(["\0", "\0"], "\n").split("\0")
+_TRACES = array_text(["\0", "\0"], "\n    ").split("\0")
+_PREMISES = array_text(["\0", "\0"], "\n        ").split("\0")
+_FACT = object_template({"conclusion": None, "traces": None}, "\n  ").split("%s")
+_TRACE = object_template({"premises": None, "rule": None}, "\n      ").split("%s")
+_PREMISE_INDENT = "\n          "
+# The text before a fact's conclusion: the first fact's, then every other's.
+_FIRST_FACT, _NEXT_FACT = _FACTS[0] + _FACT[0], _FACTS[1] + _FACT[0]
+# The text after a fact's conclusion, up to its first premise.
+_FIRST_TRACE = _FACT[1] + _TRACES[0] + _TRACE[0] + _PREMISES[0]
+# Per rule, the text after a trace's last premise, up to the next trace's
+# first premise, or to the end of the fact.
+_TRACE_THEN_NEXT, _TRACE_THEN_FACT_END = (
+    {rule: _PREMISES[2] + _TRACE[1] + encode_string(rule.value) + _TRACE[2] + after
+     for rule in RuleId}
+    for after in (_TRACES[1] + _TRACE[0] + _PREMISES[0], _TRACES[2] + _FACT[2])
+)
+
+
+class _PremiseTexts(dict):
+    """Each premise looked up -> its JSON text in a trace's premises,
+    written on the first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, ax: Axiom) -> str:
+        text = self[ax] = _AXIOM_WRITERS[type(ax)](ax, _PREMISE_INDENT)
+        return text
 
 
 def traces_to_json(mat: Materialization) -> str:
-    """Every inferred fact with all of its one-step derivations."""
-    premises: dict[Axiom, str] = {}  # each distinct premise is written once
+    """Every inferred fact with all of its one-step derivations.
 
-    def premise(ax: Axiom) -> str:
-        text = premises.get(ax)
-        if text is None:
-            text = premises[ax] = _AXIOM_WRITERS[type(ax)](ax, "\n          ")
-        return text
-
-    facts = []
+    The text is one join over a flat list of pieces: the fixed text above,
+    each conclusion's axiom text and each distinct premise's text, written
+    once and referenced from every trace that names it, so no string is
+    built per trace or per fact. Every inferred fact has a derivation, and
+    every derivation has premises."""
+    premises, pieces = _PremiseTexts(), []
+    append, between, before = pieces.append, _PREMISES[1], _FIRST_FACT
     for fact in sorted_axioms(mat.inferred):
-        traces = [
-            _TRACE % (array_text(list(map(premise, trace.premises)), "\n        "),
-                      _RULE_TEXT[trace.rule])
-            for trace in explain(mat, fact)
-        ]
-        facts.append(_FACT % (_AXIOM_WRITERS[type(fact)](fact, "\n    "),
-                              array_text(traces, "\n    ")))
-    if not facts:
+        pieces += (before, _AXIOM_WRITERS[type(fact)](fact, "\n    "), _FIRST_TRACE)
+        before = _NEXT_FACT
+        for trace in explain(mat, fact):
+            first, *rest = trace.premises
+            append(premises[first])
+            for ax in rest:
+                append(between)
+                append(premises[ax])
+            append(_TRACE_THEN_NEXT[trace.rule])
+        pieces[-1] = _TRACE_THEN_FACT_END[trace.rule]
+    if not pieces:
         return "[]\n"
-    # The text of array_text(facts, "\n") + "\n", made by one join: the
-    # sidecar can be the largest text the CLI writes, and a "+" would copy
-    # all of it.
-    facts[0] = "[\n  " + facts[0]
-    facts[-1] += "\n]\n"
-    return ",\n  ".join(facts)
+    append(_FACTS[2] + "\n")
+    return "".join(pieces)

@@ -508,13 +508,24 @@ def axiom_type(ax: Axiom) -> AxiomType:
     return _row_of(type(ax))
 
 
+def _tagged_sort_key(row: AxiomType) -> Callable[[Axiom], tuple]:
+    tag, within = row.tag, row.sort_key
+    return lambda ax: (tag, within(ax))
+
+
+# Each axiom type -> the axiom_sort_key of its axioms, built once per row.
+_SORT_KEY_OF_TYPE = {row.cls: _tagged_sort_key(row) for row in AXIOM_TYPES.values()}
+
+
 def axiom_sort_key(ax: Axiom) -> tuple:
     """Key of the deterministic total order over axioms. Axioms are ordered
     by type name, then field by field in field order: IRIs as strings, a
     set of IRIs as its sorted sequence, an entity kind by its value, and a
     literal by its text, then its language tag, an untagged literal first."""
-    row = axiom_type(ax)
-    return (row.tag, row.sort_key(ax))
+    key = _SORT_KEY_OF_TYPE.get(type(ax))
+    if key is None:
+        raise TypeError(f"unknown axiom type {type(ax).__name__}")
+    return key(ax)
 
 
 def sorted_axioms(axioms: Iterable[Axiom]) -> list[Axiom]:

@@ -123,26 +123,25 @@ class ExtractionConfig(_Record, fields=(
 
 
 _KEYWORD_CLASS_IRIS = frozenset(aieo(name) for name in KEYWORD_SUBCLASSES)
-# The default of a field whose value is mutable: each record gets its own.
-_FRESH = object()
 
 
-class ClassificationMap(_Record, fields=("entries",), defaults=(_FRESH,)):
-    """Supervised keyword -> Keyword-subclass assignments."""
+class ClassificationMap(_Record, fields=("entries",), defaults=((),)):
+    """Supervised keyword -> Keyword-subclass assignments. ``entries`` is
+    given as a mapping or as (keyword, IRI) pairs, and kept as a tuple of
+    those pairs sorted by keyword."""
 
     __slots__ = ()
 
     @staticmethod
-    def _normalize(entries: dict[str, Iri]) -> tuple:
-        if entries is _FRESH:
-            entries = {}
-        for keyword, target in entries.items():
+    def _normalize(entries: Mapping[str, Iri] | Iterable[tuple[str, Iri]]) -> tuple:
+        entries = dict(entries)
+        for keyword, target in entries.items():  # the first fault as given
             if target not in _KEYWORD_CLASS_IRIS:
                 raise ValueError(
                     f"classification target for {keyword!r} must be one of the "
                     f"Keyword subclasses, got {target}"
                 )
-        return (entries,)
+        return (tuple(sorted(entries.items())),)
 
 
 class EquivalenceProposal(_Record, fields=(
@@ -185,7 +184,7 @@ def _check_threshold(threshold: float) -> None:
 
 class PipelineConfig(_Record, fields=("extraction", "classification", "confirmations",
                                       "threshold"),
-                     defaults=(ExtractionConfig(), _FRESH, (), 0.5)):
+                     defaults=(ExtractionConfig(), ClassificationMap(), (), 0.5)):
     """Everything an ingestion run needs beyond the document itself."""
 
     __slots__ = ()
@@ -193,8 +192,6 @@ class PipelineConfig(_Record, fields=("extraction", "classification", "confirmat
     @staticmethod
     def _normalize(extraction: ExtractionConfig, classification: ClassificationMap,
                    confirmations: tuple[frozenset[Iri], ...], threshold: float) -> tuple:
-        if classification is _FRESH:
-            classification = ClassificationMap()
         _check_threshold(threshold)  # before float(), which overflows on a huge int
         return extraction, classification, confirmations, float(threshold)
 
@@ -280,12 +277,12 @@ def attach_keywords(
     the framework records the extractor behind them via `method`."""
     if not is_ingested(store, framework_id):
         raise UnknownFramework(f"framework not ingested: {framework_id}")
-    classification, cfg = config.classification, config.extraction
+    targets, cfg = dict(config.classification.entries), config.extraction
     relevant = {token for token, _ in extracted[: cfg.relevant_top_k]}
     for token, _ in extracted:
         ind = keyword_iri(token)
         store.declare(ind, EntityKind.NAMED_INDIVIDUAL)
-        store.add(ClassAssertion(classification.entries.get(token, aieo("Keyword")), ind))
+        store.add(ClassAssertion(targets.get(token, aieo("Keyword")), ind))
         store.add(AnnotationAssertion(ind, RDFS_LABEL, AnnotationValue(token)))
         store.add(ObjectPropertyAssertion(framework_id, aieo("keyword"), ind))
         if token in relevant:

@@ -130,16 +130,19 @@ class Traces(Mapping):
     premise's sort key is computed once.
     """
 
-    __slots__ = ("_rows", "_premise_keys")
+    __slots__ = ("_rows", "_row_key")
 
-    def __init__(self, rows: dict[Axiom, list[tuple[RuleId, tuple[Axiom, ...]]]]):
+    def __init__(self, rows: dict[Axiom, list[tuple[RuleId, tuple[Axiom, Axiom]]]]):
         self._rows: dict[Axiom, list | tuple[InferenceTrace, ...]] = rows
-        self._premise_keys = _SortKeys()
+        premise_keys = _SortKeys()
 
-    def _row_key(self, row: tuple[RuleId, tuple[Axiom, ...]]) -> tuple:
-        rule, premises = row
-        # Enum's .value is a Python property; _value_ is a plain attribute.
-        return (rule._value_, tuple(map(self._premise_keys.__getitem__, premises)))
+        def row_key(row: tuple[RuleId, tuple[Axiom, Axiom]]) -> tuple:
+            # A row's premises are the fact and the schema axiom it met.
+            rule, (fact, schema_ax) = row
+            # Enum's .value is a Python property; _value_ is a plain attribute.
+            return rule._value_, premise_keys[fact], premise_keys[schema_ax]
+
+        self._row_key = row_key
 
     def __getitem__(self, fact: Axiom) -> tuple[InferenceTrace, ...]:
         rows = self._rows[fact]
