@@ -3,13 +3,16 @@
 A text is read in one pass: one compiled regular expression splits it into
 the texts of its tokens (a C-level ``findall``), and each *distinct* token
 text is then read once, in order of first appearance, into a ``(kind,
-value)`` pair: most kinds by their first character, a string literal
-through the string alternative alone, the rest through the whole
-alternation. The reader knows the union of both token sets and rejects
-what neither language accepts; each language passes in checks that reject
-the tokens it lacks and read bare words its own way. Since a token's reading
-depends on its text alone, the first token that fails is the earliest one,
-so token errors come first, earliest first, before any grammar error.
+value)`` pair: most kinds by their first character; the two commonest
+shapes straight from their text, with no match (a string that ends in its
+closing quote with no backslash and no language tag, and a prefixed name
+that starts with a letter); any other string literal through the string
+alternative alone; the rest through the whole alternation. The reader
+knows the union of both token sets and rejects what neither language
+accepts; each language passes in checks that reject the tokens it lacks
+and read bare words its own way. Since a token's reading depends on its
+text alone, the first token that fails is the earliest one, so token
+errors come first, earliest first, before any grammar error.
 
 Both parsers then run their grammar over the token texts of a
 :class:`Cursor`, which resolves IRIs, prefixed names, ``a`` and literals
@@ -72,10 +75,11 @@ _ALTERNATIVES = r"""
     | (?P<eof>\Z)
     | (?P<other>[+-]?.)
 """
-# Reads one token's text. A string, most of the tokens that need a match in
-# a store, is read through its own alternative: after the split, a text
-# that starts with a quote is a string unless it is the three quotes of
-# ``long``. Its groups, in order: string, body, close, lang, escape.
+# Reads one token's text. A string that its text alone does not give (one
+# with an escape, a language tag or no closing quote) is read through its
+# own alternative: after the split, a text that starts with a quote is a
+# string unless it is the three quotes of ``long``. Its groups, in order:
+# string, body, close, lang, escape.
 _TOKEN = re.compile(_ALTERNATIVES, re.VERBOSE | re.DOTALL)
 _STRING = re.compile(_STRING_ALTERNATIVE, re.VERBOSE | re.DOTALL)
 # Splits a text into its token texts: the same alternatives as one group,
@@ -155,8 +159,13 @@ def _letters(word: str) -> str:
 def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
     """The ``(kind, value)`` of the token whose text is ``raw``, which a
     language's ``checks`` accept; raises :class:`_Rejected` otherwise."""
-    # The kinds that their first character gives are read without a match,
-    # a string with the match of its own alternative.
+    # The kinds that their first character gives are read without a match.
+    # So are the two commonest shapes, straight from their text: a string
+    # that ends in a quote and holds no backslash is closed by that quote
+    # (its body cannot hold one) and has no language tag, and a text that
+    # starts with a letter and holds a colon can only be a prefixed name
+    # (a word stops before a colon). Any other string is read with the
+    # match of its own alternative, the rest with the whole alternation.
     first = raw[:1]
     if raw in _PUNCTUATION:
         kind = value = raw
@@ -170,6 +179,8 @@ def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
             reject("empty IRI reference")
     elif not first:
         return "eof", None
+    elif first == '"' and raw[-1] == '"' and len(raw) > 1 and "\\" not in raw and raw != '"""':
+        kind, value = "string", (raw[1:-1], None)
     elif first == '"' and raw != '"""':
         _, body, close, lang, escape = _STRING.match(raw).groups()
         if close is None:
@@ -181,6 +192,9 @@ def _read_token(raw: str, checks: Mapping[str, Check]) -> Token:
         if "\\" in body:
             body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
         kind, value = "string", (body, lang)
+    elif first.isalpha() and ":" in raw:
+        prefix, _, local = raw.partition(":")
+        kind, value = "pname", (prefix, local)
     else:
         m = _TOKEN.match(raw)
         kind = m.lastgroup

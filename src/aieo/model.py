@@ -17,14 +17,21 @@ axiom class lists its fields once; what else each axiom type looks like
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+import re
+from collections import defaultdict
 from enum import Enum
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import KindConflict, KindMismatch, UndeclaredEntity, ValidationError
+
+try:  # the C field getter that collections.namedtuple uses
+    from _collections import _tuplegetter
+except ImportError:  # as namedtuple falls back
+    def _tuplegetter(index: int, doc: None) -> property:
+        return property(itemgetter(index), doc=doc)
 
 
 class Iri(str):
@@ -68,11 +75,17 @@ class EntityKind(Enum):
 _LITERAL_ESCAPES = str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 )
+# Finds a character that _LITERAL_ESCAPES escapes: translate looks each
+# character up in Python, so a text without one is written as it is.
+_NEEDS_ESCAPE = re.compile(r'[\\"\n\r\t]')
 
 
 def render_literal(value: AnnotationValue) -> str:
     """The literal in Turtle syntax: quoted, escaped, then any language tag."""
-    out = f'"{value.text.translate(_LITERAL_ESCAPES)}"'
+    text = value.text
+    if _NEEDS_ESCAPE.search(text):
+        text = text.translate(_LITERAL_ESCAPES)
+    out = f'"{text}"'
     return f"{out}@{value.language_tag}" if value.language_tag else out
 
 
@@ -185,9 +198,11 @@ class _Record(tuple):
     ``_normalize``, which takes the field values and returns them normalized
     or raises ValueError. Construction is one ``tuple.__new__`` after
     ``_normalize``; hashing and equality are the C tuple operations; each
-    field is read by name through the C getter of
-    :func:`collections.namedtuple`. Read fields by name, never by index or
-    unpacking, and change them with :meth:`_replace`.
+    field is read by name through the C descriptor that
+    :func:`collections.namedtuple` uses, built directly for its index
+    (``property(itemgetter(index))`` where that is missing). Read fields by
+    name, never by index or unpacking, and change them with
+    :meth:`_replace`.
     """
 
     __slots__ = ()
@@ -199,10 +214,8 @@ class _Record(tuple):
         if not fields:  # an abstract base such as Axiom
             return
         names = tuple(getattr(f, "name", f) for f in fields)
-        # Held while its getters are read: a collected class's dict is cleared.
-        template = namedtuple(cls.__name__, ("tag", *names))
-        for name in names:
-            setattr(cls, name, vars(template)[name])
+        for index, name in enumerate(names, 1):  # element 0 is the tag
+            setattr(cls, name, _tuplegetter(index, None))
         normalize = getattr(cls, "_normalize", None)
         args = ", ".join(names)
         values = f"*_normalize({args})" if normalize else args

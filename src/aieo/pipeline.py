@@ -196,9 +196,12 @@ class PipelineConfig(_Record, fields=("extraction", "classification", "confirmat
         return extraction, classification, confirmations, float(threshold)
 
 
+_TOKEN_RUN = re.compile(r"[^\W_]+")
+
+
 def _tokens(text: str) -> list[str]:
     """The runs of letters and digits (``str.isalnum``) in the text."""
-    return re.findall(r"[^\W_]+", text)
+    return _TOKEN_RUN.findall(text)
 
 
 def _slug(text: str) -> str:

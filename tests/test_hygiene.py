@@ -155,3 +155,13 @@ def test_the_package_imports_whenever_the_collector_runs():
     # were read from an unreferenced namedtuple class found its dict cleared.
     assert _fresh_python("import gc; gc.set_threshold(1); import aieo, aieo.cli; print('ok')"
                          ) == "ok\n"
+
+
+def test_records_read_their_fields_where_the_c_getter_is_missing():
+    # The fallback namedtuple itself uses: a property over an itemgetter.
+    assert _fresh_python(
+        "import _collections; del _collections._tuplegetter\n"
+        "from aieo.model import AnnotationValue\n"
+        "v = AnnotationValue('x', 'en')\n"
+        "print(type(vars(AnnotationValue)['text']).__name__, v.text, v.language_tag, v)"
+    ) == "property x en AnnotationValue(text='x', language_tag='en')\n"

@@ -281,6 +281,43 @@ def test_names_and_directives_start_with_str_isalpha_letters():
         assert next(tokens) == ("@", "prefix", 0)
 
 
+# The edges of the two shapes the reader takes straight from their text: a
+# string closed by its last character with no backslash and no language
+# tag, and a prefixed name that starts with a letter. Reading '"a\"', '"'
+# or '"""' as a closed string, '"a"@en' as one without its tag, or '²:x' or
+# '_:x' as a prefixed name each fails a case here.
+_SHORTCUT_EDGES = [
+    '""', '"a"', '"a"@en', '"a\\"', '"a\\\\"', '"', '"""', '"abc', '"a\n',
+    "a:b", "a:", "é:x", "²:x", "_:x", "_a:x", ":x", "a:b-c",
+]
+_EDGE_PREFIXES = {
+    "ex": "https://example.org/", "a": "https://example.org/a#",
+    "é": "https://example.org/e#", "_a": "https://example.org/u#", "": "https://example.org/0#",
+    "owl": "http://www.w3.org/2002/07/owl#", "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
+}
+_EDGE_HEADER = "".join(f"@prefix {p}: <{base}> .\n" for p, base in _EDGE_PREFIXES.items())
+
+
+def _read_or_diagnostic(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.line, exc.column
+
+
+@pytest.mark.parametrize("token", _SHORTCUT_EDGES)
+def test_token_shortcut_edges_read_as_the_reference_reads_them(token):
+    assert _read_or_diagnostic(_library_tokens, token) == _read_or_diagnostic(
+        lambda t: [(kind, value) for kind, value, _ in scan(t)], token)
+    for text in (_EDGE_HEADER + f"{token} a owl:Class .\n",
+                 _EDGE_HEADER + "rdfs:label a owl:AnnotationProperty .\n"
+                 f"ex:x a owl:NamedIndividual ; rdfs:label {token} .\n"):
+        assert _outcome(parse_turtle, text) == _outcome(reference_parse_turtle, text), text
+    for text in (f"SELECT ?x WHERE {{ {token} ?p ?x }}", f"SELECT ?x WHERE {{ ?x rdfs:label {token} }}"):
+        assert (_outcome(lambda t: parse_query(t, _EDGE_PREFIXES), text)
+                == _outcome(lambda t: reference_parse_query(t, _EDGE_PREFIXES), text)), text
+
+
 # ---------------------------------------------------------------------------
 # Mutation fuzz
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from aieo.model import (
     SameIndividual,
     SubClassOf,
     SubObjectPropertyOf,
+    _LITERAL_ESCAPES,
     _Record,
     axiom_sort_key,
     compute_metrics,
+    render_literal,
     sorted_axioms,
 )
 from aieo.pipeline import (
@@ -87,6 +89,23 @@ def test_iri_local_name():
 def test_iri_rejects_what_the_writers_cannot_write_back(text):
     with pytest.raises(ValueError, match="an IRI cannot contain '>', a tab or a line break"):
         Iri(text)
+
+
+_ESCAPABLE = "\\\"\n\r\t"
+
+
+@pytest.mark.parametrize("text", [
+    "plain", "é ünïcode ✓",
+    *_ESCAPABLE,
+    *(f"{c}start" for c in _ESCAPABLE), *(f"end{c}" for c in _ESCAPABLE),
+    *(f"in{c}side" for c in _ESCAPABLE),
+    _ESCAPABLE, 'say "hi"\\twice\r\nplease\t', "\\\\" * 3,
+])
+@pytest.mark.parametrize("tag", [None, "en-GB"])
+def test_render_literal_escapes_exactly_what_the_table_escapes(text, tag):
+    # render_literal translates only a text that holds an escapable character.
+    expected = f'"{text.translate(_LITERAL_ESCAPES)}"' + (f"@{tag}" if tag else "")
+    assert render_literal(AnnotationValue(text, tag)) == expected
 
 
 def test_unordered_pairs_normalize():

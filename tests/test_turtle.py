@@ -91,7 +91,7 @@ def test_language_tagged_literal_round_trips():
 
 
 def test_literal_escapes_round_trip():
-    tricky = 'say "hi"\\twice\nplease'
+    tricky = 'say "hi"\\twice\nplease\r\n\tand\ttabs'
     store = OntologyStore({"ex": "https://example.org/", "rdfs": "http://www.w3.org/2000/01/rdf-schema#"})
     store.declare(RDFS_LABEL, EntityKind.ANNOTATION_PROPERTY)
     store.declare(Iri("https://example.org/x"), EntityKind.NAMED_INDIVIDUAL)
@@ -100,7 +100,9 @@ def test_literal_escapes_round_trip():
             Iri("https://example.org/x"), RDFS_LABEL, AnnotationValue(tricky)
         )
     )
-    roundtripped = parse_turtle(serialize_turtle(store))
+    text = serialize_turtle(store)
+    assert r'rdfs:label "say \"hi\"\\twice\nplease\r\n\tand\ttabs" .' in text
+    roundtripped = parse_turtle(text)
     [ann] = roundtripped.axioms_of(AnnotationAssertion)
     assert ann.value.text == tricky
 
