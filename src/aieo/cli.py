@@ -7,7 +7,9 @@ signal (0 ok, 1 usage/parse or internal error, 2 validation, 3 inconsistent,
 ``FILE:line:column: error: message`` with ``<query>`` for ``query --text``,
 a validation error as ``FILE: error: message``. Output files are written
 atomically (temp file + rename) so failures never leave partial files
-behind.
+behind. An output that exists and is not a regular file (a FIFO, a device
+such as ``/dev/null``, or a symlink to one) is written in place instead;
+what a failing command has written there cannot be rolled back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import warnings
 from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .errors import (
     AieoError,
@@ -98,15 +100,14 @@ def _read(path: str) -> str:
         raise
 
 
-def _write_mode(target: Path) -> int:
-    """The target's own mode, or for a new file the one ``open()`` would
-    give it: ``0o666`` less the umask."""
-    try:
-        return stat.S_IMODE(target.stat().st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
+def _write_mode(st: os.stat_result | None) -> int:
+    """The mode of the target whose status is ``st``, or for a new file
+    (``None``) the one ``open()`` would give it: ``0o666`` less the umask."""
+    if st is not None:
+        return stat.S_IMODE(st.st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 # Characters encoded per write: a file's encoded bytes are never all in
@@ -114,18 +115,32 @@ def _write_mode(target: Path) -> int:
 _WRITE_SLICE = 1 << 20
 
 
+def _write_slices(fh: TextIO, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[start:start + _WRITE_SLICE])
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it to
-    ``path``. An ``OSError`` names ``path`` as given, never the temp file,
-    and leaves no temp file behind."""
+    ``path``. A target that exists and is not a regular file once symlinks
+    are followed (a FIFO, a device) is written in place instead, since a
+    rename would put a regular file where it was. An ``OSError`` names
+    ``path`` as given, never the temp file, and leaves no temp file behind."""
     target = Path(path)
     tmp = None
     try:
-        mode = _write_mode(target)
+        try:
+            st = target.stat()
+        except FileNotFoundError:
+            st = None
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            with open(target, "w", encoding="utf-8") as fh:
+                _write_slices(fh, text)
+            return
+        mode = _write_mode(st)
         fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".aieo-tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start:start + _WRITE_SLICE])
+            _write_slices(fh, text)
         os.chmod(tmp, mode)  # mkstemp always creates 0600
         os.replace(tmp, target)
     except BaseException as exc:
@@ -169,12 +184,6 @@ def _serialize_store(store: OntologyStore, path: str | None) -> str:
 def _cmd_seed(args: argparse.Namespace) -> int:
     store = seed_schema()
     _emit(_serialize_store(store, args.out), args.out)
-    return ExitStatus.SUCCESS
-
-
-def _cmd_parse(args: argparse.Namespace) -> int:
-    store = _load_store(args.file)
-    sys.stdout.write(compute_metrics(store).as_table() + "\n")
     return ExitStatus.SUCCESS
 
 
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="validate a store file and print its metrics")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_parse)
+    p.set_defaults(func=_cmd_metrics, format="table")
 
     p = sub.add_parser("reason", help="materialize inferences and emit the closed store")
     p.add_argument("file")

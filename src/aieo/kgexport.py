@@ -18,7 +18,7 @@ when it has none.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import IntEnum
 from itertools import chain
 from typing import Callable
@@ -117,18 +117,13 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
         ids.update((iri, str(iri)) for iri in clashes)
         full.update(clashes)
     display = labels(store)
-
-    memberships: dict[Iri, set[Iri]] = defaultdict(set)
-    members_per_class: dict[Iri, set[Iri]] = defaultdict(set)
-    for fact in mat.class_assertions():
-        memberships[fact.ind].add(fact.cls)
-        members_per_class[fact.cls].add(fact.ind)
+    # Each class -> how many individuals it has, closed membership counted.
+    badges = Counter(chain.from_iterable(mat.memberships.values()))
 
     # The final sorts order nodes and edges by every field, so nothing is
     # sorted before them.
     nodes = [
-        GraphNode(ids[cls], f"{cls.local} [{len(members_per_class.get(cls, ()))}]", "class",
-                  display.get(cls, ""))
+        GraphNode(ids[cls], f"{cls.local} [{badges[cls]}]", "class", display.get(cls, ""))
         for cls in classes
     ]
     edges = [
@@ -150,7 +145,7 @@ def export_graph(mat: Materialization, level: DetailLevel) -> GraphDoc:
             rep_supers[rep(ax.sub)].add(rep(ax.sup))
         for ind in individuals:
             nodes.append(GraphNode(ids[ind], ind.local, "individual", display.get(ind, "")))
-            reps = {rep(c) for c in memberships.get(ind, ())}
+            reps = {rep(c) for c in mat.memberships.get(ind, ())}
             implied = {c for d in reps for c in rep_supers.get(d, ()) if c != d}
             for cls in reps - implied:
                 edges.append(GraphEdge(ids[ind], ids[cls], "type", "membership"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import KeysView, Mapping
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator
@@ -165,12 +166,13 @@ class Traces(Mapping):
 
 
 class Materialization:
-    """The closure of ``base`` under the inference rules, with its
-    consistency violations (:func:`check_consistency`). Read-only: only the
-    query layer's ``_triple_index`` memo is set after construction."""
+    """The closure of ``base`` under the inference rules, with each
+    individual's closed class membership and the consistency violations
+    (:func:`check_consistency`) read off it. Read-only: only the query
+    layer's ``_triple_index`` memo is set after construction."""
 
-    __slots__ = ("base", "inferred", "traces", "sameas_free", "sameas_blocks", "violations",
-                 "_triple_index")
+    __slots__ = ("base", "inferred", "traces", "sameas_free", "sameas_blocks", "memberships",
+                 "violations", "_triple_index")
 
     def __init__(self, base: OntologyStore, inferred: KeysView[Axiom], traces: Traces,
                  sameas_free: frozenset[Axiom], sameas_blocks: Mapping[Iri, tuple[Iri, ...]]):
@@ -182,6 +184,14 @@ class Materialization:
         self.sameas_free = sameas_free
         # Each declared individual -> its sameAs block, sorted (read-only).
         self.sameas_blocks = sameas_blocks
+        # Each individual with a class -> its asserted and inferred classes
+        # (read-only), built once for every reader of membership.
+        classes: dict[Iri, set[Iri]] = defaultdict(set)
+        for fact in chain(base.axioms_of(ClassAssertion), inferred):
+            if type(fact) is ClassAssertion:
+                classes[fact.ind].add(fact.cls)
+        self.memberships: Mapping[Iri, frozenset[Iri]] = MappingProxyType(
+            {ind: frozenset(cls) for ind, cls in classes.items()})
         # Built by the query layer on first use and kept for later queries.
         self._triple_index = None
         self.violations: tuple[ConsistencyViolation, ...] = tuple(check_consistency(self))
@@ -193,13 +203,6 @@ class Materialization:
     def facts(self) -> Iterable[Axiom]:
         yield from self.base
         yield from self.inferred
-
-    def class_assertions(self) -> Iterator[ClassAssertion]:
-        """The asserted class assertions, then the inferred ones."""
-        yield from self.base.axioms_of(ClassAssertion)
-        for fact in self.inferred:
-            if type(fact) is ClassAssertion:
-                yield fact
 
 
 def _sameas_blocks(store: OntologyStore) -> dict[Iri, tuple[Iri, ...]]:
@@ -295,18 +298,15 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     whose merged membership covers both classes.
 
     R6 copies every class assertion across a sameAs block, so each member's
-    closed membership is the block's merged one: the check walks the
-    classes of the least member of each block of ``mat.sameas_blocks``
-    against ``partners`` (each class
-    -> the greater class of each disjoint pair it is the lesser of), so it
-    costs Σ memberships × partners.
+    closed membership is the block's merged one: the check walks
+    ``mat.memberships`` of the least member of each block of
+    ``mat.sameas_blocks`` against ``partners`` (each class -> the greater
+    class of each disjoint pair it is the lesser of), so it costs
+    Σ memberships × partners.
     """
     partners: dict[Iri, list[Iri]] = defaultdict(list)
     for dj in mat.base.axioms_of(DisjointClasses):
         partners[dj.a].append(dj.b)
-    memberships: dict[Iri, set[Iri]] = defaultdict(set)
-    for fact in mat.class_assertions():
-        memberships[fact.ind].add(fact.cls)
 
     def free_membership(cls: Iri, ind: Iri) -> bool:
         fact = ClassAssertion(cls, ind)
@@ -316,7 +316,7 @@ def check_consistency(mat: Materialization) -> list[ConsistencyViolation]:
     for least, block in mat.sameas_blocks.items():
         if block[0] != least:  # each block once, from its least member
             continue
-        classes = memberships.get(least, ())
+        classes = mat.memberships.get(least, ())
         for a in classes:
             for b in partners.get(a, ()):
                 if b not in classes:

@@ -9,8 +9,10 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -97,12 +99,17 @@ def test_seed_is_deterministic(run, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parse_prints_metrics_table(run, seed_file):
-    code, out, _ = run("parse", seed_file)
-    assert code == 0
-    assert "65" in out  # total axiom count of the bundled schema
-    code2, out2, _ = run("metrics", seed_file)
-    assert code2 == 0 and out2 == out
+@pytest.mark.parametrize("name", ["seed.ttl", "seed.json", "random.json"])
+def test_parse_prints_metrics_table(run, tmp_path, name):
+    store = random_store(3) if name.startswith("random") else seed_schema()
+    path = tmp_path / name
+    path.write_text(store_to_json(store) if name.endswith(".json") else serialize_turtle(store),
+                    encoding="utf-8")
+    parsed = run("parse", str(path))
+    assert parsed == run("metrics", str(path), "--format", "table")
+    code, out, _ = parsed
+    assert code == 0 and out
+    assert name.startswith("random") or "65" in out  # total axiom count of the bundled schema
 
 
 def test_parse_missing_file_is_io_error(run, tmp_path):
@@ -1046,6 +1053,32 @@ def test_output_written_in_slices_has_the_bytes_of_the_whole_text(monkeypatch, t
         assert (tmp_path / "out.txt").read_bytes() == text[:size].encode("utf-8")
 
 
+@pytest.mark.parametrize("via_symlink", [False, True], ids=["fifo", "symlink"])
+def test_out_to_a_fifo_writes_into_it_and_keeps_it(run, tmp_path, via_symlink):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    out = fifo
+    if via_symlink:
+        out = tmp_path / "link"
+        out.symlink_to(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code, stdout, _ = run("seed", "--out", str(out))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, stdout) == (0, "")
+    assert received == [serialize_turtle(seed_schema()).encode("utf-8")]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert out.is_symlink() == via_symlink
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"pipe", out.name})
+
+
 # ---------------------------------------------------------------------------
 # the cyclic garbage collector
 # ---------------------------------------------------------------------------
@@ -1072,7 +1105,7 @@ def test_every_exit_path_restores_the_collector_state(
         seen.append(gc.isenabled())
         raise RuntimeError("index out of step")
 
-    monkeypatch.setattr(cli, "_cmd_metrics", fault)
+    monkeypatch.setattr(cli, "_cmd_diff", fault)
     for argv, status, err_start in [
         (("seed",), 0, ""),
         (("parse", str(broken)), 1, f"{broken}:1:"),
@@ -1081,7 +1114,7 @@ def test_every_exit_path_restores_the_collector_state(
         (("query", seed_file, "--ask", "describe_concept"), 2, "error:"),
         (("check", _inconsistent_store(tmp_path)), 3, ""),
         (("parse", str(tmp_path / "missing.ttl")), 4, "error:"),
-        (("metrics", seed_file), 1, "error: internal error: RuntimeError"),
+        (("diff", seed_file, seed_file), 1, "error: internal error: RuntimeError"),
     ]:
         (gc.enable if enabled else gc.disable)()
         code = main(list(argv))

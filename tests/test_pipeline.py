@@ -492,6 +492,27 @@ def test_propose_matches_the_all_pairs_oracle():
     assert all(seen.values()), seen
 
 
+def test_propose_score_is_the_join_bound_over_sentinel_token_sets():
+    # label_similarity returns the very quotient k / (n + m - k) the join
+    # has already formed over the sentinel token sets (see _label_tokens).
+    seen = {"exact": 0, "reordered": 0, "repeated": 0, "blank": 0, "fractional": 0}
+    for seed in range(200):
+        store, frameworks = _random_framework_store(seed)
+        for fw in frameworks:
+            for p in propose_equivalences(store, fw, 1e-9):
+                ta, tb = (oracles._naive_tokens(oracles._naive_concept_label(store, c))
+                          for c in (p.left, p.right))
+                sa, sb = set(ta) or {""}, set(tb) or {""}
+                k = len(sa & sb)
+                assert p.score.hex() == (k / (len(sa) + len(sb) - k)).hex(), (seed, p)
+                seen["exact"] += ta == tb != []
+                seen["reordered"] += ta != tb and sa == sb
+                seen["repeated"] += len(ta) > len(sa) or len(tb) > len(sb)
+                seen["blank"] += ta == tb == []
+                seen["fractional"] += 0 < p.score < 1
+    assert all(seen.values()), seen
+
+
 def test_propose_scores_only_peers_that_share_a_token(monkeypatch):
     rng = random.Random(6)
     words = [f"w{i}" for i in range(40)]

@@ -346,10 +346,29 @@ def test_sameas_block_members_share_one_closed_membership(make, seed):
     # across the block.
     mat = materialize(make(seed))
     memberships: dict[Iri, set[Iri]] = {}
-    for fact in mat.class_assertions():
-        memberships.setdefault(fact.ind, set()).add(fact.cls)
+    for fact in mat.facts():
+        if isinstance(fact, ClassAssertion):
+            memberships.setdefault(fact.ind, set()).add(fact.cls)
     for block in set(mat.sameas_blocks.values()):
         assert len({frozenset(memberships.get(ind, ())) for ind in block}) == 1
+
+
+@pytest.mark.parametrize("make, seed", [
+    *((make, seed) for make in (random_store, random_linked_store, random_small_store)
+      for seed in range(20)),
+    pytest.param(lambda seed: _long_chain_store(), 0, id="long_chain"),
+])
+def test_memberships_are_the_naive_closed_classes(make, seed):
+    store = make(seed)
+    mat = materialize(store)
+    expected: dict[Iri, set[Iri]] = {}
+    for fact in (*store.axioms_of(ClassAssertion), *naive_inferred(store)):
+        if isinstance(fact, ClassAssertion):
+            expected.setdefault(fact.ind, set()).add(fact.cls)
+    assert dict(mat.memberships) == expected
+    assert all(type(classes) is frozenset for classes in mat.memberships.values())
+    with pytest.raises(TypeError):
+        mat.memberships[aieo("x")] = frozenset()
 
 
 @pytest.mark.parametrize("make, seed", [
